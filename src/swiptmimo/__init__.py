@@ -11,7 +11,8 @@ from .montecarlo import McResult, average_metric, metric_samples, random_bs_cova
 from .rates import (NoiseProfile, PowerAllocation, local_csi_rate,
                     optimal_q_global, tin_rate_global, waterfill,
                     worst_case_rate)
-from .saddle import SaddleSolution, bs_best_response, p2p_best_response, solve_saddle
+from .saddle import (SaddleBatch, SaddleSolution, bs_best_response,
+                     p2p_best_response, solve_saddle, solve_saddle_batch)
 from .scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
                        equivalent_channels, reference_scenario,
                        synthesize_channel, worst_case_align)
@@ -29,7 +30,8 @@ __all__ = [
     "McResult", "average_metric", "metric_samples", "random_bs_covariance",
     "NoiseProfile", "PowerAllocation", "local_csi_rate", "optimal_q_global",
     "tin_rate_global", "waterfill", "worst_case_rate",
-    "SaddleSolution", "bs_best_response", "p2p_best_response", "solve_saddle",
+    "SaddleBatch", "SaddleSolution", "bs_best_response", "p2p_best_response",
+    "solve_saddle", "solve_saddle_batch",
     "EquivalentChannel", "PowerSplit", "ScenarioConfig", "equivalent_channels",
     "reference_scenario", "synthesize_channel", "worst_case_align",
     "TransmitDesign", "structure2_energy", "structure2_rate", "swipt_design",

@@ -44,10 +44,20 @@ def _spectra(psi):
     return cfg, lam2, lam2_bs, noise
 
 
+def _wc_solutions(points):
+    """Saddle solutions of baseline (psi, ratio) points from one batched solve."""
+    spectra = [_spectra(psi) for psi, _ in points]
+    batch = saddle.solve_saddle_batch(
+        np.stack([lam2 for _, lam2, _, _ in spectra]),
+        np.stack([lam2_bs for _, _, lam2_bs, _ in spectra]),
+        np.stack([noise.beta for _, _, _, noise in spectra]),
+        [cfg.P for cfg, _, _, _ in spectra],
+        [ratio * cfg.P for (cfg, _, _, _), (_, ratio) in zip(spectra, points)])
+    return [batch.solution(b) for b in range(len(points))]
+
+
 def _wc_rate(psi, ratio):
-    cfg, lam2, lam2_bs, noise = _spectra(psi)
-    sol = saddle.solve_saddle(lam2, lam2_bs, noise, cfg.P, ratio * cfg.P)
-    return sol
+    return _wc_solutions([(psi, ratio)])[0]
 
 
 def _mc(psi, metric, ratio, trials, seed):
@@ -70,8 +80,9 @@ def criterion_1(trials=2000, seed=42):
     """Deterministic worst-case rate endpoints at zero interferer power."""
     tol = 1e-3
     lines, ok = [], True
-    for psi, expected in WC_ENDPOINTS.items():
-        got = _wc_rate(psi, 0).rate
+    sols = _wc_solutions([(psi, 0) for psi in WC_ENDPOINTS])
+    for (psi, expected), sol in zip(WC_ENDPOINTS.items(), sols):
+        got = sol.rate
         good = abs(got - expected) <= tol
         ok &= good
         lines.append(f"psi={psi}: {got:.6f} vs {expected:.6f} (tol {tol})")
@@ -85,8 +96,8 @@ def criterion_2(trials=2000, seed=42):
     cert_ok = True
     rng = np.random.default_rng(seed)
     cfg, lam2, lam2_bs, noise = _spectra(0.3)
-    for ratio, expected in WC_CURVE_03.items():
-        sol = _wc_rate(0.3, ratio)
+    sols = _wc_solutions([(0.3, ratio) for ratio in WC_CURVE_03])
+    for (ratio, expected), sol in zip(WC_CURVE_03.items(), sols):
         good = abs(sol.rate - expected) <= tol
         values_ok &= good
         lines.append(f"ratio={ratio}: {sol.rate:.6f} vs {expected:.6f}")
@@ -214,12 +225,11 @@ def criterion_8(trials=2000, seed=42):
     lines = []
 
     worst = True
-    for psi in RATE_PSIS:
-        for ratio in RATIO_GRID:
-            wc = _wc_rate(psi, ratio).rate
-            _, avg = _mc(psi, "rate-struct1", ratio, trials, seed)
-            if wc > avg.mean + max(3 * avg.stderr, 1e-9):
-                worst = False
+    points = [(psi, ratio) for psi in RATE_PSIS for ratio in RATIO_GRID]
+    for (psi, ratio), sol in zip(points, _wc_solutions(points)):
+        _, avg = _mc(psi, "rate-struct1", ratio, trials, seed)
+        if sol.rate > avg.mean + max(3 * avg.stderr, 1e-9):
+            worst = False
     lines.append(f"worst-case <= average: {worst}")
     ok &= worst
 

@@ -8,13 +8,12 @@ baseline setup. Exit codes: 0 success, 2 parse error, 3 convergence failure,
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import montecarlo, saddle
 from .errors import ConfigError, ConvergenceError
-from .rates import NoiseProfile
 from .scenario import (REFERENCE_SIGMA_BS, REFERENCE_SIGMA_P2P, ScenarioConfig)
 
 EXIT_OK = 0
@@ -82,11 +81,18 @@ def _parse_list(raw, line, name):
     return [item.strip() for item in inner.split(",")] if inner else []
 
 
-def _parse_floats(raw, line, name):
+def _parse_float(raw, line, name):
     try:
-        return tuple(float(x) for x in _parse_list(raw, line, name))
+        value = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"invalid number in list: {exc}", field=name, line=line)
+        raise ConfigError(f"invalid number: {exc}", field=name, line=line)
+    if not np.isfinite(value):
+        raise ConfigError(f"{raw} is not a finite number", field=name, line=line)
+    return value
+
+
+def _parse_floats(raw, line, name):
+    return tuple(_parse_float(x, line, name) for x in _parse_list(raw, line, name))
 
 
 def _positive_int(raw, line, name, minimum=1):
@@ -137,7 +143,7 @@ def _parse_sigma_bs(raw, line):
 @_field("psi")
 def _parse_psi(raw, line):
     values = _parse_floats(raw, line, "psi") if raw.strip().startswith("[") \
-        else (float(raw),)
+        else (_parse_float(raw, line, "psi"),)
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"split ratio {v} outside [0, 1]", field="psi", line=line)
@@ -146,7 +152,7 @@ def _parse_psi(raw, line):
 
 @_field("sigma2_w")
 def _parse_s2w(raw, line):
-    value = float(raw)
+    value = _parse_float(raw, line, "sigma2_w")
     if value <= 0:
         raise ConfigError("noise variance must be positive", field="sigma2_w", line=line)
     return "sigma2_w", value
@@ -154,7 +160,7 @@ def _parse_s2w(raw, line):
 
 @_field("sigma2_n")
 def _parse_s2n(raw, line):
-    value = float(raw)
+    value = _parse_float(raw, line, "sigma2_n")
     if value <= 0:
         raise ConfigError("noise variance must be positive", field="sigma2_n", line=line)
     return "sigma2_n", value
@@ -162,7 +168,7 @@ def _parse_s2n(raw, line):
 
 @_field("p")
 def _parse_p(raw, line):
-    value = float(raw)
+    value = _parse_float(raw, line, "p")
     if value < 0:
         raise ConfigError("power budget must be nonnegative", field="p", line=line)
     return "p", value
@@ -245,12 +251,21 @@ def _fmt(value):
     return format(value, ".9g")
 
 
-def _worst_case_point(cfg, psi, ratio):
-    lam2 = psi * np.asarray(cfg.sigma_p2p) ** 2
-    lam2_bs = psi * np.asarray(cfg.sigma_bs) ** 2
-    noise = NoiseProfile(cfg.sigma2_w, cfg.sigma2_n, np.full(cfg.k, psi))
-    sol = saddle.solve_saddle(lam2, lam2_bs, noise, cfg.p, ratio * cfg.p)
-    return sol.rate, None
+def _worst_case_points(cfg, points):
+    """Saddle rates of the (psi, ratio) points, solved as one batch, in order.
+
+    Raises SweepFailure for the first point, in order, that did not converge.
+    """
+    psi, ratio = (np.array(v, dtype=float) for v in zip(*points))
+    lam2 = psi[:, None] * np.asarray(cfg.sigma_p2p) ** 2
+    lam2_bs = psi[:, None] * np.asarray(cfg.sigma_bs) ** 2
+    beta = np.repeat(psi[:, None] * cfg.sigma2_w + cfg.sigma2_n, cfg.k, axis=1)
+    batch = saddle.solve_saddle_batch(lam2, lam2_bs, beta, cfg.p, ratio * cfg.p)
+    for b, (psi_b, ratio_b) in enumerate(points):
+        try:
+            yield batch.solution(b).rate, None
+        except ConvergenceError as exc:
+            raise SweepFailure("worst-case", psi_b, ratio_b, exc) from exc
 
 
 def _monte_carlo_point(cfg, tag, psi, ratio):
@@ -268,18 +283,15 @@ def _monte_carlo_point(cfg, tag, psi, ratio):
 def run_sweep(cfg):
     """Evaluate every (scenario, psi, ratio) point and render the CSV text."""
     rows = []
+    points = [(psi, ratio) for psi in sorted(cfg.psis) for ratio in sorted(cfg.ratio_grid)]
     for tag in sorted(cfg.scenarios):
-        for psi in sorted(cfg.psis):
-            for ratio in sorted(cfg.ratio_grid):
-                try:
-                    if tag == "worst-case":
-                        value, stderr = _worst_case_point(cfg, psi, ratio)
-                    else:
-                        value, stderr = _monte_carlo_point(cfg, tag, psi, ratio)
-                except ConvergenceError as exc:
-                    raise SweepFailure(tag, psi, ratio, exc) from exc
-                stderr_text = "" if stderr is None else _fmt(stderr)
-                rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")
+        if tag == "worst-case":
+            values = _worst_case_points(cfg, points)
+        else:
+            values = (_monte_carlo_point(cfg, tag, psi, ratio) for psi, ratio in points)
+        for (psi, ratio), (value, stderr) in zip(points, values):
+            stderr_text = "" if stderr is None else _fmt(stderr)
+            rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")
     return "\n".join([CSV_HEADER] + rows) + "\n"
 
 
@@ -313,18 +325,14 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        # command-line overrides pass the same field checks as file values
+        overrides = dict(_PARSERS[key](str(value), None)
+                         for key, value in (("trials", args.trials), ("seed", args.seed))
+                         if value is not None)
+        cfg = replace(cfg, **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
 
     if args.verify:
         ok = verify_anchors(trials=cfg.trials, seed=cfg.seed)

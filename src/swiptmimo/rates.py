@@ -59,11 +59,6 @@ class NoiseProfile:
         """Per-mode information-branch noise psi_k*sigma2_w + sigma2_n."""
         return self.psi * self.sigma2_w + self.sigma2_n
 
-    @property
-    def id_branch_cov(self):
-        """Diagonal of the information-branch noise covariance (K x K)."""
-        return np.diag(self.beta.astype(float))
-
 
 def _powers(alloc):
     return alloc.p if isinstance(alloc, PowerAllocation) else np.asarray(alloc, dtype=float)
@@ -73,6 +68,7 @@ def waterfill_batch(inv_gains, total_power):
     """Vectorized sorted active-set water-filling over stacked instances.
 
     `inv_gains` has shape (..., K); entries may be +inf for disabled modes.
+    `total_power` is a scalar or broadcasts against the leading axes (...,).
     Returns (p, eta) with p.shape == inv_gains.shape and eta.shape == (...,).
     """
     c = np.asarray(inv_gains, dtype=float)
@@ -81,7 +77,7 @@ def waterfill_batch(inv_gains, total_power):
     finite = np.isfinite(cs)
     csum = np.cumsum(np.where(finite, cs, 0.0), axis=-1)
     counts = np.arange(1, k + 1, dtype=float)
-    etas = (total_power + csum) / counts
+    etas = (np.asarray(total_power, dtype=float)[..., None] + csum) / counts
     feasible = (etas > cs) & finite
     any_feasible = feasible.any(axis=-1)
     # largest feasible active-set size; 0 active modes only when P == 0
@@ -180,8 +176,12 @@ def worst_case_rate(lambda2, lambda2_bs, p, p_bs, noise):
     p_bs = _powers(p_bs)
     if not (len(lam2) == len(lam2_bs) == len(p) == len(p_bs) == len(noise.beta)):
         raise InvalidInputError("mode vectors must share length K")
-    denom = lam2_bs * p_bs + noise.beta
-    return float(np.sum(np.log2(1.0 + lam2 * p / denom)))
+    return float(mode_rate_sum(lam2, lam2_bs, p, p_bs, noise.beta))
+
+
+def mode_rate_sum(lambda2, lambda2_bs, p, p_bs, beta):
+    """Kernel of `worst_case_rate`: the mode sum over the last axis, stacked."""
+    return np.log2(1.0 + lambda2 * p / (lambda2_bs * p_bs + beta)).sum(axis=-1)
 
 
 def local_csi_rate(hhat, hhat_bs, d, q_bs, noise):

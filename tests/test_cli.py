@@ -1,7 +1,12 @@
+import functools
+import pathlib
+
 import pytest
 
-from swiptmimo import cli, montecarlo
+from swiptmimo import cli, montecarlo, saddle
 from swiptmimo.errors import ConfigError
+
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def write(tmp_path, text, name="sweep.cfg"):
@@ -64,6 +69,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cli.parse_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize("line, field", [
+        ("p = nan", "p"),
+        ("p = inf", "p"),
+        ("sigma2_w = nan", "sigma2_w"),
+        ("sigma2_n = inf", "sigma2_n"),
+        ("ratio_grid = [nan]", "ratio_grid"),
+        ("ratio_grid = [0, inf]", "ratio_grid"),
+        ("psi = [nan]", "psi"),
+        ("sigma_bs = [0.8, nan, 0.5]", "sigma_bs"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, line, field):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(write(tmp_path, line + "\n"))
+        assert f"field '{field}'" in str(err.value)
+
 
 class TestRunSweep:
     def small_config(self, **overrides):
@@ -116,6 +136,28 @@ class TestRunSweep:
         montecarlo._metric_samples_cached.cache_clear()
         assert cli.run_sweep(cfg) == first
 
+    def test_worst_case_grid_matches_reference_csv(self):
+        cfg = cli.SweepConfig(
+            scenarios=("worst-case",), psis=tuple(i / 10 for i in range(1, 10)),
+            ratio_grid=tuple(float(r) for r in range(0, 15, 2)), seed=42)
+        expected = (REFERENCE / "worst-case-grid-seed42.csv").read_text(encoding="utf-8")
+        assert cli.run_sweep(cfg) == expected
+
+    def test_zero_split_worst_case_rate_is_zero(self):
+        cfg = self.small_config(scenarios=("worst-case",), psis=(0.0,))
+        rows = [line.split(",") for line in cli.run_sweep(cfg).strip().split("\n")[1:]]
+        assert [row[3] for row in rows] == ["0", "0"]
+
+    def test_first_unconverged_point_in_row_order_fails(self, monkeypatch):
+        monkeypatch.setattr(cli.saddle, "solve_saddle_batch",
+                            functools.partial(saddle.solve_saddle_batch, max_iter=3))
+        cfg = self.small_config(scenarios=("worst-case",), psis=(0.3, 0.6),
+                                ratio_grid=(0.0, 2.0, 1.0))
+        with pytest.raises(cli.SweepFailure) as err:
+            cli.run_sweep(cfg)
+        assert (err.value.scenario_tag, err.value.psi, err.value.ratio) == \
+            ("worst-case", 0.3, 1.0)
+
     def test_energy_scenarios_emit_db(self):
         cfg = self.small_config(scenarios=("energy-struct2",), ratio_grid=(0.0,))
         row = cli.run_sweep(cfg).strip().split("\n")[1].split(",")
@@ -155,6 +197,36 @@ class TestMainEntry:
         assert cli.main(["--config", cfg_path, "--out", str(out_b),
                          "--trials", "8", "--seed", "2"]) == cli.EXIT_OK
         assert out_a.read_text() != out_b.read_text()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--trials", "0"], "trials"),
+        (["--seed", "-1"], "seed"),
+    ])
+    @pytest.mark.parametrize("scenarios", ["worst-case", "average"])
+    def test_invalid_override_exit_code(self, tmp_path, capsys, flags, field,
+                                        scenarios):
+        cfg_path = write(tmp_path, f"ratio_grid = [1]\npsi = [0.3]\n"
+                                   f"scenarios = [{scenarios}]\n")
+        assert cli.main(["--config", cfg_path] + flags) == cli.EXIT_CONFIG
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, "p = nan\nscenarios = [worst-case]\n")
+        assert cli.main(["--config", cfg_path]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_zero_split_exits_ok(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, "psi = [0.0]\nscenarios = [worst-case]\n")
+        assert cli.main(["--config", cfg_path]) == cli.EXIT_OK
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 15 and all(row.split(",")[3] == "0" for row in rows)
+
+    def test_convergence_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.saddle, "solve_saddle_batch",
+                            functools.partial(saddle.solve_saddle_batch, max_iter=3))
+        cfg_path = write(tmp_path, "psi = [0.3]\nscenarios = [worst-case]\n")
+        assert cli.main(["--config", cfg_path]) == cli.EXIT_CONVERGENCE
+        assert "ratio=1.0" in capsys.readouterr().err
 
     def test_verify_reports_and_exit_code(self, capsys):
         # the saddle-curve anchors are unattainable (see repository notes), so

@@ -3,8 +3,10 @@ import pytest
 
 from swiptmimo.acceptance import (projected_gradient_worst_allocation,
                                   saddle_certificate)
+from swiptmimo.errors import ConvergenceError, InvalidInputError
 from swiptmimo.rates import NoiseProfile, worst_case_rate
-from swiptmimo.saddle import bs_best_response, p2p_best_response, solve_saddle
+from swiptmimo.saddle import (bs_best_response, p2p_best_response, solve_saddle,
+                              solve_saddle_batch)
 
 LAM2 = 0.3 * np.array([0.81, 0.64, 0.49])
 LAM2_BS = 0.3 * np.array([0.64, 0.49, 0.25])
@@ -138,3 +140,72 @@ class TestSolveSaddle:
         sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 5.0)
         assert sol.iterations >= 1
         assert sol.residual < 1e-10
+
+
+def _grid(psis, ratios, k=3):
+    """Stacked spectra of the baseline link over a (psi, ratio) grid."""
+    points = [(psi, r) for psi in psis for r in ratios]
+    psi = np.array([pt[0] for pt in points])[:, None]
+    lam2 = psi * np.array([0.81, 0.64, 0.49])
+    lam2_bs = psi * np.array([0.64, 0.49, 0.25])
+    beta = np.repeat(psi + 1.0, k, axis=1)
+    pb = 5.0 * np.array([pt[1] for pt in points], dtype=float)
+    return lam2, lam2_bs, beta, 5.0, pb
+
+
+class TestSolveSaddleBatch:
+    def test_rows_match_single_point_solves_bitwise(self):
+        # Pb = 0, a dead link mode (alpha = 0 there), a jammed-away mode,
+        # lambda2_bs = 0 on one and on all modes, P = 0, and ordinary points
+        lam2 = np.array([LAM2, LAM2, [0.3, 0.2, 0.0], [1.0, 0.01, 0.005],
+                         LAM2, LAM2, LAM2, 0.9 * LAM2])
+        lam2_bs = np.array([LAM2_BS, np.zeros(3), LAM2_BS, [0.6, 0.5, 0.4],
+                            [0.2, 0.0, 0.1], LAM2_BS, LAM2_BS, LAM2_BS])
+        beta = np.full((len(lam2), 3), 1.3)
+        power = np.array([5.0, 5.0, 5.0, 0.5, 5.0, 0.0, 5.0, 5.0])
+        budget = np.array([0.0, 9.0, 7.0, 3.0, 9.0, 4.0, 25.0, 70.0])
+        batch = solve_saddle_batch(lam2, lam2_bs, beta, power, budget)
+        assert batch.converged.all()
+        for b in range(len(lam2)):
+            prof = NoiseProfile(1.0, 1.0, np.full(3, 0.3))
+            alone = solve_saddle(lam2[b], lam2_bs[b], prof, power[b], budget[b])
+            assert alone.rate == batch.rate[b]
+            assert alone.iterations == batch.iterations[b]
+            assert np.array_equal(alone.pb_star.p, batch.pb[b])
+
+    def test_iterations_is_an_int(self):
+        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 5.0)
+        assert type(sol.iterations) is int and type(sol.rate) is float
+
+    @pytest.mark.parametrize("psis, ratios", [
+        ((0.3, 0.6, 0.9), range(15)),
+        (tuple(i / 10 for i in range(1, 10)), range(0, 15, 2)),
+    ])
+    def test_duality_gap_certifies_every_grid_point(self, psis, ratios):
+        batch = solve_saddle_batch(*_grid(psis, ratios))
+        assert batch.converged.all()
+        assert np.all(batch.gap >= -1e-11) and np.all(batch.gap <= 5e-9)
+
+    def test_gap_is_zero_without_interference(self):
+        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 0.0)
+        assert sol.gap == 0.0
+
+    def test_unconverged_row_raises_only_for_itself(self):
+        batch = solve_saddle_batch(*_grid((0.3,), (0, 5)), max_iter=3)
+        assert list(batch.converged) == [True, False]
+        assert batch.solution(0).iterations == 1
+        with pytest.raises(ConvergenceError) as err:
+            batch.solution(1)
+        assert err.value.iterations == 3
+
+    def test_no_usable_link_mode_gives_zero_rate(self):
+        sol = solve_saddle(np.zeros(3), np.zeros(3), noise(0.0), 5.0, 10.0)
+        assert sol.rate == 0.0
+        assert np.all(sol.p_star.p == 0.0)
+
+    @pytest.mark.parametrize("field", [0, 1, 2, 3, 4])
+    def test_non_finite_input_rejected(self, field):
+        args = list(_grid((0.3,), (1,)))
+        args[field] = np.full(np.shape(args[field]), np.nan)
+        with pytest.raises(InvalidInputError):
+            solve_saddle_batch(*args)
