@@ -142,15 +142,13 @@ class TestSolveSaddle:
         assert sol.residual < 1e-10
 
 
-def _grid(psis, ratios, k=3):
+def _grid(psis, ratios):
     """Stacked spectra of the baseline link over a (psi, ratio) grid."""
-    points = [(psi, r) for psi in psis for r in ratios]
-    psi = np.array([pt[0] for pt in points])[:, None]
-    lam2 = psi * np.array([0.81, 0.64, 0.49])
-    lam2_bs = psi * np.array([0.64, 0.49, 0.25])
-    beta = np.repeat(psi + 1.0, k, axis=1)
-    pb = 5.0 * np.array([pt[1] for pt in points], dtype=float)
-    return lam2, lam2_bs, beta, 5.0, pb
+    psi, ratio = (np.array(v, dtype=float)
+                  for v in zip(*[(psi, r) for psi in psis for r in ratios]))
+    psi = psi[:, None]
+    return (psi * np.array([0.81, 0.64, 0.49]), psi * np.array([0.64, 0.49, 0.25]),
+            np.repeat(psi + 1.0, 3, axis=1), 5.0, 5.0 * ratio)
 
 
 class TestSolveSaddleBatch:
