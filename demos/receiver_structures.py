@@ -8,7 +8,7 @@ and random base-station user beams, the multiplexing gap is what this script
 shows.
 """
 
-from swiptmimo import average_metric, reference_scenario
+from swiptmimo import metric_samples_grid, reference_scenario
 
 TRIALS = 800
 RATIOS = (0, 1, 2, 4, 6, 8, 10, 12, 14)
@@ -17,15 +17,14 @@ RATIOS = (0, 1, 2, 4, 6, 8, 10, 12, 14)
 def main():
     print(f"average rate (bits/cu) over {TRIALS} trials, psi = 0.3 / 0.6")
     print("ratio   s1@0.3   s2@0.3   s1@0.6   s2@0.6")
-    rows = []
-    for ratio in RATIOS:
-        row = [ratio]
-        for psi in (0.3, 0.6):
-            cfg = reference_scenario(psi, trials=TRIALS)
-            s1 = average_metric(cfg, "rate-struct1", ratio * cfg.P)
-            s2 = average_metric(cfg, "rate-struct2", ratio * cfg.P)
-            row += [s1.mean, s2.mean]
-        rows.append(row)
+    columns = []
+    for psi in (0.3, 0.6):
+        cfg = reference_scenario(psi, trials=TRIALS)
+        budgets = [ratio * cfg.P for ratio in RATIOS]
+        for metric in ("rate-struct1", "rate-struct2"):
+            columns.append(metric_samples_grid(cfg, metric, budgets).mean(axis=1))
+    rows = [[ratio, *means] for ratio, means in zip(RATIOS, zip(*columns))]
+    for row in rows:
         print(f"{row[0]:5d}  {row[1]:7.4f}  {row[2]:7.4f}  {row[3]:7.4f}  {row[4]:7.4f}")
 
     gap03 = [r[1] - r[2] for r in rows]

@@ -65,17 +65,6 @@ def _mc(psi, metric, ratio, trials, seed):
     return cfg, montecarlo.average_metric(cfg, metric, ratio * cfg.P)
 
 
-def _db(x):
-    return 10.0 * np.log10(x)
-
-
-def _db_stderr(result):
-    """Delta-method standard error of 10*log10(mean) in dB."""
-    if result.mean <= 0:
-        return np.inf
-    return (10.0 / np.log(10.0)) * result.stderr / result.mean
-
-
 def criterion_1(trials=2000, seed=42):
     """Deterministic worst-case rate endpoints at zero interferer power."""
     tol = 1e-3
@@ -205,8 +194,8 @@ def criterion_7(trials=2000, seed=42):
     lines, ok = [], True
     for ratio, expected in SWIPT_CURVE_03.items():
         _, res = _mc(0.3, "energy-swipt", ratio, trials, seed)
-        got = _db(res.mean)
-        band = max(3 * _db_stderr(res), 0.3)
+        got, got_stderr = res.db()
+        band = max(3 * got_stderr, 0.3)
         good = abs(got - expected) <= band
         ok &= good
         lines.append(f"ratio={ratio}: {got:.3f} dB vs {expected:.3f} dB "

@@ -7,6 +7,7 @@ baseline setup. Exit codes: 0 success, 2 parse error, 3 convergence failure,
 """
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass, replace
 
@@ -268,16 +269,15 @@ def _worst_case_points(cfg, points):
             raise SweepFailure("worst-case", psi_b, ratio_b, exc) from exc
 
 
-def _monte_carlo_point(cfg, tag, psi, ratio):
+def _monte_carlo_points(cfg, tag, points):
+    """Mean and stderr (in dB for energy scenarios) of the (psi, ratio) points,
+    in order, from one ratio-grid evaluation per run of equal psi."""
     metric = SCENARIO_METRICS[tag]
-    result = montecarlo.average_metric(
-        cfg.scenario_for(psi), metric, ratio * cfg.p)
-    if tag in ENERGY_SCENARIOS:
-        value = 10.0 * np.log10(result.mean) if result.mean > 0 else -np.inf
-        stderr = (10.0 / np.log(10.0)) * result.stderr / result.mean \
-            if result.mean > 0 else np.inf
-        return value, stderr
-    return result.mean, result.stderr
+    for psi, group in itertools.groupby(points, key=lambda point: point[0]):
+        budgets = [ratio * cfg.p for _, ratio in group]
+        for row in montecarlo.metric_samples_grid(cfg.scenario_for(psi), metric, budgets):
+            result = montecarlo.McResult.from_samples(row)
+            yield result.db() if tag in ENERGY_SCENARIOS else (result.mean, result.stderr)
 
 
 def run_sweep(cfg):
@@ -288,7 +288,7 @@ def run_sweep(cfg):
         if tag == "worst-case":
             values = _worst_case_points(cfg, points)
         else:
-            values = (_monte_carlo_point(cfg, tag, psi, ratio) for psi, ratio in points)
+            values = _monte_carlo_points(cfg, tag, points)
         for (psi, ratio), (value, stderr) in zip(points, values):
             stderr_text = "" if stderr is None else _fmt(stderr)
             rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")

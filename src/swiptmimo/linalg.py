@@ -49,7 +49,9 @@ def complex_gaussian(shape, rng):
     """Standard circular complex Gaussian entries, unit variance per entry.
 
     Draw order (real block then imaginary block) is part of the seeding
-    contract shared with the Monte-Carlo ensemble builder.
+    contract: the Monte-Carlo ensemble builder draws a trial's five matrices
+    in one standard_normal call and slices it in this layout, so a replay
+    through complex_gaussian calls reads the same stream.
     """
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)

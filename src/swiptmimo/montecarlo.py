@@ -2,12 +2,14 @@
 
 Each trial t owns a generator seeded from the pair (seed, t), so trials are
 independent and order-free; identical (seed, trials) always reproduce
-bit-identical results regardless of how the work is scheduled. The random
-draws happen per trial in a fixed order, while the linear algebra runs
-batched over the stacked trial arrays.
+bit-identical results regardless of how the work is scheduled. Each trial
+draws all its Gaussians in one call, while the linear algebra runs batched
+over the stacked trial arrays. `metric_samples_grid` evaluates a metric over
+a whole grid of BS budgets, doing the budget-free work (including its `eigh`
+calls) once; `metric_samples` is its cached batch of one.
 
-Energy metrics are reported in linear power units here; dB conversion happens
-at the presentation layer (CSV / acceptance report).
+Energy metrics are reported in linear power units here; the presentation
+layer (CSV / acceptance report) converts a result with `McResult.db`.
 """
 
 from dataclasses import dataclass
@@ -16,14 +18,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedConfigError
+from .harvesting import to_db
 from .linalg import complex_gaussian, haar_from_gaussian, pad_diag
 from .rates import waterfill_batch
 
 METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
            "energy-struct2", "energy-swipt")
-
-RATE_METRICS = ("rate-struct1", "rate-struct2")
-ENERGY_METRICS = ("energy-struct1", "energy-struct2", "energy-swipt")
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,20 @@ class McResult:
     mean: float
     stderr: float
     trials: int
+
+    @classmethod
+    def from_samples(cls, values):
+        """Mean and standard error of per-trial samples, reduced in trial order."""
+        trials = len(values)
+        stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        return cls(float(values.mean()), stderr, trials)
+
+    def db(self):
+        """The mean in dB with its delta-method standard error
+        (10 / ln 10) * stderr / mean; (-inf, inf) unless the mean is positive."""
+        if not self.mean > 0:
+            return -np.inf, np.inf
+        return to_db(self.mean), (10.0 / np.log(10.0)) * self.stderr / self.mean
 
 
 def trial_rng(seed, trial):
@@ -67,21 +81,23 @@ class TrialEnsemble:
 def _ensemble(seed, trials, k, m, n, sigma_p2p, sigma_bs):
     """Draw all per-trial randomness, then batch the factor construction.
 
-    The per-trial draw order matches synthesize_channel followed by
-    random_bs_covariance, so scalar replays of a single trial agree exactly.
+    Trial t makes one standard_normal call of 2(2k^2 + m^2 + 2n^2) values and
+    slices it, real block then imaginary block, into the p2p left/right, BS
+    left/right and user-beam Gaussians in that order: the stream that
+    synthesize_channel followed by random_bs_covariance reads through five
+    complex_gaussian calls, so scalar replays of a single trial agree exactly.
     """
-    z_left = np.empty((trials, k, k), dtype=complex)
-    z_right = np.empty((trials, m, m), dtype=complex)
-    z_bs_left = np.empty((trials, k, k), dtype=complex)
-    z_bs_right = np.empty((trials, n, n), dtype=complex)
-    z_users = np.empty((trials, n, n), dtype=complex)
+    zs = [np.empty((trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
+    parts = [part.reshape(trials, -1) for z in zs for part in (z.real, z.imag)]
+    stops = np.cumsum([part.shape[1] for part in parts]).tolist()
+    bounds = list(zip([0] + stops[:-1], stops))
     for t in range(trials):
-        rng = trial_rng(seed, t)
-        z_left[t] = complex_gaussian((k, k), rng)
-        z_right[t] = complex_gaussian((m, m), rng)
-        z_bs_left[t] = complex_gaussian((k, k), rng)
-        z_bs_right[t] = complex_gaussian((n, n), rng)
-        z_users[t] = complex_gaussian((n, n), rng)
+        draw = trial_rng(seed, t).standard_normal(stops[-1])
+        for part, (start, stop) in zip(parts, bounds):
+            part[t] = draw[start:stop]
+    for z in zs:
+        z /= np.sqrt(2.0)
+    z_left, z_right, z_bs_left, z_bs_right, z_users = zs
 
     sig = pad_diag(np.asarray(sigma_p2p), k, m)
     sig_bs = pad_diag(np.asarray(sigma_bs), k, n)
@@ -125,23 +141,6 @@ def _waterfilled_covariance(t_mats, total_power):
     return q, w, powers
 
 
-def _scenario_parts(cfg, pb_budget, metric):
-    ens = ensemble_for(cfg)
-    psi = cfg.psi_vector
-    root_psi = np.sqrt(psi)[:, None]
-    hhat = root_psi * ens.h
-    hhat_bs = root_psi * ens.h_bs
-    if metric == "energy-swipt":
-        # rank-one energy beam on the strongest delivery direction of Theta H_bs
-        theta2 = (1.0 - psi)[:, None]
-        gram = _ch(ens.h_bs) @ (theta2 * ens.h_bs)
-        _, e_bs = _top_eigpair(gram)
-        q_bs = pb_budget * (e_bs[..., :, None] @ _ch(e_bs[..., :, None]))
-    else:
-        q_bs = (pb_budget / cfg.N) * (ens.user_dirs @ _ch(ens.user_dirs))
-    return ens, hhat, hhat_bs, q_bs
-
-
 def _require_uniform(cfg, metric):
     psi = cfg.psi_vector
     if not np.all(psi == psi[0]):
@@ -151,7 +150,7 @@ def _require_uniform(cfg, metric):
 
 @lru_cache(maxsize=1024)
 def _metric_samples_cached(cfg, metric, pb_budget):
-    values = _metric_samples(cfg, metric, pb_budget)
+    values = metric_samples_grid(cfg, metric, (pb_budget,))[0]
     values.flags.writeable = False
     return values
 
@@ -166,39 +165,68 @@ def metric_samples(cfg, metric, pb_budget):
     return _metric_samples_cached(cfg, metric, float(pb_budget))
 
 
-def _metric_samples(cfg, metric, pb_budget):
+def metric_samples_grid(cfg, metric, pb_budgets):
+    """Per-trial metric values at each BS budget, shape (len(pb_budgets), trials).
+
+    The work that does not depend on Pb (the equivalent channels, the user-beam
+    Gram matrix, the structure-2 combiner, the SWIPT energy beam and link
+    covariance) is done once; each row then runs exactly the operations of a
+    single-budget evaluation, so row r equals metric_samples(cfg, metric,
+    pb_budgets[r]) bit for bit. Nothing is cached.
+    """
     if metric not in METRICS:
         raise InvalidInputError(f"unknown metric '{metric}' (choose from {METRICS})")
-    if pb_budget < 0:
-        raise InvalidInputError("BS power budget must be nonnegative")
-    ens, hhat, hhat_bs, q_bs = _scenario_parts(cfg, pb_budget, metric)
+    budgets = [float(pb) for pb in pb_budgets]
+    if not all(0.0 <= pb < np.inf for pb in budgets):
+        raise InvalidInputError("BS power budget must be finite and nonnegative")
+    ens = ensemble_for(cfg)
     psi = cfg.psi_vector
-    k = cfg.K
-    eye_k = np.eye(k)
+    root_psi = np.sqrt(psi)[:, None]
     noise_diag = psi * cfg.sigma2_w + cfg.sigma2_n
 
-    if metric in ("rate-struct1", "energy-struct1"):
-        s = hhat_bs @ q_bs @ _ch(hhat_bs) + np.diag(noise_diag)
-        t_mats = _ch(hhat) @ np.linalg.solve(s, hhat)
-        q, modes, powers = _waterfilled_covariance(t_mats, cfg.P)
-        if metric == "rate-struct1":
-            return np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
-        return _steered_energy(cfg, ens, q, q_bs)
-
     if metric == "energy-swipt":
-        t_mats = _ch(hhat) @ (hhat / noise_diag[:, None])
-        q, _, _ = _waterfilled_covariance(t_mats, cfg.P)
-        return _steered_energy(cfg, ens, q, q_bs)
+        # rank-one energy beam on the strongest delivery direction of Theta H_bs
+        theta2 = (1.0 - psi)[:, None]
+        _, e_bs = _top_eigpair(_ch(ens.h_bs) @ (theta2 * ens.h_bs))
+        beam = e_bs[..., :, None] @ _ch(e_bs[..., :, None])
+        hhat = root_psi * ens.h
+        q, _, _ = _waterfilled_covariance(_ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
+        del e_bs, hhat  # keep only what the budget loop reads
 
-    # combine-then-split baseline metrics
-    psi_scalar = _require_uniform(cfg, metric)
-    lam1sq, u1 = _top_eigpair(ens.h @ _ch(ens.h))
-    rx = ens.h_bs @ q_bs @ _ch(ens.h_bs)
-    interference = np.real(np.einsum("ti,tij,tj->t", u1.conj(), rx, u1))
-    if metric == "rate-struct2":
-        denom = psi_scalar * (interference + cfg.sigma2_w) + cfg.sigma2_n
-        return np.log2(1.0 + psi_scalar * lam1sq * cfg.P / denom)
-    return (1.0 - psi_scalar) * (lam1sq * cfg.P + interference + cfg.sigma2_w)
+        def point(pb):
+            return _steered_energy(cfg, ens, q, pb * beam)
+    elif metric in ("rate-struct1", "energy-struct1"):
+        hhat = root_psi * ens.h
+        hhat_bs = root_psi * ens.h_bs
+        gram = ens.user_dirs @ _ch(ens.user_dirs)
+
+        def point(pb):
+            q_bs = (pb / cfg.N) * gram
+            t_mats = _ch(hhat) @ np.linalg.solve(
+                hhat_bs @ q_bs @ _ch(hhat_bs) + np.diag(noise_diag), hhat)
+            q, modes, powers = _waterfilled_covariance(t_mats, cfg.P)
+            if metric == "rate-struct1":
+                return np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
+            del t_mats  # only q and q_bs reach the steering step (peak memory)
+            return _steered_energy(cfg, ens, q, q_bs)
+    else:
+        # combine-then-split baseline metrics
+        psi_scalar = _require_uniform(cfg, metric)
+        gram = ens.user_dirs @ _ch(ens.user_dirs)
+        lam1sq, u1 = _top_eigpair(ens.h @ _ch(ens.h))
+
+        def point(pb):
+            rx = ens.h_bs @ ((pb / cfg.N) * gram) @ _ch(ens.h_bs)
+            interference = np.real(np.einsum("ti,tij,tj->t", u1.conj(), rx, u1))
+            if metric == "rate-struct2":
+                denom = psi_scalar * (interference + cfg.sigma2_w) + cfg.sigma2_n
+                return np.log2(1.0 + psi_scalar * lam1sq * cfg.P / denom)
+            return (1.0 - psi_scalar) * (lam1sq * cfg.P + interference + cfg.sigma2_w)
+
+    out = np.empty((len(budgets), cfg.trials))
+    for r, pb in enumerate(budgets):
+        out[r] = point(pb)
+    return out
 
 
 def _steered_energy(cfg, ens, q, q_bs):
@@ -213,7 +241,4 @@ def _steered_energy(cfg, ens, q, q_bs):
 
 def average_metric(cfg, metric, pb_budget):
     """Seeded Monte-Carlo mean of a metric, reduced in trial order."""
-    values = metric_samples(cfg, metric, pb_budget)
-    trials = len(values)
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return McResult(float(values.mean()), stderr, trials)
+    return McResult.from_samples(metric_samples(cfg, metric, pb_budget))

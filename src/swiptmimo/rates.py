@@ -51,6 +51,9 @@ class NoiseProfile:
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
         object.__setattr__(self, "psi", psi)
+        if not (np.isfinite(self.sigma2_w) and np.isfinite(self.sigma2_n)
+                and np.all(np.isfinite(psi))):
+            raise InvalidInputError("noise variances and split ratios must be finite")
         if np.any(self.beta <= 0):
             raise InvalidInputError("effective per-mode noise must be positive")
 

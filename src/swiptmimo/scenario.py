@@ -57,7 +57,7 @@ class ScenarioConfig:
         psi = np.asarray(self.psi, dtype=float)
         if len(psi) != self.K:
             raise InvalidInputError(f"psi must have length K={self.K}")
-        if np.any(psi < 0) or np.any(psi > 1):
+        if not np.all((psi >= 0) & (psi <= 1)):
             raise InvalidInputError("each split ratio must lie in [0, 1]")
         sp = _descending_nonneg(self.sigma_p2p, "sigma_p2p")
         sb = _descending_nonneg(self.sigma_bs, "sigma_bs")
@@ -65,6 +65,8 @@ class ScenarioConfig:
             raise InvalidInputError("sigma_p2p must have length min(K, M)")
         if len(sb) != min(self.K, self.N):
             raise InvalidInputError("sigma_bs must have length min(K, N)")
+        if not np.all(np.isfinite((self.sigma2_w, self.sigma2_n, self.P, self.Pb))):
+            raise InvalidInputError("noise variances and power budgets must be finite")
         if self.sigma2_w <= 0 or self.sigma2_n <= 0:
             raise InvalidInputError("noise variances must be positive")
         if self.P < 0 or self.Pb < 0:

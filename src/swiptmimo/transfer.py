@@ -17,8 +17,6 @@ from .errors import InvalidInputError
 from .harvesting import HarvestResult, to_db
 from .linalg import herm_eig, hermitize, svd
 
-MODE_WORST_CASE = "classical-worst-case"
-MODE_AVERAGE = "classical-average"
 MODE_SWIPT = "swipt"
 
 

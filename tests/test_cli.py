@@ -143,6 +143,10 @@ class TestRunSweep:
         expected = (REFERENCE / "worst-case-grid-seed42.csv").read_text(encoding="utf-8")
         assert cli.run_sweep(cfg) == expected
 
+    def test_default_sweep_matches_reference_csv(self):
+        expected = (REFERENCE / "default-sweep-seed42.csv").read_text(encoding="utf-8")
+        assert cli.run_sweep(cli.SweepConfig()) == expected
+
     def test_zero_split_worst_case_rate_is_zero(self):
         cfg = self.small_config(scenarios=("worst-case",), psis=(0.0,))
         rows = [line.split(",") for line in cli.run_sweep(cfg).strip().split("\n")[1:]]

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from swiptmimo import montecarlo
-from swiptmimo.harvesting import build_rf_covariance, optimal_steering
-from swiptmimo.montecarlo import (METRICS, average_metric, metric_samples,
+from swiptmimo.harvesting import build_rf_covariance, optimal_steering, to_db
+from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
+from swiptmimo.montecarlo import (METRICS, McResult, average_metric,
+                                  metric_samples, metric_samples_grid,
                                   random_bs_covariance)
 from swiptmimo.rates import NoiseProfile, optimal_q_global, self_noise
-from swiptmimo.scenario import (PowerSplit, equivalent_channels,
+from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
                                 reference_scenario, synthesize_channel)
 from swiptmimo.transfer import (structure2_energy, structure2_rate,
                                 swipt_design)
@@ -86,6 +88,81 @@ class TestBatchedAgainstScalarPath:
             expected = scalar_trial_metrics(cfg, pb, t)[metric]
             assert batched[t] == pytest.approx(expected, abs=1e-9), \
                 f"trial {t} mismatch for {metric}"
+
+
+class TestEnsembleDraw:
+    @pytest.mark.parametrize("cfg", [
+        reference_scenario(0.3, trials=6, seed=5),
+        ScenarioConfig(K=2, M=3, N=4, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                       psi=(0.4, 0.4), trials=3, seed=9),
+    ])
+    def test_matches_per_trial_complex_gaussian_replay(self, cfg):
+        k, m, n = cfg.K, cfg.M, cfg.N
+        zs = [np.empty((cfg.trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
+        for t in range(cfg.trials):
+            rng = montecarlo.trial_rng(cfg.seed, t)
+            for z in zs:
+                z[t] = complex_gaussian(z.shape[1:], rng)
+        z_left, z_right, z_bs_left, z_bs_right, z_users = zs
+        ch = montecarlo._ch
+        h = haar_from_gaussian(z_left) @ pad_diag(cfg.sigma_p2p, k, m) \
+            @ ch(haar_from_gaussian(z_right))
+        h_bs = haar_from_gaussian(z_bs_left) @ pad_diag(cfg.sigma_bs, k, n) \
+            @ ch(haar_from_gaussian(z_bs_right))
+        user_dirs = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
+
+        ens = montecarlo.ensemble_for(cfg)
+        for got, want in ((ens.h, h), (ens.h_bs, h_bs), (ens.user_dirs, user_dirs)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestMetricSamplesGrid:
+    BUDGETS = (35.0, 0.0, 12.5, 35.0, 5.0)
+
+    @pytest.mark.parametrize("trials", [1, 6])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_rows_equal_single_budget_samples(self, metric, trials):
+        cfg = reference_scenario(0.6, trials=trials, seed=13)
+        grid = metric_samples_grid(cfg, metric, self.BUDGETS)
+        assert grid.shape == (len(self.BUDGETS), trials)
+        for row, pb in zip(grid, self.BUDGETS):
+            assert row.tobytes() == metric_samples(cfg, metric, pb).tobytes()
+
+    def test_empty_budget_list(self):
+        cfg = reference_scenario(0.3, trials=4)
+        assert metric_samples_grid(cfg, "rate-struct1", []).shape == (0, 4)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_budget_rejected(self, bad):
+        from swiptmimo.errors import InvalidInputError
+        cfg = reference_scenario(0.3, trials=4)
+        with pytest.raises(InvalidInputError):
+            metric_samples_grid(cfg, "energy-swipt", [1.0, bad])
+        with pytest.raises(InvalidInputError):
+            metric_samples(cfg, "rate-struct2", bad)
+
+    def test_rows_are_not_cached(self):
+        cfg = reference_scenario(0.3, trials=4)
+        first = metric_samples_grid(cfg, "rate-struct2", [1.0])
+        assert first.flags.writeable
+        assert metric_samples_grid(cfg, "rate-struct2", [1.0]) is not first
+
+
+class TestMcResult:
+    def test_from_samples_matches_average_metric(self):
+        cfg = reference_scenario(0.3, trials=50, seed=2)
+        assert McResult.from_samples(metric_samples(cfg, "energy-swipt", 20.0)) == \
+            average_metric(cfg, "energy-swipt", 20.0)
+
+    def test_db_uses_delta_method(self):
+        res = McResult(4.0, 0.2, 10)
+        value, stderr = res.db()
+        assert value == to_db(4.0)
+        assert stderr == pytest.approx(10.0 / np.log(10.0) * 0.05, rel=1e-15)
+
+    @pytest.mark.parametrize("mean", [0.0, -1.0, np.nan])
+    def test_db_of_non_positive_mean(self, mean):
+        assert McResult(mean, 0.1, 10).db() == (-np.inf, np.inf)
 
 
 class TestAverageMetric:

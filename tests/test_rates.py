@@ -87,6 +87,16 @@ class TestWaterfill:
             assert ours >= best - 1e-12
 
 
+class TestNoiseProfile:
+    @pytest.mark.parametrize("field", ["sigma2_w", "sigma2_n", "psi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = {"sigma2_w": 1.0, "sigma2_n": 1.0, "psi": np.full(3, 0.3)}
+        fields[field] = np.full(3, value) if field == "psi" else value
+        with pytest.raises(InvalidInputError):
+            NoiseProfile(**fields)
+
+
 class TestPowerAllocation:
     def test_over_budget_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -29,6 +29,16 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError):
             ScenarioConfig(sigma_p2p=(0.7, 0.8, 0.9))
 
+    @pytest.mark.parametrize("field", ["P", "Pb", "sigma2_w", "sigma2_n"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalars_rejected(self, field, value):
+        with pytest.raises(InvalidInputError):
+            ScenarioConfig(**{field: value})
+
+    def test_non_finite_split_rejected(self):
+        with pytest.raises(InvalidInputError):
+            ScenarioConfig(psi=(0.3, np.nan, 0.3))
+
 
 class TestPowerSplit:
     @pytest.mark.parametrize("psi", [0.0, 0.1, 0.3, 0.5, 0.77, 1.0])
