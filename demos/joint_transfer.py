@@ -10,9 +10,10 @@ while the rate stays put.
 
 import numpy as np
 
-from swiptmimo import (NoiseProfile, PowerSplit, equivalent_channels,
-                       metric_samples_grid, reference_scenario, swipt_design,
-                       swipt_rate, synthesize_channel, weak_majorization)
+from swiptmimo import (NoiseProfile, PowerSplit, ensemble_for,
+                       equivalent_channels, metric_samples_grid,
+                       reference_scenario, swipt_design, swipt_rate,
+                       synthesize_channel, weak_majorization)
 
 TRIALS = 800
 
@@ -24,8 +25,9 @@ def main():
     ratios = (0, 1, 2, 5, 8, 11, 14)
     cfg = reference_scenario(psi, trials=TRIALS)
     budgets = [ratio * cfg.P for ratio in ratios]
-    sw = metric_samples_grid(cfg, "energy-swipt", budgets).mean(axis=1)
-    cl = metric_samples_grid(cfg, "energy-struct1", budgets).mean(axis=1)
+    ens = ensemble_for(cfg)
+    sw = metric_samples_grid(cfg, "energy-swipt", budgets, ens).mean(axis=1)
+    cl = metric_samples_grid(cfg, "energy-struct1", budgets, ens).mean(axis=1)
     for ratio, sw_mean, cl_mean in zip(ratios, sw, cl):
         # the rate is deterministic: interference cancelled, noise-only design
         rng = np.random.default_rng(0)

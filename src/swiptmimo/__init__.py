@@ -7,8 +7,9 @@ from .harvesting import (HarvestResult, RfCovariance, build_rf_covariance,
                          dominant_interference_energy, optimal_steering,
                          weak_majorization)
 from .linalg import haar_unitary, herm_eig, svd
-from .montecarlo import (McResult, average_metric, metric_samples,
-                         metric_samples_grid, random_bs_covariance)
+from .montecarlo import (McResult, average_metric, ensemble_for,
+                         metric_samples, metric_samples_grid,
+                         random_bs_covariance)
 from .rates import (NoiseProfile, PowerAllocation, local_csi_rate,
                     optimal_q_global, tin_rate_global, waterfill,
                     worst_case_rate)
@@ -28,8 +29,8 @@ __all__ = [
     "HarvestResult", "RfCovariance", "build_rf_covariance",
     "dominant_interference_energy", "optimal_steering", "weak_majorization",
     "haar_unitary", "herm_eig", "svd",
-    "McResult", "average_metric", "metric_samples", "metric_samples_grid",
-    "random_bs_covariance",
+    "McResult", "average_metric", "ensemble_for", "metric_samples",
+    "metric_samples_grid", "random_bs_covariance",
     "NoiseProfile", "PowerAllocation", "local_csi_rate", "optimal_q_global",
     "tin_rate_global", "waterfill", "worst_case_rate",
     "SaddleBatch", "SaddleSolution", "bs_best_response", "p2p_best_response",

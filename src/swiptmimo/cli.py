@@ -269,13 +269,14 @@ def _worst_case_points(cfg, points):
             raise SweepFailure("worst-case", psi_b, ratio_b, exc) from exc
 
 
-def _monte_carlo_points(cfg, tag, points):
-    """Mean and stderr (in dB for energy scenarios) of the (psi, ratio) points,
-    in order, from one ratio-grid evaluation per run of equal psi."""
+def _monte_carlo_points(cfg, tag, points, ens):
+    """Mean and stderr (in dB for energy scenarios) of the (psi, ratio) points, in
+    order, from one grid call per run of equal psi on the sweep's one ensemble."""
     metric = SCENARIO_METRICS[tag]
     for psi, group in itertools.groupby(points, key=lambda point: point[0]):
         budgets = [ratio * cfg.p for _, ratio in group]
-        for row in montecarlo.metric_samples_grid(cfg.scenario_for(psi), metric, budgets):
+        scenario = cfg.scenario_for(psi)
+        for row in montecarlo.metric_samples_grid(scenario, metric, budgets, ens):
             result = montecarlo.McResult.from_samples(row)
             yield result.db() if tag in ENERGY_SCENARIOS else (result.mean, result.stderr)
 
@@ -284,11 +285,13 @@ def run_sweep(cfg):
     """Evaluate every (scenario, psi, ratio) point and render the CSV text."""
     rows = []
     points = [(psi, ratio) for psi in sorted(cfg.psis) for ratio in sorted(cfg.ratio_grid)]
+    ens = None
     for tag in sorted(cfg.scenarios):
         if tag == "worst-case":
             values = _worst_case_points(cfg, points)
         else:
-            values = _monte_carlo_points(cfg, tag, points)
+            ens = ens or montecarlo.ensemble_for(cfg.scenario_for(points[0][0]))
+            values = _monte_carlo_points(cfg, tag, points, ens)
         for (psi, ratio), (value, stderr) in zip(points, values):
             stderr_text = "" if stderr is None else _fmt(stderr)
             rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")

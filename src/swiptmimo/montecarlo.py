@@ -4,16 +4,16 @@ Each trial t owns a generator seeded from the pair (seed, t), so trials are
 independent and order-free; identical (seed, trials) always reproduce
 bit-identical results regardless of how the work is scheduled. Each trial
 draws all its Gaussians in one call, while the linear algebra runs batched
-over the stacked trial arrays. `metric_samples_grid` evaluates a metric over
-a whole grid of BS budgets, doing the budget-free work (including its `eigh`
-calls) once; `metric_samples` is its cached batch of one.
+over the stacked trial arrays. Nothing is cached: callers draw a config's
+ensemble once with `ensemble_for` (it does not depend on psi or the budgets)
+and pass it to `metric_samples_grid`, which evaluates a metric over a grid of
+BS budgets and does the budget-free work (including its `eigh` calls) once.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,14 +72,9 @@ class TrialEnsemble:
     h_bs: np.ndarray     # (T, K, N)
     user_dirs: np.ndarray  # (T, N, N), unit columns
 
-    @property
-    def trials(self):
-        return self.h.shape[0]
 
-
-@lru_cache(maxsize=8)
-def _ensemble(seed, trials, k, m, n, sigma_p2p, sigma_bs):
-    """Draw all per-trial randomness, then batch the factor construction.
+def ensemble_for(cfg):
+    """Draw all per-trial randomness of a config, then batch the factor construction.
 
     Trial t makes one standard_normal call of 2(2k^2 + m^2 + 2n^2) values and
     slices it, real block then imaginary block, into the p2p left/right, BS
@@ -87,20 +82,21 @@ def _ensemble(seed, trials, k, m, n, sigma_p2p, sigma_bs):
     synthesize_channel followed by random_bs_covariance reads through five
     complex_gaussian calls, so scalar replays of a single trial agree exactly.
     """
+    trials, k, m, n = cfg.trials, cfg.K, cfg.M, cfg.N
     zs = [np.empty((trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
     parts = [part.reshape(trials, -1) for z in zs for part in (z.real, z.imag)]
     stops = np.cumsum([part.shape[1] for part in parts]).tolist()
     bounds = list(zip([0] + stops[:-1], stops))
     for t in range(trials):
-        draw = trial_rng(seed, t).standard_normal(stops[-1])
+        draw = trial_rng(cfg.seed, t).standard_normal(stops[-1])
         for part, (start, stop) in zip(parts, bounds):
             part[t] = draw[start:stop]
     for z in zs:
         z /= np.sqrt(2.0)
     z_left, z_right, z_bs_left, z_bs_right, z_users = zs
 
-    sig = pad_diag(np.asarray(sigma_p2p), k, m)
-    sig_bs = pad_diag(np.asarray(sigma_bs), k, n)
+    sig = pad_diag(np.asarray(cfg.sigma_p2p), k, m)
+    sig_bs = pad_diag(np.asarray(cfg.sigma_bs), k, n)
     h = haar_from_gaussian(z_left) @ sig @ _ch(haar_from_gaussian(z_right))
     h_bs = haar_from_gaussian(z_bs_left) @ sig_bs @ _ch(haar_from_gaussian(z_bs_right))
     user_dirs = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
@@ -114,22 +110,15 @@ def _ch(a):
     return a.conj().swapaxes(-2, -1)
 
 
-def ensemble_for(cfg):
-    return _ensemble(cfg.seed, cfg.trials, cfg.K, cfg.M, cfg.N,
-                     cfg.sigma_p2p, cfg.sigma_bs)
-
-
 def _top_eigpair(mats):
     """Largest eigenvalue and eigenvector of stacked Hermitian matrices."""
     w, v = np.linalg.eigh(0.5 * (mats + _ch(mats)))
     return w[..., -1], v[..., :, -1]
 
 
-def _waterfilled_covariance(t_mats, total_power):
-    """Batched optimal covariances over the eigenmodes of stacked PSD matrices.
-
-    Returns (Q, modes, powers) with modes/powers descending per trial.
-    """
+def _waterfilled_modes(t_mats, total_power):
+    """Eigenmodes of stacked PSD matrices and their water-filled powers, as
+    (gains, vectors, powers) with modes descending per trial."""
     w, g = np.linalg.eigh(0.5 * (t_mats + _ch(t_mats)))
     w = w[..., ::-1]
     g = g[..., :, ::-1]
@@ -137,8 +126,12 @@ def _waterfilled_covariance(t_mats, total_power):
     usable = w > np.maximum(top, 1.0) * 1e-14
     inv_gains = np.where(usable, 1.0 / np.where(usable, w, 1.0), np.inf)
     powers, _ = waterfill_batch(inv_gains, total_power)
-    q = (g * powers[..., None, :]) @ _ch(g)
-    return q, w, powers
+    return w, g, powers
+
+
+def _covariance(vectors, powers):
+    """Batched transmit covariance G diag(p) G^H; only energy metrics read it."""
+    return (vectors * powers[..., None, :]) @ _ch(vectors)
 
 
 def _require_uniform(cfg, metric):
@@ -148,38 +141,30 @@ def _require_uniform(cfg, metric):
     return float(psi[0])
 
 
-@lru_cache(maxsize=1024)
-def _metric_samples_cached(cfg, metric, pb_budget):
-    values = metric_samples_grid(cfg, metric, (pb_budget,))[0]
-    values.flags.writeable = False
-    return values
-
-
 def metric_samples(cfg, metric, pb_budget):
-    """Per-trial metric values (rates in bits/cu, energies in linear power).
-
-    Trials are matched across metrics at the same budget: every metric
-    consumes the same per-trial channel and beam draws. Results are cached
-    (read-only arrays) since they are pure functions of the arguments.
-    """
-    return _metric_samples_cached(cfg, metric, float(pb_budget))
+    """Per-trial metric values at one BS budget (rates in bits/cu, energies in
+    linear power) on a fresh, uncached draw of the config's ensemble."""
+    return metric_samples_grid(cfg, metric, (pb_budget,), ensemble_for(cfg))[0]
 
 
-def metric_samples_grid(cfg, metric, pb_budgets):
+def metric_samples_grid(cfg, metric, pb_budgets, ens):
     """Per-trial metric values at each BS budget, shape (len(pb_budgets), trials).
 
-    The work that does not depend on Pb (the equivalent channels, the user-beam
-    Gram matrix, the structure-2 combiner, the SWIPT energy beam and link
-    covariance) is done once; each row then runs exactly the operations of a
-    single-budget evaluation, so row r equals metric_samples(cfg, metric,
-    pb_budgets[r]) bit for bit. Nothing is cached.
+    `ens` is `ensemble_for(cfg)`; metrics evaluated on one ensemble see the
+    same per-trial channels and beams. The work that does not depend on Pb
+    (the equivalent channels, the user-beam Gram matrix, the structure-2
+    combiner, the SWIPT energy beam and link covariance) is done once; each
+    row then runs exactly the operations of a single-budget evaluation.
     """
     if metric not in METRICS:
         raise InvalidInputError(f"unknown metric '{metric}' (choose from {METRICS})")
     budgets = [float(pb) for pb in pb_budgets]
     if not all(0.0 <= pb < np.inf for pb in budgets):
         raise InvalidInputError("BS power budget must be finite and nonnegative")
-    ens = ensemble_for(cfg)
+    t, k, m, n = cfg.trials, cfg.K, cfg.M, cfg.N
+    shapes = (ens.h.shape, ens.h_bs.shape, ens.user_dirs.shape)
+    if shapes != ((t, k, m), (t, k, n), (t, n, n)):
+        raise InvalidInputError(f"ensemble does not match trials={t}, K={k}, M={m}, N={n}")
     psi = cfg.psi_vector
     root_psi = np.sqrt(psi)[:, None]
     noise_diag = psi * cfg.sigma2_w + cfg.sigma2_n
@@ -190,8 +175,9 @@ def metric_samples_grid(cfg, metric, pb_budgets):
         _, e_bs = _top_eigpair(_ch(ens.h_bs) @ (theta2 * ens.h_bs))
         beam = e_bs[..., :, None] @ _ch(e_bs[..., :, None])
         hhat = root_psi * ens.h
-        q, _, _ = _waterfilled_covariance(_ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
-        del e_bs, hhat  # keep only what the budget loop reads
+        _, g, powers = _waterfilled_modes(_ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
+        q = _covariance(g, powers)
+        del e_bs, hhat, g  # keep only what the budget loop reads
 
         def point(pb):
             return _steered_energy(cfg, ens, q, pb * beam)
@@ -204,10 +190,11 @@ def metric_samples_grid(cfg, metric, pb_budgets):
             q_bs = (pb / cfg.N) * gram
             t_mats = _ch(hhat) @ np.linalg.solve(
                 hhat_bs @ q_bs @ _ch(hhat_bs) + np.diag(noise_diag), hhat)
-            q, modes, powers = _waterfilled_covariance(t_mats, cfg.P)
+            modes, g, powers = _waterfilled_modes(t_mats, cfg.P)
             if metric == "rate-struct1":
                 return np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
-            del t_mats  # only q and q_bs reach the steering step (peak memory)
+            q = _covariance(g, powers)
+            del t_mats, modes, g  # only q and q_bs reach the steering step (peak memory)
             return _steered_energy(cfg, ens, q, q_bs)
     else:
         # combine-then-split baseline metrics
@@ -240,5 +227,5 @@ def _steered_energy(cfg, ens, q, q_bs):
 
 
 def average_metric(cfg, metric, pb_budget):
-    """Seeded Monte-Carlo mean of a metric, reduced in trial order."""
+    """Seeded Monte-Carlo mean of a metric, reduced in trial order (uncached)."""
     return McResult.from_samples(metric_samples(cfg, metric, pb_budget))

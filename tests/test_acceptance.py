@@ -7,8 +7,10 @@ the repository notes) — the certificate half of that criterion passes.
 """
 
 import numpy as np
+import pytest
 
 from swiptmimo import acceptance
+from swiptmimo.rates import waterfill
 
 TRIALS = 2000
 SEED = 42
@@ -82,3 +84,53 @@ def test_criterion_9_oracle_equivalences():
 def test_criterion_10_determinism():
     res = report(acceptance.criterion_10(TRIALS, SEED))
     assert res.passed, res.detail
+
+
+def dense_grid_objective(c, p_total, step=1e-3):
+    """Best point of one dense grid on the budget simplex: the reference the
+    coarse-to-fine search replaced in criterion 9."""
+    grid = np.arange(0.0, p_total + step / 2, step)
+    p1, p2 = np.meshgrid(grid, grid, indexing="ij", sparse=True)
+    p3 = p_total - p1 - p2
+    obj = (np.log2(1.0 + p1 / c[0]) + np.log2(1.0 + p2 / c[1])
+           + np.log2(1.0 + np.maximum(p3, 0.0) / c[2]))
+    return float(np.max(np.where(p3 >= -1e-12, obj, -np.inf)))
+
+
+def waterfill_objective(c, p_total):
+    alloc, _ = waterfill(c, p_total)
+    return float(np.sum(np.log2(1.0 + alloc.p / c))), alloc.p
+
+
+def test_simplex_search_matches_waterfill_and_beats_dense_grid():
+    for c, p_total in acceptance.waterfill_instances(np.random.default_rng(11), 10):
+        search = acceptance._grid_search_objective(c, p_total)
+        ours, _ = waterfill_objective(c, p_total)
+        assert abs(search - ours) <= 1e-6
+        assert search >= dense_grid_objective(c, p_total) - 1e-12
+
+
+@pytest.mark.parametrize("c, p_total", [
+    ([0.3, 0.4, 50.0], 1.2345),   # third mode off
+    ([50.0, 0.3, 0.4], 0.77),     # first mode off
+    ([0.3, 40.0, 50.0], 1.2345),  # only the first mode on: a vertex
+])
+def test_simplex_search_finds_boundary_optimum(c, p_total):
+    c = np.asarray(c)
+    ours, p = waterfill_objective(c, p_total)
+    assert np.any(p == 0.0)
+    search = acceptance._grid_search_objective(c, p_total)
+    assert abs(search - ours) <= 1e-6
+    assert search >= dense_grid_objective(c, p_total) - 1e-12
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_criterion_9_search_gap_not_worse_than_dense_grid(seed):
+    new_gap = old_gap = 0.0
+    for c, p_total in acceptance.waterfill_instances(np.random.default_rng(seed)):
+        ours, _ = waterfill_objective(c, p_total)
+        new_gap = max(new_gap, abs(ours - acceptance._grid_search_objective(c, p_total)))
+        old_gap = max(old_gap, abs(ours - dense_grid_objective(c, p_total)))
+    print(f"seed {seed}: coarse-to-fine gap {new_gap:.2e}, dense grid gap {old_gap:.2e}")
+    assert new_gap <= old_gap
+    assert new_gap <= 1e-6

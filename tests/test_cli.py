@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from swiptmimo import cli, montecarlo, saddle
+from swiptmimo import cli, saddle
 from swiptmimo.errors import ConfigError
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -132,8 +132,16 @@ class TestRunSweep:
     def test_byte_identical_reruns(self):
         cfg = self.small_config(trials=1)
         first = cli.run_sweep(cfg)
-        montecarlo._ensemble.cache_clear()
-        montecarlo._metric_samples_cached.cache_clear()
+        assert cli.run_sweep(cfg) == first
+
+    def test_interleaved_sweeps_leave_no_state(self):
+        # a sweep with another seed, trial count and grid in between must not
+        # change the bytes: nothing is carried from one sweep to the next
+        cfg = self.small_config(scenarios=cli.SCENARIOS, psis=(0.3, 0.6), trials=7)
+        first = cli.run_sweep(cfg)
+        other = self.small_config(scenarios=("average", "swipt"), trials=9, seed=3,
+                                  ratio_grid=(2.0,))
+        assert cli.run_sweep(other) != first
         assert cli.run_sweep(cfg) == first
 
     def test_worst_case_grid_matches_reference_csv(self):
@@ -151,6 +159,16 @@ class TestRunSweep:
         cfg = self.small_config(scenarios=("worst-case",), psis=(0.0,))
         rows = [line.split(",") for line in cli.run_sweep(cfg).strip().split("\n")[1:]]
         assert [row[3] for row in rows] == ["0", "0"]
+
+    def test_zero_split_link_sends_nothing(self):
+        # psi = 0 is defined as: the link water-fills over zero information
+        # gains and sends nothing, so with no interferer the energy rows read
+        # the antenna noise alone, 0 dB with stderr 0
+        cfg = self.small_config(scenarios=("energy-struct1", "swipt"), psis=(0.0,),
+                                trials=5)
+        rows = [line.split(",") for line in cli.run_sweep(cfg).strip().split("\n")[1:]]
+        at_zero = {row[1]: row[3:] for row in rows if row[0] == "0"}
+        assert at_zero == {"energy-struct1": ["0", "0"], "swipt": ["0", "0"]}
 
     def test_first_unconverged_point_in_row_order_fails(self, monkeypatch):
         monkeypatch.setattr(cli.saddle, "solve_saddle_batch",

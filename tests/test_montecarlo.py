@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from swiptmimo import montecarlo
+from swiptmimo.errors import InvalidInputError
 from swiptmimo.harvesting import build_rf_covariance, optimal_steering, to_db
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
 from swiptmimo.montecarlo import (METRICS, McResult, average_metric,
-                                  metric_samples, metric_samples_grid,
-                                  random_bs_covariance)
+                                  ensemble_for, metric_samples,
+                                  metric_samples_grid, random_bs_covariance)
 from swiptmimo.rates import NoiseProfile, optimal_q_global, self_noise
 from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
                                 reference_scenario, synthesize_channel)
@@ -123,29 +124,51 @@ class TestMetricSamplesGrid:
     @pytest.mark.parametrize("metric", METRICS)
     def test_rows_equal_single_budget_samples(self, metric, trials):
         cfg = reference_scenario(0.6, trials=trials, seed=13)
-        grid = metric_samples_grid(cfg, metric, self.BUDGETS)
+        grid = metric_samples_grid(cfg, metric, self.BUDGETS, ensemble_for(cfg))
         assert grid.shape == (len(self.BUDGETS), trials)
         for row, pb in zip(grid, self.BUDGETS):
             assert row.tobytes() == metric_samples(cfg, metric, pb).tobytes()
 
     def test_empty_budget_list(self):
         cfg = reference_scenario(0.3, trials=4)
-        assert metric_samples_grid(cfg, "rate-struct1", []).shape == (0, 4)
+        assert metric_samples_grid(cfg, "rate-struct1", [], ensemble_for(cfg)).shape \
+            == (0, 4)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_negative_or_non_finite_budget_rejected(self, bad):
-        from swiptmimo.errors import InvalidInputError
         cfg = reference_scenario(0.3, trials=4)
         with pytest.raises(InvalidInputError):
-            metric_samples_grid(cfg, "energy-swipt", [1.0, bad])
+            metric_samples_grid(cfg, "energy-swipt", [1.0, bad], ensemble_for(cfg))
         with pytest.raises(InvalidInputError):
             metric_samples(cfg, "rate-struct2", bad)
 
     def test_rows_are_not_cached(self):
         cfg = reference_scenario(0.3, trials=4)
-        first = metric_samples_grid(cfg, "rate-struct2", [1.0])
+        ens = ensemble_for(cfg)
+        first = metric_samples_grid(cfg, "rate-struct2", [1.0], ens)
         assert first.flags.writeable
-        assert metric_samples_grid(cfg, "rate-struct2", [1.0]) is not first
+        assert metric_samples_grid(cfg, "rate-struct2", [1.0], ens) is not first
+
+    @pytest.mark.parametrize("other", [
+        reference_scenario(0.3, trials=5),
+        ScenarioConfig(K=2, M=3, N=5, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                       psi=(0.3, 0.3), trials=4),
+        ScenarioConfig(K=3, M=4, N=5, psi=(0.3,) * 3, trials=4),
+        ScenarioConfig(K=3, M=3, N=4, psi=(0.3,) * 3, trials=4),
+    ])
+    @pytest.mark.parametrize("metric", ["rate-struct1", "energy-swipt"])
+    def test_mismatched_ensemble_rejected(self, other, metric):
+        cfg = reference_scenario(0.3, trials=4)
+        with pytest.raises(InvalidInputError, match="ensemble"):
+            metric_samples_grid(cfg, metric, [1.0], ensemble_for(other))
+
+    def test_module_holds_no_lru_cache(self):
+        # every result is a pure function of its arguments, and nothing may
+        # carry state from one call to the next (functools.lru_cache and
+        # functools.cache wrappers carry cache_info)
+        cached = [name for name, value in vars(montecarlo).items()
+                  if hasattr(value, "cache_info")]
+        assert cached == []
 
 
 class TestMcResult:
@@ -175,8 +198,6 @@ class TestAverageMetric:
     def test_deterministic_reruns(self):
         cfg = reference_scenario(0.3, trials=64, seed=7)
         first = average_metric(cfg, "rate-struct1", 10.0)
-        montecarlo._ensemble.cache_clear()
-        montecarlo._metric_samples_cached.cache_clear()
         second = average_metric(cfg, "rate-struct1", 10.0)
         assert first == second
 
@@ -207,7 +228,6 @@ class TestAverageMetric:
         assert ratio == pytest.approx(2.0, rel=0.2)
 
     def test_unknown_metric_rejected(self):
-        from swiptmimo.errors import InvalidInputError
         cfg = reference_scenario(0.3, trials=4)
         with pytest.raises(InvalidInputError):
             metric_samples(cfg, "bogus", 1.0)
