@@ -26,8 +26,8 @@ def main():
     cfg = reference_scenario(psi, trials=TRIALS)
     budgets = [ratio * cfg.P for ratio in ratios]
     ens = ensemble_for(cfg)
-    sw = metric_samples_grid(cfg, "energy-swipt", budgets, ens).mean(axis=1)
-    cl = metric_samples_grid(cfg, "energy-struct1", budgets, ens).mean(axis=1)
+    sw, cl = metric_samples_grid(cfg, ("energy-swipt", "energy-struct1"), budgets,
+                                 ens).mean(axis=2)
     for ratio, sw_mean, cl_mean in zip(ratios, sw, cl):
         # the rate is deterministic: interference cancelled, noise-only design
         rng = np.random.default_rng(0)

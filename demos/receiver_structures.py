@@ -22,8 +22,8 @@ def main():
     for psi in (0.3, 0.6):
         cfg = reference_scenario(psi, trials=TRIALS)
         budgets = [ratio * cfg.P for ratio in RATIOS]
-        for metric in ("rate-struct1", "rate-struct2"):
-            columns.append(metric_samples_grid(cfg, metric, budgets, ens).mean(axis=1))
+        grid = metric_samples_grid(cfg, ("rate-struct1", "rate-struct2"), budgets, ens)
+        columns.extend(grid.mean(axis=2))
     rows = [[ratio, *means] for ratio, means in zip(RATIOS, zip(*columns))]
     for row in rows:
         print(f"{row[0]:5d}  {row[1]:7.4f}  {row[2]:7.4f}  {row[3]:7.4f}  {row[4]:7.4f}")

@@ -65,10 +65,10 @@ def _ensemble(trials, seed):
     return montecarlo.ensemble_for(reference_scenario(trials=trials, seed=seed))
 
 
-def _mc_samples(ens, psi, metric, ratios, trials, seed):
-    """Per-trial samples of one metric at each ratio, from one grid call."""
+def _mc_samples(ens, psi, metrics, ratios, trials, seed):
+    """Per-trial samples of each metric at each ratio, from one grid call."""
     cfg = reference_scenario(psi, trials=trials, seed=seed)
-    return montecarlo.metric_samples_grid(cfg, metric, [r * cfg.P for r in ratios], ens)
+    return montecarlo.metric_samples_grid(cfg, metrics, [r * cfg.P for r in ratios], ens)
 
 
 def criterion_1(trials=2000, seed=42):
@@ -182,11 +182,11 @@ def criterion_5(trials=2000, seed=42):
     return CheckResult(5, "structure-1 classical energy endpoints", ok, "; ".join(lines))
 
 
-def criterion_6(trials=2000, seed=42):
+def criterion_6(trials=2000, seed=42, ens=None):
     """Monte-Carlo average-rate anchors for psi = 0.3."""
     lines, ok = [], True
-    samples = _mc_samples(_ensemble(trials, seed), 0.3, "rate-struct1",
-                          AVG_CURVE_03, trials, seed)
+    (samples,) = _mc_samples(ens or _ensemble(trials, seed), 0.3, ("rate-struct1",),
+                             AVG_CURVE_03, trials, seed)
     for (ratio, expected), row in zip(AVG_CURVE_03.items(), samples):
         res = montecarlo.McResult.from_samples(row)
         band = max(3 * res.stderr, 0.03)
@@ -197,11 +197,11 @@ def criterion_6(trials=2000, seed=42):
     return CheckResult(6, "average rate curve anchors", ok, "; ".join(lines))
 
 
-def criterion_7(trials=2000, seed=42):
+def criterion_7(trials=2000, seed=42, ens=None):
     """Joint-transfer harvested-energy anchors and grid monotonicity."""
     lines, ok = [], True
-    samples = _mc_samples(_ensemble(trials, seed), 0.3, "energy-swipt",
-                          RATIO_GRID, trials, seed)
+    (samples,) = _mc_samples(ens or _ensemble(trials, seed), 0.3, ("energy-swipt",),
+                             RATIO_GRID, trials, seed)
     curve = [montecarlo.McResult.from_samples(row) for row in samples]
     for ratio, expected in SWIPT_CURVE_03.items():
         got, got_stderr = curve[RATIO_GRID.index(ratio)].db()
@@ -223,25 +223,23 @@ def _dominates(high, low):
     return not diff.mean < -max(3 * diff.stderr, 1e-9)
 
 
-def criterion_8(trials=2000, seed=42):
+def criterion_8(trials=2000, seed=42, ens=None):
     """Ordering properties across the full sweep, paired per trial on one ensemble."""
-    ens = _ensemble(trials, seed)
-    average = [_mc_samples(ens, psi, "rate-struct1", RATIO_GRID, trials, seed)
-               for psi in RATE_PSIS]
+    ens = ens or _ensemble(trials, seed)
+    average, dominance = [], True
+    for psi in RATE_PSIS:
+        s1, s2 = _mc_samples(ens, psi, ("rate-struct1", "rate-struct2"), RATIO_GRID,
+                             trials, seed)
+        average += [montecarlo.McResult.from_samples(row) for row in s1]
+        dominance &= all(_dominates(r1, r2) for r1, r2 in zip(s1, s2))
     points = [(psi, ratio) for psi in RATE_PSIS for ratio in RATIO_GRID]
-    worst = True
-    for row, sol in zip(np.concatenate(average), _wc_solutions(points)):
-        avg = montecarlo.McResult.from_samples(row)
-        worst &= sol.rate <= avg.mean + max(3 * avg.stderr, 1e-9)
-    dominance = all(
-        _dominates(r1, r2) for psi, rows in zip(RATE_PSIS, average)
-        for r1, r2 in zip(rows, _mc_samples(ens, psi, "rate-struct2", RATIO_GRID,
-                                            trials, seed)))
+    worst = all(sol.rate <= avg.mean + max(3 * avg.stderr, 1e-9)
+                for avg, sol in zip(average, _wc_solutions(points)))
     ratios = [ratio for ratio in RATIO_GRID if ratio >= 1]
     harvest = all(
         _dominates(sw, cl) for psi in ENERGY_PSIS
-        for sw, cl in zip(_mc_samples(ens, psi, "energy-swipt", ratios, trials, seed),
-                          _mc_samples(ens, psi, "energy-struct1", ratios, trials, seed)))
+        for sw, cl in zip(*_mc_samples(ens, psi, ("energy-swipt", "energy-struct1"),
+                                       ratios, trials, seed)))
     lines = [f"worst-case <= average: {worst}",
              f"structure-2 <= structure-1 rate: {dominance}",
              f"joint-transfer >= classical energy (ratio >= 1): {harvest}"]
@@ -399,4 +397,9 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(trials=2000, seed=42):
-    return [check(trials=trials, seed=seed) for check in ALL_CRITERIA]
+    """Every criterion in order; criteria 6-8 share one ensemble draw."""
+    results = [check(trials=trials, seed=seed) for check in ALL_CRITERIA[:5]]
+    ens = _ensemble(trials, seed)
+    results += [check(trials=trials, seed=seed, ens=ens) for check in ALL_CRITERIA[5:8]]
+    del ens
+    return results + [check(trials=trials, seed=seed) for check in ALL_CRITERIA[8:]]

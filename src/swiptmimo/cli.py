@@ -269,29 +269,32 @@ def _worst_case_points(cfg, points):
             raise SweepFailure("worst-case", psi_b, ratio_b, exc) from exc
 
 
-def _monte_carlo_points(cfg, tag, points, ens):
-    """Mean and stderr (in dB for energy scenarios) of the (psi, ratio) points, in
-    order, from one grid call per run of equal psi on the sweep's one ensemble."""
-    metric = SCENARIO_METRICS[tag]
+def _monte_carlo_points(cfg, tags, points):
+    """{tag: mean and stderr (in dB for energy tags) of each point, in order} on one
+    ensemble, from one grid call per run of equal psi and structure family."""
+    values = {tag: [] for tag in sorted(tags)}
+    ens = montecarlo.ensemble_for(cfg.scenario_for(points[0][0])) if tags else None
     for psi, group in itertools.groupby(points, key=lambda point: point[0]):
         budgets = [ratio * cfg.p for _, ratio in group]
-        scenario = cfg.scenario_for(psi)
-        for row in montecarlo.metric_samples_grid(scenario, metric, budgets, ens):
-            result = montecarlo.McResult.from_samples(row)
-            yield result.db() if tag in ENERGY_SCENARIOS else (result.mean, result.stderr)
+        for family in montecarlo.FAMILIES:
+            family_tags = [tag for tag in values if SCENARIO_METRICS[tag] in family]
+            metrics = tuple(SCENARIO_METRICS[tag] for tag in family_tags)
+            grid = montecarlo.metric_samples_grid(cfg.scenario_for(psi), metrics, budgets,
+                                                  ens) if metrics else ()
+            for tag, results in zip(family_tags, grid):
+                for res in map(montecarlo.McResult.from_samples, results):
+                    values[tag].append(res.db() if tag in ENERGY_SCENARIOS
+                                       else (res.mean, res.stderr))
+    return values
 
 
 def run_sweep(cfg):
     """Evaluate every (scenario, psi, ratio) point and render the CSV text."""
     rows = []
     points = [(psi, ratio) for psi in sorted(cfg.psis) for ratio in sorted(cfg.ratio_grid)]
-    ens = None
+    mc_values = _monte_carlo_points(cfg, set(cfg.scenarios) & set(SCENARIO_METRICS), points)
     for tag in sorted(cfg.scenarios):
-        if tag == "worst-case":
-            values = _worst_case_points(cfg, points)
-        else:
-            ens = ens or montecarlo.ensemble_for(cfg.scenario_for(points[0][0]))
-            values = _monte_carlo_points(cfg, tag, points, ens)
+        values = _worst_case_points(cfg, points) if tag == "worst-case" else mc_values[tag]
         for (psi, ratio), (value, stderr) in zip(points, values):
             stderr_text = "" if stderr is None else _fmt(stderr)
             rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")

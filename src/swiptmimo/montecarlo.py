@@ -2,12 +2,13 @@
 
 Each trial t owns a generator seeded from the pair (seed, t), so trials are
 independent and order-free; identical (seed, trials) always reproduce
-bit-identical results regardless of how the work is scheduled. Each trial
-draws all its Gaussians in one call, while the linear algebra runs batched
-over the stacked trial arrays. Nothing is cached: callers draw a config's
-ensemble once with `ensemble_for` (it does not depend on psi or the budgets)
-and pass it to `metric_samples_grid`, which evaluates a metric over a grid of
-BS budgets and does the budget-free work (including its `eigh` calls) once.
+bit-identical results regardless of how the work is scheduled; the linear
+algebra runs batched over the stacked trial arrays. Nothing is cached: callers
+draw a config's ensemble once with `ensemble_for` (it does not depend on psi or
+the budgets) and pass it to `metric_samples_grid`, which evaluates metrics over
+a grid of BS budgets one receiver structure at a time: structure 1 shares each
+budget's solve, `eigh` and water-filling between its rate and energy, structure
+2 its combiner and interference terms, and joint transfer its beam and signal.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -24,6 +25,10 @@ from .rates import waterfill_batch
 
 METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
            "energy-struct2", "energy-swipt")
+# metrics sharing one receiver structure's work: split per antenna, combine then split, joint
+FAMILIES = (("rate-struct1", "energy-struct1"), ("rate-struct2", "energy-struct2"),
+            ("energy-swipt",))
+DRAW_CHUNK = 512  # trials per ensemble fill buffer
 
 
 @dataclass(frozen=True)
@@ -76,21 +81,24 @@ class TrialEnsemble:
 def ensemble_for(cfg):
     """Draw all per-trial randomness of a config, then batch the factor construction.
 
-    Trial t makes one standard_normal call of 2(2k^2 + m^2 + 2n^2) values and
-    slices it, real block then imaginary block, into the p2p left/right, BS
-    left/right and user-beam Gaussians in that order: the stream that
-    synthesize_channel followed by random_bs_covariance reads through five
-    complex_gaussian calls, so scalar replays of a single trial agree exactly.
+    Trial t fills a buffer row with 2(2k^2 + m^2 + 2n^2) standard normals from its
+    generator; each DRAW_CHUNK rows are copied, real block then imaginary block,
+    into the p2p left/right, BS left/right and user-beam Gaussians in that order:
+    the stream that synthesize_channel followed by random_bs_covariance reads
+    through five complex_gaussian calls, so scalar replays of a trial agree exactly.
     """
     trials, k, m, n = cfg.trials, cfg.K, cfg.M, cfg.N
     zs = [np.empty((trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
     parts = [part.reshape(trials, -1) for z in zs for part in (z.real, z.imag)]
     stops = np.cumsum([part.shape[1] for part in parts]).tolist()
-    bounds = list(zip([0] + stops[:-1], stops))
-    for t in range(trials):
-        draw = trial_rng(cfg.seed, t).standard_normal(stops[-1])
-        for part, (start, stop) in zip(parts, bounds):
-            part[t] = draw[start:stop]
+    buf = np.empty((min(trials, DRAW_CHUNK), stops[-1]))
+    for t0 in range(0, trials, DRAW_CHUNK):
+        t1 = min(t0 + DRAW_CHUNK, trials)
+        for t in range(t0, t1):
+            trial_rng(cfg.seed, t).standard_normal(out=buf[t - t0])
+        for part, block in zip(parts, np.split(buf[:t1 - t0], stops[:-1], axis=1)):
+            part[t0:t1] = block
+    del buf, block  # the chunk buffer (peak memory)
     for z in zs:
         z /= np.sqrt(2.0)
     z_left, z_right, z_bs_left, z_bs_right, z_users = zs
@@ -134,30 +142,21 @@ def _covariance(vectors, powers):
     return (vectors * powers[..., None, :]) @ _ch(vectors)
 
 
-def _require_uniform(cfg, metric):
-    psi = cfg.psi_vector
-    if not np.all(psi == psi[0]):
-        raise UnsupportedConfigError(f"{metric} requires a uniform split ratio")
-    return float(psi[0])
-
-
 def metric_samples(cfg, metric, pb_budget):
     """Per-trial metric values at one BS budget (rates in bits/cu, energies in
     linear power) on a fresh, uncached draw of the config's ensemble."""
-    return metric_samples_grid(cfg, metric, (pb_budget,), ensemble_for(cfg))[0]
+    return metric_samples_grid(cfg, (metric,), (pb_budget,), ensemble_for(cfg))[0, 0]
 
 
-def metric_samples_grid(cfg, metric, pb_budgets, ens):
-    """Per-trial metric values at each BS budget, shape (len(pb_budgets), trials).
-
-    `ens` is `ensemble_for(cfg)`; metrics evaluated on one ensemble see the
-    same per-trial channels and beams. The work that does not depend on Pb
-    (the equivalent channels, the user-beam Gram matrix, the structure-2
-    combiner, the SWIPT energy beam and link covariance) is done once; each
-    row then runs exactly the operations of a single-budget evaluation.
-    """
-    if metric not in METRICS:
-        raise InvalidInputError(f"unknown metric '{metric}' (choose from {METRICS})")
+def metric_samples_grid(cfg, metrics, pb_budgets, ens):
+    """Per-trial values of each metric at each BS budget, shape (len(metrics),
+    len(pb_budgets), trials), on `ens = ensemble_for(cfg)`. The metrics run one
+    family (FAMILIES) after another; a family does its budget-free work once and
+    each budget's work once for all its metrics, and every row runs exactly the
+    operations of a single-metric, single-budget evaluation."""
+    names = tuple(metrics)
+    if len(set(names)) != len(names) or not set(names) <= set(METRICS):
+        raise InvalidInputError(f"expected distinct metrics from {METRICS}, got {metrics!r}")
     budgets = [float(pb) for pb in pb_budgets]
     if not all(0.0 <= pb < np.inf for pb in budgets):
         raise InvalidInputError("BS power budget must be finite and nonnegative")
@@ -165,64 +164,84 @@ def metric_samples_grid(cfg, metric, pb_budgets, ens):
     shapes = (ens.h.shape, ens.h_bs.shape, ens.user_dirs.shape)
     if shapes != ((t, k, m), (t, k, n), (t, n, n)):
         raise InvalidInputError(f"ensemble does not match trials={t}, K={k}, M={m}, N={n}")
-    psi = cfg.psi_vector
-    root_psi = np.sqrt(psi)[:, None]
-    noise_diag = psi * cfg.sigma2_w + cfg.sigma2_n
+    if set(names) & set(FAMILIES[1]) and len(set(cfg.psi)) > 1:
+        raise UnsupportedConfigError("structure-2 metrics require a uniform split ratio")
 
-    if metric == "energy-swipt":
-        # rank-one energy beam on the strongest delivery direction of Theta H_bs
-        theta2 = (1.0 - psi)[:, None]
-        _, e_bs = _top_eigpair(_ch(ens.h_bs) @ (theta2 * ens.h_bs))
-        beam = e_bs[..., :, None] @ _ch(e_bs[..., :, None])
-        hhat = root_psi * ens.h
-        _, g, powers = _waterfilled_modes(_ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
-        q = _covariance(g, powers)
-        del e_bs, hhat, g  # keep only what the budget loop reads
-
-        def point(pb):
-            return _steered_energy(cfg, ens, q, pb * beam)
-    elif metric in ("rate-struct1", "energy-struct1"):
-        hhat = root_psi * ens.h
-        hhat_bs = root_psi * ens.h_bs
-        gram = ens.user_dirs @ _ch(ens.user_dirs)
-
-        def point(pb):
-            q_bs = (pb / cfg.N) * gram
-            t_mats = _ch(hhat) @ np.linalg.solve(
-                hhat_bs @ q_bs @ _ch(hhat_bs) + np.diag(noise_diag), hhat)
-            modes, g, powers = _waterfilled_modes(t_mats, cfg.P)
-            if metric == "rate-struct1":
-                return np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
-            q = _covariance(g, powers)
-            del t_mats, modes, g  # only q and q_bs reach the steering step (peak memory)
-            return _steered_energy(cfg, ens, q, q_bs)
-    else:
-        # combine-then-split baseline metrics
-        psi_scalar = _require_uniform(cfg, metric)
-        gram = ens.user_dirs @ _ch(ens.user_dirs)
-        lam1sq, u1 = _top_eigpair(ens.h @ _ch(ens.h))
-
-        def point(pb):
-            rx = ens.h_bs @ ((pb / cfg.N) * gram) @ _ch(ens.h_bs)
-            interference = np.real(np.einsum("ti,tij,tj->t", u1.conj(), rx, u1))
-            if metric == "rate-struct2":
-                denom = psi_scalar * (interference + cfg.sigma2_w) + cfg.sigma2_n
-                return np.log2(1.0 + psi_scalar * lam1sq * cfg.P / denom)
-            return (1.0 - psi_scalar) * (lam1sq * cfg.P + interference + cfg.sigma2_w)
-
-    out = np.empty((len(budgets), cfg.trials))
-    for r, pb in enumerate(budgets):
-        out[r] = point(pb)
+    out = np.empty((len(names), len(budgets), t))
+    for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
+        rows = {metric: out[names.index(metric)] for metric in family if metric in names}
+        if rows:
+            run(cfg, ens, budgets, rows)
     return out
 
 
-def _steered_energy(cfg, ens, q, q_bs):
-    theta2 = (1.0 - cfg.psi_vector)
-    scale = np.sqrt(theta2)[:, None]
-    c_sig = (scale * ens.h) @ q @ _ch(scale * ens.h)
-    c_bs = (scale * ens.h_bs) @ q_bs @ _ch(scale * ens.h_bs)
-    total = c_sig + c_bs + np.diag(cfg.sigma2_w * theta2)
-    top, _ = _top_eigpair(total)
+def _structure1(cfg, ens, budgets, rows):
+    """Split per antenna: each budget's solve, eigh and water-filling feed both metrics."""
+    root_psi = np.sqrt(cfg.psi_vector)[:, None]
+    noise = np.diag(cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n)
+    hhat, hhat_bs = root_psi * ens.h, root_psi * ens.h_bs
+    gram = ens.user_dirs @ _ch(ens.user_dirs)
+
+    def point(r, pb):  # its temporaries go when it returns (peak memory)
+        q_bs = (pb / cfg.N) * gram
+        t_mats = _ch(hhat) @ np.linalg.solve(hhat_bs @ q_bs @ _ch(hhat_bs) + noise, hhat)
+        modes, g, powers = _waterfilled_modes(t_mats, cfg.P)
+        if "rate-struct1" in rows:
+            rows["rate-struct1"][r] = np.sum(
+                np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
+        if "energy-struct1" in rows:
+            q = _covariance(g, powers)
+            del t_mats, modes, g  # only q and q_bs reach the steering step
+            rows["energy-struct1"][r] = _harvested(cfg, ens, _delivered(cfg, ens.h, q), q_bs)
+
+    for r, pb in enumerate(budgets):
+        point(r, pb)
+
+
+def _structure2(cfg, ens, budgets, rows):
+    """Combine, then split: one combiner per grid, one interference term per budget."""
+    psi = cfg.psi[0]
+    gram = ens.user_dirs @ _ch(ens.user_dirs)
+    lam1sq, u1 = _top_eigpair(ens.h @ _ch(ens.h))
+    for r, pb in enumerate(budgets):
+        rx = ens.h_bs @ ((pb / cfg.N) * gram) @ _ch(ens.h_bs)
+        interference = np.real(np.einsum("ti,tij,tj->t", u1.conj(), rx, u1))
+        del rx
+        if "rate-struct2" in rows:
+            denom = psi * (interference + cfg.sigma2_w) + cfg.sigma2_n
+            rows["rate-struct2"][r] = np.log2(1.0 + psi * lam1sq * cfg.P / denom)
+        if "energy-struct2" in rows:
+            rows["energy-struct2"][r] = \
+                (1.0 - psi) * (lam1sq * cfg.P + interference + cfg.sigma2_w)
+
+
+def _swipt(cfg, ens, budgets, rows):
+    """Joint transfer: the link ignores the cancelled BS symbols, so its delivered
+    term is formed once; the BS beams along the top direction of Theta H_bs."""
+    psi = cfg.psi_vector
+    _, e_bs = _top_eigpair(_ch(ens.h_bs) @ ((1.0 - psi)[:, None] * ens.h_bs))
+    beam = e_bs[..., :, None] @ _ch(e_bs[..., :, None])
+    hhat = np.sqrt(psi)[:, None] * ens.h
+    noise_diag = psi * cfg.sigma2_w + cfg.sigma2_n
+    _, g, powers = _waterfilled_modes(_ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
+    c_sig = _delivered(cfg, ens.h, _covariance(g, powers))
+    del e_bs, hhat, g, powers  # keep only what the budget loop reads
+    for r, pb in enumerate(budgets):
+        rows["energy-swipt"][r] = _harvested(cfg, ens, c_sig, pb * beam)
+
+
+def _delivered(cfg, h, q):
+    """(Theta h) q (Theta h)^H, what covariance q delivers to the energy branches."""
+    th = np.sqrt(1.0 - cfg.psi_vector)[:, None] * h
+    left, right = th @ q, _ch(th)
+    del th  # before the last product (peak memory)
+    return left @ right
+
+
+def _harvested(cfg, ens, c_sig, q_bs):
+    """Power the best energy beam collects from link term c_sig, BS term and noise."""
+    noise = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
+    top, _ = _top_eigpair(c_sig + _delivered(cfg, ens.h_bs, q_bs) + noise)
     return np.maximum(top, 0.0)
 
 

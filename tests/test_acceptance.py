@@ -9,7 +9,7 @@ the repository notes) — the certificate half of that criterion passes.
 import numpy as np
 import pytest
 
-from swiptmimo import acceptance
+from swiptmimo import acceptance, montecarlo
 from swiptmimo.rates import waterfill
 
 TRIALS = 2000
@@ -74,6 +74,27 @@ def test_criterion_7_swipt_energy_curve():
 def test_criterion_8_sweep_orderings():
     res = report(acceptance.criterion_8(TRIALS, SEED))
     assert res.passed, res.detail
+
+
+def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
+    draws, draw = [], montecarlo.ensemble_for
+
+    def recording(cfg):
+        draws.append(cfg.trials)
+        return draw(cfg)
+
+    monkeypatch.setattr(acceptance.montecarlo, "ensemble_for", recording)
+    results = acceptance.run_all(trials=60, seed=SEED)
+    assert [res.criterion for res in results] == list(range(1, 11))
+    # criteria 6-8 share one draw; criterion 10 reruns its T = 50 sweep
+    assert draws == [60, 50, 50]
+
+
+@pytest.mark.parametrize("check", [acceptance.criterion_6, acceptance.criterion_7,
+                                   acceptance.criterion_8])
+def test_shared_ensemble_gives_the_same_report(check):
+    ens = acceptance._ensemble(100, SEED)
+    assert check(100, SEED, ens=ens) == check(100, SEED)
 
 
 def test_criterion_9_oracle_equivalences():

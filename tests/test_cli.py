@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from swiptmimo import cli, saddle
+from swiptmimo import cli, montecarlo, saddle
 from swiptmimo.errors import ConfigError
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -155,6 +155,29 @@ class TestRunSweep:
         expected = (REFERENCE / "default-sweep-seed42.csv").read_text(encoding="utf-8")
         assert cli.run_sweep(cli.SweepConfig()) == expected
 
+    def test_one_grid_call_per_psi_and_family(self, monkeypatch):
+        calls, kernel = [], montecarlo.metric_samples_grid
+
+        def recording(cfg, metrics, budgets, ens):
+            calls.append((cfg.psi[0], metrics, tuple(budgets)))
+            return kernel(cfg, metrics, budgets, ens)
+
+        monkeypatch.setattr(cli.montecarlo, "metric_samples_grid", recording)
+        cfg = self.small_config(scenarios=cli.SCENARIOS, psis=(0.6, 0.3), trials=3)
+        cli.run_sweep(cfg)
+        budgets = (0.0, 5.0)
+        assert calls == [
+            (psi, metrics, budgets) for psi in (0.3, 0.6)
+            for metrics in (("rate-struct1", "energy-struct1"),
+                            ("energy-struct2", "rate-struct2"), ("energy-swipt",))]
+
+    def test_repeated_scenario_repeats_its_rows(self):
+        once = cli.run_sweep(self.small_config(scenarios=("average", "swipt"), trials=4))
+        twice = cli.run_sweep(self.small_config(
+            scenarios=("swipt", "average", "swipt"), trials=4)).split("\n")
+        rows = once.split("\n")
+        assert twice == rows[:1] + rows[1:3] + rows[3:5] + rows[3:]
+
     def test_zero_split_worst_case_rate_is_zero(self):
         cfg = self.small_config(scenarios=("worst-case",), psis=(0.0,))
         rows = [line.split(",") for line in cli.run_sweep(cfg).strip().split("\n")[1:]]
@@ -260,3 +283,12 @@ class TestMainEntry:
         assert "[FAIL]  2." in out
         assert out.count("[FAIL]") == 1
         assert "overall: FAIL" in out
+
+
+def test_mc_scale_matches_reference_csv():
+    # the Monte-Carlo benchmark workload: every structure family at T = 20000
+    cfg = cli.parse_config(text="\n".join([
+        "scenarios = [average, structure2, swipt, energy-struct1, energy-struct2]",
+        "psi = [0.3, 0.6]", "ratio_grid = [1, 7, 14]", "trials = 20000", "seed = 42"]))
+    expected = (REFERENCE / "mc-scale-seed42.csv").read_text(encoding="utf-8")
+    assert cli.run_sweep(cfg) == expected

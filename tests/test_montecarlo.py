@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from swiptmimo import montecarlo
-from swiptmimo.errors import InvalidInputError
+from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
 from swiptmimo.harvesting import build_rf_covariance, optimal_steering, to_db
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
-from swiptmimo.montecarlo import (METRICS, McResult, average_metric,
-                                  ensemble_for, metric_samples,
+from swiptmimo.montecarlo import (DRAW_CHUNK, FAMILIES, METRICS, McResult,
+                                  average_metric, ensemble_for, metric_samples,
                                   metric_samples_grid, random_bs_covariance)
 from swiptmimo.rates import NoiseProfile, optimal_q_global, self_noise
 from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
@@ -96,7 +98,12 @@ class TestEnsembleDraw:
         reference_scenario(0.3, trials=6, seed=5),
         ScenarioConfig(K=2, M=3, N=4, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
                        psi=(0.4, 0.4), trials=3, seed=9),
-    ])
+        reference_scenario(0.3, trials=1, seed=5),
+        reference_scenario(0.3, trials=DRAW_CHUNK + 1, seed=5),
+        ScenarioConfig(K=2, M=4, N=3, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                       psi=(0.4, 0.4), trials=DRAW_CHUNK + 1, seed=11),
+    ], ids=["reference-6", "k2m3n4-3", "reference-1", "reference-chunk+1",
+            "k2m4n3-chunk+1"])
     def test_matches_per_trial_complex_gaussian_replay(self, cfg):
         k, m, n = cfg.K, cfg.M, cfg.N
         zs = [np.empty((cfg.trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
@@ -124,30 +131,30 @@ class TestMetricSamplesGrid:
     @pytest.mark.parametrize("metric", METRICS)
     def test_rows_equal_single_budget_samples(self, metric, trials):
         cfg = reference_scenario(0.6, trials=trials, seed=13)
-        grid = metric_samples_grid(cfg, metric, self.BUDGETS, ensemble_for(cfg))
+        grid = metric_samples_grid(cfg, (metric,), self.BUDGETS, ensemble_for(cfg))[0]
         assert grid.shape == (len(self.BUDGETS), trials)
         for row, pb in zip(grid, self.BUDGETS):
             assert row.tobytes() == metric_samples(cfg, metric, pb).tobytes()
 
     def test_empty_budget_list(self):
         cfg = reference_scenario(0.3, trials=4)
-        assert metric_samples_grid(cfg, "rate-struct1", [], ensemble_for(cfg)).shape \
+        assert metric_samples_grid(cfg, ("rate-struct1",), [], ensemble_for(cfg))[0].shape \
             == (0, 4)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_negative_or_non_finite_budget_rejected(self, bad):
         cfg = reference_scenario(0.3, trials=4)
         with pytest.raises(InvalidInputError):
-            metric_samples_grid(cfg, "energy-swipt", [1.0, bad], ensemble_for(cfg))
+            metric_samples_grid(cfg, ("energy-swipt",), [1.0, bad], ensemble_for(cfg))
         with pytest.raises(InvalidInputError):
             metric_samples(cfg, "rate-struct2", bad)
 
     def test_rows_are_not_cached(self):
         cfg = reference_scenario(0.3, trials=4)
         ens = ensemble_for(cfg)
-        first = metric_samples_grid(cfg, "rate-struct2", [1.0], ens)
+        first = metric_samples_grid(cfg, ("rate-struct2",), [1.0], ens)[0]
         assert first.flags.writeable
-        assert metric_samples_grid(cfg, "rate-struct2", [1.0], ens) is not first
+        assert metric_samples_grid(cfg, ("rate-struct2",), [1.0], ens)[0] is not first
 
     @pytest.mark.parametrize("other", [
         reference_scenario(0.3, trials=5),
@@ -160,7 +167,7 @@ class TestMetricSamplesGrid:
     def test_mismatched_ensemble_rejected(self, other, metric):
         cfg = reference_scenario(0.3, trials=4)
         with pytest.raises(InvalidInputError, match="ensemble"):
-            metric_samples_grid(cfg, metric, [1.0], ensemble_for(other))
+            metric_samples_grid(cfg, (metric,), [1.0], ensemble_for(other))
 
     def test_module_holds_no_lru_cache(self):
         # every result is a pure function of its arguments, and nothing may
@@ -169,6 +176,74 @@ class TestMetricSamplesGrid:
         cached = [name for name, value in vars(montecarlo).items()
                   if hasattr(value, "cache_info")]
         assert cached == []
+
+
+def metric_requests(metrics=METRICS):
+    """Every order of every non-empty subset of the metrics."""
+    return [request for size in range(1, len(metrics) + 1)
+            for request in itertools.permutations(metrics, size)]
+
+
+class TestMetricSets:
+    BUDGETS = (12.5, 0.0, 35.0)
+
+    @pytest.mark.parametrize("cfg", [
+        reference_scenario(0.6, trials=1, seed=13),
+        reference_scenario(0.6, trials=6, seed=13),
+        reference_scenario(0.0, trials=6, seed=13),
+        reference_scenario(1.0, trials=6, seed=13),
+    ], ids=["T1", "T6", "psi0", "psi1"])
+    def test_rows_do_not_depend_on_the_metric_set(self, cfg):
+        ens = ensemble_for(cfg)
+        single = {metric: metric_samples_grid(cfg, (metric,), self.BUDGETS, ens)[0]
+                  for metric in METRICS}
+        for request in metric_requests():
+            grid = metric_samples_grid(cfg, request, self.BUDGETS, ens)
+            assert grid.shape == (len(request), len(self.BUDGETS), cfg.trials)
+            for metric, rows in zip(request, grid):
+                assert rows.tobytes() == single[metric].tobytes(), (request, metric)
+
+    def test_per_antenna_split(self, monkeypatch):
+        # structure 1 and joint transfer take any split; a request with a
+        # structure-2 metric is refused before any solve or eigh runs
+        cfg = ScenarioConfig(K=3, M=3, N=5, psi=(0.2, 0.5, 0.8), trials=4, seed=3)
+        ens = ensemble_for(cfg)
+        supported = [metric for metric in METRICS if metric not in FAMILIES[1]]
+        single = {metric: metric_samples_grid(cfg, (metric,), self.BUDGETS, ens)[0]
+                  for metric in supported}
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("linear algebra ran before the split was checked")
+
+        for request in metric_requests():
+            if set(request) <= set(supported):
+                grid = metric_samples_grid(cfg, request, self.BUDGETS, ens)
+                for metric, rows in zip(request, grid):
+                    assert rows.tobytes() == single[metric].tobytes(), (request, metric)
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", no_work)
+                patch.setattr(np.linalg, "solve", no_work)
+                with pytest.raises(UnsupportedConfigError):
+                    metric_samples_grid(cfg, request, self.BUDGETS, ens)
+
+    @pytest.mark.parametrize("metrics", [
+        ("rate-struct1", "rate-struct1"),
+        ("energy-swipt", "rate-struct2", "energy-swipt"), ("bogus",),
+        ("rate-struct1", "bogus"), "rate-struct1",
+    ])
+    def test_duplicate_or_unknown_names_rejected(self, metrics):
+        cfg = reference_scenario(0.3, trials=2)
+        with pytest.raises(InvalidInputError):
+            metric_samples_grid(cfg, metrics, [1.0], ensemble_for(cfg))
+
+    def test_empty_request(self):
+        cfg = reference_scenario(0.3, trials=2)
+        assert metric_samples_grid(cfg, (), [1.0, 2.0], ensemble_for(cfg)).shape == (0, 2, 2)
+
+    def test_families_partition_the_metrics(self):
+        flat = [metric for family in FAMILIES for metric in family]
+        assert sorted(flat) == sorted(METRICS)
 
 
 class TestMcResult:
