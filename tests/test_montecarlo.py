@@ -102,8 +102,7 @@ class TestEnsembleDraw:
         reference_scenario(0.3, trials=DRAW_CHUNK + 1, seed=5),
         ScenarioConfig(K=2, M=4, N=3, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
                        psi=(0.4, 0.4), trials=DRAW_CHUNK + 1, seed=11),
-    ], ids=["reference-6", "k2m3n4-3", "reference-1", "reference-chunk+1",
-            "k2m4n3-chunk+1"])
+    ])
     def test_matches_per_trial_complex_gaussian_replay(self, cfg):
         k, m, n = cfg.K, cfg.M, cfg.N
         zs = [np.empty((cfg.trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
