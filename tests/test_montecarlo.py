@@ -177,10 +177,10 @@ class TestMetricSamplesGrid:
         assert cached == []
 
 
-def metric_requests(metrics=METRICS):
-    """Every order of every non-empty subset of the metrics."""
-    return [request for size in range(1, len(metrics) + 1)
-            for request in itertools.permutations(metrics, size)]
+def metric_requests():
+    """Every order of every non-empty subset of METRICS."""
+    return [request for size in range(1, len(METRICS) + 1)
+            for request in itertools.permutations(METRICS, size)]
 
 
 class TestMetricSets:
