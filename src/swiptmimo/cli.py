@@ -1,9 +1,9 @@
 """Experiment runner: config parsing, sweeps over the power ratio, CSV output.
 
 Config files are UTF-8 `key = value` lines with `#` comments; lists are
-comma-separated values in brackets. An empty (or absent) file reproduces the
-baseline setup. Exit codes: 0 success, 2 parse error, 3 convergence failure,
-4 anchor failure.
+non-empty comma-separated values in brackets, and `FIELDS` states each key's
+kind and bounds. An empty (or absent) file reproduces the baseline setup.
+Exit codes: 0 success, 2 parse error, 3 convergence failure, 4 anchor failure.
 """
 
 import argparse
@@ -63,138 +63,53 @@ class SweepConfig:
             Pb=float(ratio) * self.p, seed=self.seed, trials=self.trials)
 
 
-_PARSERS = {}
+# key -> (SweepConfig attribute, kind, bound every value meets, message when one
+# does not). Kinds: "int" and "float" are one value; "list" is a non-empty
+# bracketed list of numbers; "grid" is a "list" without repeats, and psi's grid
+# may also be one bare number; "tags" is a non-empty list of distinct scenarios.
+FIELDS = {
+    "k": ("k", "int", lambda v: v >= 1, "must be >= 1"),
+    "m": ("m", "int", lambda v: v >= 1, "must be >= 1"),
+    "n": ("n", "int", lambda v: v >= 1, "must be >= 1"),
+    "trials": ("trials", "int", lambda v: v >= 1, "must be >= 1"),
+    "seed": ("seed", "int", lambda v: v >= 0, "must be >= 0"),
+    "sigma_p2p": ("sigma_p2p", "list", lambda v: True, ""),
+    "sigma_bs": ("sigma_bs", "list", lambda v: True, ""),
+    "psi": ("psis", "grid", lambda v: 0.0 <= v <= 1.0, "split ratio {} outside [0, 1]"),
+    "sigma2_w": ("sigma2_w", "float", lambda v: v > 0, "noise variance must be positive"),
+    "sigma2_n": ("sigma2_n", "float", lambda v: v > 0, "noise variance must be positive"),
+    "p": ("p", "float", lambda v: v >= 0, "power budget must be nonnegative"),
+    "ratio_grid": ("ratio_grid", "grid", lambda v: v >= 0, "ratios must be nonnegative"),
+    "scenarios": ("scenarios", "tags", lambda v: v in SCENARIOS,
+                  f"unknown scenario '{{}}' (choose from {SCENARIOS})"),
+}
 
 
-def _field(name):
-    def register(fn):
-        _PARSERS[name] = fn
-        return fn
-    return register
-
-
-def _parse_list(raw, line, name):
+def _read_field(key, raw, line):
+    """(attribute, value) of one `key = raw` entry, checked against FIELDS."""
+    attr, kind, in_bound, message = FIELDS[key]
     raw = raw.strip()
-    if not (raw.startswith("[") and raw.endswith("]")):
-        raise ConfigError("expected a bracketed comma-separated list",
-                          field=name, line=line)
-    inner = raw[1:-1].strip()
-    return [item.strip() for item in inner.split(",")] if inner else []
-
-
-def _parse_float(raw, line, name):
+    if kind in ("int", "float") or (key == "psi" and not raw.startswith("[")):
+        items = [raw]
+    elif raw.startswith("[") and raw.endswith("]"):
+        items = [item.strip() for item in raw[1:-1].split(",")]
+        if items == [""]:
+            raise ConfigError("list must not be empty", field=key, line=line)
+    else:
+        raise ConfigError("expected a bracketed comma-separated list", field=key, line=line)
+    convert = {"int": int, "tags": str}.get(kind, float)
     try:
-        value = float(raw)
+        values = tuple(map(convert, items))
     except ValueError as exc:
-        raise ConfigError(f"invalid number: {exc}", field=name, line=line)
-    if not np.isfinite(value):
-        raise ConfigError(f"{raw} is not a finite number", field=name, line=line)
-    return value
-
-
-def _parse_floats(raw, line, name):
-    return tuple(_parse_float(x, line, name) for x in _parse_list(raw, line, name))
-
-
-def _positive_int(raw, line, name, minimum=1):
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError("expected an integer", field=name, line=line)
-    if value < minimum:
-        raise ConfigError(f"must be >= {minimum}", field=name, line=line)
-    return value
-
-
-@_field("k")
-def _parse_k(raw, line):
-    return "k", _positive_int(raw, line, "k")
-
-
-@_field("m")
-def _parse_m(raw, line):
-    return "m", _positive_int(raw, line, "m")
-
-
-@_field("n")
-def _parse_n(raw, line):
-    return "n", _positive_int(raw, line, "n")
-
-
-@_field("trials")
-def _parse_trials(raw, line):
-    return "trials", _positive_int(raw, line, "trials")
-
-
-@_field("seed")
-def _parse_seed(raw, line):
-    return "seed", _positive_int(raw, line, "seed", minimum=0)
-
-
-@_field("sigma_p2p")
-def _parse_sigma_p2p(raw, line):
-    return "sigma_p2p", _parse_floats(raw, line, "sigma_p2p")
-
-
-@_field("sigma_bs")
-def _parse_sigma_bs(raw, line):
-    return "sigma_bs", _parse_floats(raw, line, "sigma_bs")
-
-
-@_field("psi")
-def _parse_psi(raw, line):
-    values = _parse_floats(raw, line, "psi") if raw.strip().startswith("[") \
-        else (_parse_float(raw, line, "psi"),)
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"split ratio {v} outside [0, 1]", field="psi", line=line)
-    return "psis", tuple(values)
-
-
-@_field("sigma2_w")
-def _parse_s2w(raw, line):
-    value = _parse_float(raw, line, "sigma2_w")
-    if value <= 0:
-        raise ConfigError("noise variance must be positive", field="sigma2_w", line=line)
-    return "sigma2_w", value
-
-
-@_field("sigma2_n")
-def _parse_s2n(raw, line):
-    value = _parse_float(raw, line, "sigma2_n")
-    if value <= 0:
-        raise ConfigError("noise variance must be positive", field="sigma2_n", line=line)
-    return "sigma2_n", value
-
-
-@_field("p")
-def _parse_p(raw, line):
-    value = _parse_float(raw, line, "p")
-    if value < 0:
-        raise ConfigError("power budget must be nonnegative", field="p", line=line)
-    return "p", value
-
-
-@_field("ratio_grid")
-def _parse_ratio_grid(raw, line):
-    grid = _parse_floats(raw, line, "ratio_grid")
-    if not grid:
-        raise ConfigError("ratio grid must not be empty", field="ratio_grid", line=line)
-    if any(r < 0 for r in grid):
-        raise ConfigError("ratios must be nonnegative", field="ratio_grid", line=line)
-    return "ratio_grid", grid
-
-
-@_field("scenarios")
-def _parse_scenarios(raw, line):
-    tags = tuple(_parse_list(raw, line, "scenarios"))
-    for tag in tags:
-        if tag not in SCENARIOS:
-            raise ConfigError(f"unknown scenario '{tag}' (choose from {SCENARIOS})",
-                              field="scenarios", line=line)
-    if not tags:
-        raise ConfigError("scenario list must not be empty", field="scenarios", line=line)
-    return "scenarios", tags
+        raise ConfigError(f"invalid value: {exc}", field=key, line=line)
+    for value in values:
+        if convert is float and not np.isfinite(value):
+            raise ConfigError(f"{value} is not a finite number", field=key, line=line)
+        if not in_bound(value):
+            raise ConfigError(message.format(value), field=key, line=line)
+    if kind in ("grid", "tags") and len(set(values)) < len(values):
+        raise ConfigError("repeated entry", field=key, line=line)
+    return attr, values[0] if kind in ("int", "float") else values
 
 
 def parse_config(path=None, text=None):
@@ -219,14 +134,9 @@ def parse_config(path=None, text=None):
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, raw = line.partition("=")
         key = key.strip().lower()
-        if key not in _PARSERS:
+        if key not in FIELDS:
             raise ConfigError(f"unknown key '{key}'", field=key, line=lineno)
-        try:
-            name, value = _PARSERS[key](raw.strip(), lineno)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"invalid value: {exc}", field=key, line=lineno)
+        name, value = _read_field(key, raw, lineno)
         overrides[name] = value
     try:
         cfg = SweepConfig(**overrides)
@@ -332,7 +242,7 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config)
         # command-line overrides pass the same field checks as file values
-        overrides = dict(_PARSERS[key](str(value), None)
+        overrides = dict(_read_field(key, str(value), None)
                          for key, value in (("trials", args.trials), ("seed", args.seed))
                          if value is not None)
         cfg = replace(cfg, **overrides)

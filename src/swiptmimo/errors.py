@@ -13,10 +13,6 @@ class NumericalError(RuntimeError):
     """A linear-algebra step failed unexpectedly (singular system, ...)."""
 
 
-class PreconditionError(ValueError):
-    """A special-case formula was evaluated outside its validity regime."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget.
 

@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError
 from .linalg import herm_eig, hermitize
-
-EIG_FLOOR = 1e-10
 
 
 def to_db(linear):
@@ -87,44 +85,7 @@ def optimal_steering(cov):
         q = np.zeros(k, dtype=complex)
         q[0] = 1.0
         return HarvestResult(0.0, to_db(0.0), q)
-    w, vecs = herm_eig(total, check=False)
+    w, vecs = herm_eig(total)
     linear = float(max(w[0], 0.0))
     return HarvestResult(linear, to_db(linear), vecs[:, 0])
 
-
-def dominant_interference_energy(cov):
-    """Harvested energy when the interference eigenvalue dominates everything.
-
-    Steers along the top interference eigenvector and evaluates
-    lambda_max(C_bs) + q^H (C + W) q. Requires the dominance conditions
-    (interference top eigenvalue >= all signal eigenvalues); outside that
-    regime the formula is not the maximizer and a PreconditionError is raised.
-    """
-    w_bs, v_bs = herm_eig(cov.C_bs, check=False)
-    w_sig, _ = herm_eig(cov.C, check=False)
-    scale = max(w_bs[0], w_sig[0], 1.0)
-    if np.any(w_bs[0] < w_bs - EIG_FLOOR * scale):
-        raise PreconditionError("interference eigenvalues are not sorted descending")
-    if w_bs[0] < w_sig[0] - EIG_FLOOR * scale:
-        raise PreconditionError(
-            "dominance violated: top interference eigenvalue is below the "
-            "top signal eigenvalue")
-    q = v_bs[:, 0]
-    linear = float(max(w_bs[0], 0.0) + np.real(q.conj() @ (cov.C + cov.W) @ q))
-    return HarvestResult(linear, to_db(linear), q)
-
-
-def weak_majorization(a, b):
-    """True iff every prefix sum of `a` dominates the matching prefix sum of `b`.
-
-    Both inputs are descending; the shorter is zero-padded.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = max(len(a), len(b))
-    a = np.pad(a, (0, n - len(a)))
-    b = np.pad(b, (0, n - len(b)))
-    for name, x in (("a", a), ("b", b)):
-        if np.any(np.diff(x) > 1e-12):
-            raise InvalidInputError(f"{name} must be sorted descending")
-    return bool(np.all(np.cumsum(a) >= np.cumsum(b)))

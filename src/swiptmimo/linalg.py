@@ -8,11 +8,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Relative tolerances for decomposition contracts.
-RECON_RTOL = 1e-10
-UNITARY_TOL = 1e-12
-HERMITIAN_RTOL = 1e-12
-
 
 def check_finite(a, name="matrix"):
     """Raise InvalidInputError if `a` contains NaN or Inf."""
@@ -25,24 +20,6 @@ def check_finite(a, name="matrix"):
 def hermitize(a):
     """Return the Hermitian part (A + A^H)/2."""
     return 0.5 * (a + a.conj().swapaxes(-2, -1))
-
-
-def check_hermitian(a, rtol=HERMITIAN_RTOL, name="matrix"):
-    """Validate conjugate symmetry of `a` within a relative tolerance."""
-    a = check_finite(np.asarray(a, dtype=complex), name)
-    scale = np.linalg.norm(a)
-    dev = np.linalg.norm(a - a.conj().T)
-    if dev > rtol * max(scale, 1.0):
-        raise InvalidInputError(
-            f"{name} is not Hermitian (relative deviation {dev / max(scale, 1e-300):.2e})")
-    return a
-
-
-def is_psd(a, tol_factor=1e-10):
-    """True if all eigenvalues of Hermitian `a` exceed -tol_factor * lambda_max."""
-    w = np.linalg.eigvalsh(hermitize(np.asarray(a, dtype=complex)))
-    top = max(w[-1], 0.0)
-    return bool(w[0] >= -tol_factor * max(top, 1.0))
 
 
 def complex_gaussian(shape, rng):
@@ -88,17 +65,13 @@ def svd(a):
     return left, sigma, right_h.conj().T
 
 
-def herm_eig(a, check=True):
+def herm_eig(a):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (eigvals, eigvecs) with eigvecs[:, k] the unit eigenvector of
     eigvals[k]. Eigenvector phase is unconstrained.
     """
-    if check:
-        a = check_hermitian(a)
-    else:
-        a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(hermitize(a))
+    w, v = np.linalg.eigh(hermitize(np.asarray(a, dtype=complex)))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import check_finite, hermitize, pad_diag
+from .linalg import check_finite, hermitize
 
 LN2 = np.log(2.0)
 BUDGET_TOL = 1e-9
@@ -186,17 +186,3 @@ def mode_rate_sum(lambda2, lambda2_bs, p, p_bs, beta):
     """Kernel of `worst_case_rate`: the mode sum over the last axis, stacked."""
     return np.log2(1.0 + lambda2 * p / (lambda2_bs * p_bs + beta)).sum(axis=-1)
 
-
-def local_csi_rate(hhat, hhat_bs, d, q_bs, noise):
-    """Rate of the SVD transceiver (beamforming along the cached factors).
-
-    The receive combiner is Hhat's left singular basis; interference and the
-    split-scaled antenna noise are rotated into that basis and treated as
-    noise.
-    """
-    u = hhat.left
-    k = u.shape[0]
-    s_bar = hermitize(u.conj().T @ _interference_plus_noise(hhat_bs, q_bs, noise) @ u)
-    p = _powers(d)
-    signal = pad_diag(hhat.lambda2 * p[:len(hhat.sigma)], k, k)
-    return max(float(_logdet2(np.eye(k) + np.linalg.solve(s_bar, signal))), 0.0)

@@ -1,17 +1,16 @@
 """Scenario configuration, channel synthesis, power splitting, equivalent channels.
 
 Channels are specified by their singular-value profiles only; the unitary
-factors are drawn Haar-randomly per trial from a seeded generator. The
-worst-case interference construction aligns the interferer's left singular
-basis with the desired channel's.
+factors are drawn Haar-randomly per trial from a seeded generator.
 """
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError, UnsupportedConfigError
+from .errors import InvalidInputError
 
 REFERENCE_SIGMA_P2P = (0.9, 0.8, 0.7)
 REFERENCE_SIGMA_BS = (0.8, 0.7, 0.5)
@@ -71,8 +70,10 @@ class ScenarioConfig:
             raise InvalidInputError("noise variances must be positive")
         if self.P < 0 or self.Pb < 0:
             raise InvalidInputError("power budgets must be nonnegative")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be at least 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise InvalidInputError("trials must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidInputError("seed must be an integer >= 0")
         object.__setattr__(self, "psi", tuple(float(x) for x in psi))
         object.__setattr__(self, "sigma_p2p", tuple(float(x) for x in sp))
         object.__setattr__(self, "sigma_bs", tuple(float(x) for x in sb))
@@ -80,9 +81,6 @@ class ScenarioConfig:
     @property
     def psi_vector(self):
         return np.asarray(self.psi, dtype=float)
-
-    def with_bs_power(self, pb):
-        return replace(self, Pb=float(pb))
 
 
 def reference_scenario(psi=0.3, trials=2000, seed=42, pb=0.0):
@@ -94,8 +92,8 @@ def reference_scenario(psi=0.3, trials=2000, seed=42, pb=0.0):
 class PowerSplit:
     """Per-antenna power split between information detection and harvesting.
 
-    `psi2`/`theta2` expose the squared split matrices from the shared psi
-    storage, so psi2 + theta2 == 1 holds exactly entrywise.
+    `psi` and `theta2 = 1 - psi` are the squared split gains of the two
+    branches, so psi + theta2 == 1 holds exactly entrywise.
     """
 
     psi: np.ndarray
@@ -107,26 +105,6 @@ class PowerSplit:
             raise InvalidInputError("split ratios must lie in [0, 1]")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "theta2", 1.0 - psi)
-
-    @property
-    def psi2(self):
-        return self.psi
-
-    @property
-    def Psi(self):
-        return np.diag(np.sqrt(self.psi))
-
-    @property
-    def Theta(self):
-        return np.diag(np.sqrt(self.theta2))
-
-    @property
-    def is_uniform(self):
-        return bool(np.all(self.psi == self.psi[0]))
-
-    @classmethod
-    def uniform(cls, psi, k):
-        return cls(np.full(k, float(psi)))
 
 
 @dataclass(frozen=True)
@@ -147,14 +125,6 @@ class EquivalentChannel:
     def from_matrix(cls, a):
         left, sigma, right = linalg.svd(a)
         return cls(np.asarray(a, dtype=complex), left, sigma, right)
-
-    @classmethod
-    def from_factors(cls, left, sigma, right):
-        sigma = np.asarray(sigma, dtype=float)
-        rows, cols = left.shape[0], right.shape[0]
-        matrix = left @ linalg.pad_diag(sigma, rows, cols) @ right.conj().T
-        return cls(matrix, np.asarray(left, dtype=complex), sigma,
-                   np.asarray(right, dtype=complex))
 
 
 def synthesize_channel(sigma, rows, cols, rng):
@@ -182,25 +152,3 @@ def equivalent_channels(h, h_bs, split):
     return (EquivalentChannel.from_matrix(scale * h),
             EquivalentChannel.from_matrix(scale * h_bs))
 
-
-def worst_case_align(cfg, rng):
-    """Construct equivalent channels with worst-case-aligned interference.
-
-    The interferer's left singular basis is set equal to the desired
-    channel's, so both diagonalize jointly and the worst-case rate reduces to
-    a scalar sum over modes. Only uniform splits are supported; the aligned
-    construction is not defined for per-antenna splits.
-    """
-    split = PowerSplit(cfg.psi_vector)
-    if not split.is_uniform:
-        raise UnsupportedConfigError(
-            "worst-case alignment requires a uniform split ratio")
-    root = np.sqrt(split.psi[0])
-    left = linalg.haar_unitary(cfg.K, rng)
-    right_p2p = linalg.haar_unitary(cfg.M, rng)
-    right_bs = linalg.haar_unitary(cfg.N, rng)
-    hhat = EquivalentChannel.from_factors(
-        left, root * np.asarray(cfg.sigma_p2p), right_p2p)
-    hhat_bs = EquivalentChannel.from_factors(
-        left, root * np.asarray(cfg.sigma_bs), right_bs)
-    return hhat, hhat_bs

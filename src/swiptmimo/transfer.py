@@ -17,16 +17,13 @@ from .errors import InvalidInputError
 from .harvesting import HarvestResult, to_db
 from .linalg import herm_eig, hermitize, svd
 
-MODE_SWIPT = "swipt"
-
 
 @dataclass(frozen=True)
 class TransmitDesign:
-    """Transmit covariances of both nodes plus the scenario tag."""
+    """Transmit covariances of both nodes."""
 
     Q: np.ndarray
     Q_bs: np.ndarray
-    mode: str
 
 
 def swipt_design(cfg, hhat, h_bs, split):
@@ -41,21 +38,10 @@ def swipt_design(cfg, hhat, h_bs, split):
     noise_only = np.diag(split.psi * cfg.sigma2_w + cfg.sigma2_n)
     q = rates.optimal_q_global(hhat, noise_only, cfg.P)
     gram = hermitize(h_bs.conj().T @ (split.theta2[:, None] * h_bs))
-    _, vecs = herm_eig(gram, check=False)
+    _, vecs = herm_eig(gram)
     e_bs = vecs[:, 0]
     q_bs = cfg.Pb * np.outer(e_bs, e_bs.conj())
-    return TransmitDesign(q, hermitize(q_bs), MODE_SWIPT)
-
-
-def swipt_rate(design, hhat, noise):
-    """Information rate after energy-signal cancellation; independent of Q_bs."""
-    if design.mode != MODE_SWIPT:
-        raise InvalidInputError("swipt_rate requires a joint-transfer design")
-    k = hhat.matrix.shape[0]
-    noise_only = rates.self_noise(noise, k)
-    inner = np.linalg.solve(
-        noise_only, hhat.matrix @ design.Q @ hhat.matrix.conj().T)
-    return max(float(rates._logdet2(np.eye(k) + inner)), 0.0)
+    return TransmitDesign(q, hermitize(q_bs))
 
 
 def _dominant_mode(h):

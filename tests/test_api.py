@@ -1,0 +1,36 @@
+"""The public names and the names the benchmark tracer binds all resolve."""
+
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+import swiptmimo
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize("name", swiptmimo.__all__)
+def test_exported_name_resolves(name):
+    assert hasattr(swiptmimo, name)
+
+
+@pytest.mark.parametrize("module, function", tracer.TIMED + tracer.COUNTED)
+def test_traced_function_resolves(module, function):
+    assert callable(getattr(importlib.import_module(f"swiptmimo.{module}"), function))
+
+
+@pytest.mark.parametrize("module", tracer.MODULE_LAYERS)
+def test_traced_module_resolves(module):
+    importlib.import_module(f"swiptmimo.{module}")

@@ -84,6 +84,28 @@ class TestParseConfig:
             cli.parse_config(write(tmp_path, line + "\n"))
         assert f"field '{field}'" in str(err.value)
 
+    @pytest.mark.parametrize("line, field", [
+        ("psi = []", "psi"),
+        ("ratio_grid = [ ]", "ratio_grid"),
+        ("scenarios = []", "scenarios"),
+        ("sigma_p2p = []", "sigma_p2p"),
+        ("scenarios = [swipt, average, swipt]", "scenarios"),
+        ("psi = [0.3, 0.6, 0.30]", "psi"),
+        ("ratio_grid = [0, 1, 0.0]", "ratio_grid"),
+    ])
+    def test_empty_or_repeating_list_rejected_with_line(self, tmp_path, line, field):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(write(tmp_path, "trials = 5\n" + line + "\n"))
+        assert f"field '{field}'" in str(err.value)
+        assert "line 2" in str(err.value)
+
+    def test_repeated_profile_values_allowed(self, tmp_path):
+        cfg = cli.parse_config(write(tmp_path, "sigma_bs = [0.5, 0.5, 0.5]\n"))
+        assert cfg.sigma_bs == (0.5, 0.5, 0.5)
+
+    def test_single_split_value(self, tmp_path):
+        assert cli.parse_config(write(tmp_path, "psi = 0.6\n")).psis == (0.6,)
+
 
 class TestRunSweep:
     def small_config(self, **overrides):
@@ -254,6 +276,12 @@ class TestMainEntry:
                                    f"scenarios = [{scenarios}]\n")
         assert cli.main(["--config", cfg_path] + flags) == cli.EXIT_CONFIG
         assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_empty_split_list_exit_code(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, "psi = []\n")
+        assert cli.main(["--config", cfg_path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'psi'" in err and "line 1" in err
 
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "p = nan\nscenarios = [worst-case]\n")

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from swiptmimo.errors import InvalidInputError, PreconditionError
+from swiptmimo.errors import InvalidInputError
 from swiptmimo.harvesting import (RfCovariance, build_rf_covariance,
-                                  dominant_interference_energy,
-                                  optimal_steering, weak_majorization)
+                                  optimal_steering)
 from swiptmimo.rates import NoiseProfile, waterfill
 from swiptmimo.scenario import (PowerSplit, equivalent_channels,
                                 reference_scenario, synthesize_channel)
@@ -25,7 +24,7 @@ def baseline_parts(psi, seed=0):
 class TestBuildRfCovariance:
     def test_full_id_split_gives_zero(self):
         cfg, h, h_bs, _, hhat, alloc = baseline_parts(0.3)
-        split = PowerSplit.uniform(1.0, 3)
+        split = PowerSplit(np.full(3, 1.0))
         cov = build_rf_covariance(h, hhat.right[:, :3], alloc.p, h_bs,
                                   np.zeros((5, 1)), np.zeros(1), split, 1.0)
         assert np.allclose(cov.total, 0.0)
@@ -65,7 +64,7 @@ class TestBuildRfCovariance:
             assert top >= np.linalg.eigvalsh(part)[-1] - 1e-10
 
     def test_dimension_mismatch(self):
-        split = PowerSplit.uniform(0.3, 3)
+        split = PowerSplit(np.full(3, 0.3))
         with pytest.raises(InvalidInputError):
             build_rf_covariance(np.zeros((2, 3)), np.zeros((3, 1)), np.ones(1),
                                 np.zeros((2, 5)), np.zeros((5, 1)), np.ones(1),
@@ -121,7 +120,7 @@ class TestOptimalSteering:
         cfg, h, h_bs, _, hhat, alloc = baseline_parts(0.3)
         values = {}
         for psi in (0.3, 0.6):
-            split = PowerSplit.uniform(psi, 3)
+            split = PowerSplit(np.full(3, psi))
             cov = build_rf_covariance(h, hhat.right[:, :3], alloc.p, h_bs,
                                       np.zeros((5, 1)), np.zeros(1), split, 1.0)
             values[psi] = optimal_steering(cov).linear
@@ -140,49 +139,3 @@ class TestOptimalSteering:
         assert res.linear == 0.0
         assert np.isneginf(res.dB)
         assert np.linalg.norm(res.q) == pytest.approx(1.0)
-
-
-class TestDominantInterferenceEnergy:
-    def test_interference_only(self):
-        c_bs = np.diag([4.0, 1.0, 0.5]).astype(complex)
-        w = 0.7 * np.eye(3)
-        cov = RfCovariance(np.zeros((3, 3)), c_bs, w)
-        res = dominant_interference_energy(cov)
-        assert res.linear == pytest.approx(4.0 + 0.7, abs=1e-12)
-
-    def test_matches_exact_maximizer_when_aligned(self):
-        # interference dominates along a shared eigenbasis
-        rng = np.random.default_rng(14)
-        from swiptmimo.linalg import haar_unitary
-        u = haar_unitary(3, rng)
-        c = u @ np.diag([0.4, 0.1, 0.0]) @ u.conj().T
-        c_bs = u @ np.diag([10.0, 0.2, 0.0]) @ u.conj().T
-        cov = RfCovariance(c, c_bs, 0.5 * np.eye(3))
-        special = dominant_interference_energy(cov)
-        exact = optimal_steering(cov)
-        assert special.linear == pytest.approx(exact.linear, abs=1e-6)
-
-    def test_dominance_guard(self):
-        cov = RfCovariance(np.diag([5.0, 1.0, 0.0]).astype(complex),
-                           np.diag([1.0, 0.5, 0.0]).astype(complex),
-                           0.1 * np.eye(3))
-        with pytest.raises(PreconditionError):
-            dominant_interference_energy(cov)
-
-
-class TestWeakMajorization:
-    def test_prefix_dominance(self):
-        assert weak_majorization([3.0, 1.0], [2.0, 1.5])
-
-    def test_reflexive(self):
-        assert weak_majorization([2.0, 1.0, 0.5], [2.0, 1.0, 0.5])
-
-    def test_first_prefix_fails(self):
-        assert not weak_majorization([1.0, 1.0], [2.0, 0.0])
-
-    def test_zero_padding(self):
-        assert weak_majorization([3.0, 1.0, 0.5], [2.0, 1.0])
-
-    def test_requires_descending(self):
-        with pytest.raises(InvalidInputError):
-            weak_majorization([1.0, 2.0], [1.0, 0.5])

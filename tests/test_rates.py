@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from swiptmimo.errors import InvalidInputError
+from swiptmimo.linalg import haar_unitary, pad_diag
 from swiptmimo.montecarlo import random_bs_covariance
-from swiptmimo.rates import (NoiseProfile, PowerAllocation, local_csi_rate,
-                             optimal_q_global, tin_rate_global, waterfill,
-                             worst_case_rate)
+from swiptmimo.rates import (NoiseProfile, PowerAllocation, optimal_q_global,
+                             tin_rate_global, waterfill, worst_case_rate)
 from swiptmimo.scenario import (EquivalentChannel, PowerSplit,
                                 equivalent_channels, reference_scenario,
-                                synthesize_channel, worst_case_align)
+                                synthesize_channel)
 
 # inverse gains beta/lambda2 of the psi=0.3 baseline
 BASE_INV_GAINS = 1.3 / np.array([0.243, 0.192, 0.147])
@@ -112,7 +112,7 @@ class TestTinRateGlobal:
         rng = np.random.default_rng(10)
         self.h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         self.h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        self.split = PowerSplit.uniform(0.3, 3)
+        self.split = PowerSplit(np.full(3, 0.3))
         self.hhat, self.hhat_bs = equivalent_channels(self.h, self.h_bs, self.split)
         self.noise = uniform_noise(0.3)
         self.q_bs = random_bs_covariance(5, 5.0, rng)
@@ -141,8 +141,15 @@ class TestTinRateGlobal:
             assert worse <= base + 1e-12
 
     def test_matches_worst_case_rate_on_aligned_channels(self):
+        # both channels share one left singular basis, so they diagonalize jointly
         cfg = reference_scenario(0.3)
-        hhat, hhat_bs = worst_case_align(cfg, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        left, right, right_bs = (haar_unitary(d, rng) for d in (cfg.K, cfg.M, cfg.N))
+        hhat, hhat_bs = (
+            EquivalentChannel(left @ pad_diag(sigma, cfg.K, r.shape[0]) @ r.conj().T,
+                              left, sigma, r)
+            for sigma, r in ((np.sqrt(0.3) * np.asarray(cfg.sigma_p2p), right),
+                             (np.sqrt(0.3) * np.asarray(cfg.sigma_bs), right_bs)))
         p = np.array([3.0, 1.5, 0.5])
         p_bs = np.array([2.0, 2.0, 1.0])
         q = (hhat.right[:, :3] * p) @ hhat.right[:, :3].conj().T
@@ -178,7 +185,7 @@ class TestOptimalQGlobal:
         rng = np.random.default_rng(14)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        split = PowerSplit.uniform(0.3, 3)
+        split = PowerSplit(np.full(3, 0.3))
         hhat, hhat_bs = equivalent_channels(h, h_bs, split)
         noise = uniform_noise(0.3)
         q_bs = random_bs_covariance(5, 10.0, rng)
@@ -216,53 +223,3 @@ class TestWorstCaseRate:
         rate = worst_case_rate(lam2, 0.3 * np.array([0.64, 0.49, 0.25]),
                                alloc, np.zeros(3), uniform_noise(0.3))
         assert abs(rate - 1.016649) > 1e-3
-
-
-class TestLocalCsiRate:
-    def test_interference_free_equals_waterfilling_rate(self):
-        cfg = reference_scenario(0.3)
-        rng = np.random.default_rng(15)
-        h = synthesize_channel(cfg.sigma_p2p, 3, 3, rng)
-        h_bs = synthesize_channel(cfg.sigma_bs, 3, 5, rng)
-        split = PowerSplit.uniform(0.3, 3)
-        hhat, hhat_bs = equivalent_channels(h, h_bs, split)
-        noise = uniform_noise(0.3)
-        alloc, _ = waterfill(noise.beta / hhat.lambda2, 5.0)
-        rate = local_csi_rate(hhat, hhat_bs, alloc, np.zeros((5, 5)), noise)
-        expected = np.sum(np.log2(1 + hhat.lambda2 * alloc.p / noise.beta))
-        assert rate == pytest.approx(expected, abs=1e-9)
-
-    def test_zero_allocation_gives_zero(self):
-        cfg = reference_scenario(0.3)
-        rng = np.random.default_rng(16)
-        hhat, hhat_bs = worst_case_align(cfg, rng)
-        rate = local_csi_rate(hhat, hhat_bs, np.zeros(3), np.zeros((5, 5)),
-                              uniform_noise(0.3))
-        assert rate == 0.0
-
-    def test_matches_worst_case_rate_on_aligned_channels(self):
-        cfg = reference_scenario(0.3)
-        rng = np.random.default_rng(17)
-        hhat, hhat_bs = worst_case_align(cfg, rng)
-        noise = uniform_noise(0.3)
-        p = np.array([2.5, 1.5, 1.0])
-        p_bs = np.array([4.0, 1.0, 0.0])
-        q_bs = (hhat_bs.right[:, :3] * p_bs) @ hhat_bs.right[:, :3].conj().T
-        expected = worst_case_rate(hhat.lambda2, hhat_bs.lambda2, p, p_bs, noise)
-        got = local_csi_rate(hhat, hhat_bs, p, q_bs, noise)
-        assert got == pytest.approx(expected, abs=1e-9)
-
-    def test_matches_global_rate_with_svd_covariance(self):
-        # the SVD transceiver is the global-CSI rate att Q = R diag(p) R^H
-        rng = np.random.default_rng(18)
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        split = PowerSplit.uniform(0.4, 3)
-        hhat, hhat_bs = equivalent_channels(h, h_bs, split)
-        noise = uniform_noise(0.4)
-        q_bs = random_bs_covariance(5, 8.0, rng)
-        p = np.array([2.0, 2.0, 1.0])
-        q = (hhat.right[:, :3] * p) @ hhat.right[:, :3].conj().T
-        local = local_csi_rate(hhat, hhat_bs, p, q_bs, noise)
-        global_rate = tin_rate_global(hhat, hhat_bs, q, q_bs, noise)
-        assert local == pytest.approx(global_rate, abs=1e-9)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from swiptmimo import linalg
-from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
+from swiptmimo.errors import InvalidInputError
 from swiptmimo.scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
                                 equivalent_channels, reference_scenario,
-                                synthesize_channel, worst_case_align)
+                                synthesize_channel)
 
 
 class TestScenarioConfig:
@@ -39,17 +39,18 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError):
             ScenarioConfig(psi=(0.3, np.nan, 0.3))
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("trials", 0), ("trials", 2.5)])
+    def test_seed_and_trials_must_be_counts(self, field, value):
+        with pytest.raises(InvalidInputError):
+            ScenarioConfig(**{field: value})
+
 
 class TestPowerSplit:
     @pytest.mark.parametrize("psi", [0.0, 0.1, 0.3, 0.5, 0.77, 1.0])
     def test_squared_splits_sum_to_one_exactly(self, psi):
-        split = PowerSplit.uniform(psi, 3)
-        assert np.all(split.psi2 + split.theta2 == 1.0)
-
-    def test_matrices(self):
-        split = PowerSplit(np.array([0.25, 1.0]))
-        assert np.allclose(split.Psi, np.diag([0.5, 1.0]))
-        assert np.allclose(split.Theta, np.diag([np.sqrt(0.75), 0.0]))
+        split = PowerSplit(np.full(3, psi))
+        assert np.all(split.psi + split.theta2 == 1.0)
 
 
 class TestSynthesizeChannel:
@@ -85,7 +86,7 @@ class TestEquivalentChannels:
         rng = np.random.default_rng(2)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        hhat, hhat_bs = equivalent_channels(h, h_bs, PowerSplit.uniform(1.0, 3))
+        hhat, hhat_bs = equivalent_channels(h, h_bs, PowerSplit(np.full(3, 1.0)))
         assert np.allclose(hhat.matrix, h)
         assert np.allclose(hhat_bs.matrix, h_bs)
 
@@ -93,7 +94,7 @@ class TestEquivalentChannels:
         rng = np.random.default_rng(3)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        hhat, _ = equivalent_channels(h, h_bs, PowerSplit.uniform(0.0, 3))
+        hhat, _ = equivalent_channels(h, h_bs, PowerSplit(np.full(3, 0.0)))
         assert np.allclose(hhat.matrix, 0.0)
         assert np.allclose(hhat.sigma, 0.0)
 
@@ -102,7 +103,7 @@ class TestEquivalentChannels:
         rng = np.random.default_rng(4)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        hhat, _ = equivalent_channels(h, h_bs, PowerSplit.uniform(0.3, 3))
+        hhat, _ = equivalent_channels(h, h_bs, PowerSplit(np.full(3, 0.3)))
         assert np.allclose(hhat.lambda2, [0.243, 0.192, 0.147], atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -110,7 +111,7 @@ class TestEquivalentChannels:
         rng = np.random.default_rng(seed)
         h = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
         psi = float(rng.uniform(0.05, 1.0))
-        hhat, _ = equivalent_channels(h, np.zeros((3, 5)), PowerSplit.uniform(psi, 3))
+        hhat, _ = equivalent_channels(h, np.zeros((3, 5)), PowerSplit(np.full(3, psi)))
         _, sigma, _ = linalg.svd(h)
         assert np.allclose(hhat.sigma, np.sqrt(psi) * sigma, atol=1e-10)
 
@@ -120,36 +121,3 @@ class TestEquivalentChannels:
         hhat = EquivalentChannel.from_matrix(h)
         recon = hhat.left @ linalg.pad_diag(hhat.sigma, 3, 3) @ hhat.right.conj().T
         assert np.linalg.norm(recon - h) <= 1e-10 * np.linalg.norm(h)
-
-
-class TestWorstCaseAlign:
-    def test_scaled_profiles(self):
-        cfg = reference_scenario(0.3)
-        hhat, hhat_bs = worst_case_align(cfg, np.random.default_rng(0))
-        assert np.allclose(hhat.lambda2, [0.243, 0.192, 0.147], atol=1e-12)
-        assert np.allclose(hhat_bs.lambda2, [0.192, 0.147, 0.075], atol=1e-12)
-
-    def test_left_factors_shared(self):
-        cfg = reference_scenario(0.5)
-        hhat, hhat_bs = worst_case_align(cfg, np.random.default_rng(1))
-        assert hhat.left is hhat_bs.left
-
-    def test_zero_interference_profile(self):
-        cfg = ScenarioConfig(psi=(1.0,) * 3, sigma_bs=(0.0, 0.0, 0.0))
-        hhat, hhat_bs = worst_case_align(cfg, np.random.default_rng(2))
-        assert np.allclose(hhat_bs.matrix, 0.0)
-        assert np.allclose(hhat.lambda2, np.asarray(cfg.sigma_p2p) ** 2)
-
-    def test_nonuniform_split_rejected(self):
-        cfg = ScenarioConfig(psi=(0.2, 0.3, 0.4))
-        with pytest.raises(UnsupportedConfigError):
-            worst_case_align(cfg, np.random.default_rng(3))
-
-    def test_reconstruction_contract(self):
-        cfg = reference_scenario(0.3)
-        hhat, hhat_bs = worst_case_align(cfg, np.random.default_rng(4))
-        for ch in (hhat, hhat_bs):
-            rows, cols = ch.matrix.shape
-            recon = ch.left @ linalg.pad_diag(ch.sigma, rows, cols) @ ch.right.conj().T
-            assert np.linalg.norm(recon - ch.matrix) <= 1e-10 * max(
-                np.linalg.norm(ch.matrix), 1e-30)
