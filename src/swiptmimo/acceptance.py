@@ -60,39 +60,58 @@ def _wc_rate(psi, ratio):
     return _wc_solutions([(psi, ratio)])[0]
 
 
-def _ensemble(trials, seed):
-    """The baseline trial ensemble; it does not depend on psi or the budget."""
-    return montecarlo.ensemble_for(reference_scenario(trials=trials, seed=seed))
+@dataclass(frozen=True)
+class SharedInputs:
+    """What criteria 1, 2 and 6-8 read, built once by `run_all`."""
+
+    samples: dict    # (psi, metric) -> per-trial samples over RATIO_GRID (`sample_table`)
+    solutions: dict  # (psi, ratio) -> saddle solution (`saddle_table`)
 
 
-def _mc_samples(ens, psi, metrics, ratios, trials, seed):
-    """Per-trial samples of each metric at each ratio, from one grid call."""
-    cfg = reference_scenario(psi, trials=trials, seed=seed)
-    return montecarlo.metric_samples_grid(cfg, metrics, [r * cfg.P for r in ratios], ens)
+def sample_table(trials, seed):
+    """Per-trial samples of every metric criteria 6-8 read, over RATIO_GRID: one
+    grid call per psi on one ensemble, so rows of different metrics are paired."""
+    ens = montecarlo.ensemble_for(reference_scenario(trials=trials, seed=seed))
+    table = {}
+    for psi in RATE_PSIS:
+        metrics = ("rate-struct1", "rate-struct2") + (
+            ("energy-struct1", "energy-swipt") if psi in ENERGY_PSIS else ())
+        cfg = reference_scenario(psi, trials=trials, seed=seed)
+        budgets = [ratio * cfg.P for ratio in RATIO_GRID]
+        grid = montecarlo.metric_samples_grid(cfg, metrics, budgets, ens)
+        table.update(((psi, metric), rows) for metric, rows in zip(metrics, grid))
+    return table
 
 
-def criterion_1(trials=2000, seed=42):
+def saddle_table():
+    """Saddle solutions of every (psi, ratio) in RATE_PSIS x RATIO_GRID, one batch."""
+    points = [(psi, ratio) for psi in RATE_PSIS for ratio in RATIO_GRID]
+    return dict(zip(points, _wc_solutions(points)))
+
+
+def criterion_1(trials=2000, seed=42, shared=None):
     """Deterministic worst-case rate endpoints at zero interferer power."""
     tol = 1e-3
     lines, ok = [], True
-    sols = _wc_solutions([(psi, 0) for psi in WC_ENDPOINTS])
-    for (psi, expected), sol in zip(WC_ENDPOINTS.items(), sols):
-        got = sol.rate
+    sols = shared.solutions if shared else saddle_table()
+    for psi, expected in WC_ENDPOINTS.items():
+        got = sols[psi, 0].rate
         good = abs(got - expected) <= tol
         ok &= good
         lines.append(f"psi={psi}: {got:.6f} vs {expected:.6f} (tol {tol})")
     return CheckResult(1, "worst-case rate endpoints", ok, "; ".join(lines))
 
 
-def criterion_2(trials=2000, seed=42):
+def criterion_2(trials=2000, seed=42, shared=None):
     """Saddle curve anchors plus the unilateral-deviation certificate."""
     tol = 5e-3
     lines, values_ok = [], True
     cert_ok = True
     rng = np.random.default_rng(seed)
     cfg, lam2, lam2_bs, noise = _spectra(0.3)
-    sols = _wc_solutions([(0.3, ratio) for ratio in WC_CURVE_03])
-    for (ratio, expected), sol in zip(WC_CURVE_03.items(), sols):
+    sols = shared.solutions if shared else saddle_table()
+    for ratio, expected in WC_CURVE_03.items():
+        sol = sols[0.3, ratio]
         good = abs(sol.rate - expected) <= tol
         values_ok &= good
         lines.append(f"ratio={ratio}: {sol.rate:.6f} vs {expected:.6f}")
@@ -182,13 +201,12 @@ def criterion_5(trials=2000, seed=42):
     return CheckResult(5, "structure-1 classical energy endpoints", ok, "; ".join(lines))
 
 
-def criterion_6(trials=2000, seed=42, ens=None):
+def criterion_6(trials=2000, seed=42, shared=None):
     """Monte-Carlo average-rate anchors for psi = 0.3."""
     lines, ok = [], True
-    (samples,) = _mc_samples(ens or _ensemble(trials, seed), 0.3, ("rate-struct1",),
-                             AVG_CURVE_03, trials, seed)
-    for (ratio, expected), row in zip(AVG_CURVE_03.items(), samples):
-        res = montecarlo.McResult.from_samples(row)
+    samples = (shared.samples if shared else sample_table(trials, seed))[0.3, "rate-struct1"]
+    for ratio, expected in AVG_CURVE_03.items():
+        res = montecarlo.McResult.from_samples(samples[RATIO_GRID.index(ratio)])
         band = max(3 * res.stderr, 0.03)
         good = abs(res.mean - expected) <= band
         ok &= good
@@ -197,11 +215,10 @@ def criterion_6(trials=2000, seed=42, ens=None):
     return CheckResult(6, "average rate curve anchors", ok, "; ".join(lines))
 
 
-def criterion_7(trials=2000, seed=42, ens=None):
+def criterion_7(trials=2000, seed=42, shared=None):
     """Joint-transfer harvested-energy anchors and grid monotonicity."""
     lines, ok = [], True
-    (samples,) = _mc_samples(ens or _ensemble(trials, seed), 0.3, ("energy-swipt",),
-                             RATIO_GRID, trials, seed)
+    samples = (shared.samples if shared else sample_table(trials, seed))[0.3, "energy-swipt"]
     curve = [montecarlo.McResult.from_samples(row) for row in samples]
     for ratio, expected in SWIPT_CURVE_03.items():
         got, got_stderr = curve[RATIO_GRID.index(ratio)].db()
@@ -223,23 +240,21 @@ def _dominates(high, low):
     return not diff.mean < -max(3 * diff.stderr, 1e-9)
 
 
-def criterion_8(trials=2000, seed=42, ens=None):
+def criterion_8(trials=2000, seed=42, shared=None):
     """Ordering properties across the full sweep, paired per trial on one ensemble."""
-    ens = ens or _ensemble(trials, seed)
-    average, dominance = [], True
-    for psi in RATE_PSIS:
-        s1, s2 = _mc_samples(ens, psi, ("rate-struct1", "rate-struct2"), RATIO_GRID,
-                             trials, seed)
-        average += [montecarlo.McResult.from_samples(row) for row in s1]
-        dominance &= all(_dominates(r1, r2) for r1, r2 in zip(s1, s2))
-    points = [(psi, ratio) for psi in RATE_PSIS for ratio in RATIO_GRID]
-    worst = all(sol.rate <= avg.mean + max(3 * avg.stderr, 1e-9)
-                for avg, sol in zip(average, _wc_solutions(points)))
-    ratios = [ratio for ratio in RATIO_GRID if ratio >= 1]
+    samples = shared.samples if shared else sample_table(trials, seed)
+    sols = shared.solutions if shared else saddle_table()
+    worst = all(sols[psi, ratio].rate <= avg.mean + max(3 * avg.stderr, 1e-9)
+                for psi in RATE_PSIS for ratio, avg in zip(
+                    RATIO_GRID, map(montecarlo.McResult.from_samples,
+                                    samples[psi, "rate-struct1"])))
+    dominance = all(_dominates(r1, r2) for psi in RATE_PSIS for r1, r2 in
+                    zip(samples[psi, "rate-struct1"], samples[psi, "rate-struct2"]))
+    start = RATIO_GRID.index(1)  # the harvest check starts at ratio 1
     harvest = all(
         _dominates(sw, cl) for psi in ENERGY_PSIS
-        for sw, cl in zip(*_mc_samples(ens, psi, ("energy-swipt", "energy-struct1"),
-                                       ratios, trials, seed)))
+        for sw, cl in zip(samples[psi, "energy-swipt"][start:],
+                          samples[psi, "energy-struct1"][start:]))
     lines = [f"worst-case <= average: {worst}",
              f"structure-2 <= structure-1 rate: {dominance}",
              f"joint-transfer >= classical energy (ratio >= 1): {harvest}"]
@@ -397,9 +412,10 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(trials=2000, seed=42):
-    """Every criterion in order; criteria 6-8 share one ensemble draw."""
-    results = [check(trials=trials, seed=seed) for check in ALL_CRITERIA[:5]]
-    ens = _ensemble(trials, seed)
-    results += [check(trials=trials, seed=seed, ens=ens) for check in ALL_CRITERIA[5:8]]
-    del ens
-    return results + [check(trials=trials, seed=seed) for check in ALL_CRITERIA[8:]]
+    """Every criterion in order. The Monte-Carlo sample table (criteria 6-8) and
+    the saddle batch (criteria 1, 2 and 8) are built once, here, and passed on."""
+    shared = SharedInputs(sample_table(trials, seed), saddle_table())
+    results = [check(trials, seed, shared) if i in (1, 2, 6, 7, 8) else check(trials, seed)
+               for i, check in enumerate(ALL_CRITERIA[:8], start=1)]
+    del shared  # before criterion 9's search grids (peak memory)
+    return results + [check(trials, seed) for check in ALL_CRITERIA[8:]]

@@ -125,7 +125,7 @@ def parse_config(path=None, text=None):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-    overrides = {}
+    overrides, lines = {}, {}  # lines: key -> the line that set it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -136,12 +136,20 @@ def parse_config(path=None, text=None):
         key = key.strip().lower()
         if key not in FIELDS:
             raise ConfigError(f"unknown key '{key}'", field=key, line=lineno)
+        if key in lines:
+            raise ConfigError(f"key already set on line {lines[key]}", field=key, line=lineno)
         name, value = _read_field(key, raw, lineno)
-        overrides[name] = value
+        overrides[name], lines[key] = value, lineno
+    cfg = SweepConfig(**overrides)
+    for profile, dim in (("sigma_p2p", "m"), ("sigma_bs", "n")):
+        expected, actual = min(cfg.k, getattr(cfg, dim)), len(getattr(cfg, profile))
+        if actual != expected:  # blame the latest of the keys the length depends on
+            line = max(lines.get(key, 0) for key in ("k", dim, profile))
+            raise ConfigError(f"{profile} has length {actual}, expected min(k, {dim}) = "
+                              f"{expected}", field=profile, line=line)
     try:
-        cfg = SweepConfig(**overrides)
-        cfg.scenario_for(cfg.psis[0])  # surface dimension/profile mismatches now
-    except (ConfigError, ValueError) as exc:
+        cfg.scenario_for(cfg.psis[0])  # surface the remaining dimension/profile checks now
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 

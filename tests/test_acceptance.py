@@ -9,7 +9,7 @@ the repository notes) — the certificate half of that criterion passes.
 import numpy as np
 import pytest
 
-from swiptmimo import acceptance, montecarlo
+from swiptmimo import acceptance, montecarlo, saddle
 from swiptmimo.rates import waterfill
 
 TRIALS = 2000
@@ -22,13 +22,20 @@ def report(result):
     return result
 
 
-def test_criterion_1_worst_case_endpoints():
-    res = report(acceptance.criterion_1(TRIALS, SEED))
+@pytest.fixture(scope="module")
+def shared():
+    """The sample table and saddle batch `run_all` builds, built once for this module."""
+    return acceptance.SharedInputs(acceptance.sample_table(TRIALS, SEED),
+                                   acceptance.saddle_table())
+
+
+def test_criterion_1_worst_case_endpoints(shared):
+    res = report(acceptance.criterion_1(TRIALS, SEED, shared))
     assert res.passed, res.detail
 
 
-def test_criterion_2_saddle_curve_anchors():
-    res = report(acceptance.criterion_2(TRIALS, SEED))
+def test_criterion_2_saddle_curve_anchors(shared):
+    res = report(acceptance.criterion_2(TRIALS, SEED, shared))
     assert res.passed, res.detail
 
 
@@ -61,18 +68,18 @@ def test_criterion_5_structure1_energy_endpoints():
     assert res.passed, res.detail
 
 
-def test_criterion_6_average_rate_curve():
-    res = report(acceptance.criterion_6(TRIALS, SEED))
+def test_criterion_6_average_rate_curve(shared):
+    res = report(acceptance.criterion_6(TRIALS, SEED, shared))
     assert res.passed, res.detail
 
 
-def test_criterion_7_swipt_energy_curve():
-    res = report(acceptance.criterion_7(TRIALS, SEED))
+def test_criterion_7_swipt_energy_curve(shared):
+    res = report(acceptance.criterion_7(TRIALS, SEED, shared))
     assert res.passed, res.detail
 
 
-def test_criterion_8_sweep_orderings():
-    res = report(acceptance.criterion_8(TRIALS, SEED))
+def test_criterion_8_sweep_orderings(shared):
+    res = report(acceptance.criterion_8(TRIALS, SEED, shared))
     assert res.passed, res.detail
 
 
@@ -90,11 +97,44 @@ def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
     assert draws == [60, 50, 50]
 
 
-@pytest.mark.parametrize("check", [acceptance.criterion_6, acceptance.criterion_7,
-                                   acceptance.criterion_8])
-def test_shared_ensemble_gives_the_same_report(check):
-    ens = acceptance._ensemble(100, SEED)
-    assert check(100, SEED, ens=ens) == check(100, SEED)
+@pytest.fixture(scope="module")
+def recorded_run():
+    """run_all(100, SEED), with the grid calls and saddle batches it makes."""
+    grids, grid = [], montecarlo.metric_samples_grid
+    batches, batch = [], saddle.solve_saddle_batch
+
+    def recording_grid(cfg, metrics, budgets, ens):
+        grids.append((cfg.psi[0], metrics, len(budgets)))
+        return grid(cfg, metrics, budgets, ens)
+
+    def recording_batch(lambda2, *args, **kwargs):
+        batches.append(len(lambda2))
+        return batch(lambda2, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance.montecarlo, "metric_samples_grid", recording_grid)
+        patch.setattr(acceptance.saddle, "solve_saddle_batch", recording_batch)
+        results = acceptance.run_all(100, SEED)
+    return results, grids, batches
+
+
+def test_run_all_matches_each_criterion_alone(recorded_run):
+    # the shared inputs change no result: a criterion called alone builds what it reads
+    results, _, _ = recorded_run
+    assert results == [check(100, SEED) for check in acceptance.ALL_CRITERIA]
+
+
+def test_run_all_builds_the_shared_inputs_once(recorded_run):
+    _, grids, batches = recorded_run
+    # criteria 6-8: one call per psi over the whole ratio grid; then criterion 10's
+    # two T = 50 sweeps, one call per structure family each
+    rates, energies = ("rate-struct1", "rate-struct2"), ("energy-struct1", "energy-swipt")
+    assert grids[:3] == [(0.3, rates + energies, 15), (0.6, rates + energies, 15),
+                         (0.9, rates, 15)]
+    assert len(grids) == 3 + 6
+    assert all(call[2] == 3 for call in grids[3:])
+    # criteria 1, 2 and 8: one 45-point batch; then criterion 10's worst-case rows
+    assert batches == [45, 3, 3]
 
 
 def test_criterion_9_oracle_equivalences():

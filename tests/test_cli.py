@@ -1,4 +1,5 @@
 import functools
+import io
 import pathlib
 
 import pytest
@@ -7,6 +8,7 @@ from swiptmimo import cli, montecarlo, saddle
 from swiptmimo.errors import ConfigError
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+VERIFY_REFERENCE = pathlib.Path(__file__).resolve().parent / "reference" / "verify-seed42.txt"
 
 
 def write(tmp_path, text, name="sweep.cfg"):
@@ -64,6 +66,26 @@ class TestParseConfig:
     def test_inconsistent_profile_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             cli.parse_config(write(tmp_path, "sigma_p2p = [0.9, 0.8]\n"))
+
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(write(tmp_path, "trials = 5\n# again\ntrials = 7\n"))
+        assert str(err.value) == "key already set on line 1 (field 'trials', line 3)"
+
+    @pytest.mark.parametrize("text, message", [
+        ("k = 2", "sigma_p2p has length 3, expected min(k, m) = 2 (field 'sigma_p2p', line 1)"),
+        ("n = 2", "sigma_bs has length 3, expected min(k, n) = 2 (field 'sigma_bs', line 1)"),
+        # the latest line among k, the dimension and the profile is blamed
+        ("k = 3\nsigma_p2p = [0.9, 0.8]",
+         "sigma_p2p has length 2, expected min(k, m) = 3 (field 'sigma_p2p', line 2)"),
+        ("m = 2\nk = 2\nsigma_p2p = [0.9, 0.8]\ntrials = 9",
+         "sigma_bs has length 3, expected min(k, n) = 2 (field 'sigma_bs', line 2)"),
+    ])
+    def test_profile_length_error_names_profile_line_and_lengths(self, tmp_path, text,
+                                                                 message):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(write(tmp_path, text + "\n"))
+        assert str(err.value) == message
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -283,6 +305,17 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "field 'psi'" in err and "line 1" in err
 
+    @pytest.mark.parametrize("text, field, lines", [
+        ("trials = 5\ntrials = 7\n", "trials", ("line 1", "line 2")),
+        ("psi = 0.3\nk = 2\n", "sigma_p2p", ("line 2",)),
+    ])
+    def test_repeated_key_or_profile_length_exit_code(self, tmp_path, capsys, text, field,
+                                                      lines):
+        assert cli.main(["--config", write(tmp_path, text)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"field '{field}'" in err
+        assert all(line in err for line in lines)
+
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "p = nan\nscenarios = [worst-case]\n")
         assert cli.main(["--config", cfg_path]) == cli.EXIT_CONFIG
@@ -320,3 +353,10 @@ def test_mc_scale_matches_reference_csv():
         "psi = [0.3, 0.6]", "ratio_grid = [1, 7, 14]", "trials = 20000", "seed = 42"]))
     expected = (REFERENCE / "mc-scale-seed42.csv").read_text(encoding="utf-8")
     assert cli.run_sweep(cfg) == expected
+
+
+def test_verify_report_matches_reference():
+    # the full --verify report at T = 2000, seed 42, pinned byte for byte
+    out = io.StringIO()
+    cli.verify_anchors(2000, 42, out=out)
+    assert out.getvalue() == VERIFY_REFERENCE.read_text(encoding="utf-8")
