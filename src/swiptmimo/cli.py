@@ -147,6 +147,9 @@ def parse_config(path=None, text=None):
             line = max(lines.get(key, 0) for key in ("k", dim, profile))
             raise ConfigError(f"{profile} has length {actual}, expected min(k, {dim}) = "
                               f"{expected}", field=profile, line=line)
+    if cfg.k > min(cfg.m, cfg.n):
+        raise ConfigError(f"k = {cfg.k} must not exceed min(m, n) = {min(cfg.m, cfg.n)}",
+                          field="k", line=max(lines.get(key, 0) for key in ("k", "m", "n")))
     try:
         cfg.scenario_for(cfg.psis[0])  # surface the remaining dimension/profile checks now
     except ValueError as exc:

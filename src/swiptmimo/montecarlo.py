@@ -2,13 +2,16 @@
 
 Each trial t owns a generator seeded from the pair (seed, t), so trials are
 independent and order-free; identical (seed, trials) always reproduce
-bit-identical results regardless of how the work is scheduled; the linear
-algebra runs batched over the stacked trial arrays. Nothing is cached: callers
-draw a config's ensemble once with `ensemble_for` (it does not depend on psi or
-the budgets) and pass it to `metric_samples_grid`, which evaluates metrics over
-a grid of BS budgets one receiver structure at a time: structure 1 shares each
-budget's solve, `eigh` and water-filling between its rate and energy, structure
-2 its combiner and interference terms, and joint transfer its beam and signal.
+bit-identical results regardless of how the work is scheduled. The draw and
+the linear algebra run batched over slices of TRIAL_CHUNK trials; every
+operation acts trial by trial, so the slicing changes no bit, and only the
+ensemble and the (metrics, budgets, trials) output grow with the trial count.
+Nothing is cached: callers draw a config's ensemble once with `ensemble_for`
+(it does not depend on psi or the budgets) and pass it to `metric_samples_grid`,
+which evaluates metrics over a grid of BS budgets one receiver structure at a
+time: structure 1 shares each budget's solve, `eigh` and water-filling between
+its rate and energy, structure 2 its combiner and interference terms, and joint
+transfer its beam and signal.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -28,7 +31,7 @@ METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
 # metrics sharing one receiver structure's work: split per antenna, combine then split, joint
 FAMILIES = (("rate-struct1", "energy-struct1"), ("rate-struct2", "energy-struct2"),
             ("energy-swipt",))
-DRAW_CHUNK = 512  # trials per ensemble fill buffer
+TRIAL_CHUNK = 512  # trials per slice of the draw and of the grid kernel
 
 
 @dataclass(frozen=True)
@@ -79,38 +82,39 @@ class TrialEnsemble:
 
 
 def ensemble_for(cfg):
-    """Draw all per-trial randomness of a config, then batch the factor construction.
+    """Draw all per-trial randomness of a config, TRIAL_CHUNK trials at a time.
 
-    Trial t fills a buffer row with 2(2k^2 + m^2 + 2n^2) standard normals from its
-    generator; each DRAW_CHUNK rows are copied, real block then imaginary block,
-    into the p2p left/right, BS left/right and user-beam Gaussians in that order:
-    the stream that synthesize_channel followed by random_bs_covariance reads
+    Trial t fills a row of one reused buffer with 2(2k^2 + m^2 + 2n^2) standard
+    normals from its generator, read as real block then imaginary block of the
+    p2p left/right, BS left/right and user-beam Gaussians in that order: the
+    stream that synthesize_channel followed by random_bs_covariance reads
     through five complex_gaussian calls, so scalar replays of a trial agree exactly.
+    Each chunk's Haar factors, channels and beam directions are written into the
+    three stacked outputs, the only arrays that grow with the trial count.
     """
     trials, k, m, n = cfg.trials, cfg.K, cfg.M, cfg.N
-    zs = [np.empty((trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
-    parts = [part.reshape(trials, -1) for z in zs for part in (z.real, z.imag)]
-    stops = np.cumsum([part.shape[1] for part in parts]).tolist()
-    buf = np.empty((min(trials, DRAW_CHUNK), stops[-1]))
-    for t0 in range(0, trials, DRAW_CHUNK):
-        t1 = min(t0 + DRAW_CHUNK, trials)
-        for t in range(t0, t1):
-            trial_rng(cfg.seed, t).standard_normal(out=buf[t - t0])
-        for part, block in zip(parts, np.split(buf[:t1 - t0], stops[:-1], axis=1)):
-            part[t0:t1] = block
-    del buf, block  # the chunk buffer (peak memory)
-    for z in zs:
-        z /= np.sqrt(2.0)
-    z_left, z_right, z_bs_left, z_bs_right, z_users = zs
-
+    dims = (k, m, k, n, n)
+    stops = np.cumsum(np.repeat(np.square(dims), 2)).tolist()  # real, imaginary blocks
+    buf = np.empty((min(trials, TRIAL_CHUNK), stops[-1]))
     sig = pad_diag(np.asarray(cfg.sigma_p2p), k, m)
     sig_bs = pad_diag(np.asarray(cfg.sigma_bs), k, n)
-    h = haar_from_gaussian(z_left) @ sig @ _ch(haar_from_gaussian(z_right))
-    h_bs = haar_from_gaussian(z_bs_left) @ sig_bs @ _ch(haar_from_gaussian(z_bs_right))
-    user_dirs = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
-    for arr in (h, h_bs, user_dirs):
+    ens = TrialEnsemble(*(np.empty((trials, rows, cols), dtype=complex)
+                          for rows, cols in ((k, m), (k, n), (n, n))))
+    for t0 in range(0, trials, TRIAL_CHUNK):
+        t1 = min(t0 + TRIAL_CHUNK, trials)
+        for t in range(t0, t1):
+            trial_rng(cfg.seed, t).standard_normal(out=buf[t - t0])
+        blocks = np.split(buf[:t1 - t0], stops[:-1], axis=1)
+        z_left, z_right, z_bs_left, z_bs_right, z_users = (
+            (re + 1j * im).reshape(-1, d, d) / np.sqrt(2.0)
+            for re, im, d in zip(blocks[::2], blocks[1::2], dims))
+        ens.h[t0:t1] = haar_from_gaussian(z_left) @ sig @ _ch(haar_from_gaussian(z_right))
+        ens.h_bs[t0:t1] = \
+            haar_from_gaussian(z_bs_left) @ sig_bs @ _ch(haar_from_gaussian(z_bs_right))
+        ens.user_dirs[t0:t1] = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
+    for arr in (ens.h, ens.h_bs, ens.user_dirs):
         arr.flags.writeable = False
-    return TrialEnsemble(h, h_bs, user_dirs)
+    return ens
 
 
 def _ch(a):
@@ -168,10 +172,14 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens):
         raise UnsupportedConfigError("structure-2 metrics require a uniform split ratio")
 
     out = np.empty((len(names), len(budgets), t))
-    for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
-        rows = {metric: out[names.index(metric)] for metric in family if metric in names}
-        if rows:
-            run(cfg, ens, budgets, rows)
+    for t0 in range(0, t, TRIAL_CHUNK):
+        chunk = slice(t0, t0 + TRIAL_CHUNK)
+        part = TrialEnsemble(ens.h[chunk], ens.h_bs[chunk], ens.user_dirs[chunk])
+        for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
+            rows = {metric: out[names.index(metric), :, chunk]
+                    for metric in family if metric in names}
+            if rows:
+                run(cfg, part, budgets, rows)
     return out
 
 
@@ -182,7 +190,7 @@ def _structure1(cfg, ens, budgets, rows):
     hhat, hhat_bs = root_psi * ens.h, root_psi * ens.h_bs
     gram = ens.user_dirs @ _ch(ens.user_dirs)
 
-    def point(r, pb):  # its temporaries go when it returns (peak memory)
+    for r, pb in enumerate(budgets):
         q_bs = (pb / cfg.N) * gram
         t_mats = _ch(hhat) @ np.linalg.solve(hhat_bs @ q_bs @ _ch(hhat_bs) + noise, hhat)
         modes, g, powers = _waterfilled_modes(t_mats, cfg.P)
@@ -191,11 +199,7 @@ def _structure1(cfg, ens, budgets, rows):
                 np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
         if "energy-struct1" in rows:
             q = _covariance(g, powers)
-            del t_mats, modes, g  # only q and q_bs reach the steering step
             rows["energy-struct1"][r] = _harvested(cfg, ens, _delivered(cfg, ens.h, q), q_bs)
-
-    for r, pb in enumerate(budgets):
-        point(r, pb)
 
 
 def _structure2(cfg, ens, budgets, rows):
@@ -206,7 +210,6 @@ def _structure2(cfg, ens, budgets, rows):
     for r, pb in enumerate(budgets):
         rx = ens.h_bs @ ((pb / cfg.N) * gram) @ _ch(ens.h_bs)
         interference = np.real(np.einsum("ti,tij,tj->t", u1.conj(), rx, u1))
-        del rx
         if "rate-struct2" in rows:
             denom = psi * (interference + cfg.sigma2_w) + cfg.sigma2_n
             rows["rate-struct2"][r] = np.log2(1.0 + psi * lam1sq * cfg.P / denom)
@@ -225,7 +228,6 @@ def _swipt(cfg, ens, budgets, rows):
     noise_diag = psi * cfg.sigma2_w + cfg.sigma2_n
     _, g, powers = _waterfilled_modes(_ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
     c_sig = _delivered(cfg, ens.h, _covariance(g, powers))
-    del e_bs, hhat, g, powers  # keep only what the budget loop reads
     for r, pb in enumerate(budgets):
         rows["energy-swipt"][r] = _harvested(cfg, ens, c_sig, pb * beam)
 
@@ -233,9 +235,7 @@ def _swipt(cfg, ens, budgets, rows):
 def _delivered(cfg, h, q):
     """(Theta h) q (Theta h)^H, what covariance q delivers to the energy branches."""
     th = np.sqrt(1.0 - cfg.psi_vector)[:, None] * h
-    left, right = th @ q, _ch(th)
-    del th  # before the last product (peak memory)
-    return left @ right
+    return th @ q @ _ch(th)
 
 
 def _harvested(cfg, ens, c_sig, q_bs):

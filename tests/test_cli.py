@@ -8,7 +8,8 @@ from swiptmimo import cli, montecarlo, saddle
 from swiptmimo.errors import ConfigError
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
-VERIFY_REFERENCE = pathlib.Path(__file__).resolve().parent / "reference" / "verify-seed42.txt"
+VERIFY_REFERENCES = pathlib.Path(__file__).resolve().parent / "reference"
+SEEDS = (42, 7)  # the seeds the committed references pin
 
 
 def write(tmp_path, text, name="sweep.cfg"):
@@ -86,6 +87,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             cli.parse_config(write(tmp_path, text + "\n"))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("k = 4\nsigma_bs = [1, 1, 1, 1]",
+         "k = 4 must not exceed min(m, n) = 3 (field 'k', line 1)"),
+        # the latest line among k, m and n is blamed, not the profiles'
+        ("n = 2\nk = 3\nsigma_bs = [1, 1]",
+         "k = 3 must not exceed min(m, n) = 2 (field 'k', line 2)"),
+        ("k = 4\nm = 4\nsigma_p2p = [1, 1, 1, 1]\nn = 3\nsigma_bs = [1, 1, 1]\ntrials = 9",
+         "k = 4 must not exceed min(m, n) = 3 (field 'k', line 4)"),
+    ])
+    def test_too_many_streams_names_k_and_line(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(write(tmp_path, text + "\n"))
+        assert str(err.value) == message
+        assert err.value.field == "k"
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -188,16 +204,18 @@ class TestRunSweep:
         assert cli.run_sweep(other) != first
         assert cli.run_sweep(cfg) == first
 
-    def test_worst_case_grid_matches_reference_csv(self):
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_worst_case_grid_matches_reference_csv(self, seed):
         cfg = cli.SweepConfig(
             scenarios=("worst-case",), psis=tuple(i / 10 for i in range(1, 10)),
-            ratio_grid=tuple(float(r) for r in range(0, 15, 2)), seed=42)
-        expected = (REFERENCE / "worst-case-grid-seed42.csv").read_text(encoding="utf-8")
+            ratio_grid=tuple(float(r) for r in range(0, 15, 2)), seed=seed)
+        expected = (REFERENCE / f"worst-case-grid-seed{seed}.csv").read_text(encoding="utf-8")
         assert cli.run_sweep(cfg) == expected
 
-    def test_default_sweep_matches_reference_csv(self):
-        expected = (REFERENCE / "default-sweep-seed42.csv").read_text(encoding="utf-8")
-        assert cli.run_sweep(cli.SweepConfig()) == expected
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_default_sweep_matches_reference_csv(self, seed):
+        expected = (REFERENCE / f"default-sweep-seed{seed}.csv").read_text(encoding="utf-8")
+        assert cli.run_sweep(cli.SweepConfig(seed=seed)) == expected
 
     def test_one_grid_call_per_psi_and_family(self, monkeypatch):
         calls, kernel = [], montecarlo.metric_samples_grid
@@ -308,6 +326,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("text, field, lines", [
         ("trials = 5\ntrials = 7\n", "trials", ("line 1", "line 2")),
         ("psi = 0.3\nk = 2\n", "sigma_p2p", ("line 2",)),
+        ("k = 4\nsigma_bs = [1, 1, 1, 1]\n", "k", ("line 1",)),
     ])
     def test_repeated_key_or_profile_length_exit_code(self, tmp_path, capsys, text, field,
                                                       lines):
@@ -346,17 +365,20 @@ class TestMainEntry:
         assert "overall: FAIL" in out
 
 
-def test_mc_scale_matches_reference_csv():
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mc_scale_matches_reference_csv(seed):
     # the Monte-Carlo benchmark workload: every structure family at T = 20000
     cfg = cli.parse_config(text="\n".join([
         "scenarios = [average, structure2, swipt, energy-struct1, energy-struct2]",
-        "psi = [0.3, 0.6]", "ratio_grid = [1, 7, 14]", "trials = 20000", "seed = 42"]))
-    expected = (REFERENCE / "mc-scale-seed42.csv").read_text(encoding="utf-8")
+        "psi = [0.3, 0.6]", "ratio_grid = [1, 7, 14]", "trials = 20000", f"seed = {seed}"]))
+    expected = (REFERENCE / f"mc-scale-seed{seed}.csv").read_text(encoding="utf-8")
     assert cli.run_sweep(cfg) == expected
 
 
-def test_verify_report_matches_reference():
-    # the full --verify report at T = 2000, seed 42, pinned byte for byte
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_report_matches_reference(seed):
+    # the full --verify report at T = 2000, pinned byte for byte
     out = io.StringIO()
-    cli.verify_anchors(2000, 42, out=out)
-    assert out.getvalue() == VERIFY_REFERENCE.read_text(encoding="utf-8")
+    cli.verify_anchors(2000, seed, out=out)
+    expected = (VERIFY_REFERENCES / f"verify-seed{seed}.txt").read_text(encoding="utf-8")
+    assert out.getvalue() == expected

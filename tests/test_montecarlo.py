@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from swiptmimo import montecarlo
 from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
 from swiptmimo.harvesting import build_rf_covariance, optimal_steering, to_db
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
-from swiptmimo.montecarlo import (DRAW_CHUNK, FAMILIES, METRICS, McResult,
+from swiptmimo.montecarlo import (FAMILIES, METRICS, TRIAL_CHUNK, McResult,
                                   average_metric, ensemble_for, metric_samples,
                                   metric_samples_grid, random_bs_covariance)
 from swiptmimo.rates import NoiseProfile, optimal_q_global, self_noise
@@ -95,16 +96,19 @@ class TestBatchedAgainstScalarPath:
 
 
 class TestEnsembleDraw:
-    @pytest.mark.parametrize("cfg", [
-        reference_scenario(0.3, trials=6, seed=5),
-        ScenarioConfig(K=2, M=3, N=4, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
-                       psi=(0.4, 0.4), trials=3, seed=9),
-        reference_scenario(0.3, trials=1, seed=5),
-        reference_scenario(0.3, trials=DRAW_CHUNK + 1, seed=5),
-        ScenarioConfig(K=2, M=4, N=3, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
-                       psi=(0.4, 0.4), trials=DRAW_CHUNK + 1, seed=11),
-    ])
-    def test_matches_per_trial_complex_gaussian_replay(self, cfg):
+    @pytest.mark.parametrize("cfg, chunk", [
+        pytest.param(cfg, TRIAL_CHUNK, id=f"cfg{i}") for i, cfg in enumerate([
+            reference_scenario(0.3, trials=6, seed=5),
+            ScenarioConfig(K=2, M=3, N=4, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                           psi=(0.4, 0.4), trials=3, seed=9),
+            reference_scenario(0.3, trials=1, seed=5),
+            reference_scenario(0.3, trials=TRIAL_CHUNK + 1, seed=5),
+            ScenarioConfig(K=2, M=4, N=3, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                           psi=(0.4, 0.4), trials=TRIAL_CHUNK + 1, seed=11),
+        ])
+    ] + [pytest.param(reference_scenario(0.3, trials=9, seed=5), 4, id="T9-chunk4")])
+    def test_matches_per_trial_complex_gaussian_replay(self, cfg, chunk, monkeypatch):
+        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", chunk)
         k, m, n = cfg.K, cfg.M, cfg.N
         zs = [np.empty((cfg.trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
         for t in range(cfg.trials):
@@ -245,6 +249,62 @@ class TestMetricSets:
     def test_families_partition_the_metrics(self):
         flat = [metric for family in FAMILIES for metric in family]
         assert sorted(flat) == sorted(METRICS)
+
+
+class TestTrialChunks:
+    """The draw and the grid kernel run TRIAL_CHUNK trials at a time; every
+    operation acts trial by trial, so the slicing changes no bit."""
+
+    BUDGETS = (12.5, 0.0, 35.0)
+    TRIALS = 13
+
+    @pytest.mark.parametrize("cfg", [
+        reference_scenario(0.6, trials=TRIALS, seed=13),
+        reference_scenario(0.0, trials=TRIALS, seed=13),
+        reference_scenario(1.0, trials=TRIALS, seed=13),
+        ScenarioConfig(K=2, M=3, N=4, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                       psi=(0.4, 0.4), trials=TRIALS, seed=9),
+        ScenarioConfig(K=3, M=3, N=5, psi=(0.2, 0.5, 0.8), trials=TRIALS, seed=3),
+    ], ids=["psi0.6", "psi0", "psi1", "K<M", "per-antenna"])
+    @pytest.mark.parametrize("chunk", [1, 7, TRIALS - 1, TRIALS, TRIALS + 1])
+    def test_samples_do_not_depend_on_the_chunk(self, cfg, chunk, monkeypatch):
+        # structure 2 needs a uniform split, so the per-antenna case runs the rest
+        metrics = METRICS if len(set(cfg.psi)) == 1 else \
+            tuple(metric for metric in METRICS if metric not in FAMILIES[1])
+        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 10 ** 6)
+        whole_ens = ensemble_for(cfg)
+        whole = metric_samples_grid(cfg, metrics, self.BUDGETS, whole_ens)
+        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", chunk)
+        ens = ensemble_for(cfg)
+        for got, want in zip((ens.h, ens.h_bs, ens.user_dirs),
+                             (whole_ens.h, whole_ens.h_bs, whole_ens.user_dirs)):
+            assert got.tobytes() == want.tobytes()
+        assert metric_samples_grid(cfg, metrics, self.BUDGETS, ens).tobytes() == \
+            whole.tobytes()
+
+    @staticmethod
+    def traced(fn, *args):
+        """fn(*args) and the peak bytes Python and numpy held while it ran."""
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_transient_memory_does_not_grow_with_trials(self):
+        # beyond the ensemble it returns (draw) or reads and its output (kernel),
+        # the working memory of a call is a few chunks, whatever the trial count
+        warm = reference_scenario(0.3, trials=64, seed=42)  # first-call allocations
+        metric_samples_grid(warm, METRICS, self.BUDGETS, ensemble_for(warm))
+        extra = []
+        for trials in (2048, 8192):
+            cfg = reference_scenario(0.3, trials=trials, seed=42)
+            ens, draw_peak = self.traced(ensemble_for, cfg)
+            out, kernel_peak = self.traced(metric_samples_grid, cfg, METRICS,
+                                           self.BUDGETS, ens)
+            ens_bytes = sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs))
+            extra.append(np.array([draw_peak - ens_bytes, kernel_peak - out.nbytes]))
+        assert np.all(extra[1] - extra[0] < 0.5 * 2 ** 20), extra
 
 
 class TestMcResult:
