@@ -12,9 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from swiptmimo import (NoiseProfile, PowerSplit, ensemble_for,
-                       equivalent_channels, metric_samples_grid,
-                       reference_scenario, swipt_design, synthesize_channel)
+from swiptmimo import (NoiseProfile, PowerSplit, equivalent_channels,
+                       reference_scenario, sample_grids, swipt_design,
+                       synthesize_channel)
 
 TRIALS = 800
 
@@ -26,9 +26,8 @@ def main():
     ratios = (0, 1, 2, 5, 8, 11, 14)
     cfg = reference_scenario(psi, trials=TRIALS)
     budgets = [ratio * cfg.P for ratio in ratios]
-    ens = ensemble_for(cfg)
-    sw, cl = metric_samples_grid(cfg, ("energy-swipt", "energy-struct1"), budgets,
-                                 ens).mean(axis=2)
+    grid, = sample_grids([(cfg, ("energy-swipt", "energy-struct1"), budgets)])
+    sw, cl = grid.mean(axis=2)
     for ratio, sw_mean, cl_mean in zip(ratios, sw, cl):
         # the rate is deterministic: interference cancelled, noise-only design
         rng = np.random.default_rng(0)

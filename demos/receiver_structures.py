@@ -8,7 +8,7 @@ and random base-station user beams, the multiplexing gap is what this script
 shows.
 """
 
-from swiptmimo import ensemble_for, metric_samples_grid, reference_scenario
+from swiptmimo import reference_scenario, sample_grids
 
 TRIALS = 800
 RATIOS = (0, 1, 2, 4, 6, 8, 10, 12, 14)
@@ -17,13 +17,12 @@ RATIOS = (0, 1, 2, 4, 6, 8, 10, 12, 14)
 def main():
     print(f"average rate (bits/cu) over {TRIALS} trials, psi = 0.3 / 0.6")
     print("ratio   s1@0.3   s2@0.3   s1@0.6   s2@0.6")
-    columns = []
-    ens = ensemble_for(reference_scenario(trials=TRIALS))  # shared by every psi
-    for psi in (0.3, 0.6):
+    requests = []
+    for psi in (0.3, 0.6):  # every psi sees the same trials
         cfg = reference_scenario(psi, trials=TRIALS)
-        budgets = [ratio * cfg.P for ratio in RATIOS]
-        grid = metric_samples_grid(cfg, ("rate-struct1", "rate-struct2"), budgets, ens)
-        columns.extend(grid.mean(axis=2))
+        requests.append((cfg, ("rate-struct1", "rate-struct2"),
+                         [ratio * cfg.P for ratio in RATIOS]))
+    columns = [means for grid in sample_grids(requests) for means in grid.mean(axis=2)]
     rows = [[ratio, *means] for ratio, means in zip(RATIOS, zip(*columns))]
     for row in rows:
         print(f"{row[0]:5d}  {row[1]:7.4f}  {row[2]:7.4f}  {row[3]:7.4f}  {row[4]:7.4f}")

@@ -8,7 +8,7 @@ from .harvesting import (HarvestResult, RfCovariance, build_rf_covariance,
 from .linalg import haar_unitary, herm_eig, svd
 from .montecarlo import (McResult, average_metric, ensemble_for,
                          metric_samples, metric_samples_grid,
-                         random_bs_covariance)
+                         random_bs_covariance, sample_grids)
 from .rates import (NoiseProfile, PowerAllocation, optimal_q_global,
                     tin_rate_global, waterfill, worst_case_rate)
 from .saddle import (SaddleBatch, SaddleSolution, bs_best_response,
@@ -27,7 +27,7 @@ __all__ = [
     "HarvestResult", "RfCovariance", "build_rf_covariance", "optimal_steering",
     "haar_unitary", "herm_eig", "svd",
     "McResult", "average_metric", "ensemble_for", "metric_samples",
-    "metric_samples_grid", "random_bs_covariance",
+    "metric_samples_grid", "random_bs_covariance", "sample_grids",
     "NoiseProfile", "PowerAllocation", "optimal_q_global", "tin_rate_global",
     "waterfill", "worst_case_rate",
     "SaddleBatch", "SaddleSolution", "bs_best_response", "p2p_best_response",

@@ -70,17 +70,16 @@ class SharedInputs:
 
 def sample_table(trials, seed):
     """Per-trial samples of every metric criteria 6-8 read, over RATIO_GRID: one
-    grid call per psi on one ensemble, so rows of different metrics are paired."""
-    ens = montecarlo.ensemble_for(reference_scenario(trials=trials, seed=seed))
-    table = {}
+    request per psi, all on one draw, so rows of different metrics are paired."""
+    requests = []
     for psi in RATE_PSIS:
         metrics = ("rate-struct1", "rate-struct2") + (
             ("energy-struct1", "energy-swipt") if psi in ENERGY_PSIS else ())
         cfg = reference_scenario(psi, trials=trials, seed=seed)
-        budgets = [ratio * cfg.P for ratio in RATIO_GRID]
-        grid = montecarlo.metric_samples_grid(cfg, metrics, budgets, ens)
-        table.update(((psi, metric), rows) for metric, rows in zip(metrics, grid))
-    return table
+        requests.append((cfg, metrics, [ratio * cfg.P for ratio in RATIO_GRID]))
+    grids = montecarlo.sample_grids(requests)
+    return {(psi, metric): rows for psi, (_, metrics, _), grid
+            in zip(RATE_PSIS, requests, grids) for metric, rows in zip(metrics, grid)}
 
 
 def saddle_table():

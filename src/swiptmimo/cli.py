@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 parse error, 3 convergence failure, 4 anchor failure.
 """
 
 import argparse
-import itertools
 import sys
 from dataclasses import dataclass, replace
 
@@ -147,6 +146,9 @@ def parse_config(path=None, text=None):
             line = max(lines.get(key, 0) for key in ("k", dim, profile))
             raise ConfigError(f"{profile} has length {actual}, expected min(k, {dim}) = "
                               f"{expected}", field=profile, line=line)
+    if not np.isfinite(max(cfg.ratio_grid) * cfg.p):  # the largest BS budget, ratio * p
+        raise ConfigError(f"ratio times p = {cfg.p} is not finite", field="ratio_grid",
+                          line=max(lines.get(key, 0) for key in ("ratio_grid", "p")))
     if cfg.k > min(cfg.m, cfg.n):
         raise ConfigError(f"k = {cfg.k} must not exceed min(m, n) = {min(cfg.m, cfg.n)}",
                           field="k", line=max(lines.get(key, 0) for key in ("k", "m", "n")))
@@ -190,22 +192,20 @@ def _worst_case_points(cfg, points):
             raise SweepFailure("worst-case", psi_b, ratio_b, exc) from exc
 
 
-def _monte_carlo_points(cfg, tags, points):
-    """{tag: mean and stderr (in dB for energy tags) of each point, in order} on one
-    ensemble, from one grid call per run of equal psi and structure family."""
-    values = {tag: [] for tag in sorted(tags)}
-    ens = montecarlo.ensemble_for(cfg.scenario_for(points[0][0])) if tags else None
-    for psi, group in itertools.groupby(points, key=lambda point: point[0]):
-        budgets = [ratio * cfg.p for _, ratio in group]
-        for family in montecarlo.FAMILIES:
-            family_tags = [tag for tag in values if SCENARIO_METRICS[tag] in family]
-            metrics = tuple(SCENARIO_METRICS[tag] for tag in family_tags)
-            grid = montecarlo.metric_samples_grid(cfg.scenario_for(psi), metrics, budgets,
-                                                  ens) if metrics else ()
-            for tag, results in zip(family_tags, grid):
-                for res in map(montecarlo.McResult.from_samples, results):
-                    values[tag].append(res.db() if tag in ENERGY_SCENARIOS
-                                       else (res.mean, res.stderr))
+def _monte_carlo_points(cfg, tags):
+    """{tag: mean and stderr (in dB for energy tags) of each sweep point, in order},
+    from one request per (psi, structure family), all on one draw."""
+    budgets = [ratio * cfg.p for ratio in sorted(cfg.ratio_grid)]
+    groups = list(filter(None, ([tag for tag in sorted(tags) if SCENARIO_METRICS[tag] in f]
+                                for f in montecarlo.FAMILIES)))  # tags per structure
+    grids = montecarlo.sample_grids([
+        (cfg.scenario_for(psi), tuple(SCENARIO_METRICS[tag] for tag in group), budgets)
+        for psi in sorted(cfg.psis) for group in groups])
+    values = {tag: [] for tag in tags}
+    for group, grid in zip(groups * len(cfg.psis), grids):  # psi-major order
+        for tag, results in zip(group, grid):
+            values[tag] += [res.db() if tag in ENERGY_SCENARIOS else (res.mean, res.stderr)
+                            for res in map(montecarlo.McResult.from_samples, results)]
     return values
 
 
@@ -213,7 +213,7 @@ def run_sweep(cfg):
     """Evaluate every (scenario, psi, ratio) point and render the CSV text."""
     rows = []
     points = [(psi, ratio) for psi in sorted(cfg.psis) for ratio in sorted(cfg.ratio_grid)]
-    mc_values = _monte_carlo_points(cfg, set(cfg.scenarios) & set(SCENARIO_METRICS), points)
+    mc_values = _monte_carlo_points(cfg, set(cfg.scenarios) & set(SCENARIO_METRICS))
     for tag in sorted(cfg.scenarios):
         values = _worst_case_points(cfg, points) if tag == "worst-case" else mc_values[tag]
         for (psi, ratio), (value, stderr) in zip(points, values):

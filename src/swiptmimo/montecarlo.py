@@ -2,16 +2,15 @@
 
 Each trial t owns a generator seeded from the pair (seed, t), so trials are
 independent and order-free; identical (seed, trials) always reproduce
-bit-identical results regardless of how the work is scheduled. The draw and
-the linear algebra run batched over slices of TRIAL_CHUNK trials; every
-operation acts trial by trial, so the slicing changes no bit, and only the
-ensemble and the (metrics, budgets, trials) output grow with the trial count.
-Nothing is cached: callers draw a config's ensemble once with `ensemble_for`
-(it does not depend on psi or the budgets) and pass it to `metric_samples_grid`,
-which evaluates metrics over a grid of BS budgets one receiver structure at a
-time: structure 1 shares each budget's solve, `eigh` and water-filling between
-its rate and energy, structure 2 its combiner and interference terms, and joint
-transfer its beam and signal.
+bit-identical results regardless of how the work is scheduled. Nothing is
+cached. `sample_grids` owns the one loop over trials: it draws each slice of
+TRIAL_CHUNK trials once with `ensemble_for` and runs every requested
+`metric_samples_grid` call on it, straight into each request's (metrics,
+budgets, trials) rows, the only arrays that grow with the trial count. Every
+operation acts trial by trial, so the slicing changes no bit. The kernel runs
+one receiver structure at a time: structure 1 shares each budget's solve,
+`eigh` and water-filling between its rate and energy, structure 2 its combiner
+and interference terms, and joint transfer its beam and signal.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -31,7 +30,7 @@ METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
 # metrics sharing one receiver structure's work: split per antenna, combine then split, joint
 FAMILIES = (("rate-struct1", "energy-struct1"), ("rate-struct2", "energy-struct2"),
             ("energy-swipt",))
-TRIAL_CHUNK = 512  # trials per slice of the draw and of the grid kernel
+TRIAL_CHUNK = 512  # trials per slice drawn and evaluated by sample_grids
 
 
 @dataclass(frozen=True)
@@ -74,44 +73,44 @@ def random_bs_covariance(n, pb_budget, rng):
 
 @dataclass(frozen=True)
 class TrialEnsemble:
-    """Stacked per-trial channels and BS user beam directions."""
+    """Stacked channels and BS user beam directions of some trials of a seed."""
 
+    seed: int
+    trials: range        # the trial indices drawn, T of them
     h: np.ndarray        # (T, K, M)
     h_bs: np.ndarray     # (T, K, N)
     user_dirs: np.ndarray  # (T, N, N), unit columns
 
 
-def ensemble_for(cfg):
-    """Draw all per-trial randomness of a config, TRIAL_CHUNK trials at a time.
+def ensemble_for(cfg, start=0, stop=None):
+    """Draw trials [start, stop) of a config (by default all of them) as one batch.
 
-    Trial t fills a row of one reused buffer with 2(2k^2 + m^2 + 2n^2) standard
-    normals from its generator, read as real block then imaginary block of the
-    p2p left/right, BS left/right and user-beam Gaussians in that order: the
-    stream that synthesize_channel followed by random_bs_covariance reads
-    through five complex_gaussian calls, so scalar replays of a trial agree exactly.
-    Each chunk's Haar factors, channels and beam directions are written into the
-    three stacked outputs, the only arrays that grow with the trial count.
+    Trial t fills a row of one buffer with 2(2k^2 + m^2 + 2n^2) standard normals
+    from its generator, read as real block then imaginary block of the p2p
+    left/right, BS left/right and user-beam Gaussians in that order: the stream
+    that synthesize_channel followed by random_bs_covariance reads through five
+    complex_gaussian calls, so a trial's scalar replay, slice and whole draw agree.
     """
-    trials, k, m, n = cfg.trials, cfg.K, cfg.M, cfg.N
+    stop = cfg.trials if stop is None else stop
+    if not 0 <= start < stop <= cfg.trials:
+        raise InvalidInputError(f"trial range [{start}, {stop}) is not in [0, {cfg.trials})")
+    k, m, n = cfg.K, cfg.M, cfg.N
     dims = (k, m, k, n, n)
     stops = np.cumsum(np.repeat(np.square(dims), 2)).tolist()  # real, imaginary blocks
-    buf = np.empty((min(trials, TRIAL_CHUNK), stops[-1]))
+    buf = np.empty((stop - start, stops[-1]))
+    for t in range(start, stop):
+        trial_rng(cfg.seed, t).standard_normal(out=buf[t - start])
+    blocks = np.split(buf, stops[:-1], axis=1)
+    z_left, z_right, z_bs_left, z_bs_right, z_users = (
+        (re + 1j * im).reshape(-1, d, d) / np.sqrt(2.0)
+        for re, im, d in zip(blocks[::2], blocks[1::2], dims))
     sig = pad_diag(np.asarray(cfg.sigma_p2p), k, m)
     sig_bs = pad_diag(np.asarray(cfg.sigma_bs), k, n)
-    ens = TrialEnsemble(*(np.empty((trials, rows, cols), dtype=complex)
-                          for rows, cols in ((k, m), (k, n), (n, n))))
-    for t0 in range(0, trials, TRIAL_CHUNK):
-        t1 = min(t0 + TRIAL_CHUNK, trials)
-        for t in range(t0, t1):
-            trial_rng(cfg.seed, t).standard_normal(out=buf[t - t0])
-        blocks = np.split(buf[:t1 - t0], stops[:-1], axis=1)
-        z_left, z_right, z_bs_left, z_bs_right, z_users = (
-            (re + 1j * im).reshape(-1, d, d) / np.sqrt(2.0)
-            for re, im, d in zip(blocks[::2], blocks[1::2], dims))
-        ens.h[t0:t1] = haar_from_gaussian(z_left) @ sig @ _ch(haar_from_gaussian(z_right))
-        ens.h_bs[t0:t1] = \
-            haar_from_gaussian(z_bs_left) @ sig_bs @ _ch(haar_from_gaussian(z_bs_right))
-        ens.user_dirs[t0:t1] = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
+    ens = TrialEnsemble(
+        cfg.seed, range(start, stop),
+        haar_from_gaussian(z_left) @ sig @ _ch(haar_from_gaussian(z_right)),
+        haar_from_gaussian(z_bs_left) @ sig_bs @ _ch(haar_from_gaussian(z_bs_right)),
+        z_users / np.linalg.norm(z_users, axis=1, keepdims=True))
     for arr in (ens.h, ens.h_bs, ens.user_dirs):
         arr.flags.writeable = False
     return ens
@@ -146,40 +145,52 @@ def _covariance(vectors, powers):
     return (vectors * powers[..., None, :]) @ _ch(vectors)
 
 
+def sample_grids(requests):
+    """`metric_samples_grid` of each (cfg, metrics, pb_budgets) request over all trials
+    of its cfg, one count for all: each TRIAL_CHUNK slice is drawn once for every request."""
+    trials = requests[0][0].trials if requests else 0
+    if any(cfg.trials != trials for cfg, _, _ in requests):
+        raise InvalidInputError("requests must share one trial count")
+    grids = [np.empty((len(names), len(pbs), trials)) for _, names, pbs in requests]
+    for t0 in range(0, trials, TRIAL_CHUNK):
+        ens = ensemble_for(requests[0][0], t0, min(t0 + TRIAL_CHUNK, trials))
+        for (cfg, names, pbs), grid in zip(requests, grids):
+            metric_samples_grid(cfg, names, pbs, ens, out=grid[..., t0:t0 + TRIAL_CHUNK])
+    return grids
+
+
 def metric_samples(cfg, metric, pb_budget):
     """Per-trial metric values at one BS budget (rates in bits/cu, energies in
-    linear power) on a fresh, uncached draw of the config's ensemble."""
-    return metric_samples_grid(cfg, (metric,), (pb_budget,), ensemble_for(cfg))[0, 0]
+    linear power) on a fresh, uncached draw: a one-request `sample_grids`."""
+    return sample_grids([(cfg, (metric,), (pb_budget,))])[0][0, 0]
 
 
-def metric_samples_grid(cfg, metrics, pb_budgets, ens):
-    """Per-trial values of each metric at each BS budget, shape (len(metrics),
-    len(pb_budgets), trials), on `ens = ensemble_for(cfg)`. The metrics run one
-    family (FAMILIES) after another; a family does its budget-free work once and
-    each budget's work once for all its metrics, and every row runs exactly the
-    operations of a single-metric, single-budget evaluation."""
+def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
+    """Per-trial values of each metric at each BS budget on `ens`, shape
+    (len(metrics), len(pb_budgets), len(ens.trials)), written into `out` if given.
+    The metrics run one family (FAMILIES) after another; a family does its
+    budget-free work once and each budget's work once for all its metrics, and
+    every row runs exactly the operations of a single-metric, single-budget call."""
     names = tuple(metrics)
     if len(set(names)) != len(names) or not set(names) <= set(METRICS):
         raise InvalidInputError(f"expected distinct metrics from {METRICS}, got {metrics!r}")
     budgets = [float(pb) for pb in pb_budgets]
     if not all(0.0 <= pb < np.inf for pb in budgets):
         raise InvalidInputError("BS power budget must be finite and nonnegative")
-    t, k, m, n = cfg.trials, cfg.K, cfg.M, cfg.N
+    t, k, m, n = len(ens.trials), cfg.K, cfg.M, cfg.N
     shapes = (ens.h.shape, ens.h_bs.shape, ens.user_dirs.shape)
-    if shapes != ((t, k, m), (t, k, n), (t, n, n)):
-        raise InvalidInputError(f"ensemble does not match trials={t}, K={k}, M={m}, N={n}")
+    if (ens.seed != cfg.seed or not 0 <= ens.trials.start < ens.trials.stop <= cfg.trials
+            or shapes != ((t, k, m), (t, k, n), (t, n, n))):
+        raise InvalidInputError(f"ensemble of seed {ens.seed}, {ens.trials} does not fit "
+                                f"seed={cfg.seed}, trials={cfg.trials}, K={k}, M={m}, N={n}")
     if set(names) & set(FAMILIES[1]) and len(set(cfg.psi)) > 1:
         raise UnsupportedConfigError("structure-2 metrics require a uniform split ratio")
 
-    out = np.empty((len(names), len(budgets), t))
-    for t0 in range(0, t, TRIAL_CHUNK):
-        chunk = slice(t0, t0 + TRIAL_CHUNK)
-        part = TrialEnsemble(ens.h[chunk], ens.h_bs[chunk], ens.user_dirs[chunk])
-        for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
-            rows = {metric: out[names.index(metric), :, chunk]
-                    for metric in family if metric in names}
-            if rows:
-                run(cfg, part, budgets, rows)
+    out = np.empty((len(names), len(budgets), t)) if out is None else out
+    for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
+        rows = {metric: out[names.index(metric)] for metric in family if metric in names}
+        if rows:
+            run(cfg, ens, budgets, rows)
     return out
 
 

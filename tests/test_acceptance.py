@@ -86,15 +86,19 @@ def test_criterion_8_sweep_orderings(shared):
 def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
     draws, draw = [], montecarlo.ensemble_for
 
-    def recording(cfg):
-        draws.append(cfg.trials)
-        return draw(cfg)
+    def recording(cfg, start=0, stop=None):
+        ens = draw(cfg, start, stop)
+        draws.append(ens.trials)
+        return ens
 
     monkeypatch.setattr(acceptance.montecarlo, "ensemble_for", recording)
+    monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 16)
     results = acceptance.run_all(trials=60, seed=SEED)
     assert [res.criterion for res in results] == list(range(1, 11))
-    # criteria 6-8 share one draw; criterion 10 reruns its T = 50 sweep
-    assert draws == [60, 50, 50]
+    # each trial is drawn exactly once, slice after slice, for the sample table
+    # that criteria 6-8 share and for each of criterion 10's two T = 50 sweeps
+    assert all(len(trials) <= 16 for trials in draws)
+    assert [t for trials in draws for t in trials] == [*range(60), *range(50), *range(50)]
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +107,9 @@ def recorded_run():
     grids, grid = [], montecarlo.metric_samples_grid
     batches, batch = [], saddle.solve_saddle_batch
 
-    def recording_grid(cfg, metrics, budgets, ens):
+    def recording_grid(cfg, metrics, budgets, ens, out=None):
         grids.append((cfg.psi[0], metrics, len(budgets)))
-        return grid(cfg, metrics, budgets, ens)
+        return grid(cfg, metrics, budgets, ens, out)
 
     def recording_batch(lambda2, *args, **kwargs):
         batches.append(len(lambda2))

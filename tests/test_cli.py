@@ -218,18 +218,21 @@ class TestRunSweep:
         assert cli.run_sweep(cli.SweepConfig(seed=seed)) == expected
 
     def test_one_grid_call_per_psi_and_family(self, monkeypatch):
+        # in each slice of trials, one kernel call per (psi, structure family)
         calls, kernel = [], montecarlo.metric_samples_grid
 
-        def recording(cfg, metrics, budgets, ens):
-            calls.append((cfg.psi[0], metrics, tuple(budgets)))
-            return kernel(cfg, metrics, budgets, ens)
+        def recording(cfg, metrics, budgets, ens, out=None):
+            calls.append((ens.trials, cfg.psi[0], metrics, tuple(budgets)))
+            return kernel(cfg, metrics, budgets, ens, out)
 
         monkeypatch.setattr(cli.montecarlo, "metric_samples_grid", recording)
-        cfg = self.small_config(scenarios=cli.SCENARIOS, psis=(0.6, 0.3), trials=3)
+        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 2)
+        cfg = self.small_config(scenarios=cli.SCENARIOS, psis=(0.6, 0.3), trials=5)
         cli.run_sweep(cfg)
         budgets = (0.0, 5.0)
         assert calls == [
-            (psi, metrics, budgets) for psi in (0.3, 0.6)
+            (trials, psi, metrics, budgets)
+            for trials in (range(0, 2), range(2, 4), range(4, 5)) for psi in (0.3, 0.6)
             for metrics in (("rate-struct1", "energy-struct1"),
                             ("energy-struct2", "rate-struct2"), ("energy-swipt",))]
 
@@ -316,6 +319,21 @@ class TestMainEntry:
                                    f"scenarios = [{scenarios}]\n")
         assert cli.main(["--config", cfg_path] + flags) == cli.EXIT_CONFIG
         assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("ratio_grid = [1e308]\ntrials = 4\np = 5\n", 3),
+        ("p = 5\nratio_grid = [0, 1e308]\ntrials = 4\n", 2),
+        ("trials = 4\np = 1e308\n", 2),  # the default grid reaches ratio 14
+    ], ids=["p-later", "ratio-later", "default-grid"])
+    @pytest.mark.parametrize("scenarios", ["", "scenarios = [worst-case]\n"],
+                             ids=["default-scenarios", "worst-case"])
+    def test_overflowing_interferer_budget_exit_code(self, tmp_path, capsys, text, line,
+                                                      scenarios):
+        # an interferer budget ratio * p that overflows is a config error, whichever
+        # solver (Monte Carlo or saddle) would have met it first
+        assert cli.main(["--config", write(tmp_path, text + scenarios)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'ratio_grid'" in err and f"line {line}" in err
 
     def test_empty_split_list_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "psi = []\n")

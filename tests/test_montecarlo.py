@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swiptmimo import montecarlo
+from swiptmimo import cli, montecarlo
 from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
 from swiptmimo.harvesting import build_rf_covariance, optimal_steering, to_db
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
 from swiptmimo.montecarlo import (FAMILIES, METRICS, TRIAL_CHUNK, McResult,
                                   average_metric, ensemble_for, metric_samples,
-                                  metric_samples_grid, random_bs_covariance)
+                                  metric_samples_grid, random_bs_covariance, sample_grids)
 from swiptmimo.rates import NoiseProfile, optimal_q_global, self_noise
 from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
                                 reference_scenario, synthesize_channel)
@@ -107,8 +107,7 @@ class TestEnsembleDraw:
                            psi=(0.4, 0.4), trials=TRIAL_CHUNK + 1, seed=11),
         ])
     ] + [pytest.param(reference_scenario(0.3, trials=9, seed=5), 4, id="T9-chunk4")])
-    def test_matches_per_trial_complex_gaussian_replay(self, cfg, chunk, monkeypatch):
-        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", chunk)
+    def test_matches_per_trial_complex_gaussian_replay(self, cfg, chunk):
         k, m, n = cfg.K, cfg.M, cfg.N
         zs = [np.empty((cfg.trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
         for t in range(cfg.trials):
@@ -123,9 +122,27 @@ class TestEnsembleDraw:
             @ ch(haar_from_gaussian(z_bs_right))
         user_dirs = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
 
-        ens = montecarlo.ensemble_for(cfg)
-        for got, want in ((ens.h, h), (ens.h_bs, h_bs), (ens.user_dirs, user_dirs)):
+        # drawn in slices of `chunk` trials, as sample_grids draws them
+        parts = [montecarlo.ensemble_for(cfg, t0, min(t0 + chunk, cfg.trials))
+                 for t0 in range(0, cfg.trials, chunk)]
+        for name, want in (("h", h), ("h_bs", h_bs), ("user_dirs", user_dirs)):
+            got = np.concatenate([getattr(part, name) for part in parts])
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("start, stop", [
+        (0, 1), (1, 512), (511, 513), (512, 1024), (1029, 1030)])
+    def test_slice_equals_the_same_trials_of_a_whole_draw(self, start, stop):
+        cfg = reference_scenario(0.3, trials=1030, seed=42)
+        whole = ensemble_for(cfg)
+        part = ensemble_for(cfg, start, stop)
+        assert (part.seed, part.trials) == (42, range(start, stop))
+        for name in ("h", "h_bs", "user_dirs"):
+            assert getattr(part, name).tobytes() == getattr(whole, name)[start:stop].tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(3, 3), (4, 2), (-1, 2), (0, 7)])
+    def test_empty_or_outside_trial_range_rejected(self, start, stop):
+        with pytest.raises(InvalidInputError, match="trial range"):
+            ensemble_for(reference_scenario(0.3, trials=6), start, stop)
 
 
 class TestMetricSamplesGrid:
@@ -167,6 +184,7 @@ class TestMetricSamplesGrid:
                        psi=(0.3, 0.3), trials=4),
         ScenarioConfig(K=3, M=4, N=5, psi=(0.3,) * 3, trials=4),
         ScenarioConfig(K=3, M=3, N=4, psi=(0.3,) * 3, trials=4),
+        reference_scenario(0.3, trials=4, seed=7),
     ])
     @pytest.mark.parametrize("metric", ["rate-struct1", "energy-swipt"])
     def test_mismatched_ensemble_rejected(self, other, metric):
@@ -252,7 +270,7 @@ class TestMetricSets:
 
 
 class TestTrialChunks:
-    """The draw and the grid kernel run TRIAL_CHUNK trials at a time; every
+    """sample_grids draws and evaluates TRIAL_CHUNK trials at a time; every
     operation acts trial by trial, so the slicing changes no bit."""
 
     BUDGETS = (12.5, 0.0, 35.0)
@@ -271,16 +289,10 @@ class TestTrialChunks:
         # structure 2 needs a uniform split, so the per-antenna case runs the rest
         metrics = METRICS if len(set(cfg.psi)) == 1 else \
             tuple(metric for metric in METRICS if metric not in FAMILIES[1])
-        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 10 ** 6)
-        whole_ens = ensemble_for(cfg)
-        whole = metric_samples_grid(cfg, metrics, self.BUDGETS, whole_ens)
+        whole = metric_samples_grid(cfg, metrics, self.BUDGETS, ensemble_for(cfg))
         monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", chunk)
-        ens = ensemble_for(cfg)
-        for got, want in zip((ens.h, ens.h_bs, ens.user_dirs),
-                             (whole_ens.h, whole_ens.h_bs, whole_ens.user_dirs)):
-            assert got.tobytes() == want.tobytes()
-        assert metric_samples_grid(cfg, metrics, self.BUDGETS, ens).tobytes() == \
-            whole.tobytes()
+        grid, = sample_grids([(cfg, metrics, self.BUDGETS)])
+        assert grid.tobytes() == whole.tobytes()
 
     @staticmethod
     def traced(fn, *args):
@@ -292,19 +304,47 @@ class TestTrialChunks:
             tracemalloc.stop()
 
     def test_transient_memory_does_not_grow_with_trials(self):
-        # beyond the ensemble it returns (draw) or reads and its output (kernel),
-        # the working memory of a call is a few chunks, whatever the trial count
-        warm = reference_scenario(0.3, trials=64, seed=42)  # first-call allocations
-        metric_samples_grid(warm, METRICS, self.BUDGETS, ensemble_for(warm))
+        # beyond the slice it returns, the working memory of a slice draw does
+        # not depend on how many trials come before it
+        ensemble_for(reference_scenario(0.3, trials=64, seed=42))  # first-call allocations
         extra = []
         for trials in (2048, 8192):
             cfg = reference_scenario(0.3, trials=trials, seed=42)
-            ens, draw_peak = self.traced(ensemble_for, cfg)
-            out, kernel_peak = self.traced(metric_samples_grid, cfg, METRICS,
-                                           self.BUDGETS, ens)
-            ens_bytes = sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs))
-            extra.append(np.array([draw_peak - ens_bytes, kernel_peak - out.nbytes]))
-        assert np.all(extra[1] - extra[0] < 0.5 * 2 ** 20), extra
+            ens, draw_peak = self.traced(ensemble_for, cfg, trials - TRIAL_CHUNK, trials)
+            extra.append(draw_peak - sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs)))
+        assert extra[1] - extra[0] < 0.5 * 2 ** 20, extra
+
+    MC_SCENARIOS = ("average", "structure2", "swipt", "energy-struct1", "energy-struct2")
+
+    def test_sweep_memory_does_not_grow_with_trials(self):
+        # a sweep holds its (points, metrics, trials) rows and, beyond them, a
+        # few slices of working memory whatever the trial count
+        def sweep(trials):
+            return cli.SweepConfig(scenarios=self.MC_SCENARIOS, psis=(0.3,),
+                                   ratio_grid=(0.0, 7.0, 14.0), trials=trials, seed=42)
+
+        cli.run_sweep(sweep(64))  # first-call allocations
+        extra = []
+        for trials in (2048, 8192):
+            _, peak = self.traced(cli.run_sweep, sweep(trials))
+            extra.append(peak - 3 * len(self.MC_SCENARIOS) * trials * 8)
+        assert extra[1] - extra[0] < 0.5 * 2 ** 20, extra
+
+    def test_mc_scale_sweep_draws_one_slice_at_a_time(self, monkeypatch):
+        # the mc-scale benchmark's sweep, at a trial count of three slices
+        draws, draw = [], montecarlo.ensemble_for
+
+        def recording(cfg, start=0, stop=None):
+            ens = draw(cfg, start, stop)
+            draws.append(ens.trials)
+            return ens
+
+        monkeypatch.setattr(montecarlo, "ensemble_for", recording)
+        trials = 2 * TRIAL_CHUNK + 3
+        cli.run_sweep(cli.SweepConfig(scenarios=self.MC_SCENARIOS, psis=(0.3, 0.6),
+                                      ratio_grid=(1.0, 7.0, 14.0), trials=trials))
+        assert all(len(drawn) <= TRIAL_CHUNK for drawn in draws)
+        assert [t for drawn in draws for t in drawn] == list(range(trials))
 
 
 class TestMcResult:
