@@ -6,9 +6,8 @@ from .errors import (ConfigError, ConvergenceError, InvalidInputError,
 from .harvesting import (HarvestResult, RfCovariance, build_rf_covariance,
                          optimal_steering)
 from .linalg import haar_unitary, herm_eig, svd
-from .montecarlo import (McResult, average_metric, ensemble_for,
-                         metric_samples, metric_samples_grid,
-                         random_bs_covariance, sample_grids)
+from .montecarlo import (McResult, average_metric, ensemble_for, metric_samples,
+                         metric_samples_grid, random_bs_covariance, sample_grids)
 from .rates import (NoiseProfile, PowerAllocation, optimal_q_global,
                     tin_rate_global, waterfill, worst_case_rate)
 from .saddle import (SaddleBatch, SaddleSolution, bs_best_response,

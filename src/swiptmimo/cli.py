@@ -54,12 +54,11 @@ class SweepConfig:
     trials: int = 2000
     seed: int = 42
 
-    def scenario_for(self, psi, ratio=0.0):
+    def scenario_for(self, psi):
         return ScenarioConfig(
-            K=self.k, M=self.m, N=self.n, sigma_p2p=self.sigma_p2p,
-            sigma_bs=self.sigma_bs, psi=(float(psi),) * self.k,
-            sigma2_w=self.sigma2_w, sigma2_n=self.sigma2_n, P=self.p,
-            Pb=float(ratio) * self.p, seed=self.seed, trials=self.trials)
+            K=self.k, M=self.m, N=self.n, sigma_p2p=self.sigma_p2p, sigma_bs=self.sigma_bs,
+            psi=(float(psi),) * self.k, sigma2_w=self.sigma2_w, sigma2_n=self.sigma2_n,
+            P=self.p, seed=self.seed, trials=self.trials)
 
 
 # key -> (SweepConfig attribute, kind, bound every value meets, message when one
@@ -146,8 +145,8 @@ def parse_config(path=None, text=None):
             line = max(lines.get(key, 0) for key in ("k", dim, profile))
             raise ConfigError(f"{profile} has length {actual}, expected min(k, {dim}) = "
                               f"{expected}", field=profile, line=line)
-    if not np.isfinite(max(cfg.ratio_grid) * cfg.p):  # the largest BS budget, ratio * p
-        raise ConfigError(f"ratio times p = {cfg.p} is not finite", field="ratio_grid",
+    if not np.isfinite((top := max(cfg.ratio_grid)) * cfg.p):  # the largest BS budget
+        raise ConfigError(f"ratio {top} times p = {cfg.p} is not finite", field="ratio_grid",
                           line=max(lines.get(key, 0) for key in ("ratio_grid", "p")))
     if cfg.k > min(cfg.m, cfg.n):
         raise ConfigError(f"k = {cfg.k} must not exceed min(m, n) = {min(cfg.m, cfg.n)}",

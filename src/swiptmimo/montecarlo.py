@@ -4,13 +4,13 @@ Each trial t owns a generator seeded from the pair (seed, t), so trials are
 independent and order-free; identical (seed, trials) always reproduce
 bit-identical results regardless of how the work is scheduled. Nothing is
 cached. `sample_grids` owns the one loop over trials: it draws each slice of
-TRIAL_CHUNK trials once with `ensemble_for` and runs every requested
-`metric_samples_grid` call on it, straight into each request's (metrics,
-budgets, trials) rows, the only arrays that grow with the trial count. Every
-operation acts trial by trial, so the slicing changes no bit. The kernel runs
-one receiver structure at a time: structure 1 shares each budget's solve,
-`eigh` and water-filling between its rate and energy, structure 2 its combiner
-and interference terms, and joint transfer its beam and signal.
+TRIAL_CHUNK trials once with `ensemble_for` (which, like the kernel, refuses
+longer slices) and runs every requested `metric_samples_grid` call on it, into
+each request's (metrics, budgets, trials) rows, the only arrays that grow with
+the trial count. Every operation acts trial by trial: slicing changes no bit.
+The kernel runs one receiver structure at a time: structure 1 shares each
+budget's solve, `eigh` and water-filling between its rate and energy,
+structure 2 its combiner and interference terms, joint transfer its beam and signal.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -83,17 +83,18 @@ class TrialEnsemble:
 
 
 def ensemble_for(cfg, start=0, stop=None):
-    """Draw trials [start, stop) of a config (by default all of them) as one batch.
+    """Draw trials [start, stop) (by default to the end), at most TRIAL_CHUNK, as one batch.
 
     Trial t fills a row of one buffer with 2(2k^2 + m^2 + 2n^2) standard normals
     from its generator, read as real block then imaginary block of the p2p
     left/right, BS left/right and user-beam Gaussians in that order: the stream
     that synthesize_channel followed by random_bs_covariance reads through five
-    complex_gaussian calls, so a trial's scalar replay, slice and whole draw agree.
+    complex_gaussian calls, so a trial's scalar replay and every slice holding it agree.
     """
     stop = cfg.trials if stop is None else stop
-    if not 0 <= start < stop <= cfg.trials:
-        raise InvalidInputError(f"trial range [{start}, {stop}) is not in [0, {cfg.trials})")
+    if not 0 <= start < stop <= min(cfg.trials, start + TRIAL_CHUNK):
+        raise InvalidInputError(f"trial range [{start}, {stop}) is not a slice of at most "
+                                f"{TRIAL_CHUNK} trials in [0, {cfg.trials})")
     k, m, n = cfg.K, cfg.M, cfg.N
     dims = (k, m, k, n, n)
     stops = np.cumsum(np.repeat(np.square(dims), 2)).tolist()  # real, imaginary blocks
@@ -147,10 +148,11 @@ def _covariance(vectors, powers):
 
 def sample_grids(requests):
     """`metric_samples_grid` of each (cfg, metrics, pb_budgets) request over all trials
-    of its cfg, one count for all: each TRIAL_CHUNK slice is drawn once for every request."""
+    of its cfg; each TRIAL_CHUNK slice is drawn once for all, so all share one draw."""
+    keys = {(c.seed, c.trials, c.K, c.M, c.N, c.sigma_p2p, c.sigma_bs) for c, _, _ in requests}
+    if len(keys) > 1:
+        raise InvalidInputError("requests must share seed, trials, K, M, N and profiles")
     trials = requests[0][0].trials if requests else 0
-    if any(cfg.trials != trials for cfg, _, _ in requests):
-        raise InvalidInputError("requests must share one trial count")
     grids = [np.empty((len(names), len(pbs), trials)) for _, names, pbs in requests]
     for t0 in range(0, trials, TRIAL_CHUNK):
         ens = ensemble_for(requests[0][0], t0, min(t0 + TRIAL_CHUNK, trials))
@@ -166,8 +168,8 @@ def metric_samples(cfg, metric, pb_budget):
 
 
 def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
-    """Per-trial values of each metric at each BS budget on `ens`, shape
-    (len(metrics), len(pb_budgets), len(ens.trials)), written into `out` if given.
+    """Per-trial values of each metric at each BS budget on `ens`, a slice of cfg's
+    trials, shape (len(metrics), len(pb_budgets), len(ens.trials)), into `out` if given.
     The metrics run one family (FAMILIES) after another; a family does its
     budget-free work once and each budget's work once for all its metrics, and
     every row runs exactly the operations of a single-metric, single-budget call."""
@@ -180,8 +182,8 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
     t, k, m, n = len(ens.trials), cfg.K, cfg.M, cfg.N
     shapes = (ens.h.shape, ens.h_bs.shape, ens.user_dirs.shape)
     if (ens.seed != cfg.seed or not 0 <= ens.trials.start < ens.trials.stop <= cfg.trials
-            or shapes != ((t, k, m), (t, k, n), (t, n, n))):
-        raise InvalidInputError(f"ensemble of seed {ens.seed}, {ens.trials} does not fit "
+            or t > TRIAL_CHUNK or shapes != ((t, k, m), (t, k, n), (t, n, n))):
+        raise InvalidInputError(f"ensemble of seed {ens.seed}, {ens.trials} is no slice of "
                                 f"seed={cfg.seed}, trials={cfg.trials}, K={k}, M={m}, N={n}")
     if set(names) & set(FAMILIES[1]) and len(set(cfg.psi)) > 1:
         raise UnsupportedConfigError("structure-2 metrics require a uniform split ratio")

@@ -320,20 +320,22 @@ class TestMainEntry:
         assert cli.main(["--config", cfg_path] + flags) == cli.EXIT_CONFIG
         assert f"field '{field}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, line", [
-        ("ratio_grid = [1e308]\ntrials = 4\np = 5\n", 3),
-        ("p = 5\nratio_grid = [0, 1e308]\ntrials = 4\n", 2),
-        ("trials = 4\np = 1e308\n", 2),  # the default grid reaches ratio 14
+    @pytest.mark.parametrize("text, line, product", [
+        ("ratio_grid = [1e308]\ntrials = 4\np = 5\n", 3, "ratio 1e+308 times p = 5.0"),
+        ("p = 5\nratio_grid = [0, 1e308]\ntrials = 4\n", 2, "ratio 1e+308 times p = 5.0"),
+        # the default grid reaches ratio 14
+        ("trials = 4\np = 1e308\n", 2, "ratio 14.0 times p = 1e+308"),
     ], ids=["p-later", "ratio-later", "default-grid"])
     @pytest.mark.parametrize("scenarios", ["", "scenarios = [worst-case]\n"],
                              ids=["default-scenarios", "worst-case"])
     def test_overflowing_interferer_budget_exit_code(self, tmp_path, capsys, text, line,
-                                                      scenarios):
+                                                      product, scenarios):
         # an interferer budget ratio * p that overflows is a config error, whichever
         # solver (Monte Carlo or saddle) would have met it first
         assert cli.main(["--config", write(tmp_path, text + scenarios)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "field 'ratio_grid'" in err and f"line {line}" in err
+        assert f"{product} is not finite" in err
 
     def test_empty_split_list_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "psi = []\n")

@@ -131,9 +131,11 @@ class TestEnsembleDraw:
 
     @pytest.mark.parametrize("start, stop", [
         (0, 1), (1, 512), (511, 513), (512, 1024), (1029, 1030)])
-    def test_slice_equals_the_same_trials_of_a_whole_draw(self, start, stop):
+    def test_slice_equals_the_same_trials_of_a_whole_draw(self, start, stop, monkeypatch):
         cfg = reference_scenario(0.3, trials=1030, seed=42)
-        whole = ensemble_for(cfg)
+        with monkeypatch.context() as patch:  # one slice of all the trials
+            patch.setattr(montecarlo, "TRIAL_CHUNK", cfg.trials)
+            whole = ensemble_for(cfg)
         part = ensemble_for(cfg, start, stop)
         assert (part.seed, part.trials) == (42, range(start, stop))
         for name in ("h", "h_bs", "user_dirs"):
@@ -143,6 +145,18 @@ class TestEnsembleDraw:
     def test_empty_or_outside_trial_range_rejected(self, start, stop):
         with pytest.raises(InvalidInputError, match="trial range"):
             ensemble_for(reference_scenario(0.3, trials=6), start, stop)
+
+    def test_longer_than_a_slice_rejected(self, monkeypatch):
+        # whole-T work goes through sample_grids, one slice at a time
+        cfg = reference_scenario(0.3, trials=TRIAL_CHUNK + 1)
+        for start, stop in ((0, None), (0, TRIAL_CHUNK + 1)):
+            with pytest.raises(InvalidInputError, match="trial range"):
+                ensemble_for(cfg, start, stop)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "TRIAL_CHUNK", cfg.trials)
+            ens = ensemble_for(cfg)
+        with pytest.raises(InvalidInputError, match="ensemble"):
+            metric_samples_grid(cfg, ("rate-struct1",), [1.0], ens)
 
 
 class TestMetricSamplesGrid:
@@ -304,15 +318,40 @@ class TestTrialChunks:
             tracemalloc.stop()
 
     def test_transient_memory_does_not_grow_with_trials(self):
-        # beyond the slice it returns, the working memory of a slice draw does
-        # not depend on how many trials come before it
-        ensemble_for(reference_scenario(0.3, trials=64, seed=42))  # first-call allocations
+        # the draw and the kernel take one slice at most (whole-T work goes through
+        # sample_grids, below); beyond the slice the draw returns, and the slice and
+        # output the kernel reads and writes, their working memory does not depend
+        # on how many trials come before the slice
+        warm = reference_scenario(0.3, trials=64, seed=42)  # first-call allocations
+        metric_samples_grid(warm, METRICS, self.BUDGETS, ensemble_for(warm))
         extra = []
         for trials in (2048, 8192):
             cfg = reference_scenario(0.3, trials=trials, seed=42)
             ens, draw_peak = self.traced(ensemble_for, cfg, trials - TRIAL_CHUNK, trials)
-            extra.append(draw_peak - sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs)))
-        assert extra[1] - extra[0] < 0.5 * 2 ** 20, extra
+            out, kernel_peak = self.traced(metric_samples_grid, cfg, METRICS,
+                                           self.BUDGETS, ens)
+            ens_bytes = sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs))
+            extra.append(np.array([draw_peak - ens_bytes, kernel_peak - out.nbytes]))
+        assert np.all(extra[1] - extra[0] < 0.5 * 2 ** 20), extra
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=7), dict(trials=14), dict(sigma_p2p=(1.0, 0.9, 0.5)),
+        dict(sigma_bs=(1.0, 0.9, 0.5)), dict(M=4), dict(N=4),
+        dict(K=2, sigma_p2p=(1.0, 0.8), sigma_bs=(1.0, 0.8), psi=(0.3, 0.3)),
+    ], ids=["seed", "trials", "sigma_p2p", "sigma_bs", "M", "N", "K"])
+    def test_requests_must_share_the_draw(self, change):
+        # one slice draw serves every request, so a request whose channel draw
+        # differs from the first request's is refused, not run on the wrong draw
+        cfg = reference_scenario(0.3, trials=self.TRIALS, seed=42)
+        with pytest.raises(InvalidInputError, match="share"):
+            sample_grids([(cfg, ("rate-struct1",), [1.0]),
+                          (replace(cfg, **change), ("energy-swipt",), [1.0])])
+
+    def test_requests_may_differ_in_split(self):
+        cfg = reference_scenario(0.3, trials=self.TRIALS, seed=42)
+        other = reference_scenario(0.6, trials=self.TRIALS, seed=42)
+        grids = sample_grids([(cfg, ("rate-struct1",), [1.0]), (other, ("rate-struct1",), [1.0])])
+        assert grids[1][0, 0].tobytes() == metric_samples(other, "rate-struct1", 1.0).tobytes()
 
     MC_SCENARIOS = ("average", "structure2", "swipt", "energy-struct1", "energy-struct2")
 
