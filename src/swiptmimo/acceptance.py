@@ -56,10 +56,6 @@ def _wc_solutions(points):
     return [batch.solution(b) for b in range(len(points))]
 
 
-def _wc_rate(psi, ratio):
-    return _wc_solutions([(psi, ratio)])[0]
-
-
 @dataclass(frozen=True)
 class SharedInputs:
     """What criteria 1, 2 and 6-8 read, built once by `run_all`."""
@@ -261,17 +257,18 @@ def criterion_8(trials=2000, seed=42, shared=None):
                        "; ".join(lines))
 
 
-def _grid_search_objective(inv_gains, total_power, steps=(1e-2, 1e-4, 1e-6)):
+def _grid_search_objective(inv_gains, total_power):
     """Coarse-to-fine exhaustive maximum of sum log2(1 + p/c) on the simplex
-    p1 + p2 + p3 = P: a full grid, then windows two coarser steps to each side
-    of the best point. The objective is concave (Boyd & Vandenberghe, 5.5.3),
-    so that point lies next to the optimum. Clipping to [0, P] and p2 to
-    P - p1 searches the boundary, where a switched-off mode puts it, exactly."""
+    p1 + p2 + p3 = P: a full 0.1 grid, then 41 x 41 windows, each 10x finer
+    down to 1e-7, reaching two coarser steps to each side of the best point.
+    The objective is concave (Boyd & Vandenberghe, 5.5.3), so that point lies
+    next to the optimum. Clipping to [0, P] and p2 to P - p1 searches the
+    boundary, where a switched-off mode puts it, exactly."""
     c = np.asarray(inv_gains, dtype=float)
     centre = (total_power / 2, total_power / 2)
-    reach = total_power / 2
-    for step in steps:
-        offsets = step * np.arange(-np.ceil(reach / step), np.ceil(reach / step) + 1)
+    half = np.ceil(total_power / 2 / 1e-1)  # grid points to each side of the centre
+    for step in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        offsets = step * np.arange(-half, half + 1)
         p1 = np.clip(centre[0] + offsets, 0.0, total_power)[:, None]
         p2 = np.minimum(np.clip(centre[1] + offsets, 0.0, total_power), total_power - p1)
         p3 = np.maximum(total_power - p1 - p2, 0.0)
@@ -279,7 +276,7 @@ def _grid_search_objective(inv_gains, total_power, steps=(1e-2, 1e-4, 1e-6)):
                + np.log2(1.0 + p3 / c[2]))
         i, j = np.unravel_index(np.argmax(obj), obj.shape)
         centre, best = (p1[i, 0], p2[i, j]), obj[i, j]
-        reach = 2 * step
+        half = 20
     return float(best)
 
 
@@ -416,5 +413,5 @@ def run_all(trials=2000, seed=42):
     shared = SharedInputs(sample_table(trials, seed), saddle_table())
     results = [check(trials, seed, shared) if i in (1, 2, 6, 7, 8) else check(trials, seed)
                for i, check in enumerate(ALL_CRITERIA[:8], start=1)]
-    del shared  # before criterion 9's search grids (peak memory)
+    del shared  # criteria 9 and 10 do not read it, so free the sample table first
     return results + [check(trials, seed) for check in ALL_CRITERIA[8:]]

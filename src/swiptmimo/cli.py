@@ -35,6 +35,15 @@ ENERGY_SCENARIOS = ("swipt", "energy-struct1", "energy-struct2")
 
 CSV_HEADER = "ratio,scenario,psi,value,stderr"
 
+# Largest p and ratio * p a sweep accepts. No product the solvers form grows
+# faster than the square of a budget: the interferer's stationarity root forms
+# a * a / 4 ~ P^2 and a * g / mu ~ (g * Pb)^2, and the Monte-Carlo standard
+# error squares deviations ~ P. At 1e100 these stay near 1e200, far below the
+# float maximum 1.8e308 for gains and noise variances of moderate size. The
+# baseline saddle value at ratio 1 is the same to 1e-12 from p = 1e20 to 1e105,
+# and first drifts at 1e110.
+MAX_BUDGET = 1e100
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -145,9 +154,16 @@ def parse_config(path=None, text=None):
             line = max(lines.get(key, 0) for key in ("k", dim, profile))
             raise ConfigError(f"{profile} has length {actual}, expected min(k, {dim}) = "
                               f"{expected}", field=profile, line=line)
-    if not np.isfinite((top := max(cfg.ratio_grid)) * cfg.p):  # the largest BS budget
+    top, ratio_line = max(cfg.ratio_grid), max(lines.get(key, 0) for key in ("ratio_grid", "p"))
+    if not np.isfinite(top * cfg.p):  # top * p is the largest BS budget
         raise ConfigError(f"ratio {top} times p = {cfg.p} is not finite", field="ratio_grid",
-                          line=max(lines.get(key, 0) for key in ("ratio_grid", "p")))
+                          line=ratio_line)
+    if cfg.p > MAX_BUDGET:
+        raise ConfigError(f"power budget {cfg.p} exceeds {MAX_BUDGET:g}", field="p",
+                          line=lines["p"])
+    if top * cfg.p > MAX_BUDGET:
+        raise ConfigError(f"ratio {top} times p = {cfg.p} exceeds {MAX_BUDGET:g}",
+                          field="ratio_grid", line=ratio_line)
     if cfg.k > min(cfg.m, cfg.n):
         raise ConfigError(f"k = {cfg.k} must not exceed min(m, n) = {min(cfg.m, cfg.n)}",
                           field="k", line=max(lines.get(key, 0) for key in ("k", "m", "n")))

@@ -27,7 +27,7 @@ class PowerAllocation:
         if np.any(p < -1e-12) or not np.all(np.isfinite(p)):
             raise InvalidInputError("mode powers must be finite and nonnegative")
         p = np.maximum(p, 0.0)
-        if p.sum() > self.budget + BUDGET_TOL:
+        if p.sum() > self.budget + BUDGET_TOL * max(1.0, self.budget):
             raise InvalidInputError(
                 f"allocation {p.sum():.12g} exceeds budget {self.budget:.12g}")
         object.__setattr__(self, "p", p)

@@ -6,6 +6,8 @@ pinned curve is not the saddle value of the stated game; see the analysis in
 the repository notes) — the certificate half of that criterion passes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,13 +42,13 @@ def test_criterion_2_saddle_curve_anchors(shared):
 
 
 def test_criterion_2_saddle_certificate_alone():
-    from swiptmimo.acceptance import (WC_CURVE_03, _spectra, _wc_rate,
+    from swiptmimo.acceptance import (WC_CURVE_03, _spectra, _wc_solutions,
                                       saddle_certificate)
     cfg, lam2, lam2_bs, noise = _spectra(0.3)
     rng = np.random.default_rng(SEED)
     ok = True
     for ratio in WC_CURVE_03:
-        sol = _wc_rate(0.3, ratio)
+        sol = _wc_solutions([(0.3, ratio)])[0]
         ok &= saddle_certificate(lam2, lam2_bs, noise, cfg.P, ratio * cfg.P,
                                  sol, rng)
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 2 (certificate half)")
@@ -202,6 +204,10 @@ def test_simplex_search_finds_boundary_optimum(c, p_total):
     assert search >= dense_grid_objective(c, p_total) - 1e-12
 
 
+# worst gap of the former search (full 1e-2 grid, then 1e-4 and 1e-6 windows)
+PREVIOUS_SEARCH_GAP = {42: 1.47e-13, 7: 2.55e-13}
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_criterion_9_search_gap_not_worse_than_dense_grid(seed):
     new_gap = old_gap = 0.0
@@ -212,3 +218,17 @@ def test_criterion_9_search_gap_not_worse_than_dense_grid(seed):
     print(f"seed {seed}: coarse-to-fine gap {new_gap:.2e}, dense grid gap {old_gap:.2e}")
     assert new_gap <= old_gap
     assert new_gap <= 1e-6
+    assert new_gap <= PREVIOUS_SEARCH_GAP[seed]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_criterion_9_peak_memory(seed):
+    # the search's windows are 41 x 41, so criterion 9 holds no large grid
+    acceptance.criterion_9(TRIALS, seed)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        acceptance.criterion_9(TRIALS, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -1,6 +1,7 @@
 import functools
 import io
 import pathlib
+import warnings
 
 import pytest
 
@@ -336,6 +337,36 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "field 'ratio_grid'" in err and f"line {line}" in err
         assert f"{product} is not finite" in err
+
+    @pytest.mark.parametrize("text, field, line, message", [
+        # finite budgets, but the saddle's products would overflow
+        ("trials = 4\np = 1e300\nratio_grid = [0, 1]\n", "p", 2, "power budget 1e+300 exceeds"),
+        ("p = 1e308\nratio_grid = [0]\ntrials = 4\n", "p", 1, "power budget 1e+308 exceeds"),
+        ("p = 5\nratio_grid = [0, 1e100]\ntrials = 4\n", "ratio_grid", 2,
+         "ratio 1e+100 times p = 5.0 exceeds"),
+    ], ids=["p-1e300", "p-1e308-ratio-0", "ratio-times-p"])
+    def test_budget_above_bound_exit_code(self, tmp_path, capsys, text, field, line,
+                                          message):
+        assert cli.main(["--config", write(tmp_path, text)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and f"line {line}" in err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "p = 1e100\nratio_grid = [0, 1]\n",
+        "p = 5\nratio_grid = [0, 2e99]\n",
+        # rounding in a 1e8 allocation's sum is above 1e-9, the budget check's
+        # tolerance at unit budgets
+        "p = 1e8\nratio_grid = [0, 1, 14]\n",
+    ], ids=["p-at-bound", "ratio-times-p-at-bound", "p-1e8"])
+    def test_budget_inside_bound_runs_without_warnings(self, tmp_path, text):
+        scenarios = ", ".join(cli.SCENARIOS)
+        cfg = cli.parse_config(write(tmp_path, f"{text}trials = 4\nscenarios = [{scenarios}]\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow RuntimeWarning fails the run
+            csv = cli.run_sweep(cfg)
+        assert csv.count("\n") == 1 + len(cfg.psis) * len(cfg.scenarios) * len(cfg.ratio_grid)
+        assert "nan" not in csv and "inf" not in csv
 
     def test_empty_split_list_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "psi = []\n")

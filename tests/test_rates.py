@@ -106,6 +106,13 @@ class TestPowerAllocation:
         with pytest.raises(InvalidInputError):
             PowerAllocation(np.array([-0.5, 1.0]), 3.0)
 
+    @pytest.mark.parametrize("budget", [1.0, 1e8, 1e100])
+    def test_budget_tolerance_scales_with_budget(self, budget):
+        # a sum one rounding above a large budget passes; a relative excess of 1e-6 does not
+        PowerAllocation(np.array([0.5, 0.5]) * np.nextafter(budget, np.inf), budget)
+        with pytest.raises(InvalidInputError):
+            PowerAllocation(np.array([0.5, 0.5]) * budget * (1 + 1e-6), budget)
+
 
 class TestTinRateGlobal:
     def setup_method(self):
