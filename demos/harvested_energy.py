@@ -10,10 +10,9 @@ signal and noise contribute along the same direction.
 
 import numpy as np
 
-from swiptmimo import (NoiseProfile, PowerSplit, build_rf_covariance,
-                       optimal_steering, random_bs_covariance,
-                       reference_scenario, synthesize_channel, waterfill,
-                       equivalent_channels)
+from swiptmimo import (delivered, random_bs_covariance, reference_scenario, steering,
+                       synthesize_channel, top_eigpair, transmit_covariance,
+                       waterfilled_modes)
 
 
 def main():
@@ -22,43 +21,37 @@ def main():
     rng = np.random.default_rng(7)
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-    split = PowerSplit(cfg.psi_vector)
-    hhat, _ = equivalent_channels(h, h_bs, split)
-    noise = NoiseProfile(1.0, 1.0, cfg.psi_vector)
-    alloc, _ = waterfill(noise.beta / hhat.lambda2, cfg.P)
-    print(f"link water-filling at psi={psi}: powers {np.round(alloc.p, 4)}")
+    hhat = np.sqrt(cfg.psi_vector)[:, None] * h
+    beta = cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n
+    _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / beta[:, None]), cfg.P)
+    print(f"link water-filling at psi={psi}: powers {np.round(p, 4)}")
+
+    # the energy branch's signal and noise terms; the interferer adds c_bs
+    theta2 = 1.0 - cfg.psi_vector
+    c_sig = delivered(theta2, h, transmit_covariance(g, p))
+    w = np.diag(cfg.sigma2_w * theta2)
 
     # no interference: energy comes from our own signal plus antenna noise
-    quiet = build_rf_covariance(h, hhat.right[:, :3], alloc.p, h_bs,
-                                np.zeros((cfg.N, 1)), np.zeros(1), split, 1.0)
-    res = optimal_steering(quiet)
-    print(f"no interferer: harvested {res.linear:.4f} ({res.dB:.3f} dB)")
+    linear, _ = steering(c_sig, 0.0, w)
+    print(f"no interferer: harvested {linear:.4f} ({10 * np.log10(linear):.3f} dB)")
 
     # sweep the interferer power and watch the steering flip over
     print("\nPb    harvested(dB)  aligned-with-interferer?")
     for pb in (0.0, 5.0, 20.0, 70.0):
-        q_bs = random_bs_covariance(cfg.N, pb, np.random.default_rng(1))
-        w, v = np.linalg.eigh(q_bs)
-        cov = build_rf_covariance(h, hhat.right[:, :3], alloc.p, h_bs,
-                                  v, np.maximum(w, 0.0), split, 1.0)
-        res = optimal_steering(cov)
-        top_bs = np.linalg.eigh(cov.C_bs)[1][:, -1]
-        overlap = abs(np.vdot(res.q, top_bs)) if pb > 0 else 0.0
-        print(f"{pb:5.1f}  {res.dB:12.3f}  |<q, q_bs>| = {overlap:.3f}")
+        c_bs = delivered(theta2, h_bs, random_bs_covariance(cfg.N, pb, np.random.default_rng(1)))
+        linear, q = steering(c_sig, c_bs, w)
+        overlap = abs(np.vdot(q, top_eigpair(c_bs)[1])) if pb > 0 else 0.0
+        print(f"{pb:5.1f}  {10 * np.log10(linear):12.3f}  |<q, q_bs>| = {overlap:.3f}")
 
     # the dominant-interference shortcut agrees with the exact maximizer: steer
     # along the top interference eigenvector, then add the signal and noise
     # seen along it
-    q_bs = random_bs_covariance(cfg.N, 200.0, np.random.default_rng(2))
-    w, v = np.linalg.eigh(q_bs)
-    loud = build_rf_covariance(h, hhat.right[:, :3], alloc.p, h_bs,
-                               v, np.maximum(w, 0.0), split, 1.0)
-    exact = optimal_steering(loud)
-    w_bs, v_bs = np.linalg.eigh(loud.C_bs)
-    q = v_bs[:, -1]
-    shortcut = max(w_bs[-1], 0.0) + np.real(q.conj() @ (loud.C + loud.W) @ q)
+    c_bs = delivered(theta2, h_bs, random_bs_covariance(cfg.N, 200.0, np.random.default_rng(2)))
+    exact, _ = steering(c_sig, c_bs, w)
+    top, q = top_eigpair(c_bs)
+    shortcut = max(top, 0.0) + np.real(q.conj() @ (c_sig + w) @ q)
     print(f"\ndominant-interference regime (Pb = 200):")
-    print(f"  exact maximizer   {exact.linear:.4f}")
+    print(f"  exact maximizer   {exact:.4f}")
     print(f"  shortcut formula  {shortcut:.4f}")
 
 

@@ -8,15 +8,21 @@ direction of the split channel, and the harvested power climbs with budget
 while the rate stays put.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
-from swiptmimo import (NoiseProfile, PowerSplit, equivalent_channels,
-                       reference_scenario, sample_grids, swipt_design,
-                       synthesize_channel)
+from swiptmimo import (delivered, energy_beam, reference_scenario, sample_grids,
+                       synthesize_channel, transmit_covariance, waterfilled_modes)
 
 TRIALS = 800
+
+
+def noise_only_design(cfg, h):
+    """The link's covariance with the BS symbols cancelled: water-filled against
+    the information-branch noise alone."""
+    hhat = np.sqrt(cfg.psi_vector)[:, None] * h
+    beta = cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n
+    _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / beta[:, None]), cfg.P)
+    return hhat, beta, transmit_covariance(g, p)
 
 
 def main():
@@ -28,18 +34,13 @@ def main():
     budgets = [ratio * cfg.P for ratio in ratios]
     grid, = sample_grids([(cfg, ("energy-swipt", "energy-struct1"), budgets)])
     sw, cl = grid.mean(axis=2)
+    # the rate is deterministic: interference cancelled, noise-only design
+    hhat, beta, q = noise_only_design(cfg, synthesize_channel(
+        cfg.sigma_p2p, cfg.K, cfg.M, np.random.default_rng(0)))
+    signal = hhat @ q @ hhat.conj().T
+    _, logdet = np.linalg.slogdet(np.eye(cfg.K) + np.linalg.solve(np.diag(beta), signal))
+    rate = max(logdet / np.log(2.0), 0.0)
     for ratio, sw_mean, cl_mean in zip(ratios, sw, cl):
-        # the rate is deterministic: interference cancelled, noise-only design
-        rng = np.random.default_rng(0)
-        h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
-        h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-        split = PowerSplit(cfg.psi_vector)
-        hhat, _ = equivalent_channels(h, h_bs, split)
-        design = swipt_design(replace(cfg, Pb=ratio * cfg.P), hhat, h_bs, split)
-        beta = NoiseProfile(1.0, 1.0, cfg.psi_vector).beta
-        signal = hhat.matrix @ design.Q @ hhat.matrix.conj().T
-        _, logdet = np.linalg.slogdet(np.eye(cfg.K) + np.linalg.solve(np.diag(beta), signal))
-        rate = max(logdet / np.log(2.0), 0.0)
         print(f"{ratio:5d}  {rate:13.6f}  {10*np.log10(sw_mean):16.3f}  "
               f"{10*np.log10(cl_mean):19.3f}")
 
@@ -50,14 +51,12 @@ def main():
     rng = np.random.default_rng(1)
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-    split = PowerSplit(cfg.psi_vector)
-    hhat, _ = equivalent_channels(h, h_bs, split)
-    theta = np.sqrt(split.theta2)[:, None]
+    theta2 = 1.0 - cfg.psi_vector
     print("\nweak-majorization check of the delivered eigenvalue profiles "
           "(interferer at full budget vs link):")
-    design = swipt_design(replace(cfg, Pb=25.0), hhat, h_bs, split)
-    c_sig = (theta * h) @ design.Q @ (theta * h).conj().T
-    c_bs = (theta * h_bs) @ design.Q_bs @ (theta * h_bs).conj().T
+    _, _, q = noise_only_design(cfg, h)
+    c_sig = delivered(theta2, h, q)
+    c_bs = delivered(theta2, h_bs, 25.0 * energy_beam(h_bs, theta2))
     eig_sig = np.sort(np.linalg.eigvalsh(c_sig))[::-1]
     eig_bs = np.sort(np.linalg.eigvalsh(c_bs))[::-1]
     print(f"  interferer {np.round(eig_bs, 3)}  vs  link {np.round(eig_sig, 3)}"

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import montecarlo, saddle
 from .errors import ConfigError, ConvergenceError
+from .rates import MAX_BUDGET
 from .scenario import (REFERENCE_SIGMA_BS, REFERENCE_SIGMA_P2P, ScenarioConfig)
 
 EXIT_OK = 0
@@ -34,15 +35,6 @@ DEFAULT_SCENARIOS = ("worst-case", "average", "swipt", "structure2")
 ENERGY_SCENARIOS = ("swipt", "energy-struct1", "energy-struct2")
 
 CSV_HEADER = "ratio,scenario,psi,value,stderr"
-
-# Largest p and ratio * p a sweep accepts. No product the solvers form grows
-# faster than the square of a budget: the interferer's stationarity root forms
-# a * a / 4 ~ P^2 and a * g / mu ~ (g * Pb)^2, and the Monte-Carlo standard
-# error squares deviations ~ P. At 1e100 these stay near 1e200, far below the
-# float maximum 1.8e308 for gains and noise variances of moderate size. The
-# baseline saddle value at ratio 1 is the same to 1e-12 from p = 1e20 to 1e105,
-# and first drifts at 1e110.
-MAX_BUDGET = 1e100
 
 
 @dataclass(frozen=True)
@@ -70,6 +62,14 @@ class SweepConfig:
             P=self.p, seed=self.seed, trials=self.trials)
 
 
+# Profile and noise bounds, by the argument for MAX_BUDGET: a noise variance is a
+# power like a budget, so it too stays <= MAX_BUDGET. A gain sigma^2 enters only via
+# gain * budget / noise, which keeps the saddle value exact to 1e-12 below ~1e105, so
+# at budgets up to MAX_BUDGET gain / noise may reach 1e5: sigma^2 <= 1e2, noise >= 1e-3.
+PROFILE_BOUND = (lambda v: 0.0 <= v <= 10.0, "singular value {} outside [0, 10]")
+NOISE_BOUND = (lambda v: 1e-3 <= v <= MAX_BUDGET,
+               f"noise variance {{}} outside [0.001, {MAX_BUDGET:g}]")
+
 # key -> (SweepConfig attribute, kind, bound every value meets, message when one
 # does not). Kinds: "int" and "float" are one value; "list" is a non-empty
 # bracketed list of numbers; "grid" is a "list" without repeats, and psi's grid
@@ -80,11 +80,11 @@ FIELDS = {
     "n": ("n", "int", lambda v: v >= 1, "must be >= 1"),
     "trials": ("trials", "int", lambda v: v >= 1, "must be >= 1"),
     "seed": ("seed", "int", lambda v: v >= 0, "must be >= 0"),
-    "sigma_p2p": ("sigma_p2p", "list", lambda v: True, ""),
-    "sigma_bs": ("sigma_bs", "list", lambda v: True, ""),
+    "sigma_p2p": ("sigma_p2p", "list", *PROFILE_BOUND),
+    "sigma_bs": ("sigma_bs", "list", *PROFILE_BOUND),
     "psi": ("psis", "grid", lambda v: 0.0 <= v <= 1.0, "split ratio {} outside [0, 1]"),
-    "sigma2_w": ("sigma2_w", "float", lambda v: v > 0, "noise variance must be positive"),
-    "sigma2_n": ("sigma2_n", "float", lambda v: v > 0, "noise variance must be positive"),
+    "sigma2_w": ("sigma2_w", "float", *NOISE_BOUND),
+    "sigma2_n": ("sigma2_n", "float", *NOISE_BOUND),
     "p": ("p", "float", lambda v: v >= 0, "power budget must be nonnegative"),
     "ratio_grid": ("ratio_grid", "grid", lambda v: v >= 0, "ratios must be nonnegative"),
     "scenarios": ("scenarios", "tags", lambda v: v in SCENARIOS,

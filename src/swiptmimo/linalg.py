@@ -1,7 +1,6 @@
-"""Complex dense-matrix primitives: SVD, Hermitian eigendecomposition, Haar sampling.
-
-All decompositions return singular values / eigenvalues in descending order;
-downstream mode-pairing conventions rely on this.
+"""Complex dense-matrix primitives: batched conjugate transpose and Hermitian part,
+SVD (descending), Haar sampling. The eigen-solves live with the formulas that read
+them, as batched kernels in `rates` and `harvesting`.
 """
 
 import numpy as np
@@ -17,9 +16,14 @@ def check_finite(a, name="matrix"):
     return a
 
 
+def ch(a):
+    """Batched conjugate transpose."""
+    return a.conj().swapaxes(-2, -1)
+
+
 def hermitize(a):
     """Return the Hermitian part (A + A^H)/2."""
-    return 0.5 * (a + a.conj().swapaxes(-2, -1))
+    return 0.5 * (a + ch(a))
 
 
 def complex_gaussian(shape, rng):
@@ -63,16 +67,6 @@ def svd(a):
     a = check_finite(np.asarray(a, dtype=complex), "svd input")
     left, sigma, right_h = np.linalg.svd(a, full_matrices=True)
     return left, sigma, right_h.conj().T
-
-
-def herm_eig(a):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns (eigvals, eigvecs) with eigvecs[:, k] the unit eigenvector of
-    eigvals[k]. Eigenvector phase is unconstrained.
-    """
-    w, v = np.linalg.eigh(hermitize(np.asarray(a, dtype=complex)))
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def pad_diag(sigma, rows, cols):

@@ -10,7 +10,8 @@ each request's (metrics, budgets, trials) rows, the only arrays that grow with
 the trial count. Every operation acts trial by trial: slicing changes no bit.
 The kernel runs one receiver structure at a time: structure 1 shares each
 budget's solve, `eigh` and water-filling between its rate and energy,
-structure 2 its combiner and interference terms, joint transfer its beam and signal.
+structure 2 its combiner and interference terms, joint transfer its beam and signal;
+the formulas are kernels in `rates`, `harvesting` and `transfer`.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import harvesting, transfer
 from .errors import InvalidInputError, UnsupportedConfigError
-from .harvesting import to_db
-from .linalg import complex_gaussian, haar_from_gaussian, pad_diag
-from .rates import waterfill_batch
+from .linalg import ch, complex_gaussian, haar_from_gaussian, pad_diag
+from .rates import transmit_covariance, waterfilled_modes
 
 METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
            "energy-struct2", "energy-swipt")
@@ -53,7 +54,7 @@ class McResult:
         (10 / ln 10) * stderr / mean; (-inf, inf) unless the mean is positive."""
         if not self.mean > 0:
             return -np.inf, np.inf
-        return to_db(self.mean), (10.0 / np.log(10.0)) * self.stderr / self.mean
+        return harvesting.to_db(self.mean), (10.0 / np.log(10.0)) * self.stderr / self.mean
 
 
 def trial_rng(seed, trial):
@@ -109,41 +110,12 @@ def ensemble_for(cfg, start=0, stop=None):
     sig_bs = pad_diag(np.asarray(cfg.sigma_bs), k, n)
     ens = TrialEnsemble(
         cfg.seed, range(start, stop),
-        haar_from_gaussian(z_left) @ sig @ _ch(haar_from_gaussian(z_right)),
-        haar_from_gaussian(z_bs_left) @ sig_bs @ _ch(haar_from_gaussian(z_bs_right)),
+        haar_from_gaussian(z_left) @ sig @ ch(haar_from_gaussian(z_right)),
+        haar_from_gaussian(z_bs_left) @ sig_bs @ ch(haar_from_gaussian(z_bs_right)),
         z_users / np.linalg.norm(z_users, axis=1, keepdims=True))
     for arr in (ens.h, ens.h_bs, ens.user_dirs):
         arr.flags.writeable = False
     return ens
-
-
-def _ch(a):
-    """Batched conjugate transpose."""
-    return a.conj().swapaxes(-2, -1)
-
-
-def _top_eigpair(mats):
-    """Largest eigenvalue and eigenvector of stacked Hermitian matrices."""
-    w, v = np.linalg.eigh(0.5 * (mats + _ch(mats)))
-    return w[..., -1], v[..., :, -1]
-
-
-def _waterfilled_modes(t_mats, total_power):
-    """Eigenmodes of stacked PSD matrices and their water-filled powers, as
-    (gains, vectors, powers) with modes descending per trial."""
-    w, g = np.linalg.eigh(0.5 * (t_mats + _ch(t_mats)))
-    w = w[..., ::-1]
-    g = g[..., :, ::-1]
-    top = np.maximum(w[..., :1], 0.0)
-    usable = w > np.maximum(top, 1.0) * 1e-14
-    inv_gains = np.where(usable, 1.0 / np.where(usable, w, 1.0), np.inf)
-    powers, _ = waterfill_batch(inv_gains, total_power)
-    return w, g, powers
-
-
-def _covariance(vectors, powers):
-    """Batched transmit covariance G diag(p) G^H; only energy metrics read it."""
-    return (vectors * powers[..., None, :]) @ _ch(vectors)
 
 
 def sample_grids(requests):
@@ -201,61 +173,57 @@ def _structure1(cfg, ens, budgets, rows):
     root_psi = np.sqrt(cfg.psi_vector)[:, None]
     noise = np.diag(cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n)
     hhat, hhat_bs = root_psi * ens.h, root_psi * ens.h_bs
-    gram = ens.user_dirs @ _ch(ens.user_dirs)
+    gram = ens.user_dirs @ ch(ens.user_dirs)
 
     for r, pb in enumerate(budgets):
         q_bs = (pb / cfg.N) * gram
-        t_mats = _ch(hhat) @ np.linalg.solve(hhat_bs @ q_bs @ _ch(hhat_bs) + noise, hhat)
-        modes, g, powers = _waterfilled_modes(t_mats, cfg.P)
+        t_mats = ch(hhat) @ np.linalg.solve(hhat_bs @ q_bs @ ch(hhat_bs) + noise, hhat)
+        modes, g, powers = waterfilled_modes(t_mats, cfg.P)
         if "rate-struct1" in rows:
             rows["rate-struct1"][r] = np.sum(
                 np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
         if "energy-struct1" in rows:
-            q = _covariance(g, powers)
-            rows["energy-struct1"][r] = _harvested(cfg, ens, _delivered(cfg, ens.h, q), q_bs)
+            c_sig = harvesting.delivered(1.0 - cfg.psi_vector, ens.h,
+                                         transmit_covariance(g, powers))
+            rows["energy-struct1"][r] = _harvested(cfg, ens, c_sig, q_bs)
 
 
 def _structure2(cfg, ens, budgets, rows):
     """Combine, then split: one combiner per grid, one interference term per budget."""
     psi = cfg.psi[0]
-    gram = ens.user_dirs @ _ch(ens.user_dirs)
-    lam1sq, u1 = _top_eigpair(ens.h @ _ch(ens.h))
+    gram = ens.user_dirs @ ch(ens.user_dirs)
+    lam1sq, u1 = transfer.combiner(ens.h)
     for r, pb in enumerate(budgets):
-        rx = ens.h_bs @ ((pb / cfg.N) * gram) @ _ch(ens.h_bs)
-        interference = np.real(np.einsum("ti,tij,tj->t", u1.conj(), rx, u1))
+        rx = ens.h_bs @ ((pb / cfg.N) * gram) @ ch(ens.h_bs)
+        interference = transfer.combined_interference(u1, rx)
         if "rate-struct2" in rows:
-            denom = psi * (interference + cfg.sigma2_w) + cfg.sigma2_n
-            rows["rate-struct2"][r] = np.log2(1.0 + psi * lam1sq * cfg.P / denom)
+            rows["rate-struct2"][r] = transfer.combined_rate(
+                lam1sq, interference, psi, cfg.sigma2_w, cfg.sigma2_n, cfg.P)
         if "energy-struct2" in rows:
-            rows["energy-struct2"][r] = \
-                (1.0 - psi) * (lam1sq * cfg.P + interference + cfg.sigma2_w)
+            rows["energy-struct2"][r] = transfer.combined_energy(
+                lam1sq, interference, psi, cfg.sigma2_w, cfg.P)
 
 
 def _swipt(cfg, ens, budgets, rows):
-    """Joint transfer: the link ignores the cancelled BS symbols, so its delivered
-    term is formed once; the BS beams along the top direction of Theta H_bs."""
+    """Joint transfer: the link ignores the cancelled BS symbols, so it water-fills
+    against noise alone and its delivered term is formed once; the BS puts each
+    budget on one rank-one energy beam."""
     psi = cfg.psi_vector
-    _, e_bs = _top_eigpair(_ch(ens.h_bs) @ ((1.0 - psi)[:, None] * ens.h_bs))
-    beam = e_bs[..., :, None] @ _ch(e_bs[..., :, None])
+    beam = transfer.energy_beam(ens.h_bs, 1.0 - psi)
     hhat = np.sqrt(psi)[:, None] * ens.h
     noise_diag = psi * cfg.sigma2_w + cfg.sigma2_n
-    _, g, powers = _waterfilled_modes(_ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
-    c_sig = _delivered(cfg, ens.h, _covariance(g, powers))
+    _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
+    c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
     for r, pb in enumerate(budgets):
         rows["energy-swipt"][r] = _harvested(cfg, ens, c_sig, pb * beam)
 
 
-def _delivered(cfg, h, q):
-    """(Theta h) q (Theta h)^H, what covariance q delivers to the energy branches."""
-    th = np.sqrt(1.0 - cfg.psi_vector)[:, None] * h
-    return th @ q @ _ch(th)
-
-
 def _harvested(cfg, ens, c_sig, q_bs):
-    """Power the best energy beam collects from link term c_sig, BS term and noise."""
-    noise = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
-    top, _ = _top_eigpair(c_sig + _delivered(cfg, ens.h_bs, q_bs) + noise)
-    return np.maximum(top, 0.0)
+    """Power the best energy beam collects from link term c_sig, BS covariance q_bs
+    and the split antenna noise."""
+    theta2 = 1.0 - cfg.psi_vector
+    c_bs = harvesting.delivered(theta2, ens.h_bs, q_bs)
+    return harvesting.steering(c_sig, c_bs, np.diag(cfg.sigma2_w * theta2))[0]
 
 
 def average_metric(cfg, metric, pb_budget):

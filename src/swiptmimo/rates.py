@@ -1,4 +1,4 @@
-"""Achievable-rate formulas and the shared water-filling solver.
+"""Achievable-rate formulas, water-filling and the rate-optimal transmit covariance.
 
 Rates are in bits per channel use (base-2 logs throughout). The per-mode
 effective noise is beta_k = psi_k * sigma2_w + sigma2_n.
@@ -9,10 +9,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import check_finite, hermitize
+from .linalg import ch, check_finite, hermitize
 
 LN2 = np.log(2.0)
 BUDGET_TOL = 1e-9
+# Largest power budget (link or interferer) a sweep or a saddle solve accepts.
+# No product the solvers form grows faster than the square of a budget: the
+# interferer's stationarity root forms a * a / 4 ~ P^2 and a * g / mu ~ (g * Pb)^2,
+# and the Monte-Carlo standard error squares deviations ~ P. At 1e100 these stay
+# near 1e200, far below the float maximum 1.8e308. The solvers see a budget only
+# through the ratio gain * budget / noise: at the baseline's gain / noise ~ 0.2,
+# the saddle value at ratio 1 is the same to 1e-12 from p = 1e20 to 1e105, and
+# first drifts at 1e110. `cli.FIELDS` bounds gains and noise variances to match.
+MAX_BUDGET = 1e100
 
 
 @dataclass(frozen=True)
@@ -35,9 +44,6 @@ class PowerAllocation:
     @property
     def total(self):
         return float(self.p.sum())
-
-    def __len__(self):
-        return len(self.p)
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,6 @@ def self_noise(noise, k):
     return np.diag(noise.psi * noise.sigma2_w + np.full(k, noise.sigma2_n))
 
 
-def _interference_plus_noise(hhat_bs, q_bs, noise):
-    k = hhat_bs.matrix.shape[0]
-    s = hhat_bs.matrix @ np.asarray(q_bs, dtype=complex) @ hhat_bs.matrix.conj().T
-    return hermitize(s) + self_noise(noise, k)
-
-
 def tin_rate_global(hhat, hhat_bs, q, q_bs, noise):
     """Rate with global channel knowledge, treating interference as noise.
 
@@ -134,7 +134,8 @@ def tin_rate_global(hhat, hhat_bs, q, q_bs, noise):
     covariance at the information branch.
     """
     q = check_finite(np.asarray(q, dtype=complex), "Q")
-    s = _interference_plus_noise(hhat_bs, q_bs, noise)
+    s = hermitize(hhat_bs.matrix @ np.asarray(q_bs, dtype=complex) @ hhat_bs.matrix.conj().T) \
+        + self_noise(noise, hhat_bs.matrix.shape[0])
     try:
         inner = np.linalg.solve(s, hhat.matrix @ q @ hhat.matrix.conj().T)
     except np.linalg.LinAlgError as exc:
@@ -143,29 +144,23 @@ def tin_rate_global(hhat, hhat_bs, q, q_bs, noise):
     return max(float(_logdet2(np.eye(k) + inner)), 0.0)
 
 
-def optimal_q_global(hhat, s, total_power):
-    """Rate-optimal transmit covariance for a fixed receive covariance `s`.
-
-    Water-fills over the eigenmodes of Hhat^H S^-1 Hhat; the returned Q is
-    PSD with trace equal to the power budget.
-    """
-    if total_power < 0:
-        raise InvalidInputError("power budget must be nonnegative")
-    s = np.asarray(s, dtype=complex)
-    m = hhat.matrix.shape[1]
-    if total_power == 0:
-        return np.zeros((m, m), dtype=complex)
-    try:
-        t = hhat.matrix.conj().T @ np.linalg.solve(s, hhat.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("receive covariance is singular") from exc
-    w, g = np.linalg.eigh(hermitize(t))
-    w, g = w[::-1], g[:, ::-1]
-    top = max(w[0], 0.0)
-    usable = w > max(top, 1.0) * 1e-14
+def waterfilled_modes(t_mats, total_power):
+    """Eigenmodes of stacked PSD matrices T = Hhat^H S^-1 Hhat and their water-filled
+    powers, as (gains, vectors, powers) with modes descending per matrix; the
+    rate-optimal transmit covariance against receive covariance S is
+    `transmit_covariance(vectors, powers)`, PSD with trace `total_power` (0 if T = 0)."""
+    w, g = np.linalg.eigh(hermitize(t_mats))
+    w = w[..., ::-1]
+    g = g[..., :, ::-1]
+    usable = w > np.maximum(w[..., :1], 0.0) * 1e-14  # above the top's rounding
     inv_gains = np.where(usable, 1.0 / np.where(usable, w, 1.0), np.inf)
-    alloc, _ = waterfill(inv_gains, total_power)
-    return hermitize((g * alloc.p) @ g.conj().T)
+    powers, _ = waterfill_batch(inv_gains, total_power)
+    return w, g, powers
+
+
+def transmit_covariance(vectors, powers):
+    """Batched transmit covariance G diag(p) G^H."""
+    return (vectors * powers[..., None, :]) @ ch(vectors)
 
 
 def worst_case_rate(lambda2, lambda2_bs, p, p_bs, noise):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .rates import PowerAllocation, _powers, mode_rate_sum, waterfill_batch
+from .rates import MAX_BUDGET, PowerAllocation, _powers, mode_rate_sum, waterfill_batch
 
 MU_TOL = 1e-10
 RATE_TOL = 1e-10
@@ -168,8 +168,10 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget,
     if not all(np.all(np.isfinite(x)) for x in inputs):
         raise InvalidInputError("saddle inputs must be finite")
     if (np.any(lam2 < 0) or np.any(lam2_bs < 0) or np.any(beta <= 0)
-            or np.any(power < 0) or np.any(budget < 0)):
-        raise InvalidInputError("saddle inputs need gains >= 0, beta > 0, budgets >= 0")
+            or not np.all((0 <= power) & (power <= MAX_BUDGET) & (0 <= budget)
+                          & (budget <= MAX_BUDGET))):
+        raise InvalidInputError("saddle inputs need gains >= 0, beta > 0, budgets in "
+                                f"[0, {MAX_BUDGET:g}]")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be at least 1")
 

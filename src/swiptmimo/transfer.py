@@ -5,80 +5,45 @@ Under joint transfer the receiver knows the energy symbols, cancels them
 before decoding, and the base station devotes its whole budget to a rank-one
 energy beam. The baseline receiver (structure 2) combines all antennas into
 one analog chain along the link's dominant left singular vector and splits
-the combined signal once.
+the combined signal once. Every kernel broadcasts over leading batch axes.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import rates
-from .errors import InvalidInputError
-from .harvesting import HarvestResult, to_db
-from .linalg import herm_eig, hermitize, svd
+from .harvesting import top_eigpair
+from .linalg import ch
 
 
-@dataclass(frozen=True)
-class TransmitDesign:
-    """Transmit covariances of both nodes."""
-
-    Q: np.ndarray
-    Q_bs: np.ndarray
-
-
-def swipt_design(cfg, hhat, h_bs, split):
-    """Joint-transfer design: noise-only water-filling and a rank-one energy beam.
-
-    The energy signal is cancelled at the information branch, so Q is
-    water-filled against the pure-noise covariance. The base station aligns
-    its whole budget with the strongest energy-delivery direction of the
-    split-scaled channel (top right singular direction of Theta H_bs).
-    """
-    h_bs = np.asarray(h_bs, dtype=complex)
-    noise_only = np.diag(split.psi * cfg.sigma2_w + cfg.sigma2_n)
-    q = rates.optimal_q_global(hhat, noise_only, cfg.P)
-    gram = hermitize(h_bs.conj().T @ (split.theta2[:, None] * h_bs))
-    _, vecs = herm_eig(gram)
-    e_bs = vecs[:, 0]
-    q_bs = cfg.Pb * np.outer(e_bs, e_bs.conj())
-    return TransmitDesign(q, hermitize(q_bs))
+def energy_beam(h_bs, theta2):
+    """Unit-power rank-one BS energy beam e e^H along the top right singular direction
+    of Theta h_bs (theta2 = 1 - psi), the one that delivers most to the energy branches."""
+    _, e_bs = top_eigpair(ch(h_bs) @ (theta2[:, None] * h_bs))
+    return e_bs[..., :, None] @ ch(e_bs[..., :, None])
 
 
-def _dominant_mode(h):
-    left, sigma, _ = svd(h)
-    return left[:, 0], float(sigma[0] ** 2)
+def combiner(h):
+    """Dominant eigenpair (lambda_1^2, u_1) of h h^H: all transmit power rides the
+    dominant mode, and u_1 is the analog combiner."""
+    return top_eigpair(h @ ch(h))
 
 
-def _combined_interference(u1, h_bs, q_bs):
-    h_bs = np.asarray(h_bs, dtype=complex)
-    q_bs = np.asarray(q_bs, dtype=complex)
-    return float(np.real(u1.conj() @ h_bs @ q_bs @ h_bs.conj().T @ u1))
+def combined_interference(u1, rx):
+    """Interference u_1^H Rx u_1 that passes the combiner, from the received
+    interference covariance Rx = h_bs Q_bs h_bs^H. einsum sums each row of a batch
+    i-major but a lone 2 x 2 row in another order, so it always sees two copies:
+    a row's bits do not depend on its batch."""
+    u1, rx = np.stack([u1, u1]), np.stack([rx, rx])
+    return np.real(np.einsum("...i,...ij,...j->...", u1.conj(), rx, u1))[0]
 
 
-def structure2_rate(h, h_bs, q_bs, psi, noise, total_power):
-    """Rate of the combine-then-split receiver with a single splitter.
-
-    All transmit power rides the dominant eigenmode; the combiner is the
-    matching left singular vector. Antenna noise and interference pass the
-    combiner and then the splitter; processing noise adds after the split.
-    """
-    if not np.isscalar(psi) or psi < 0 or psi > 1:
-        raise InvalidInputError("structure 2 uses a single scalar split in [0, 1]")
-    u1, lam1sq = _dominant_mode(h)
-    interference = _combined_interference(u1, h_bs, q_bs)
-    denom = psi * (interference + noise.sigma2_w) + noise.sigma2_n
-    return float(np.log2(1.0 + psi * lam1sq * total_power / denom))
+def combined_rate(lam1sq, interference, psi, sigma2_w, sigma2_n, total_power):
+    """Rate of the combine-then-split receiver with split psi: antenna noise and
+    interference pass the combiner and the splitter, processing noise adds after it."""
+    denom = psi * (interference + sigma2_w) + sigma2_n
+    return np.log2(1.0 + psi * lam1sq * total_power / denom)
 
 
-def structure2_energy(h, h_bs, q_bs, psi, noise, total_power):
-    """Harvested power of the combine-then-split receiver.
-
-    The energy branch receives the (1 - psi) share of the combined signal,
-    interference included; the combiner is shared with the information branch.
-    """
-    if not np.isscalar(psi) or psi < 0 or psi > 1:
-        raise InvalidInputError("structure 2 uses a single scalar split in [0, 1]")
-    u1, lam1sq = _dominant_mode(h)
-    interference = _combined_interference(u1, h_bs, q_bs)
-    linear = (1.0 - psi) * (lam1sq * total_power + interference + noise.sigma2_w)
-    return HarvestResult(float(linear), to_db(linear), u1)
+def combined_energy(lam1sq, interference, psi, sigma2_w, total_power):
+    """Harvested power of the combine-then-split receiver: the (1 - psi) share of
+    the combined signal, interference and antenna noise."""
+    return (1.0 - psi) * (lam1sq * total_power + interference + sigma2_w)

@@ -55,12 +55,12 @@ def test_criterion_2_saddle_certificate_alone():
     assert ok
 
 
-def test_criterion_3_structure2_rate_endpoints():
+def test_criterion_3_combined_rate_endpoints():
     res = report(acceptance.criterion_3(TRIALS, SEED))
     assert res.passed, res.detail
 
 
-def test_criterion_4_structure2_energy_endpoints():
+def test_criterion_4_combined_energy_endpoints():
     res = report(acceptance.criterion_4(TRIALS, SEED))
     assert res.passed, res.detail
 
@@ -145,13 +145,19 @@ def test_shared_ensemble_gives_the_same_report(check, shared_small):
 
 def test_run_all_builds_the_shared_inputs_once(recorded_run):
     _, grids, batches = recorded_run
-    # criteria 6-8: one call per psi over the whole ratio grid; then criterion 10's
-    # two T = 50 sweeps, one call per structure family each
+    # criteria 6-8: one call per psi over the whole ratio grid; criteria 3-5: one
+    # Pb = 0 call per endpoint on its one-trial draw; then criterion 10's two
+    # T = 50 sweeps, one call per structure family each
     rates, energies = ("rate-struct1", "rate-struct2"), ("energy-struct1", "energy-swipt")
     assert grids[:3] == [(0.3, rates + energies, 15), (0.6, rates + energies, 15),
                          (0.9, rates, 15)]
-    assert len(grids) == 3 + 6
-    assert all(call[2] == 3 for call in grids[3:])
+    endpoints = (("rate-struct2", acceptance.S2_RATE_ENDPOINTS),
+                 ("energy-struct2", acceptance.S2_ENERGY_ENDPOINTS),
+                 ("energy-struct1", acceptance.S1_ENERGY_ENDPOINTS))
+    assert grids[3:10] == [(psi, (metric,), 1) for metric, anchors in endpoints
+                           for psi in anchors]
+    assert len(grids) == 10 + 6
+    assert all(call[2] == 3 for call in grids[10:])
     # criteria 1, 2 and 8: one 45-point batch; then criterion 10's worst-case rows
     assert batches == [45, 3, 3]
 

@@ -368,6 +368,49 @@ class TestMainEntry:
         assert csv.count("\n") == 1 + len(cfg.psis) * len(cfg.scenarios) * len(cfg.ratio_grid)
         assert "nan" not in csv and "inf" not in csv
 
+    @pytest.mark.parametrize("text, field, line, message", [
+        ("sigma_p2p = [1e200, 1e200, 1e200]\n", "sigma_p2p", 4,
+         "singular value 1e+200 outside [0, 10]"),
+        ("sigma_bs = [0.8, 0.7, -0.5]\n", "sigma_bs", 4, "singular value -0.5 outside [0, 10]"),
+        ("sigma2_w = 1e-300\nsigma2_n = 1e-300\n", "sigma2_w", 4,
+         "noise variance 1e-300 outside [0.001, 1e+100]"),
+        ("sigma2_n = 1e-300\n", "sigma2_n", 4, "noise variance 1e-300 outside"),
+        ("sigma2_n = 2e100\n", "sigma2_n", 4, "noise variance 2e+100 outside"),
+    ], ids=["huge-profile", "negative-profile", "tiny-noise", "tiny-sigma2_n", "huge-noise"])
+    def test_profile_or_noise_outside_bound_exit_code(self, tmp_path, capsys, text, field,
+                                                      line, message):
+        # these ran into a LinAlgError traceback or a solve of more than 20 s
+        path = write(tmp_path, "psi = 0.3\nratio_grid = [0, 1]\ntrials = 4\n" + text)
+        assert cli.main(["--config", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and f"line {line}" in err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("noise", [
+        "sigma2_w = 1e100\nsigma2_n = 1e-3\n", "sigma2_w = 1e-3\nsigma2_n = 1e100\n",
+        "sigma2_w = 1e-3\nsigma2_n = 1e-3\n",
+    ], ids=["loud-antenna", "loud-processing", "quiet"])
+    def test_config_at_every_bound_runs_without_warnings(self, tmp_path, capsys, noise):
+        # profiles at 0 and 10, both budgets at MAX_BUDGET, the split at 0 and 1
+        scenarios = ", ".join(cli.SCENARIOS)
+        path = write(tmp_path, "sigma_p2p = [10, 5, 0]\nsigma_bs = [10, 10, 0]\n" + noise
+                     + f"p = 1e100\nratio_grid = [0, 1]\npsi = [0, 1]\ntrials = 4\n"
+                     f"scenarios = [{scenarios}]\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow RuntimeWarning fails the run
+            assert cli.main(["--config", path]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and "nan" not in out
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        assert len(rows) == 2 * 2 * len(cli.SCENARIOS)
+        # the average rate keeps its order above the worst case
+        values = {(tag, psi, ratio): (float(value), float(stderr or 0))
+                  for ratio, tag, psi, value, stderr in rows}
+        for (tag, psi, ratio), (worst, _) in values.items():
+            if tag == "worst-case":
+                avg, stderr = values["average", psi, ratio]
+                assert worst <= avg + 3 * stderr + 1e-9 * max(1.0, avg)
+
     def test_empty_split_list_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "psi = []\n")
         assert cli.main(["--config", cfg_path]) == cli.EXIT_CONFIG

@@ -4,19 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swiptmimo import cli, montecarlo
+from swiptmimo import cli, linalg, montecarlo, saddle
 from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
-from swiptmimo.harvesting import build_rf_covariance, optimal_steering, to_db
+from swiptmimo.harvesting import to_db
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
 from swiptmimo.montecarlo import (FAMILIES, METRICS, TRIAL_CHUNK, McResult,
                                   average_metric, ensemble_for, metric_samples,
                                   metric_samples_grid, random_bs_covariance, sample_grids)
-from swiptmimo.rates import NoiseProfile, optimal_q_global, self_noise
-from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
-                                reference_scenario, synthesize_channel)
-from swiptmimo.transfer import (structure2_energy, structure2_rate,
-                                swipt_design)
+from swiptmimo.rates import (NoiseProfile, self_noise, tin_rate_global,
+                             transmit_covariance, waterfill, waterfilled_modes)
+from swiptmimo.scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
+                                equivalent_channels, reference_scenario, synthesize_channel)
+from swiptmimo.transfer import energy_beam
 
 
 class TestRandomBsCovariance:
@@ -48,38 +50,169 @@ class TestRandomBsCovariance:
         assert np.max(np.abs(off)) < 3 * off_tol
 
 
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def profile(draw, k):
+    """k descending singular values, each at most 0.9 of the one before, so the
+    top singular direction is unique."""
+    top = draw(st.floats(0.1, 2.0))
+    steps = draw(st.lists(st.floats(0.0, 0.9), min_size=k - 1, max_size=k - 1))
+    return tuple(np.cumprod([top] + steps))
+
+
+@st.composite
+def grid_cases(draw):
+    """A small link with a uniform split, a few trials of it and one BS budget."""
+    k = draw(st.integers(1, 3))
+    m, n = draw(st.integers(k, 4)), draw(st.integers(k, 5))
+    cfg = ScenarioConfig(
+        K=k, M=m, N=n, sigma_p2p=profile(draw, k), sigma_bs=profile(draw, k),
+        psi=(draw(st.sampled_from([0.0, 0.3, 0.77, 1.0])),) * k,
+        sigma2_w=draw(st.floats(0.1, 10.0)), sigma2_n=draw(st.floats(0.1, 10.0)),
+        P=draw(st.floats(0.0, 20.0)), trials=3, seed=draw(st.integers(0, 10_000)))
+    return cfg, draw(st.floats(0.0, 100.0))
+
+
+def trial_terms(cfg, ens, t, pb):
+    """Trial t's split channels, BS covariance and noise, as the oracles take them."""
+    root_psi = np.sqrt(cfg.psi_vector)[:, None]
+    hhat, hhat_bs = (EquivalentChannel.from_matrix(root_psi * a) for a in (ens.h[t], ens.h_bs[t]))
+    q_bs = (pb / cfg.N) * ens.user_dirs[t] @ ens.user_dirs[t].conj().T
+    return hhat, hhat_bs, q_bs, NoiseProfile(cfg.sigma2_w, cfg.sigma2_n, cfg.psi_vector)
+
+
+def kernel_q(hhat, s, total_power):
+    """The rates kernel's optimal covariance against receive covariance s."""
+    t = hhat.matrix.conj().T @ np.linalg.solve(s, hhat.matrix)
+    _, g, p = waterfilled_modes(t, total_power)
+    return transmit_covariance(g, p)
+
+
+def assert_top_rayleigh_quotient(energy, cov, rng):
+    """energy is the largest Rayleigh quotient of covariance cov: at least that of
+    any unit steering vector, the top eigenvector's included, and at most the trace."""
+    scale = max(1.0, np.real(np.trace(cov)))
+    vectors = [np.linalg.eigh(cov)[1][:, -1]] + [
+        v / np.linalg.norm(v) for v in
+        rng.standard_normal((20, len(cov))) + 1j * rng.standard_normal((20, len(cov)))]
+    for v in vectors:
+        assert energy >= np.real(v.conj() @ cov @ v) - 1e-9 * scale
+    assert energy <= np.real(np.trace(cov)) + 1e-9 * scale
+
+
+class TestKernelOracles:
+    """Each metric of the grid kernel against an oracle that does not share its path."""
+
+    @PROPERTY
+    @given(grid_cases())
+    def test_rate_struct1_is_the_log_det_rate_at_the_kernel_q(self, case):
+        cfg, pb = case
+        ens = ensemble_for(cfg)
+        rates = metric_samples_grid(cfg, ("rate-struct1",), [pb], ens)[0, 0]
+        for t, rate in enumerate(rates):
+            hhat, hhat_bs, q_bs, noise = trial_terms(cfg, ens, t, pb)
+            s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + self_noise(noise, cfg.K)
+            oracle = tin_rate_global(hhat, hhat_bs, kernel_q(hhat, s, cfg.P), q_bs, noise)
+            assert rate == pytest.approx(oracle, abs=1e-9 * max(1.0, oracle))
+
+    @PROPERTY
+    @given(grid_cases())
+    def test_energies_are_top_rayleigh_quotients(self, case):
+        # the steering vector is free, so each energy is the top eigenvalue of the
+        # energy branch's covariance Theta (H Q H^H + H_bs Q_bs H_bs^H) Theta + W
+        cfg, pb = case
+        ens = ensemble_for(cfg)
+        struct1, swipt = metric_samples_grid(cfg, ("energy-struct1", "energy-swipt"),
+                                             [pb], ens)[:, 0]
+        theta = np.sqrt(1.0 - cfg.psi_vector)[:, None]
+        w = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
+        beams = energy_beam(ens.h_bs, 1.0 - cfg.psi_vector)
+        rng = np.random.default_rng(cfg.seed)
+        for t in range(cfg.trials):
+            hhat, hhat_bs, q_bs, noise = trial_terms(cfg, ens, t, pb)
+            s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + self_noise(noise, cfg.K)
+            for energy, q, q_bs_t in (
+                    (struct1[t], kernel_q(hhat, s, cfg.P), q_bs),
+                    (swipt[t], kernel_q(hhat, self_noise(noise, cfg.K), cfg.P), pb * beams[t])):
+                th, th_bs = theta * ens.h[t], theta * ens.h_bs[t]
+                cov = th @ q @ th.conj().T + th_bs @ q_bs_t @ th_bs.conj().T + w
+                assert_top_rayleigh_quotient(energy, cov, rng)
+
+    @PROPERTY
+    @given(grid_cases())
+    def test_structure2_closed_form_from_the_svd(self, case):
+        # all power on the dominant right singular vector, combined along the left one
+        cfg, pb = case
+        ens = ensemble_for(cfg)
+        rates, energies = metric_samples_grid(cfg, ("rate-struct2", "energy-struct2"),
+                                              [pb], ens)[:, 0]
+        psi = cfg.psi[0]
+        for t in range(cfg.trials):
+            left, sigma, _ = np.linalg.svd(ens.h[t])
+            u1 = left[:, 0]
+            q_bs = trial_terms(cfg, ens, t, pb)[2]
+            interference = np.real(u1.conj() @ ens.h_bs[t] @ q_bs @ ens.h_bs[t].conj().T @ u1)
+            signal = sigma[0] ** 2 * cfg.P
+            rate = np.log2(1 + psi * signal / (psi * (interference + cfg.sigma2_w)
+                                               + cfg.sigma2_n))
+            energy = (1 - psi) * (signal + interference + cfg.sigma2_w)
+            assert rates[t] == pytest.approx(rate, abs=1e-9 * max(1.0, rate))
+            assert energies[t] == pytest.approx(energy, abs=1e-9 * max(1.0, energy))
+
+    @PROPERTY
+    @given(grid_cases())
+    def test_rows_do_not_depend_on_their_batch(self, case):
+        # a trial computed alone carries the same bits as inside its slice
+        cfg, pb = case
+        whole = metric_samples_grid(cfg, METRICS, [pb, 2 * pb], ensemble_for(cfg))
+        for t in range(cfg.trials):
+            alone = metric_samples_grid(cfg, METRICS, [pb, 2 * pb], ensemble_for(cfg, t, t + 1))
+            assert alone[..., 0].tobytes() == whole[..., t].tobytes()
+
+
 def scalar_trial_metrics(cfg, pb_budget, trial):
-    """Replay one trial with the scalar-path building blocks."""
+    """Replay one trial from its own generator with the scalar building blocks and
+    plain per-matrix numpy, none of the batched kernels."""
     rng = montecarlo.trial_rng(cfg.seed, trial)
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
     q_bs = random_bs_covariance(cfg.N, pb_budget, rng)
-    split = PowerSplit(cfg.psi_vector)
-    hhat, hhat_bs = equivalent_channels(h, h_bs, split)
+    hhat, hhat_bs = equivalent_channels(h, h_bs, PowerSplit(cfg.psi_vector))
     noise = NoiseProfile(cfg.sigma2_w, cfg.sigma2_n, cfg.psi_vector)
-    psi = cfg.psi[0]
+    theta = np.diag(np.sqrt(1.0 - cfg.psi_vector))
+    w = cfg.sigma2_w * theta @ theta
+
+    def optimal_q(s):
+        gains, vectors = np.linalg.eigh(hhat.matrix.conj().T @ np.linalg.solve(s, hhat.matrix))
+        usable = gains > max(gains[-1], 0.0) * 1e-14
+        alloc, _ = waterfill(np.where(usable, 1.0 / np.where(usable, gains, 1.0), np.inf), cfg.P)
+        return vectors @ np.diag(alloc.p) @ vectors.conj().T
+
+    def harvested(q, q_bs_t):
+        cov = theta @ (h @ q @ h.conj().T + h_bs @ q_bs_t @ h_bs.conj().T) @ theta + w
+        return max(np.linalg.eigvalsh(cov)[-1], 0.0)
 
     out = {}
     s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + self_noise(noise, cfg.K)
-    q_opt = optimal_q_global(hhat, s, cfg.P)
-    from swiptmimo.rates import tin_rate_global
+    q_opt = optimal_q(s)
     out["rate-struct1"] = tin_rate_global(hhat, hhat_bs, q_opt, q_bs, noise)
-    out["rate-struct2"] = structure2_rate(h, h_bs, q_bs, psi, noise, cfg.P)
-    out["energy-struct2"] = structure2_energy(h, h_bs, q_bs, psi, noise, cfg.P).linear
+    out["energy-struct1"] = harvested(q_opt, q_bs)
 
-    w_opt, v_opt = np.linalg.eigh(q_opt)
-    cov = build_rf_covariance(h, v_opt, np.maximum(w_opt, 0.0), h_bs,
-                              np.linalg.eigh(q_bs)[1],
-                              np.maximum(np.linalg.eigh(q_bs)[0], 0.0),
-                              split, cfg.sigma2_w)
-    out["energy-struct1"] = optimal_steering(cov).linear
+    psi = cfg.psi[0]
+    left, sigma, _ = np.linalg.svd(h)
+    u1 = left[:, 0]
+    interference = np.real(u1.conj() @ h_bs @ q_bs @ h_bs.conj().T @ u1)
+    signal = sigma[0] ** 2 * cfg.P
+    out["rate-struct2"] = np.log2(1 + psi * signal / (psi * (interference + cfg.sigma2_w)
+                                                      + cfg.sigma2_n))
+    out["energy-struct2"] = (1 - psi) * (signal + interference + cfg.sigma2_w)
 
-    design = swipt_design(replace(cfg, Pb=pb_budget), hhat, h_bs, split)
-    w_q, v_q = np.linalg.eigh(design.Q)
-    w_b, v_b = np.linalg.eigh(design.Q_bs)
-    cov_sw = build_rf_covariance(h, v_q, np.maximum(w_q, 0.0), h_bs,
-                                 v_b, np.maximum(w_b, 0.0), split, cfg.sigma2_w)
-    out["energy-swipt"] = optimal_steering(cov_sw).linear
+    # joint transfer: the link water-fills against noise alone, the BS beams its
+    # whole budget along the top right singular vector of Theta h_bs
+    e = np.linalg.svd(theta @ h_bs)[2][0].conj()
+    out["energy-swipt"] = harvested(optimal_q(self_noise(noise, cfg.K)),
+                                    pb_budget * np.outer(e, e.conj()))
     return out
 
 
@@ -115,7 +248,7 @@ class TestEnsembleDraw:
             for z in zs:
                 z[t] = complex_gaussian(z.shape[1:], rng)
         z_left, z_right, z_bs_left, z_bs_right, z_users = zs
-        ch = montecarlo._ch
+        ch = linalg.ch
         h = haar_from_gaussian(z_left) @ pad_diag(cfg.sigma_p2p, k, m) \
             @ ch(haar_from_gaussian(z_right))
         h_bs = haar_from_gaussian(z_bs_left) @ pad_diag(cfg.sigma_bs, k, n) \
@@ -441,6 +574,17 @@ class TestAverageMetric:
                                "rate-struct1", 35.0)
         ratio = small.stderr / large.stderr
         assert ratio == pytest.approx(2.0, rel=0.2)
+
+    def test_strong_interference_keeps_usable_modes(self):
+        # at the largest budgets the interference-whitened gains are ~1e-100; they
+        # still carry rate, at least the worst-case saddle value per trial
+        cfg = replace(reference_scenario(0.3, trials=64), P=cli.MAX_BUDGET)
+        lam2 = 0.3 * np.square(cfg.sigma_p2p)
+        lam2_bs = 0.3 * np.square(cfg.sigma_bs)
+        worst = saddle.solve_saddle_batch(lam2[None], lam2_bs[None], np.full((1, 3), 1.3),
+                                          cfg.P, cfg.P).rate[0]
+        assert worst == pytest.approx(3.95098, abs=1e-5)
+        assert np.all(metric_samples(cfg, "rate-struct1", cfg.P) >= worst)
 
     def test_unknown_metric_rejected(self):
         cfg = reference_scenario(0.3, trials=4)

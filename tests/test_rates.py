@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptmimo.errors import InvalidInputError
 from swiptmimo.linalg import haar_unitary, pad_diag
 from swiptmimo.montecarlo import random_bs_covariance
-from swiptmimo.rates import (NoiseProfile, PowerAllocation, optimal_q_global,
-                             tin_rate_global, waterfill, worst_case_rate)
+from swiptmimo.rates import (NoiseProfile, PowerAllocation, tin_rate_global,
+                             transmit_covariance, waterfill, waterfilled_modes,
+                             worst_case_rate)
 from swiptmimo.scenario import (EquivalentChannel, PowerSplit,
                                 equivalent_channels, reference_scenario,
                                 synthesize_channel)
@@ -166,11 +169,18 @@ class TestTinRateGlobal:
         assert got == pytest.approx(expected, abs=1e-9)
 
 
+def optimal_q(hhat, s, total_power):
+    """The rates kernel's optimal covariance against receive covariance s, one row."""
+    t = hhat.matrix.conj().T @ np.linalg.solve(s, hhat.matrix)
+    _, g, p = waterfilled_modes(t[None], total_power)
+    return transmit_covariance(g, p)[0]
+
+
 class TestOptimalQGlobal:
     def test_identity_noise_diagonal_channel(self):
         lam = np.array([0.9, 0.6, 0.2])
         hhat = EquivalentChannel.from_matrix(np.diag(lam).astype(complex))
-        q = optimal_q_global(hhat, np.eye(3), 5.0)
+        q = optimal_q(hhat, np.eye(3), 5.0)
         expected, _ = waterfill(1.0 / lam ** 2, 5.0)
         assert np.allclose(np.sort(np.diag(q).real)[::-1],
                            np.sort(expected.p)[::-1], atol=1e-9)
@@ -178,14 +188,14 @@ class TestOptimalQGlobal:
 
     def test_zero_budget(self):
         hhat = EquivalentChannel.from_matrix(np.eye(3).astype(complex))
-        assert np.allclose(optimal_q_global(hhat, np.eye(3), 0.0), 0.0)
+        assert np.all(optimal_q(hhat, np.eye(3), 0.0) == 0.0)
 
     def test_trace_equals_budget(self):
         rng = np.random.default_rng(13)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         hhat = EquivalentChannel.from_matrix(np.sqrt(0.3) * h)
         s = np.eye(3) * 1.3
-        q = optimal_q_global(hhat, s, 5.0)
+        q = optimal_q(hhat, s, 5.0)
         assert np.real(np.trace(q)) == pytest.approx(5.0, abs=1e-9)
 
     def test_beats_random_equal_trace_alternatives(self):
@@ -198,7 +208,7 @@ class TestOptimalQGlobal:
         q_bs = random_bs_covariance(5, 10.0, rng)
         s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T \
             + np.diag(noise.beta)
-        q_star = optimal_q_global(hhat, s, 5.0)
+        q_star = optimal_q(hhat, s, 5.0)
         best = tin_rate_global(hhat, hhat_bs, q_star, q_bs, noise)
         for _ in range(200):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -206,6 +216,72 @@ class TestOptimalQGlobal:
             q_alt *= 5.0 / np.real(np.trace(q_alt))
             alt = tin_rate_global(hhat, hhat_bs, q_alt, q_bs, noise)
             assert best >= alt - 1e-9
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def psd_stacks(draw):
+    """A stack of 1-4 PSD matrices B B^H of size 1-4 and rank up to their size,
+    with a power budget."""
+    rows, size = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rank = draw(st.integers(0, size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    b = scale * (rng.standard_normal((rows, size, rank))
+                 + 1j * rng.standard_normal((rows, size, rank)))
+    return b @ b.conj().swapaxes(-2, -1), draw(st.floats(0.0, 1e3))
+
+
+class TestWaterfilledModes:
+    """Properties of the optimal-covariance kernel on random PSD stacks."""
+
+    @PROPERTY
+    @given(psd_stacks())
+    def test_covariance_is_psd_with_trace_budget(self, case):
+        t_mats, total_power = case
+        _, g, p = waterfilled_modes(t_mats, total_power)
+        q = transmit_covariance(g, p)
+        scale = max(total_power, 1.0)
+        assert np.allclose(q, q.conj().swapaxes(-2, -1), atol=1e-12 * scale)
+        assert np.all(np.linalg.eigvalsh(q) >= -1e-12 * scale)
+        usable = np.linalg.eigvalsh(t_mats)[..., -1] > 0
+        # a row with no usable mode sends nothing; every other row spends it all
+        traces = np.real(np.trace(q, axis1=-2, axis2=-1))
+        assert np.allclose(traces, np.where(usable, total_power, 0.0),
+                           rtol=1e-12, atol=1e-12)
+
+    @PROPERTY
+    @given(psd_stacks())
+    def test_kkt_conditions(self, case):
+        # p_k = eta - 1/w_k on the active modes and eta <= 1/w_k off them, one
+        # water level per row
+        t_mats, total_power = case
+        w, g, p = waterfilled_modes(t_mats, total_power)
+        for w_row, p_row in zip(w, p):
+            assert np.all(p_row >= 0.0)
+            active = p_row > 0
+            if not active.any():
+                continue
+            eta = p_row[active][0] + 1.0 / w_row[active][0]
+            assert np.allclose(p_row[active] + 1.0 / w_row[active], eta,
+                               rtol=1e-9, atol=0.0)
+            idle = ~active & (w_row > 0)
+            assert np.all(eta <= 1.0 / w_row[idle] * (1 + 1e-9))
+
+    @PROPERTY
+    @given(psd_stacks(), st.randoms(use_true_random=False))
+    def test_rows_do_not_depend_on_their_batch(self, case, random):
+        t_mats, total_power = case
+        order = list(range(len(t_mats)))
+        random.shuffle(order)
+        whole = waterfilled_modes(t_mats, total_power)
+        shuffled = waterfilled_modes(t_mats[order], total_power)
+        for i, j in enumerate(order):
+            alone = waterfilled_modes(t_mats[j:j + 1], total_power)
+            for got, row, want in zip(shuffled, alone, whole):
+                assert got[i].tobytes() == row[0].tobytes() == want[j].tobytes()
 
 
 class TestWorstCaseRate:

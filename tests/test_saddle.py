@@ -4,7 +4,7 @@ import pytest
 from swiptmimo.acceptance import (projected_gradient_worst_allocation,
                                   saddle_certificate)
 from swiptmimo.errors import ConvergenceError, InvalidInputError
-from swiptmimo.rates import NoiseProfile, worst_case_rate
+from swiptmimo.rates import MAX_BUDGET, NoiseProfile, worst_case_rate
 from swiptmimo.saddle import (bs_best_response, p2p_best_response, solve_saddle,
                               solve_saddle_batch)
 
@@ -207,3 +207,18 @@ class TestSolveSaddleBatch:
         args[field] = np.full(np.shape(args[field]), np.nan)
         with pytest.raises(InvalidInputError):
             solve_saddle_batch(*args)
+
+    @pytest.mark.parametrize("power, budget", [(1e120, 1e120), (1e120, 5.0), (5.0, 1e120),
+                                               (MAX_BUDGET, np.nextafter(MAX_BUDGET, np.inf))])
+    def test_budget_above_bound_rejected(self, power, budget):
+        # past MAX_BUDGET the value drifts (to 3.99505 at 1e120) yet would still
+        # converge, so the library refuses it as the config parser does
+        with pytest.raises(InvalidInputError, match="budgets in"):
+            solve_saddle_batch(LAM2[None], LAM2_BS[None], np.full((1, 3), 1.3), power, budget)
+
+    @pytest.mark.parametrize("budget", [1e20, MAX_BUDGET])
+    def test_budget_at_bound_keeps_the_large_budget_value(self, budget):
+        batch = solve_saddle_batch(LAM2[None], LAM2_BS[None], np.full((1, 3), 1.3),
+                                   budget, budget)
+        assert batch.converged[0]
+        assert batch.rate[0] == pytest.approx(3.95098, abs=1e-5)

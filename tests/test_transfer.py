@@ -1,19 +1,21 @@
-from dataclasses import replace
+"""The transfer kernels on one-row batches: the joint-transfer energy beam and
+noise-only link covariance, and the combine-then-split receiver."""
 
 import numpy as np
 import pytest
 
-from swiptmimo.errors import InvalidInputError
-from swiptmimo.harvesting import build_rf_covariance, optimal_steering
-from swiptmimo.montecarlo import random_bs_covariance
-from swiptmimo.rates import NoiseProfile, waterfill
-from swiptmimo.scenario import (PowerSplit, equivalent_channels,
+from swiptmimo.errors import UnsupportedConfigError
+from swiptmimo.harvesting import delivered, steering, to_db
+from swiptmimo.montecarlo import ensemble_for, metric_samples_grid, random_bs_covariance
+from swiptmimo.rates import NoiseProfile, transmit_covariance, waterfill, waterfilled_modes
+from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
                                 reference_scenario, synthesize_channel)
-from swiptmimo.transfer import structure2_energy, structure2_rate, swipt_design
+from swiptmimo.transfer import (combined_energy, combined_interference, combined_rate,
+                                combiner, energy_beam)
 
 
-def setup_link(psi, seed=0, pb=5.0):
-    cfg = reference_scenario(psi, pb=pb)
+def setup_link(psi, seed=0):
+    cfg = reference_scenario(psi)
     rng = np.random.default_rng(seed)
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
@@ -23,50 +25,67 @@ def setup_link(psi, seed=0, pb=5.0):
     return cfg, h, h_bs, split, hhat, hhat_bs, noise
 
 
+def noise_only_covariance(hhat, noise, total_power):
+    """The joint-transfer link covariance: water-filled against noise alone."""
+    m = hhat.matrix
+    _, g, p = waterfilled_modes(m.conj().T @ (m / noise.beta[:, None]), total_power)
+    return transmit_covariance(g, p)
+
+
+def structure2(h, h_bs, q_bs, psi, total_power):
+    """(rate, linear energy) of the combine-then-split receiver with unit noise."""
+    lam1sq, u1 = combiner(h[None])
+    interference = combined_interference(u1, (h_bs @ q_bs @ h_bs.conj().T)[None])
+    return (combined_rate(lam1sq, interference, psi, 1.0, 1.0, total_power)[0],
+            combined_energy(lam1sq, interference, psi, 1.0, total_power)[0])
+
+
 class TestSwiptDesign:
     def test_zero_bs_budget(self):
-        cfg, h, h_bs, split, hhat, _, noise = setup_link(0.3, pb=0.0)
-        design = swipt_design(cfg, hhat, h_bs, split)
-        assert np.allclose(design.Q_bs, 0.0)
+        cfg, h, h_bs, split, hhat, _, noise = setup_link(0.3)
+        # the beam carries unit power, so the BS sends budget * beam: nothing at Pb = 0
+        beam = energy_beam(h_bs[None], split.theta2)[0]
+        assert np.real(np.trace(beam)) == pytest.approx(1.0, abs=1e-12)
         # the information covariance matches the interference-free optimum
+        q = noise_only_covariance(hhat, noise, cfg.P)
         alloc, _ = waterfill(noise.beta / hhat.lambda2, cfg.P)
-        eigs = np.sort(np.linalg.eigvalsh(design.Q))[::-1]
+        eigs = np.sort(np.linalg.eigvalsh(q))[::-1]
         assert np.allclose(eigs, np.sort(alloc.p)[::-1], atol=1e-9)
 
     def test_energy_beam_is_rank_one_full_power(self):
-        cfg, h, h_bs, split, hhat, _, _ = setup_link(0.3, pb=25.0)
-        design = swipt_design(cfg, hhat, h_bs, split)
-        w = np.linalg.eigvalsh(design.Q_bs)
-        assert np.real(np.trace(design.Q_bs)) == pytest.approx(25.0, abs=1e-9)
+        _, _, h_bs, split, _, _, _ = setup_link(0.3)
+        q_bs = 25.0 * energy_beam(h_bs[None], split.theta2)[0]
+        w = np.linalg.eigvalsh(q_bs)
+        assert np.real(np.trace(q_bs)) == pytest.approx(25.0, abs=1e-9)
         assert w[-1] == pytest.approx(25.0, abs=1e-9)
         assert np.all(np.abs(w[:-1]) < 1e-9)
 
     def test_information_beams_ride_right_singular_basis(self):
-        cfg, h, h_bs, split, hhat, _, noise = setup_link(0.3, pb=5.0)
-        design = swipt_design(cfg, hhat, h_bs, split)
+        cfg, _, _, _, hhat, _, noise = setup_link(0.3)
+        q = noise_only_covariance(hhat, noise, cfg.P)
         alloc, _ = waterfill(noise.beta / hhat.lambda2, cfg.P)
         expected = (hhat.right[:, :3] * alloc.p) @ hhat.right[:, :3].conj().T
-        assert np.allclose(design.Q, expected, atol=1e-9)
+        assert np.allclose(q, expected, atol=1e-9)
 
     def test_energy_beam_maximizes_delivered_power(self):
-        cfg, h, h_bs, split, hhat, _, _ = setup_link(0.3, seed=3, pb=10.0)
-        design = swipt_design(cfg, hhat, h_bs, split)
+        _, _, h_bs, split, _, _, _ = setup_link(0.3, seed=3)
+        q_bs = 10.0 * energy_beam(h_bs[None], split.theta2)[0]
         theta_h = np.sqrt(split.theta2)[:, None] * h_bs
-        delivered = np.real(np.trace(theta_h @ design.Q_bs @ theta_h.conj().T))
+        delivered_power = np.real(np.trace(theta_h @ q_bs @ theta_h.conj().T))
         rng = np.random.default_rng(4)
         for _ in range(300):
             v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             v /= np.linalg.norm(v)
             alt = 10.0 * np.real(v.conj() @ theta_h.conj().T @ theta_h @ v)
-            assert delivered >= alt - 1e-9
+            assert delivered_power >= alt - 1e-9
 
 
 class TestStructure2:
     @pytest.mark.parametrize("psi,expected", [
         (0.3, 0.952047), (0.6, 1.332708), (0.9, 1.545188)])
     def test_rate_endpoints(self, psi, expected):
-        cfg, h, h_bs, _, _, _, noise = setup_link(psi)
-        rate = structure2_rate(h, h_bs, np.zeros((5, 5)), psi, noise, 5.0)
+        _, h, h_bs, _, _, _, _ = setup_link(psi)
+        rate, _ = structure2(h, h_bs, np.zeros((5, 5)), psi, 5.0)
         assert rate == pytest.approx(expected, abs=1e-3)
         # closed-form scalar oracle
         oracle = np.log2(1 + psi * 0.81 * 5.0 / (psi + 1.0))
@@ -74,61 +93,54 @@ class TestStructure2:
 
     @pytest.mark.parametrize("psi,expected", [(0.3, 5.483894), (0.6, 3.053514)])
     def test_energy_endpoints(self, psi, expected):
-        cfg, h, h_bs, _, _, _, noise = setup_link(psi)
-        res = structure2_energy(h, h_bs, np.zeros((5, 5)), psi, noise, 5.0)
-        assert res.dB == pytest.approx(expected, abs=0.01)
-        assert res.linear == pytest.approx((1 - psi) * (0.81 * 5.0 + 1.0), abs=1e-9)
+        _, h, h_bs, _, _, _, _ = setup_link(psi)
+        _, linear = structure2(h, h_bs, np.zeros((5, 5)), psi, 5.0)
+        assert to_db(linear) == pytest.approx(expected, abs=0.01)
+        assert linear == pytest.approx((1 - psi) * (0.81 * 5.0 + 1.0), abs=1e-9)
 
     def test_noise_only_harvest(self):
-        cfg, h, h_bs, _, _, _, noise = setup_link(0.3)
-        res = structure2_energy(h, h_bs, np.zeros((5, 5)), 0.3, noise, 0.0)
-        assert res.linear == pytest.approx(0.7 * 1.0, abs=1e-12)
+        _, h, h_bs, _, _, _, _ = setup_link(0.3)
+        _, linear = structure2(h, h_bs, np.zeros((5, 5)), 0.3, 0.0)
+        assert linear == pytest.approx(0.7 * 1.0, abs=1e-12)
 
     def test_zero_power_gives_zero_rate(self):
-        cfg, h, h_bs, _, _, _, noise = setup_link(0.3)
-        assert structure2_rate(h, h_bs, np.zeros((5, 5)), 0.3, noise, 0.0) == 0.0
+        _, h, h_bs, _, _, _, _ = setup_link(0.3)
+        assert structure2(h, h_bs, np.zeros((5, 5)), 0.3, 0.0)[0] == 0.0
 
     def test_split_conservation(self):
         # EH share plus ID share reconstruct the combined branch power exactly
-        cfg, h, h_bs, _, _, _, noise = setup_link(0.3, seed=5)
-        rng = np.random.default_rng(6)
-        q_bs = random_bs_covariance(5, 10.0, rng)
+        _, h, h_bs, _, _, _, _ = setup_link(0.3, seed=5)
+        q_bs = random_bs_covariance(5, 10.0, np.random.default_rng(6))
         psi = 0.3
-        res = structure2_energy(h, h_bs, q_bs, psi, noise, 5.0)
-        u1 = res.q
+        _, linear = structure2(h, h_bs, q_bs, psi, 5.0)
+        u1 = combiner(h[None])[1][0]
         combined = np.real(
             0.81 * 5.0 + u1.conj() @ h_bs @ q_bs @ h_bs.conj().T @ u1 + 1.0)
-        id_share = psi * combined
-        assert res.linear + id_share == pytest.approx(combined, abs=1e-12)
+        assert linear + psi * combined == pytest.approx(combined, abs=1e-12)
 
     def test_scalar_split_required(self):
-        cfg, h, h_bs, _, _, _, noise = setup_link(0.3)
-        with pytest.raises(InvalidInputError):
-            structure2_rate(h, h_bs, np.zeros((5, 5)), np.array([0.3, 0.3, 0.3]),
-                            noise, 5.0)
+        # one analog chain has one splitter: per-antenna splits are refused
+        cfg = ScenarioConfig(psi=(0.3, 0.3, 0.4), trials=2)
+        with pytest.raises(UnsupportedConfigError):
+            metric_samples_grid(cfg, ("rate-struct2",), [5.0], ensemble_for(cfg))
 
     def test_interference_lowers_rate_raises_energy(self):
-        cfg, h, h_bs, _, _, _, noise = setup_link(0.3, seed=7)
-        rng = np.random.default_rng(8)
-        q_bs = random_bs_covariance(5, 20.0, rng)
-        zero = np.zeros((5, 5))
-        assert structure2_rate(h, h_bs, q_bs, 0.3, noise, 5.0) \
-            <= structure2_rate(h, h_bs, zero, 0.3, noise, 5.0)
-        assert structure2_energy(h, h_bs, q_bs, 0.3, noise, 5.0).linear \
-            >= structure2_energy(h, h_bs, zero, 0.3, noise, 5.0).linear
+        _, h, h_bs, _, _, _, _ = setup_link(0.3, seed=7)
+        q_bs = random_bs_covariance(5, 20.0, np.random.default_rng(8))
+        loud = structure2(h, h_bs, q_bs, 0.3, 5.0)
+        quiet = structure2(h, h_bs, np.zeros((5, 5)), 0.3, 5.0)
+        assert loud[0] <= quiet[0]
+        assert loud[1] >= quiet[1]
 
 
 class TestSwiptEnergyMonotone:
     def test_rank_one_beam_adds_psd_mass(self):
         cfg, h, h_bs, split, hhat, _, noise = setup_link(0.3, seed=9)
-        alloc, _ = waterfill(noise.beta / hhat.lambda2, cfg.P)
+        c_sig = delivered(split.theta2, h, noise_only_covariance(hhat, noise, cfg.P))
+        beam = energy_beam(h_bs, split.theta2)
         prev = -np.inf
         for pb in (0.0, 5.0, 25.0, 70.0):
-            design = swipt_design(replace(cfg, Pb=pb), hhat, h_bs, split)
-            w, v = np.linalg.eigh(design.Q_bs)
-            cov = build_rf_covariance(
-                h, hhat.right[:, :3], alloc.p, h_bs,
-                v, np.maximum(w, 0.0), split, 1.0)
-            energy = optimal_steering(cov).linear
+            energy, _ = steering(c_sig, delivered(split.theta2, h_bs, pb * beam),
+                                 np.diag(split.theta2))
             assert energy >= prev - 1e-12
             prev = energy
