@@ -10,8 +10,8 @@ signal and noise contribute along the same direction.
 
 import numpy as np
 
-from swiptmimo import (delivered, random_bs_covariance, reference_scenario, steering,
-                       synthesize_channel, top_eigpair, transmit_covariance,
+from swiptmimo import (delivered, harvested_power, random_bs_covariance, reference_scenario,
+                       steering, synthesize_channel, top_eigpair, transmit_covariance,
                        waterfilled_modes)
 
 
@@ -32,14 +32,14 @@ def main():
     w = np.diag(cfg.sigma2_w * theta2)
 
     # no interference: energy comes from our own signal plus antenna noise
-    linear, _ = steering(c_sig, 0.0, w)
+    linear = harvested_power(c_sig, 0.0, w)
     print(f"no interferer: harvested {linear:.4f} ({10 * np.log10(linear):.3f} dB)")
 
     # sweep the interferer power and watch the steering flip over
     print("\nPb    harvested(dB)  aligned-with-interferer?")
     for pb in (0.0, 5.0, 20.0, 70.0):
         c_bs = delivered(theta2, h_bs, random_bs_covariance(cfg.N, pb, np.random.default_rng(1)))
-        linear, q = steering(c_sig, c_bs, w)
+        linear, q = harvested_power(c_sig, c_bs, w), steering(c_sig, c_bs, w)
         overlap = abs(np.vdot(q, top_eigpair(c_bs)[1])) if pb > 0 else 0.0
         print(f"{pb:5.1f}  {10 * np.log10(linear):12.3f}  |<q, q_bs>| = {overlap:.3f}")
 
@@ -47,7 +47,7 @@ def main():
     # along the top interference eigenvector, then add the signal and noise
     # seen along it
     c_bs = delivered(theta2, h_bs, random_bs_covariance(cfg.N, 200.0, np.random.default_rng(2)))
-    exact, _ = steering(c_sig, c_bs, w)
+    exact = harvested_power(c_sig, c_bs, w)
     top, q = top_eigpair(c_bs)
     shortcut = max(top, 0.0) + np.real(q.conj() @ (c_sig + w) @ q)
     print(f"\ndominant-interference regime (Pb = 200):")

@@ -3,7 +3,7 @@ splits power between information detection and RF energy harvesting."""
 
 from .errors import (ConfigError, ConvergenceError, InvalidInputError,
                      NumericalError, UnsupportedConfigError)
-from .harvesting import delivered, steering, top_eigpair
+from .harvesting import delivered, harvested_power, steering, top_eigpair
 from .linalg import haar_unitary, svd
 from .montecarlo import (McResult, average_metric, ensemble_for, metric_samples,
                          metric_samples_grid, random_bs_covariance, sample_grids)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ConvergenceError", "InvalidInputError", "NumericalError",
     "UnsupportedConfigError",
-    "delivered", "steering", "top_eigpair",
+    "delivered", "harvested_power", "steering", "top_eigpair",
     "haar_unitary", "svd",
     "McResult", "average_metric", "ensemble_for", "metric_samples",
     "metric_samples_grid", "random_bs_covariance", "sample_grids",

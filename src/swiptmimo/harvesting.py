@@ -4,7 +4,7 @@ The energy branch sees C + C_bs + W, where C carries the desired signal, C_bs
 the interference, and W = sigma2_w * Theta^2 the split-scaled antenna noise.
 The optimal unit-norm steering vector is the top eigenvector of that sum, and
 the harvested power its eigenvalue. Every kernel broadcasts over leading
-batch axes.
+batch axes; the power reads eigenvalues alone.
 """
 
 import numpy as np
@@ -31,8 +31,11 @@ def delivered(theta2, h, q):
     return th @ q @ ch(th)
 
 
+def harvested_power(c_sig, c_bs, w):
+    """Top eigenvalue of C + C_bs + W, clipped at zero: what the best steering collects."""
+    return np.maximum(np.linalg.eigvalsh(hermitize(c_sig + c_bs + w))[..., -1], 0.0)
+
+
 def steering(c_sig, c_bs, w):
-    """Harvested power and the steering vector that collects it from C + C_bs + W:
-    the top eigenpair, its eigenvalue clipped at zero."""
-    top, q = top_eigpair(c_sig + c_bs + w)
-    return np.maximum(top, 0.0), q
+    """The unit steering vector that collects `harvested_power`: the top eigenvector."""
+    return top_eigpair(c_sig + c_bs + w)[1]

@@ -1,6 +1,6 @@
 """Complex dense-matrix primitives: batched conjugate transpose and Hermitian part,
 SVD (descending), Haar sampling. The eigen-solves live with the formulas that read
-them, as batched kernels in `rates` and `harvesting`.
+them: batched kernels in `rates` and `harvesting`, and the structure-1 rate in `montecarlo`.
 """
 
 import numpy as np

@@ -9,9 +9,10 @@ longer slices) and runs every requested `metric_samples_grid` call on it, into
 each request's (metrics, budgets, trials) rows, the only arrays that grow with
 the trial count. Every operation acts trial by trial: slicing changes no bit.
 The kernel runs one receiver structure at a time: structure 1 shares each
-budget's solve, `eigh` and water-filling between its rate and energy,
-structure 2 its combiner and interference terms, joint transfer its beam and signal;
-the formulas are kernels in `rates`, `harvesting` and `transfer`.
+budget's solve between its rate and energy, structure 2 its combiner and
+interference terms, joint transfer its beam and signal; the formulas are
+kernels in `rates`, `harvesting` and `transfer`. The structure-1 rate and every
+harvested power read `eigvalsh`; `eigh` runs only where an eigenvector is read.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import harvesting, transfer
 from .errors import InvalidInputError, UnsupportedConfigError
-from .linalg import ch, complex_gaussian, haar_from_gaussian, pad_diag
-from .rates import transmit_covariance, waterfilled_modes
+from .linalg import ch, complex_gaussian, haar_from_gaussian, hermitize, pad_diag
+from .rates import mode_powers, transmit_covariance, waterfilled_modes
 
 METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
            "energy-struct2", "energy-swipt")
@@ -169,7 +170,8 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
 
 
 def _structure1(cfg, ens, budgets, rows):
-    """Split per antenna: each budget's solve, eigh and water-filling feed both metrics."""
+    """Split per antenna: each budget's solve feeds both metrics; the rate reads
+    eigenvalues, so its bits do not depend on the energy's eigh being run too."""
     root_psi = np.sqrt(cfg.psi_vector)[:, None]
     noise = np.diag(cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n)
     hhat, hhat_bs = root_psi * ens.h, root_psi * ens.h_bs
@@ -178,11 +180,12 @@ def _structure1(cfg, ens, budgets, rows):
     for r, pb in enumerate(budgets):
         q_bs = (pb / cfg.N) * gram
         t_mats = ch(hhat) @ np.linalg.solve(hhat_bs @ q_bs @ ch(hhat_bs) + noise, hhat)
-        modes, g, powers = waterfilled_modes(t_mats, cfg.P)
         if "rate-struct1" in rows:
+            modes = np.linalg.eigvalsh(hermitize(t_mats))[..., ::-1]
             rows["rate-struct1"][r] = np.sum(
-                np.log2(1.0 + np.maximum(modes, 0.0) * powers), axis=-1)
+                np.log2(1.0 + np.maximum(modes, 0.0) * mode_powers(modes, cfg.P)), axis=-1)
         if "energy-struct1" in rows:
+            _, g, powers = waterfilled_modes(t_mats, cfg.P)
             c_sig = harvesting.delivered(1.0 - cfg.psi_vector, ens.h,
                                          transmit_covariance(g, powers))
             rows["energy-struct1"][r] = _harvested(cfg, ens, c_sig, q_bs)
@@ -223,7 +226,7 @@ def _harvested(cfg, ens, c_sig, q_bs):
     and the split antenna noise."""
     theta2 = 1.0 - cfg.psi_vector
     c_bs = harvesting.delivered(theta2, ens.h_bs, q_bs)
-    return harvesting.steering(c_sig, c_bs, np.diag(cfg.sigma2_w * theta2))[0]
+    return harvesting.harvested_power(c_sig, c_bs, np.diag(cfg.sigma2_w * theta2))
 
 
 def average_metric(cfg, metric, pb_budget):

@@ -144,6 +144,14 @@ def tin_rate_global(hhat, hhat_bs, q, q_bs, noise):
     return max(float(_logdet2(np.eye(k) + inner)), 0.0)
 
 
+def mode_powers(gains, total_power):
+    """Water-filled powers of stacked mode gains, descending per row; gains within
+    the top gain's rounding get none."""
+    usable = gains > np.maximum(gains[..., :1], 0.0) * 1e-14
+    inv_gains = np.where(usable, 1.0 / np.where(usable, gains, 1.0), np.inf)
+    return waterfill_batch(inv_gains, total_power)[0]
+
+
 def waterfilled_modes(t_mats, total_power):
     """Eigenmodes of stacked PSD matrices T = Hhat^H S^-1 Hhat and their water-filled
     powers, as (gains, vectors, powers) with modes descending per matrix; the
@@ -151,11 +159,7 @@ def waterfilled_modes(t_mats, total_power):
     `transmit_covariance(vectors, powers)`, PSD with trace `total_power` (0 if T = 0)."""
     w, g = np.linalg.eigh(hermitize(t_mats))
     w = w[..., ::-1]
-    g = g[..., :, ::-1]
-    usable = w > np.maximum(w[..., :1], 0.0) * 1e-14  # above the top's rounding
-    inv_gains = np.where(usable, 1.0 / np.where(usable, w, 1.0), np.inf)
-    powers, _ = waterfill_batch(inv_gains, total_power)
-    return w, g, powers
+    return w, g[..., :, ::-1], mode_powers(w, total_power)
 
 
 def transmit_covariance(vectors, powers):

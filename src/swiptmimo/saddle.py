@@ -2,9 +2,9 @@
 
 The link maximizes the jointly-diagonalized rate by water-filling; the
 interferer minimizes it with a closed-form KKT allocation whose multiplier is
-found by bisection. The rate is concave in the link powers and convex in the
-interferer powers, so alternating damped best responses converge to the
-saddle point.
+found by safeguarded Newton steps. The rate is concave in the link powers and
+convex in the interferer powers, so alternating damped best responses converge
+to the saddle point.
 
 Every solver here is a kernel over a batch of points: arrays of shape (B, K)
 hold one point per row, and each row runs exactly the floating-point
@@ -20,6 +20,7 @@ from .errors import ConvergenceError, InvalidInputError
 from .rates import MAX_BUDGET, PowerAllocation, _powers, mode_rate_sum, waterfill_batch
 
 MU_TOL = 1e-10
+MU_STEPS = 100  # multiplier steps per interferer response; a few suffice
 RATE_TOL = 1e-10
 MAX_ITER = 10_000
 
@@ -45,8 +46,8 @@ class SaddleSolution:
 class SaddleBatch:
     """Solutions of a batch of saddle points, one row per point.
 
-    Rows that did not converge hold their last iterate and `converged` False;
-    `solution` raises ConvergenceError for them.
+    Rows that did not converge, or whose interferer response hit its step cap,
+    hold their last iterate and `converged` False; `solution` raises for them.
     """
 
     p: np.ndarray
@@ -87,17 +88,19 @@ def p2p_response_batch(lambda2, lambda2_bs, p_bs, beta, total_power):
 
 
 def bs_response_batch(alpha, beta, lambda2_bs, pb_budget):
-    """Rate-minimizing interferer allocation for fixed link mode powers, per row.
+    """Rate-minimizing interferer allocation for fixed link mode powers, and whether
+    each row's multiplier was found within MU_STEPS steps.
 
     Solves the KKT stationarity condition per mode: with x = lambda2_bs * p_b,
-    (x + beta)(x + beta + alpha) = alpha * lambda2_bs / mu, taking the positive
-    root; mu > 0 is bisected per row so the budget binds. Modes that cannot
-    affect the rate (alpha = 0 or zero interference gain) receive nothing; a
-    row in which no mode can be hurt gets the all-zero allocation.
+    (x + beta)(x + beta + alpha) = alpha * lambda2_bs * nu, taking the positive
+    root; nu = 1 / mu > 0 is set per row so the budget binds. The budget used
+    grows with nu and is concave between the nu at which modes switch on, so a
+    Newton step from either side lands on the feasible side; one that leaves the
+    bracket becomes its geometric midpoint. Modes that cannot affect the rate
+    (alpha = 0 or zero interference gain) receive nothing, nor does a row in
+    which none can.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    lam2_bs = np.asarray(lambda2_bs, dtype=float)
+    alpha, beta, lam2_bs = (np.asarray(x, dtype=float) for x in (alpha, beta, lambda2_bs))
     budget = np.broadcast_to(np.asarray(pb_budget, dtype=float), alpha.shape[:-1])
     if np.any(beta <= 0) or np.any(lam2_bs < 0) or np.any(budget < 0):
         raise InvalidInputError("bs_best_response requires beta > 0, gains >= 0, budget >= 0")
@@ -108,39 +111,42 @@ def bs_response_batch(alpha, beta, lambda2_bs, pb_budget):
     # the total equals the sum over the harmful modes alone, bit for bit
     a = np.where(harmful, alpha, 0.0)
     g = np.where(harmful, lam2_bs, 1.0)
-    # positive root of the stationarity quadratic in x = g * p_b, split into
-    # the parts that do not depend on mu
+    # positive root of the stationarity quadratic in x = g * p_b, in parts free of nu
     shift, a2_4, ag = -(beta + a / 2), a * a / 4, a * g
 
-    def allocation(mu):
-        return np.maximum(0.0, shift + np.sqrt(a2_4 + ag / mu[..., None])) / g
+    def allocation(nu):
+        return np.maximum(0.0, shift + np.sqrt(a2_4 + ag * nu[..., None])) / g
 
-    # above mu_hi every mode is off; rows with nothing to bisect keep mu = 1.
-    # The loops below run ~50 times per call, so they use np.add.reduce and
-    # np.count_nonzero, which skip the Python wrappers of .sum() and .any().
-    mu_hi = np.where(live, np.max(ag / (beta * (beta + a)), axis=-1), 1.0)
-    mu_lo = mu_hi
-    growing = live
-    while True:
-        growing = growing & (np.add.reduce(allocation(mu_lo), axis=-1) < budget)
-        if not np.count_nonzero(growing):
-            break
-        mu_lo = np.where(growing, mu_lo * 0.5, mu_lo)
-        growing = growing & (mu_lo >= 1e-300)
-    # keep the answer on the feasible (undershooting) side of the bracket
-    tol = np.minimum(MU_TOL * budget, 5e-10)
-    active = live
-    for _ in range(400):
-        if not np.count_nonzero(active):
-            break
-        mu = 0.5 * (mu_lo + mu_hi)
-        total = np.add.reduce(allocation(mu), axis=-1)
-        over = active & (total > budget)
-        lowered = active ^ over
-        mu_lo = np.where(over, mu, mu_lo)
-        mu_hi = np.where(lowered, mu, mu_hi)
-        active = active ^ (lowered & (budget - total <= tol))
-    return np.where(live[..., None], allocation(mu_hi), 0.0)
+    # ag = 0 gives kink = inf, and a row without a harmful mode NaNs, masked at the end;
+    # np.add.reduce and np.count_nonzero skip the Python wrappers of .sum() and .any()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kink = beta * (beta + a) / ag  # where each mode switches on
+        gb = g * budget[..., None] + beta
+        nu_hi = np.min(gb * (gb + a) / ag, axis=-1)  # where one mode alone spends the budget
+        nu = nu_lo = np.min(kink, axis=-1)  # nu: the last point tried
+        total = np.add.reduce(allocation(nu), axis=-1)
+        tol = np.minimum(MU_TOL * budget, 5e-10)
+        active = live & (budget - total > tol)
+        for step in range(MU_STEPS + 1):
+            root = np.sqrt(a2_4 + ag * nu[..., None])
+            slope = np.add.reduce(np.where(kink <= nu[..., None], a / (2 * root), 0.0), -1)
+            newton = nu + (budget - total) / slope
+            # a feasible point whose Newton correction rounds away is the root
+            active = active & ~((newton == nu) & (total <= budget))
+            if step == MU_STEPS or not np.count_nonzero(active):
+                break
+            trial = np.where((newton > nu_lo) & (newton < nu_hi), newton,
+                             np.sqrt(nu_lo) * np.sqrt(nu_hi))
+            moved = active & (trial > nu_lo) & (trial < nu_hi)  # else no float is left
+            nu = np.where(moved, trial, nu)
+            total = np.where(moved, np.add.reduce(allocation(trial), axis=-1), total)
+            over = moved & (total > budget)
+            nu_lo, nu_hi = np.where(moved ^ over, nu, nu_lo), np.where(over, nu, nu_hi)
+            active = moved & ~(~over & (budget - total <= tol))
+        # one last Newton step for all rows at once, kept where it stays feasible
+        pb = allocation(np.where((newton > nu_lo) & (newton < nu_hi), newton, nu_lo))
+        pb = np.where((np.add.reduce(pb, axis=-1) <= budget)[..., None], pb, allocation(nu_lo))
+    return np.where(live[..., None], pb, 0.0), ~active
 
 
 def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget,
@@ -156,9 +162,7 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget,
     damping factor is halved so the iteration contracts onto the saddle. A row
     in which no interference mode can affect the rate stops after one step.
     """
-    lam2 = np.asarray(lambda2, dtype=float)
-    lam2_bs = np.asarray(lambda2_bs, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    lam2, lam2_bs, beta = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, beta))
     if lam2.ndim != 2 or lam2.shape != lam2_bs.shape or lam2.shape != beta.shape:
         raise InvalidInputError("mode arrays must share shape (B, K)")
     n, k = lam2.shape
@@ -189,6 +193,7 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget,
     gamma = np.full(n, float(damping))
     best_residual = np.full(n, np.inf)
     stall = np.zeros(n, dtype=int)
+    settled = np.ones(n, dtype=bool)  # every interferer response so far converged
     rate_prev = None
     for iteration in range(1, max_iter + 1):
         if not len(live):
@@ -212,13 +217,14 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget,
             done = live[stop]
             out_p[done], out_pb[done], out_rate[done] = p[stop], pb[stop], rate[stop]
             out_iter[done], out_res[done] = iteration, residual[stop]
-            converged[done] = True
-            live, p, rate, residual, pb, gamma, best_residual, stall = (
+            converged[done] = settled[stop]
+            live, p, rate, residual, pb, gamma, best_residual, stall, settled = (
                 x[~stop] for x in (live, p, rate, residual, pb, gamma,
-                                   best_residual, stall))
+                                   best_residual, stall, settled))
             l2, l2_bs, b, pw, bg = (x[live] for x in inputs)
         rate_prev = rate
-        response = bs_response_batch(l2 * p, b, l2_bs, bg)
+        response, solved = bs_response_batch(l2 * p, b, l2_bs, bg)
+        settled = settled & solved
         pb = (1.0 - gamma)[:, None] * pb + gamma[:, None] * response
     else:
         out_p[live], out_pb[live], out_rate[live], out_res[live] = p, pb, rate, residual
@@ -235,7 +241,7 @@ def duality_gap(lambda2, lambda2_bs, beta, total_power, pb_budget, p, pb):
         p2p_response_batch(lambda2, lambda2_bs, pb, beta, total_power), pb, beta)
     lower = mode_rate_sum(
         lambda2, lambda2_bs, p,
-        bs_response_batch(lambda2 * p, beta, lambda2_bs, pb_budget), beta)
+        bs_response_batch(lambda2 * p, beta, lambda2_bs, pb_budget)[0], beta)
     return upper - lower
 
 
@@ -249,7 +255,9 @@ def p2p_best_response(lambda2, lambda2_bs, p_bs, noise, total_power):
 
 def bs_best_response(alpha, beta, lambda2_bs, pb_budget):
     """Rate-minimizing interferer allocation for fixed link mode powers."""
-    pb = bs_response_batch(alpha, beta, lambda2_bs, pb_budget)
+    pb, converged = bs_response_batch(alpha, beta, lambda2_bs, pb_budget)
+    if not np.all(converged):
+        raise ConvergenceError(f"interferer multiplier not found in {MU_STEPS} steps", p_bs=pb)
     return PowerAllocation(pb, pb_budget)
 
 

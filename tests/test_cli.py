@@ -8,7 +8,7 @@ import pytest
 from swiptmimo import cli, montecarlo, saddle
 from swiptmimo.errors import ConfigError
 
-REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+REFERENCE = pathlib.Path(__file__).resolve().parent / "reference" / "sweeps"
 VERIFY_REFERENCES = pathlib.Path(__file__).resolve().parent / "reference"
 SEEDS = (42, 7)  # the seeds the committed references pin
 

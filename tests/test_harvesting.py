@@ -1,10 +1,11 @@
 """The energy-steering kernels on one-row batches: the delivered covariance
-terms C, C_bs and W, and steering along the top eigenvector of their sum."""
+terms C, C_bs and W, the harvested power as the top eigenvalue of their sum,
+and steering along its eigenvector."""
 
 import numpy as np
 import pytest
 
-from swiptmimo.harvesting import delivered, steering, to_db, top_eigpair
+from swiptmimo.harvesting import delivered, harvested_power, steering, to_db, top_eigpair
 from swiptmimo.rates import transmit_covariance, waterfilled_modes
 from swiptmimo.scenario import reference_scenario, synthesize_channel
 
@@ -58,7 +59,7 @@ class TestDeliveredCovariance:
         w = noise_term(theta2)
         for part in (c_sig, c_bs):
             assert np.allclose(part, part.conj().swapaxes(-2, -1), atol=1e-12)
-        linear, _ = steering(c_sig, c_bs, w)
+        linear = harvested_power(c_sig, c_bs, w)
         assert linear[0] == pytest.approx(np.linalg.eigvalsh((c_sig + c_bs + w)[0])[-1],
                                           abs=1e-12)
 
@@ -68,14 +69,15 @@ class TestDeliveredCovariance:
         c_bs = delivered(theta2, h_bs, random_q_bs(np.random.default_rng(8), 3,
                                                    [2.0, 1.0, 0.5]))
         w = noise_term(theta2)
-        top, _ = steering(c_sig, c_bs, w)
+        top = harvested_power(c_sig, c_bs, w)
         for part in (c_sig[0], c_bs[0], w):
             assert top[0] >= np.linalg.eigvalsh(part)[-1] - 1e-10
 
 
 class TestOptimalSteering:
     def test_diagonal_dominant_mode(self):
-        linear, q = steering(np.diag([2.0, 1.0])[None], 0.0, 0.0)
+        linear, q = harvested_power(np.diag([2.0, 1.0])[None], 0.0, 0.0), \
+            steering(np.diag([2.0, 1.0])[None], 0.0, 0.0)
         assert linear[0] == pytest.approx(2.0, abs=1e-12)
         assert to_db(linear[0]) == pytest.approx(3.0103, abs=1e-4)
         assert np.allclose(np.abs(q[0]), [1.0, 0.0], atol=1e-12)
@@ -86,7 +88,7 @@ class TestOptimalSteering:
     ])
     def test_baseline_endpoints(self, psi, linear_expected, db_anchor, db_tol):
         _, h, _, theta2, q, p = baseline_parts(psi)
-        linear, _ = steering(delivered(theta2, h, q), 0.0, noise_term(theta2))
+        linear = harvested_power(delivered(theta2, h, q), 0.0, noise_term(theta2))
         scalar_oracle = (1 - psi) * (0.81 * p[0]) + (1 - psi)
         assert linear[0] == pytest.approx(scalar_oracle, abs=1e-9)
         assert to_db(linear[0]) == pytest.approx(db_anchor, abs=db_tol)
@@ -95,7 +97,7 @@ class TestOptimalSteering:
         _, h, h_bs, theta2, q, _ = baseline_parts(0.3, seed=9)
         total = delivered(theta2, h, q) + noise_term(theta2) + delivered(
             theta2, h_bs, random_q_bs(np.random.default_rng(10), 2, [3.0, 1.0]))
-        linear, steer = steering(total, 0.0, 0.0)
+        linear, steer = harvested_power(total, 0.0, 0.0), steering(total, 0.0, 0.0)
         assert np.linalg.norm(steer[0]) == pytest.approx(1.0, abs=1e-12)
         quad = np.real(steer[0].conj() @ total[0] @ steer[0])
         assert linear[0] == pytest.approx(quad, abs=1e-10)
@@ -105,7 +107,7 @@ class TestOptimalSteering:
         rng = np.random.default_rng(12)
         total = (delivered(theta2, h, q) + noise_term(theta2)
                  + delivered(theta2, h_bs, random_q_bs(rng, 2, [3.0, 1.0])))[0]
-        linear, _ = steering(total, 0.0, 0.0)
+        linear = harvested_power(total, 0.0, 0.0)
         for _ in range(1000):
             v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             v /= np.linalg.norm(v)
@@ -117,16 +119,17 @@ class TestOptimalSteering:
         values = {}
         for psi in (0.3, 0.6):
             theta2 = np.full(3, 1.0 - psi)
-            values[psi] = steering(delivered(theta2, h, q), 0.0, noise_term(theta2))[0][0]
+            values[psi] = harvested_power(delivered(theta2, h, q), 0.0, noise_term(theta2))[0]
         assert values[0.3] >= values[0.6]
 
     def test_db_round_trip(self):
         _, h, _, theta2, q, _ = baseline_parts(0.6, seed=13)
-        linear, _ = steering(delivered(theta2, h, q), 0.0, noise_term(theta2))
+        linear = harvested_power(delivered(theta2, h, q), 0.0, noise_term(theta2))
         assert 10 ** (to_db(linear[0]) / 10) == pytest.approx(linear[0], rel=1e-12)
 
     def test_zero_covariance(self):
-        linear, q = steering(np.zeros((1, 3, 3)), 0.0, 0.0)
+        linear, q = harvested_power(np.zeros((1, 3, 3)), 0.0, 0.0), \
+            steering(np.zeros((1, 3, 3)), 0.0, 0.0)
         assert linear[0] == 0.0
         assert np.isneginf(to_db(linear[0]))
         assert np.linalg.norm(q[0]) == pytest.approx(1.0)
@@ -142,3 +145,21 @@ class TestTopEigpair:
             w_i, v_i = top_eigpair(mats[i:i + 1])
             assert w_i.tobytes() == w[i:i + 1].tobytes()
             assert v_i.tobytes() == v[i:i + 1].tobytes()
+
+
+class TestHarvestedPower:
+    def test_is_the_clipped_top_eigenvalue_of_top_eigpair(self):
+        rng = np.random.default_rng(15)
+        b = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        mats = b @ b.conj().swapaxes(-2, -1) - np.eye(3)  # some tops are negative
+        top, _ = top_eigpair(mats)
+        assert np.allclose(harvested_power(mats, 0.0, 0.0), np.maximum(top, 0.0),
+                           rtol=0.0, atol=1e-12)
+
+    def test_rows_are_solved_alone(self):
+        rng = np.random.default_rng(16)
+        b = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        mats = b @ b.conj().swapaxes(-2, -1)
+        whole = harvested_power(mats, 0.0, 0.0)
+        for i in range(6):
+            assert harvested_power(mats[i:i + 1], 0.0, 0.0).tobytes() == whole[i:i + 1].tobytes()

@@ -416,6 +416,29 @@ class TestMetricSets:
         assert sorted(flat) == sorted(METRICS)
 
 
+class TestEigenSolves:
+    """`eigh` runs only where an eigenvector is read; eigenvalues come from `eigvalsh`."""
+
+    @pytest.mark.parametrize("metrics, per_slice", [
+        (("rate-struct1",), 0),       # water-filled mode gains only
+        (("energy-swipt",), 2),       # the energy beam and the link covariance, once
+        (("rate-struct2",), 1),       # the combiner, once
+    ])
+    @pytest.mark.parametrize("budgets", [(5.0,), (0.0, 5.0, 25.0, 70.0)])
+    def test_eigh_calls_per_slice(self, metrics, per_slice, budgets, monkeypatch):
+        cfg = reference_scenario(0.3, trials=10, seed=3)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 4)  # slices of 4, 4 and 2 trials
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sample_grids([(cfg, metrics, budgets)])
+        assert len(calls) == 3 * per_slice
+
+
 class TestTrialChunks:
     """sample_grids draws and evaluates TRIAL_CHUNK trials at a time; every
     operation acts trial by trial, so the slicing changes no bit."""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from swiptmimo.errors import InvalidInputError
 from swiptmimo.linalg import haar_unitary, pad_diag
 from swiptmimo.montecarlo import random_bs_covariance
-from swiptmimo.rates import (NoiseProfile, PowerAllocation, tin_rate_global,
+from swiptmimo.rates import (NoiseProfile, PowerAllocation, mode_powers, tin_rate_global,
                              transmit_covariance, waterfill, waterfilled_modes,
                              worst_case_rate)
 from swiptmimo.scenario import (EquivalentChannel, PowerSplit,
@@ -269,6 +269,22 @@ class TestWaterfilledModes:
                                rtol=1e-9, atol=0.0)
             idle = ~active & (w_row > 0)
             assert np.all(eta <= 1.0 / w_row[idle] * (1 + 1e-9))
+
+    @PROPERTY
+    @given(psd_stacks())
+    def test_eigenvalues_alone_give_the_same_rate(self, case):
+        # the powers are mode_powers of the eigh gains, and eigvalsh's gains give
+        # the same water-filled rate to rounding
+        t_mats, total_power = case
+        w, _, p = waterfilled_modes(t_mats, total_power)
+        assert mode_powers(w, total_power).tobytes() == p.tobytes()
+        values = np.linalg.eigvalsh(t_mats)[..., ::-1]
+
+        def rate(gains, powers):
+            return np.sum(np.log2(1.0 + np.maximum(gains, 0.0) * powers), axis=-1)
+
+        assert np.allclose(rate(values, mode_powers(values, total_power)), rate(w, p),
+                           rtol=1e-9, atol=1e-12)
 
     @PROPERTY
     @given(psd_stacks(), st.randoms(use_true_random=False))

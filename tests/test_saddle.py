@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swiptmimo import saddle
 from swiptmimo.acceptance import (projected_gradient_worst_allocation,
                                   saddle_certificate)
 from swiptmimo.errors import ConvergenceError, InvalidInputError
 from swiptmimo.rates import MAX_BUDGET, NoiseProfile, worst_case_rate
-from swiptmimo.saddle import (bs_best_response, p2p_best_response, solve_saddle,
-                              solve_saddle_batch)
+from swiptmimo.saddle import (MU_TOL, bs_best_response, bs_response_batch, p2p_best_response,
+                              solve_saddle, solve_saddle_batch)
 
 LAM2 = 0.3 * np.array([0.81, 0.64, 0.49])
 LAM2_BS = 0.3 * np.array([0.64, 0.49, 0.25])
@@ -78,6 +83,126 @@ class TestBsBestResponse:
             # stationarity residual on active modes, slack direction on the rest
             assert np.max(np.abs(marginal[active] - mu)) <= 1e-8 * max(mu, 1.0)
             assert np.all(marginal[~active] <= mu + 1e-8)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def interferer_rows(draw):
+    """1-4 rows of K = 1-4 link mode powers alpha, noises beta and interference
+    gains, about one mode in seven harmless (alpha = 0 or gain = 0), and a budget
+    per row, one in ten of them zero."""
+    rows, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = 10.0 ** rng.uniform(-3, 1, (rows, k)) * (rng.random((rows, k)) > 0.15)
+    beta = 10.0 ** rng.uniform(-1, 1, (rows, k))
+    gain = 10.0 ** rng.uniform(-3, 1, (rows, k)) * (rng.random((rows, k)) > 0.15)
+    budget = 10.0 ** rng.uniform(-3, 4, rows) * (rng.random(rows) > 0.1)
+    return alpha, beta, gain, budget
+
+
+def log_mu_bisection(alpha, beta, gain, budget, steps=200):
+    """Reference allocation of one row: bisect log(mu) between a multiplier that
+    switches every mode off and one that overspends, ending on the feasible side."""
+    harmful = (alpha > 0) & (gain > 0)
+    out = np.zeros_like(alpha)
+    if budget == 0 or not harmful.any():
+        return out
+    a, b, g = alpha[harmful], beta[harmful], gain[harmful]
+
+    def allocation(log_mu):
+        return np.maximum(0.0, np.sqrt(a * a / 4 + a * g * np.exp(-log_mu)) - b - a / 2) / g
+
+    hi = np.log(np.max(a * g / (b * (b + a))))
+    lo = hi - 1.0
+    while allocation(lo).sum() < budget:
+        lo -= 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if allocation(mid).sum() > budget else (lo, mid)
+    out[harmful] = allocation(hi)
+    return out
+
+
+class TestMultiplierSolve:
+    """Properties of the interferer's safeguarded Newton solve for its multiplier."""
+
+    @PROPERTY
+    @given(interferer_rows())
+    def test_allocation_is_feasible_and_spends_the_budget(self, case):
+        alpha, beta, gain, budget = case
+        pb, converged = bs_response_batch(alpha, beta, gain, budget)
+        assert converged.all() and np.all(pb >= 0.0)
+        live = ((alpha > 0) & (gain > 0)).any(axis=-1) & (budget > 0)
+        tol = np.minimum(MU_TOL * budget, 5e-10)
+        total = pb.sum(axis=-1)
+        assert np.all(total[live] <= budget[live])
+        assert np.all(total[live] >= budget[live] - tol[live])
+        assert np.all(pb[~live] == 0.0)
+
+    @PROPERTY
+    @given(interferer_rows())
+    def test_stationarity_equalized_on_active_modes(self, case):
+        alpha, beta, gain, budget = case
+        pb, _ = bs_response_batch(alpha, beta, gain, budget)
+        den = gain * pb + beta
+        marginal = alpha * gain / (den * (den + alpha))
+        for row, m in zip(pb, marginal):
+            active = row > 0
+            if not active.any():
+                continue
+            mu = m[active].mean()
+            assert np.max(np.abs(m[active] - mu)) <= 1e-8 * mu
+            assert np.all(m[~active] <= mu * (1 + 1e-8))
+
+    @PROPERTY
+    @given(interferer_rows())
+    def test_matches_log_mu_bisection(self, case):
+        alpha, beta, gain, budget = case
+        pb, _ = bs_response_batch(alpha, beta, gain, budget)
+        for i, row in enumerate(pb):
+            oracle = log_mu_bisection(alpha[i], beta[i], gain[i], budget[i])
+            assert np.max(np.abs(row - oracle)) <= 1e-9
+
+    @PROPERTY
+    @given(interferer_rows())
+    def test_rows_carry_the_same_bits_alone(self, case):
+        alpha, beta, gain, budget = case
+        pb, converged = bs_response_batch(alpha, beta, gain, budget)
+        for i in range(len(pb)):
+            row, flag = bs_response_batch(alpha[i:i + 1], beta[i:i + 1], gain[i:i + 1],
+                                          budget[i:i + 1])
+            assert row.tobytes() == pb[i:i + 1].tobytes()
+            assert flag.tobytes() == converged[i:i + 1].tobytes()
+
+    @PROPERTY
+    @given(interferer_rows(), st.integers(0, 3))
+    def test_a_capped_row_is_flagged_or_exact(self, case, max_steps):
+        # a row that stops within the cap runs the same steps as without it
+        alpha, beta, gain, budget = case
+        with mock.patch.object(saddle, "MU_STEPS", max_steps):
+            capped, converged = bs_response_batch(alpha, beta, gain, budget)
+        free, _ = bs_response_batch(alpha, beta, gain, budget)
+        assert capped[converged].tobytes() == free[converged].tobytes()
+
+    @pytest.mark.parametrize("max_steps", [0, 1])
+    def test_step_cap_reports_unconverged(self, max_steps, monkeypatch):
+        alpha = np.array([[0.78, 0.34, 0.2], [0.0, 0.0, 0.0]])
+        gain = np.array([[0.192, 0.147, 0.1], [0.192, 0.147, 0.1]])
+        monkeypatch.setattr(saddle, "MU_STEPS", max_steps)
+        pb, converged = bs_response_batch(alpha, np.full((2, 3), 1.3), gain, 5.0)
+        assert list(converged) == [False, True]
+        assert np.all(pb >= 0.0) and pb[0].sum() <= 5.0
+
+    def test_capped_response_fails_the_saddle_row(self, monkeypatch):
+        monkeypatch.setattr(saddle, "MU_STEPS", 1)
+        batch = solve_saddle_batch(*_grid((0.3,), (0, 5)))
+        assert list(batch.converged) == [True, False]
+        with pytest.raises(ConvergenceError):
+            batch.solution(1)
+        with pytest.raises(ConvergenceError):
+            bs_best_response([0.78, 0.34], [1.3, 1.3], [0.192, 0.147], 5.0)
 
 
 class TestSolveSaddle:
@@ -215,6 +340,18 @@ class TestSolveSaddleBatch:
         # converge, so the library refuses it as the config parser does
         with pytest.raises(InvalidInputError, match="budgets in"):
             solve_saddle_batch(LAM2[None], LAM2_BS[None], np.full((1, 3), 1.3), power, budget)
+
+    @pytest.mark.parametrize("beta", [1.3e-30, 1.3e-40])
+    def test_tiny_noise_at_the_budget_bound(self, beta):
+        # equal gains split both budgets evenly, so every mode's SINR is 1 and the
+        # value is 3 bits; a linear bisection of mu from its upper end never
+        # reached the root here (84.45 at 1.3e-30, no convergence at 1.3e-40)
+        gains = np.full((1, 3), 0.3)
+        batch = solve_saddle_batch(gains, gains, np.full((1, 3), beta), MAX_BUDGET,
+                                   MAX_BUDGET, max_iter=200)
+        assert batch.converged[0]
+        assert batch.rate[0] == pytest.approx(3.0, abs=1e-9)
+        assert abs(batch.gap[0]) <= 1e-9
 
     @pytest.mark.parametrize("budget", [1e20, MAX_BUDGET])
     def test_budget_at_bound_keeps_the_large_budget_value(self, budget):

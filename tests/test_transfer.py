@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swiptmimo.errors import UnsupportedConfigError
-from swiptmimo.harvesting import delivered, steering, to_db
+from swiptmimo.harvesting import delivered, harvested_power, to_db
 from swiptmimo.montecarlo import ensemble_for, metric_samples_grid, random_bs_covariance
 from swiptmimo.rates import NoiseProfile, transmit_covariance, waterfill, waterfilled_modes
 from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
@@ -140,7 +140,7 @@ class TestSwiptEnergyMonotone:
         beam = energy_beam(h_bs, split.theta2)
         prev = -np.inf
         for pb in (0.0, 5.0, 25.0, 70.0):
-            energy, _ = steering(c_sig, delivered(split.theta2, h_bs, pb * beam),
-                                 np.diag(split.theta2))
+            energy = harvested_power(c_sig, delivered(split.theta2, h_bs, pb * beam),
+                                     np.diag(split.theta2))
             assert energy >= prev - 1e-12
             prev = energy
