@@ -22,8 +22,7 @@ def main():
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
     hhat = np.sqrt(cfg.psi_vector)[:, None] * h
-    beta = cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n
-    _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / beta[:, None]), cfg.P)
+    _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / cfg.beta[:, None]), cfg.P)
     print(f"link water-filling at psi={psi}: powers {np.round(p, 4)}")
 
     # the energy branch's signal and noise terms; the interferer adds c_bs

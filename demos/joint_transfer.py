@@ -20,9 +20,8 @@ def noise_only_design(cfg, h):
     """The link's covariance with the BS symbols cancelled: water-filled against
     the information-branch noise alone."""
     hhat = np.sqrt(cfg.psi_vector)[:, None] * h
-    beta = cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n
-    _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / beta[:, None]), cfg.P)
-    return hhat, beta, transmit_covariance(g, p)
+    _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / cfg.beta[:, None]), cfg.P)
+    return hhat, transmit_covariance(g, p)
 
 
 def main():
@@ -35,10 +34,10 @@ def main():
     grid, = sample_grids([(cfg, ("energy-swipt", "energy-struct1"), budgets)])
     sw, cl = grid.mean(axis=2)
     # the rate is deterministic: interference cancelled, noise-only design
-    hhat, beta, q = noise_only_design(cfg, synthesize_channel(
+    hhat, q = noise_only_design(cfg, synthesize_channel(
         cfg.sigma_p2p, cfg.K, cfg.M, np.random.default_rng(0)))
     signal = hhat @ q @ hhat.conj().T
-    _, logdet = np.linalg.slogdet(np.eye(cfg.K) + np.linalg.solve(np.diag(beta), signal))
+    _, logdet = np.linalg.slogdet(np.eye(cfg.K) + np.linalg.solve(np.diag(cfg.beta), signal))
     rate = max(logdet / np.log(2.0), 0.0)
     for ratio, sw_mean, cl_mean in zip(ratios, sw, cl):
         print(f"{ratio:5d}  {rate:13.6f}  {10*np.log10(sw_mean):16.3f}  "
@@ -54,7 +53,7 @@ def main():
     theta2 = 1.0 - cfg.psi_vector
     print("\nweak-majorization check of the delivered eigenvalue profiles "
           "(interferer at full budget vs link):")
-    _, _, q = noise_only_design(cfg, h)
+    _, q = noise_only_design(cfg, h)
     c_sig = delivered(theta2, h, q)
     c_bs = delivered(theta2, h_bs, 25.0 * energy_beam(h_bs, theta2))
     eig_sig = np.sort(np.linalg.eigvalsh(c_sig))[::-1]

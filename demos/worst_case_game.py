@@ -10,19 +10,11 @@ the link water-fills, the interferer counters with its KKT allocation.
 
 import numpy as np
 
-from swiptmimo import (NoiseProfile, reference_scenario, solve_saddle,
-                       solve_saddle_batch)
+from swiptmimo import reference_scenario, solve_links, solve_saddle
 from swiptmimo.acceptance import saddle_certificate
 
 PSIS = (0.3, 0.6, 0.9)
 RATIOS = range(15)
-
-
-def spectra(psi):
-    cfg = reference_scenario(psi)
-    lam2 = psi * np.asarray(cfg.sigma_p2p) ** 2
-    lam2_bs = psi * np.asarray(cfg.sigma_bs) ** 2
-    return cfg, lam2, lam2_bs, NoiseProfile(1.0, 1.0, cfg.psi_vector)
 
 
 def main():
@@ -32,24 +24,21 @@ def main():
     # one batched solve per psi: a row per interferer budget
     curves = {}
     for psi in PSIS:
-        cfg, lam2, lam2_bs, noise = spectra(psi)
-        rows = len(RATIOS)
-        batch = solve_saddle_batch(np.tile(lam2, (rows, 1)), np.tile(lam2_bs, (rows, 1)),
-                                   np.tile(noise.beta, (rows, 1)), cfg.P,
-                                   [r * cfg.P for r in RATIOS])
-        curves[psi] = list(batch.rate)
+        cfg = reference_scenario(psi)
+        curves[psi] = list(solve_links([cfg] * len(RATIOS), [r * cfg.P for r in RATIOS]).rate)
     for i, r in enumerate(RATIOS):
         print(f"{r:5d} " + "  ".join(f"{curves[psi][i]:7.4f}" for psi in PSIS))
 
     # inspect one saddle point in detail
-    cfg, lam2, lam2_bs, noise = spectra(0.3)
-    sol = solve_saddle(lam2, lam2_bs, noise, cfg.P, 5.0)
+    cfg = reference_scenario(0.3)
+    lam2, lam2_bs, beta = cfg.modes()
+    sol = solve_saddle(lam2, lam2_bs, beta, cfg.P, 5.0)
     print("\nsaddle at psi=0.3, equal budgets:")
     print(f"  link powers       {np.round(sol.p_star.p, 4)}")
     print(f"  interferer powers {np.round(sol.pb_star.p, 4)}")
     print(f"  rate {sol.rate:.6f} bits/cu after {sol.iterations} iterations, "
           f"duality gap {sol.gap:.1e}")
-    ok = saddle_certificate(lam2, lam2_bs, noise, cfg.P, 5.0, sol,
+    ok = saddle_certificate(lam2, lam2_bs, beta, cfg.P, 5.0, sol,
                             np.random.default_rng(0))
     print(f"  unilateral-deviation certificate (200 + 200 trials): "
           f"{'pass' if ok else 'fail'}")

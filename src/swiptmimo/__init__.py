@@ -7,10 +7,10 @@ from .harvesting import delivered, harvested_power, steering, top_eigpair
 from .linalg import haar_unitary, svd
 from .montecarlo import (McResult, average_metric, ensemble_for, metric_samples,
                          metric_samples_grid, random_bs_covariance, sample_grids)
-from .rates import (NoiseProfile, PowerAllocation, tin_rate_global, transmit_covariance,
-                    waterfill, waterfilled_modes, worst_case_rate)
+from .rates import (PowerAllocation, tin_rate_global, transmit_covariance, waterfill,
+                    waterfilled_modes, worst_case_rate)
 from .saddle import (SaddleBatch, SaddleSolution, bs_best_response,
-                     p2p_best_response, solve_saddle, solve_saddle_batch)
+                     p2p_best_response, solve_links, solve_saddle, solve_saddle_batch)
 from .scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
                        equivalent_channels, reference_scenario,
                        synthesize_channel)
@@ -26,10 +26,10 @@ __all__ = [
     "haar_unitary", "svd",
     "McResult", "average_metric", "ensemble_for", "metric_samples",
     "metric_samples_grid", "random_bs_covariance", "sample_grids",
-    "NoiseProfile", "PowerAllocation", "tin_rate_global",
+    "PowerAllocation", "tin_rate_global",
     "transmit_covariance", "waterfill", "waterfilled_modes", "worst_case_rate",
     "SaddleBatch", "SaddleSolution", "bs_best_response", "p2p_best_response",
-    "solve_saddle", "solve_saddle_batch",
+    "solve_links", "solve_saddle", "solve_saddle_batch",
     "EquivalentChannel", "PowerSplit", "ScenarioConfig", "equivalent_channels",
     "reference_scenario", "synthesize_channel",
     "combined_energy", "combined_interference", "combined_rate", "combiner",

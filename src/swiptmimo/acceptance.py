@@ -11,7 +11,7 @@ import numpy as np
 
 from . import montecarlo, rates, saddle, scenario
 from .harvesting import to_db
-from .rates import LN2, NoiseProfile, waterfill
+from .rates import LN2, waterfill
 from .scenario import PowerSplit, reference_scenario
 
 RATIO_GRID = tuple(range(15))
@@ -36,23 +36,10 @@ class CheckResult:
     detail: str
 
 
-def _spectra(psi):
-    cfg = reference_scenario(psi)
-    lam2 = psi * np.asarray(cfg.sigma_p2p) ** 2
-    lam2_bs = psi * np.asarray(cfg.sigma_bs) ** 2
-    noise = NoiseProfile(cfg.sigma2_w, cfg.sigma2_n, cfg.psi_vector)
-    return cfg, lam2, lam2_bs, noise
-
-
 def _wc_solutions(points):
     """Saddle solutions of baseline (psi, ratio) points from one batched solve."""
-    spectra = [_spectra(psi) for psi, _ in points]
-    batch = saddle.solve_saddle_batch(
-        np.stack([lam2 for _, lam2, _, _ in spectra]),
-        np.stack([lam2_bs for _, _, lam2_bs, _ in spectra]),
-        np.stack([noise.beta for _, _, _, noise in spectra]),
-        [cfg.P for cfg, _, _, _ in spectra],
-        [ratio * cfg.P for (cfg, _, _, _), (_, ratio) in zip(spectra, points)])
+    links = [reference_scenario(psi) for psi, _ in points]
+    batch = saddle.solve_links(links, [ratio * link.P for link, (_, ratio) in zip(links, points)])
     return [batch.solution(b) for b in range(len(points))]
 
 
@@ -103,7 +90,8 @@ def criterion_2(trials=2000, seed=42, shared=None):
     lines, values_ok = [], True
     cert_ok = True
     rng = np.random.default_rng(seed)
-    cfg, lam2, lam2_bs, noise = _spectra(0.3)
+    cfg = reference_scenario(0.3)
+    lam2, lam2_bs, beta = cfg.modes()
     sols = shared.solutions if shared else saddle_table()
     for ratio, expected in WC_CURVE_03.items():
         sol = sols[0.3, ratio]
@@ -111,25 +99,25 @@ def criterion_2(trials=2000, seed=42, shared=None):
         values_ok &= good
         lines.append(f"ratio={ratio}: {sol.rate:.6f} vs {expected:.6f}")
         cert_ok &= saddle_certificate(
-            lam2, lam2_bs, noise, cfg.P, ratio * cfg.P, sol, rng)
+            lam2, lam2_bs, beta, cfg.P, ratio * cfg.P, sol, rng)
     lines.append(f"certificate: {'pass' if cert_ok else 'fail'}")
     return CheckResult(2, "saddle-point curve anchors + certificate",
                        values_ok and cert_ok, "; ".join(lines))
 
 
-def saddle_certificate(lam2, lam2_bs, noise, p_budget, pb_budget, sol, rng,
+def saddle_certificate(lam2, lam2_bs, beta, p_budget, pb_budget, sol, rng,
                        deviations=200, margin=1e-6):
     """No unilateral deviation improves either player's objective."""
     base = sol.rate
     for _ in range(deviations):
         p_dev = p_budget * rng.dirichlet(np.ones(len(lam2)))
-        if rates.worst_case_rate(lam2, lam2_bs, p_dev, sol.pb_star, noise) \
+        if rates.worst_case_rate(lam2, lam2_bs, p_dev, sol.pb_star, beta) \
                 > base + margin:
             return False
     if pb_budget > 0:
         for _ in range(deviations):
             pb_dev = pb_budget * rng.dirichlet(np.ones(len(lam2)))
-            if rates.worst_case_rate(lam2, lam2_bs, sol.p_star, pb_dev, noise) \
+            if rates.worst_case_rate(lam2, lam2_bs, sol.p_star, pb_dev, beta) \
                     < base - margin:
                 return False
     return True
@@ -344,19 +332,18 @@ def criterion_9(trials=2000, seed=42):
     h = scenario.synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = scenario.synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
     hhat, hhat_bs = scenario.equivalent_channels(h, h_bs, split)
-    noise = NoiseProfile(1.0, 1.0, cfg.psi_vector)
     q_bs = montecarlo.random_bs_covariance(cfg.N, cfg.P, rng)
-    s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + rates.self_noise(noise, cfg.K)
+    s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + np.diag(cfg.beta)
     _, g, p = rates.waterfilled_modes(hhat.matrix.conj().T @ np.linalg.solve(s, hhat.matrix),
                                       cfg.P)
     q_star = rates.transmit_covariance(g, p)
-    best = rates.tin_rate_global(hhat, hhat_bs, q_star, q_bs, noise)
+    best = rates.tin_rate_global(hhat, hhat_bs, q_star, q_bs, cfg.beta)
     margin = 0.0
     for _ in range(1000):
         a = rng.standard_normal((cfg.M, cfg.M)) + 1j * rng.standard_normal((cfg.M, cfg.M))
         q_alt = a @ a.conj().T
         q_alt *= cfg.P / np.real(np.trace(q_alt))
-        alt = rates.tin_rate_global(hhat, hhat_bs, q_alt, q_bs, noise)
+        alt = rates.tin_rate_global(hhat, hhat_bs, q_alt, q_bs, cfg.beta)
         margin = min(margin, best - alt)
     opt_ok = margin >= -1e-9
     ok &= opt_ok
@@ -371,9 +358,8 @@ def criterion_10(trials=2000, seed=42):
     from . import cli
 
     sweep_cfg = cli.SweepConfig(
-        psis=(0.3,), ratio_grid=(0.0, 3.0, 7.0),
-        scenarios=("worst-case", "average", "swipt", "structure2"),
-        trials=50, seed=seed)
+        reference_scenario(trials=50, seed=seed), psis=(0.3,), ratio_grid=(0.0, 3.0, 7.0),
+        scenarios=("worst-case", "average", "swipt", "structure2"))
     first = cli.run_sweep(sweep_cfg)
     second = cli.run_sweep(sweep_cfg)
     same = first == second

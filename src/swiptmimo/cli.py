@@ -1,8 +1,8 @@
 """Experiment runner: config parsing, sweeps over the power ratio, CSV output.
 
-Config files are UTF-8 `key = value` lines with `#` comments; lists are
-non-empty comma-separated values in brackets, and `FIELDS` states each key's
-kind and bounds. An empty (or absent) file reproduces the baseline setup.
+Config files are UTF-8 `key = value` lines with `#` comments; lists are comma-separated
+values in brackets, `FIELDS` states each key's kind, and ScenarioConfig and SweepConfig
+check the values. An empty (or absent) file reproduces the baseline setup.
 Exit codes: 0 success, 2 parse error, 3 convergence failure, 4 anchor failure.
 """
 
@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import montecarlo, saddle
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, InvalidInputError
 from .rates import MAX_BUDGET
-from .scenario import (REFERENCE_SIGMA_BS, REFERENCE_SIGMA_P2P, ScenarioConfig)
+from .scenario import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,69 +39,60 @@ CSV_HEADER = "ratio,scenario,psi,value,stderr"
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep specification: base link setup plus the grid to run."""
+    """Sweep specification: a link setup plus the grid to run over it; each point
+    sets the link's split from `psis` and the interferer budget to a ratio times P."""
 
-    k: int = 3
-    m: int = 3
-    n: int = 5
-    sigma_p2p: tuple = REFERENCE_SIGMA_P2P
-    sigma_bs: tuple = REFERENCE_SIGMA_BS
+    link: ScenarioConfig = ScenarioConfig()
     psis: tuple = (0.3, 0.6, 0.9)
-    sigma2_w: float = 1.0
-    sigma2_n: float = 1.0
-    p: float = 5.0
     ratio_grid: tuple = tuple(float(r) for r in range(15))
     scenarios: tuple = DEFAULT_SCENARIOS
-    trials: int = 2000
-    seed: int = 42
+
+    def __post_init__(self):
+        for key, values in (("psi", self.psis), ("ratio_grid", self.ratio_grid),
+                            ("scenarios", self.scenarios)):
+            if not len(values):
+                raise InvalidInputError("list must not be empty", (key,))
+        for psi in self.psis:
+            self.scenario_for(psi)  # the link's bound on the split
+        if not all(ratio >= 0 for ratio in self.ratio_grid):
+            raise InvalidInputError("ratios must be nonnegative", ("ratio_grid",))
+        top = max(self.ratio_grid)
+        if not top * self.link.P <= MAX_BUDGET:  # top * P is the largest BS budget
+            raise InvalidInputError(f"ratio {top} times p = {self.link.P} exceeds "
+                                    f"{MAX_BUDGET:g}", ("ratio_grid", "p"))
+        for tag in self.scenarios:
+            if tag not in SCENARIOS:
+                raise InvalidInputError(f"unknown scenario '{tag}' (choose from {SCENARIOS})",
+                                        ("scenarios",))
+
+    trials = property(lambda self: self.link.trials)
+    seed = property(lambda self: self.link.seed)
 
     def scenario_for(self, psi):
-        return ScenarioConfig(
-            K=self.k, M=self.m, N=self.n, sigma_p2p=self.sigma_p2p, sigma_bs=self.sigma_bs,
-            psi=(float(psi),) * self.k, sigma2_w=self.sigma2_w, sigma2_n=self.sigma2_n,
-            P=self.p, seed=self.seed, trials=self.trials)
+        return replace(self.link, psi=float(psi))
 
 
-# Profile and noise bounds, by the argument for MAX_BUDGET: a noise variance is a
-# power like a budget, so it too stays <= MAX_BUDGET. A gain sigma^2 enters only via
-# gain * budget / noise, which keeps the saddle value exact to 1e-12 below ~1e105, so
-# at budgets up to MAX_BUDGET gain / noise may reach 1e5: sigma^2 <= 1e2, noise >= 1e-3.
-PROFILE_BOUND = (lambda v: 0.0 <= v <= 10.0, "singular value {} outside [0, 10]")
-NOISE_BOUND = (lambda v: 1e-3 <= v <= MAX_BUDGET,
-               f"noise variance {{}} outside [0.001, {MAX_BUDGET:g}]")
-
-# key -> (SweepConfig attribute, kind, bound every value meets, message when one
-# does not). Kinds: "int" and "float" are one value; "list" is a non-empty
-# bracketed list of numbers; "grid" is a "list" without repeats, and psi's grid
-# may also be one bare number; "tags" is a non-empty list of distinct scenarios.
+# key -> (ScenarioConfig or, for SWEEP_KEYS, SweepConfig attribute, kind). Kinds: "int"
+# and "float" are one value; "list" is a bracketed comma-separated list of numbers;
+# "grid" is a "list" without repeats, and psi's grid may also be one bare number;
+# "tags" is a list of distinct words.
 FIELDS = {
-    "k": ("k", "int", lambda v: v >= 1, "must be >= 1"),
-    "m": ("m", "int", lambda v: v >= 1, "must be >= 1"),
-    "n": ("n", "int", lambda v: v >= 1, "must be >= 1"),
-    "trials": ("trials", "int", lambda v: v >= 1, "must be >= 1"),
-    "seed": ("seed", "int", lambda v: v >= 0, "must be >= 0"),
-    "sigma_p2p": ("sigma_p2p", "list", *PROFILE_BOUND),
-    "sigma_bs": ("sigma_bs", "list", *PROFILE_BOUND),
-    "psi": ("psis", "grid", lambda v: 0.0 <= v <= 1.0, "split ratio {} outside [0, 1]"),
-    "sigma2_w": ("sigma2_w", "float", *NOISE_BOUND),
-    "sigma2_n": ("sigma2_n", "float", *NOISE_BOUND),
-    "p": ("p", "float", lambda v: v >= 0, "power budget must be nonnegative"),
-    "ratio_grid": ("ratio_grid", "grid", lambda v: v >= 0, "ratios must be nonnegative"),
-    "scenarios": ("scenarios", "tags", lambda v: v in SCENARIOS,
-                  f"unknown scenario '{{}}' (choose from {SCENARIOS})"),
-}
+    "k": ("K", "int"), "m": ("M", "int"), "n": ("N", "int"), "trials": ("trials", "int"),
+    "seed": ("seed", "int"), "sigma_p2p": ("sigma_p2p", "list"),
+    "sigma_bs": ("sigma_bs", "list"), "sigma2_w": ("sigma2_w", "float"),
+    "sigma2_n": ("sigma2_n", "float"), "p": ("P", "float"), "psi": ("psis", "grid"),
+    "ratio_grid": ("ratio_grid", "grid"), "scenarios": ("scenarios", "tags")}
+SWEEP_KEYS = ("psi", "ratio_grid", "scenarios")
 
 
 def _read_field(key, raw, line):
-    """(attribute, value) of one `key = raw` entry, checked against FIELDS."""
-    attr, kind, in_bound, message = FIELDS[key]
+    """The value of one `key = raw` entry, of the kind FIELDS gives its key."""
+    kind = FIELDS[key][1]
     raw = raw.strip()
     if kind in ("int", "float") or (key == "psi" and not raw.startswith("[")):
         items = [raw]
     elif raw.startswith("[") and raw.endswith("]"):
-        items = [item.strip() for item in raw[1:-1].split(",")]
-        if items == [""]:
-            raise ConfigError("list must not be empty", field=key, line=line)
+        items = [item.strip() for item in raw[1:-1].split(",")] if raw[1:-1].strip() else []
     else:
         raise ConfigError("expected a bracketed comma-separated list", field=key, line=line)
     convert = {"int": int, "tags": str}.get(kind, float)
@@ -112,11 +103,19 @@ def _read_field(key, raw, line):
     for value in values:
         if convert is float and not np.isfinite(value):
             raise ConfigError(f"{value} is not a finite number", field=key, line=line)
-        if not in_bound(value):
-            raise ConfigError(message.format(value), field=key, line=line)
     if kind in ("grid", "tags") and len(set(values)) < len(values):
         raise ConfigError("repeated entry", field=key, line=line)
-    return attr, values[0] if kind in ("int", "float") else values
+    return values[0] if kind in ("int", "float") else values
+
+
+def _checked(build, lines):
+    """build(), with an InvalidInputError turned into a ConfigError that names the
+    first key its check read and the latest of their lines in `lines` (key -> line)."""
+    try:
+        return build()
+    except InvalidInputError as exc:
+        line = max((lines[key] for key in exc.keys if key in lines), default=None)
+        raise ConfigError(str(exc), field=exc.keys[0], line=line) from exc
 
 
 def parse_config(path=None, text=None):
@@ -132,7 +131,7 @@ def parse_config(path=None, text=None):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-    overrides, lines = {}, {}  # lines: key -> the line that set it
+    values, lines = {}, {}  # lines: key -> the line that set it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -145,33 +144,15 @@ def parse_config(path=None, text=None):
             raise ConfigError(f"unknown key '{key}'", field=key, line=lineno)
         if key in lines:
             raise ConfigError(f"key already set on line {lines[key]}", field=key, line=lineno)
-        name, value = _read_field(key, raw, lineno)
-        overrides[name], lines[key] = value, lineno
-    cfg = SweepConfig(**overrides)
-    for profile, dim in (("sigma_p2p", "m"), ("sigma_bs", "n")):
-        expected, actual = min(cfg.k, getattr(cfg, dim)), len(getattr(cfg, profile))
-        if actual != expected:  # blame the latest of the keys the length depends on
-            line = max(lines.get(key, 0) for key in ("k", dim, profile))
-            raise ConfigError(f"{profile} has length {actual}, expected min(k, {dim}) = "
-                              f"{expected}", field=profile, line=line)
-    top, ratio_line = max(cfg.ratio_grid), max(lines.get(key, 0) for key in ("ratio_grid", "p"))
-    if not np.isfinite(top * cfg.p):  # top * p is the largest BS budget
-        raise ConfigError(f"ratio {top} times p = {cfg.p} is not finite", field="ratio_grid",
-                          line=ratio_line)
-    if cfg.p > MAX_BUDGET:
-        raise ConfigError(f"power budget {cfg.p} exceeds {MAX_BUDGET:g}", field="p",
-                          line=lines["p"])
-    if top * cfg.p > MAX_BUDGET:
-        raise ConfigError(f"ratio {top} times p = {cfg.p} exceeds {MAX_BUDGET:g}",
-                          field="ratio_grid", line=ratio_line)
-    if cfg.k > min(cfg.m, cfg.n):
-        raise ConfigError(f"k = {cfg.k} must not exceed min(m, n) = {min(cfg.m, cfg.n)}",
-                          field="k", line=max(lines.get(key, 0) for key in ("k", "m", "n")))
-    try:
-        cfg.scenario_for(cfg.psis[0])  # surface the remaining dimension/profile checks now
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        values[key], lines[key] = _read_field(key, raw, lineno), lineno
+    top = max(values.get("ratio_grid", SweepConfig.ratio_grid), default=0.0)
+    p = values.get("p", ScenarioConfig.P)
+    if not np.isfinite(top * p):  # an overflow is the grid's fault before p's bound
+        raise ConfigError(f"ratio {top} times p = {p} is not finite", field="ratio_grid",
+                          line=max(lines.get(key, 0) for key in ("ratio_grid", "p")))
+    link = {FIELDS[key][0]: value for key, value in values.items() if key not in SWEEP_KEYS}
+    sweep = {FIELDS[key][0]: value for key, value in values.items() if key in SWEEP_KEYS}
+    return _checked(lambda: SweepConfig(ScenarioConfig(**link), **sweep), lines)
 
 
 class SweepFailure(ConvergenceError):
@@ -195,11 +176,9 @@ def _worst_case_points(cfg, points):
 
     Raises SweepFailure for the first point, in order, that did not converge.
     """
-    psi, ratio = (np.array(v, dtype=float) for v in zip(*points))
-    lam2 = psi[:, None] * np.asarray(cfg.sigma_p2p) ** 2
-    lam2_bs = psi[:, None] * np.asarray(cfg.sigma_bs) ** 2
-    beta = np.repeat(psi[:, None] * cfg.sigma2_w + cfg.sigma2_n, cfg.k, axis=1)
-    batch = saddle.solve_saddle_batch(lam2, lam2_bs, beta, cfg.p, ratio * cfg.p)
+    links = {psi: cfg.scenario_for(psi) for psi in cfg.psis}
+    batch = saddle.solve_links([links[psi] for psi, _ in points],
+                               [ratio * cfg.link.P for _, ratio in points])
     for b, (psi_b, ratio_b) in enumerate(points):
         try:
             yield batch.solution(b).rate, None
@@ -210,7 +189,7 @@ def _worst_case_points(cfg, points):
 def _monte_carlo_points(cfg, tags):
     """{tag: mean and stderr (in dB for energy tags) of each sweep point, in order},
     from one request per (psi, structure family), all on one draw."""
-    budgets = [ratio * cfg.p for ratio in sorted(cfg.ratio_grid)]
+    budgets = [ratio * cfg.link.P for ratio in sorted(cfg.ratio_grid)]
     groups = list(filter(None, ([tag for tag in sorted(tags) if SCENARIO_METRICS[tag] in f]
                                 for f in montecarlo.FAMILIES)))  # tags per structure
     grids = montecarlo.sample_grids([
@@ -268,10 +247,9 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config)
         # command-line overrides pass the same field checks as file values
-        overrides = dict(_read_field(key, str(value), None)
-                         for key, value in (("trials", args.trials), ("seed", args.seed))
-                         if value is not None)
-        cfg = replace(cfg, **overrides)
+        overrides = {key: value for key, value in vars(args).items()
+                     if key in ("trials", "seed") and value is not None}
+        cfg = _checked(lambda: replace(cfg, link=replace(cfg.link, **overrides)), {})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

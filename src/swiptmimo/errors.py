@@ -2,7 +2,12 @@
 
 
 class InvalidInputError(ValueError):
-    """Malformed numerical input (non-finite entries, negative budgets, ...)."""
+    """Malformed numerical input (non-finite entries, negative budgets, ...);
+    `keys` names the config keys the failed check read, the one to blame first."""
+
+    def __init__(self, message, keys=()):
+        super().__init__(message)
+        self.keys = keys
 
 
 class UnsupportedConfigError(ValueError):

@@ -173,7 +173,7 @@ def _structure1(cfg, ens, budgets, rows):
     """Split per antenna: each budget's solve feeds both metrics; the rate reads
     eigenvalues, so its bits do not depend on the energy's eigh being run too."""
     root_psi = np.sqrt(cfg.psi_vector)[:, None]
-    noise = np.diag(cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n)
+    noise = np.diag(cfg.beta)
     hhat, hhat_bs = root_psi * ens.h, root_psi * ens.h_bs
     gram = ens.user_dirs @ ch(ens.user_dirs)
 
@@ -214,8 +214,7 @@ def _swipt(cfg, ens, budgets, rows):
     psi = cfg.psi_vector
     beam = transfer.energy_beam(ens.h_bs, 1.0 - psi)
     hhat = np.sqrt(psi)[:, None] * ens.h
-    noise_diag = psi * cfg.sigma2_w + cfg.sigma2_n
-    _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / noise_diag[:, None]), cfg.P)
+    _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
     c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
     for r, pb in enumerate(budgets):
         rows["energy-swipt"][r] = _harvested(cfg, ens, c_sig, pb * beam)

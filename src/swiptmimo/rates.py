@@ -1,7 +1,7 @@
 """Achievable-rate formulas, water-filling and the rate-optimal transmit covariance.
 
 Rates are in bits per channel use (base-2 logs throughout). The per-mode
-effective noise is beta_k = psi_k * sigma2_w + sigma2_n.
+effective noise is beta_k = psi_k * sigma2_w + sigma2_n (`ScenarioConfig.beta`).
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ BUDGET_TOL = 1e-9
 # near 1e200, far below the float maximum 1.8e308. The solvers see a budget only
 # through the ratio gain * budget / noise: at the baseline's gain / noise ~ 0.2,
 # the saddle value at ratio 1 is the same to 1e-12 from p = 1e20 to 1e105, and
-# first drifts at 1e110. `cli.FIELDS` bounds gains and noise variances to match.
+# first drifts at 1e110. `scenario.BOUNDS` bounds gains and noise variances to match.
 MAX_BUDGET = 1e100
 
 
@@ -46,27 +46,12 @@ class PowerAllocation:
         return float(self.p.sum())
 
 
-@dataclass(frozen=True)
-class NoiseProfile:
-    """Antenna/processing noise variances together with the split vector."""
-
-    sigma2_w: float
-    sigma2_n: float
-    psi: np.ndarray
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        object.__setattr__(self, "psi", psi)
-        if not (np.isfinite(self.sigma2_w) and np.isfinite(self.sigma2_n)
-                and np.all(np.isfinite(psi))):
-            raise InvalidInputError("noise variances and split ratios must be finite")
-        if np.any(self.beta <= 0):
-            raise InvalidInputError("effective per-mode noise must be positive")
-
-    @property
-    def beta(self):
-        """Per-mode information-branch noise psi_k*sigma2_w + sigma2_n."""
-        return self.psi * self.sigma2_w + self.sigma2_n
+def _beta(beta):
+    """Per-mode noise beta as an array; each entry must be positive (NaN is not)."""
+    beta = np.asarray(beta, dtype=float)
+    if not np.all(beta > 0):
+        raise InvalidInputError("per-mode noise beta must be positive")
+    return beta
 
 
 def _powers(alloc):
@@ -122,20 +107,15 @@ def _logdet2(a):
     return logabs / LN2
 
 
-def self_noise(noise, k):
-    """Information-branch noise covariance sigma2_w*Psi^2 + sigma2_n*I."""
-    return np.diag(noise.psi * noise.sigma2_w + np.full(k, noise.sigma2_n))
-
-
-def tin_rate_global(hhat, hhat_bs, q, q_bs, noise):
+def tin_rate_global(hhat, hhat_bs, q, q_bs, beta):
     """Rate with global channel knowledge, treating interference as noise.
 
     log2 det(I + Hhat^H S^-1 Hhat Q) with S the interference-plus-noise
-    covariance at the information branch.
+    covariance at the information branch, whose own noise is diag(beta).
     """
     q = check_finite(np.asarray(q, dtype=complex), "Q")
     s = hermitize(hhat_bs.matrix @ np.asarray(q_bs, dtype=complex) @ hhat_bs.matrix.conj().T) \
-        + self_noise(noise, hhat_bs.matrix.shape[0])
+        + np.diag(_beta(beta))
     try:
         inner = np.linalg.solve(s, hhat.matrix @ q @ hhat.matrix.conj().T)
     except np.linalg.LinAlgError as exc:
@@ -167,7 +147,7 @@ def transmit_covariance(vectors, powers):
     return (vectors * powers[..., None, :]) @ ch(vectors)
 
 
-def worst_case_rate(lambda2, lambda2_bs, p, p_bs, noise):
+def worst_case_rate(lambda2, lambda2_bs, p, p_bs, beta):
     """Scalar-sum rate over jointly diagonalized modes.
 
     sum_k log2(1 + lambda2_k p_k / (lambda2_bs_k p_bs_k + beta_k)).
@@ -176,9 +156,10 @@ def worst_case_rate(lambda2, lambda2_bs, p, p_bs, noise):
     lam2_bs = np.asarray(lambda2_bs, dtype=float)
     p = _powers(p)
     p_bs = _powers(p_bs)
-    if not (len(lam2) == len(lam2_bs) == len(p) == len(p_bs) == len(noise.beta)):
+    beta = _beta(beta)
+    if not (len(lam2) == len(lam2_bs) == len(p) == len(p_bs) == len(beta)):
         raise InvalidInputError("mode vectors must share length K")
-    return float(mode_rate_sum(lam2, lam2_bs, p, p_bs, noise.beta))
+    return float(mode_rate_sum(lam2, lam2_bs, p, p_bs, beta))
 
 
 def mode_rate_sum(lambda2, lambda2_bs, p, p_bs, beta):

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .rates import MAX_BUDGET, PowerAllocation, _powers, mode_rate_sum, waterfill_batch
+from .rates import MAX_BUDGET, PowerAllocation, _beta, _powers, mode_rate_sum, waterfill_batch
 
 MU_TOL = 1e-10
 MU_STEPS = 100  # multiplier steps per interferer response; a few suffice
 RATE_TOL = 1e-10
+GAP_TOL = 1e-8  # a row is a saddle point only if its exact duality gap is this small
 MAX_ITER = 10_000
 
 
@@ -46,8 +47,9 @@ class SaddleSolution:
 class SaddleBatch:
     """Solutions of a batch of saddle points, one row per point.
 
-    Rows that did not converge, or whose interferer response hit its step cap,
-    hold their last iterate and `converged` False; `solution` raises for them.
+    Rows that did not converge, whose interferer response hit its step cap, or
+    whose duality gap exceeds GAP_TOL hold their last iterate and `converged`
+    False; `solution` raises for them.
     """
 
     p: np.ndarray
@@ -64,8 +66,8 @@ class SaddleBatch:
         """The saddle point of row `b`."""
         if not self.converged[b]:
             raise ConvergenceError(
-                f"saddle iteration did not converge within {self.iterations[b]} "
-                f"steps (last residual {self.residual[b]:.3e})",
+                f"no saddle point after {self.iterations[b]} steps (last residual "
+                f"{self.residual[b]:.3e}, duality gap {self.gap[b]:.3e})",
                 p=self.p[b], p_bs=self.pb[b], rate=float(self.rate[b]),
                 residual=float(self.residual[b]), iterations=int(self.iterations[b]))
         return SaddleSolution(
@@ -231,7 +233,7 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget,
 
     gap = duality_gap(lam2, lam2_bs, beta, power, budget, out_p, out_pb)
     return SaddleBatch(out_p, out_pb, power, budget, out_rate, out_iter, out_res,
-                       gap, converged)
+                       gap, converged & (np.abs(gap) <= GAP_TOL))
 
 
 def duality_gap(lambda2, lambda2_bs, beta, total_power, pb_budget, p, pb):
@@ -245,11 +247,11 @@ def duality_gap(lambda2, lambda2_bs, beta, total_power, pb_budget, p, pb):
     return upper - lower
 
 
-def p2p_best_response(lambda2, lambda2_bs, p_bs, noise, total_power):
+def p2p_best_response(lambda2, lambda2_bs, p_bs, beta, total_power):
     """Water-filling response of the link against a fixed interferer allocation."""
     p = p2p_response_batch(np.asarray(lambda2, dtype=float),
                            np.asarray(lambda2_bs, dtype=float),
-                           _powers(p_bs), noise.beta, total_power)
+                           _powers(p_bs), _beta(beta), total_power)
     return PowerAllocation(p, total_power)
 
 
@@ -261,13 +263,17 @@ def bs_best_response(alpha, beta, lambda2_bs, pb_budget):
     return PowerAllocation(pb, pb_budget)
 
 
-def solve_saddle(lambda2, lambda2_bs, noise, total_power, pb_budget,
+def solve_saddle(lambda2, lambda2_bs, beta, total_power, pb_budget,
                  damping=0.5, rate_tol=RATE_TOL, max_iter=MAX_ITER):
     """Saddle point of one link: a batch of one for `solve_saddle_batch`."""
-    lam2 = np.asarray(lambda2, dtype=float)
-    lam2_bs = np.asarray(lambda2_bs, dtype=float)
-    if not len(lam2) == len(lam2_bs) == len(noise.beta):
-        raise InvalidInputError("mode vectors must share length K")
-    return solve_saddle_batch(lam2[None], lam2_bs[None], noise.beta[None],
+    lam2, lam2_bs, beta = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, beta))
+    return solve_saddle_batch(lam2[None], lam2_bs[None], beta[None],
                               total_power, pb_budget, damping, rate_tol,
                               max_iter).solution(0)
+
+
+def solve_links(links, pb_budgets):
+    """Saddle points of ScenarioConfig links (their `modes` and budget P) against
+    the interferer budgets, one row each, as one `solve_saddle_batch`."""
+    lam2, lam2_bs, beta = (np.stack(rows) for rows in zip(*(link.modes() for link in links)))
+    return solve_saddle_batch(lam2, lam2_bs, beta, [link.P for link in links], pb_budgets)

@@ -11,29 +11,52 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInputError
+from .rates import MAX_BUDGET
 
 REFERENCE_SIGMA_P2P = (0.9, 0.8, 0.7)
 REFERENCE_SIGMA_BS = (0.8, 0.7, 0.5)
 
 
+# Profile and noise bounds, by the argument for MAX_BUDGET: a noise variance is a power
+# like a budget, so it too stays <= MAX_BUDGET. A gain sigma^2 enters only via
+# gain * budget / noise, which keeps the saddle value exact to 1e-12 below ~1e105, so
+# at budgets up to MAX_BUDGET gain / noise may reach 1e5: sigma^2 <= 1e2, noise >= 1e-3.
+PROFILE_BOUND = (lambda v: 0.0 <= v <= 10.0, "singular value {} outside [0, 10]")
+NOISE_BOUND = (lambda v: 1e-3 <= v <= MAX_BUDGET,
+               f"noise variance {{}} outside [0.001, {MAX_BUDGET:g}]")
+# (config key, attribute, bound each value meets, message when one does not)
+BOUNDS = [(key, attr, lambda v, low=low: isinstance(v, numbers.Integral) and v >= low,
+           f"{key} = {{}} must be an integer >= {low}")
+          for key, attr, low in (("k", "K", 1), ("m", "M", 1), ("n", "N", 1),
+                                 ("trials", "trials", 1), ("seed", "seed", 0))] + [
+    ("sigma_p2p", "sigma_p2p", *PROFILE_BOUND), ("sigma_bs", "sigma_bs", *PROFILE_BOUND),
+    ("psi", "psi", lambda v: 0.0 <= v <= 1.0, "split ratio {} outside [0, 1]"),
+    ("sigma2_w", "sigma2_w", *NOISE_BOUND), ("sigma2_n", "sigma2_n", *NOISE_BOUND),
+    ("p", "P", lambda v: v >= 0, "power budget {} must be nonnegative"),
+    ("p", "P", lambda v: v <= MAX_BUDGET, f"power budget {{}} exceeds {MAX_BUDGET:g}"),
+]
+
+
 def _descending_nonneg(values, name):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
-        raise InvalidInputError(f"{name} must be a non-empty 1-D profile")
+        raise InvalidInputError(f"{name} must be a non-empty 1-D profile", (name,))
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} must be finite and nonnegative")
+        raise InvalidInputError(f"{name} must be finite and nonnegative", (name,))
     if np.any(np.diff(arr) > 1e-12):
-        raise InvalidInputError(f"{name} must be sorted descending")
+        raise InvalidInputError(f"{name} must be sorted descending", (name,))
     return arr
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Static description of one link setup.
+    """Static description of one link setup, the one validated link schema.
 
     K receive antennas, M transmit antennas at the point-to-point node,
     N antennas at the interfering base station. `psi` holds the per-antenna
-    power-split ratios toward the information branch.
+    power-split ratios toward the information branch; one number splits every
+    antenna alike. Every value is checked against BOUNDS and the cross-field
+    rules; an InvalidInputError names the config keys its check read.
     """
 
     K: int = 3
@@ -41,51 +64,53 @@ class ScenarioConfig:
     N: int = 5
     sigma_p2p: tuple = REFERENCE_SIGMA_P2P
     sigma_bs: tuple = REFERENCE_SIGMA_BS
-    psi: tuple = (0.3, 0.3, 0.3)
+    psi: float | tuple = 0.3
     sigma2_w: float = 1.0
     sigma2_n: float = 1.0
     P: float = 5.0
-    Pb: float = 0.0
     seed: int = 42
     trials: int = 2000
 
     def __post_init__(self):
+        for key, attr, in_bound, message in BOUNDS:
+            values = getattr(self, attr)
+            for value in values if isinstance(values, (tuple, list, np.ndarray)) else (values,):
+                if not in_bound(value):
+                    raise InvalidInputError(message.format(value), (key,))
+        for key, dim, size in (("sigma_p2p", "m", self.M), ("sigma_bs", "n", self.N)):
+            actual = len(_descending_nonneg(getattr(self, key), key))
+            if actual != min(self.K, size):
+                raise InvalidInputError(f"{key} has length {actual}, expected min(k, {dim}) = "
+                                        f"{min(self.K, size)}", (key, "k", dim))
         if self.K > min(self.M, self.N):
-            raise InvalidInputError(
-                f"K={self.K} must not exceed min(M, N)={min(self.M, self.N)}")
-        psi = np.asarray(self.psi, dtype=float)
+            raise InvalidInputError(f"k = {self.K} must not exceed min(m, n) = "
+                                    f"{min(self.M, self.N)}", ("k", "m", "n"))
+        psi = (self.psi,) * self.K if np.ndim(self.psi) == 0 else self.psi
         if len(psi) != self.K:
-            raise InvalidInputError(f"psi must have length K={self.K}")
-        if not np.all((psi >= 0) & (psi <= 1)):
-            raise InvalidInputError("each split ratio must lie in [0, 1]")
-        sp = _descending_nonneg(self.sigma_p2p, "sigma_p2p")
-        sb = _descending_nonneg(self.sigma_bs, "sigma_bs")
-        if len(sp) != min(self.K, self.M):
-            raise InvalidInputError("sigma_p2p must have length min(K, M)")
-        if len(sb) != min(self.K, self.N):
-            raise InvalidInputError("sigma_bs must have length min(K, N)")
-        if not np.all(np.isfinite((self.sigma2_w, self.sigma2_n, self.P, self.Pb))):
-            raise InvalidInputError("noise variances and power budgets must be finite")
-        if self.sigma2_w <= 0 or self.sigma2_n <= 0:
-            raise InvalidInputError("noise variances must be positive")
-        if self.P < 0 or self.Pb < 0:
-            raise InvalidInputError("power budgets must be nonnegative")
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
-            raise InvalidInputError("trials must be an integer >= 1")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidInputError("seed must be an integer >= 0")
-        object.__setattr__(self, "psi", tuple(float(x) for x in psi))
-        object.__setattr__(self, "sigma_p2p", tuple(float(x) for x in sp))
-        object.__setattr__(self, "sigma_bs", tuple(float(x) for x in sb))
+            raise InvalidInputError(f"psi must have length k = {self.K}", ("psi", "k"))
+        for attr, values in (("psi", psi), ("sigma_p2p", self.sigma_p2p),
+                             ("sigma_bs", self.sigma_bs)):
+            object.__setattr__(self, attr, tuple(float(x) for x in values))
 
     @property
     def psi_vector(self):
         return np.asarray(self.psi, dtype=float)
 
+    @property
+    def beta(self):
+        """Per-mode information-branch noise psi_k * sigma2_w + sigma2_n."""
+        return self.psi_vector * self.sigma2_w + self.sigma2_n
 
-def reference_scenario(psi=0.3, trials=2000, seed=42, pb=0.0):
+    def modes(self):
+        """(lambda2, lambda2_bs, beta) of the worst case, in which the interference
+        aligns with the link and every mode decouples: squared gains scaled by psi."""
+        psi = self.psi_vector
+        return psi * np.square(self.sigma_p2p), psi * np.square(self.sigma_bs), self.beta
+
+
+def reference_scenario(psi=0.3, trials=2000, seed=42):
     """The baseline setup used throughout: K=M=3, N=5, unit noise, P=5."""
-    return ScenarioConfig(psi=(float(psi),) * 3, trials=trials, seed=seed, Pb=pb)
+    return ScenarioConfig(psi=float(psi), trials=trials, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,15 @@ def test_criterion_2_saddle_curve_anchors(shared):
 
 
 def test_criterion_2_saddle_certificate_alone():
-    from swiptmimo.acceptance import (WC_CURVE_03, _spectra, _wc_solutions,
-                                      saddle_certificate)
-    cfg, lam2, lam2_bs, noise = _spectra(0.3)
+    from swiptmimo.acceptance import WC_CURVE_03, _wc_solutions, saddle_certificate
+    from swiptmimo.scenario import reference_scenario
+    cfg = reference_scenario(0.3)
+    lam2, lam2_bs, beta = cfg.modes()
     rng = np.random.default_rng(SEED)
     ok = True
     for ratio in WC_CURVE_03:
         sol = _wc_solutions([(0.3, ratio)])[0]
-        ok &= saddle_certificate(lam2, lam2_bs, noise, cfg.P, ratio * cfg.P,
+        ok &= saddle_certificate(lam2, lam2_bs, beta, cfg.P, ratio * cfg.P,
                                  sol, rng)
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 2 (certificate half)")
     assert ok

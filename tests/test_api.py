@@ -41,7 +41,8 @@ def test_tracer_sees_the_kernels_and_changes_no_byte():
     # harvesting and transfer kernels that sweeps run show up as layers
     from swiptmimo import cli
 
-    cfg = cli.SweepConfig(psis=(0.3,), ratio_grid=(0.0, 1.0, 5.0), trials=8)
+    cfg = cli.SweepConfig(swiptmimo.ScenarioConfig(trials=8), psis=(0.3,),
+                          ratio_grid=(0.0, 1.0, 5.0))
     plain = cli.run_sweep(cfg)
     spans = tracer.Tracer(swiptmimo)
     spans.install()

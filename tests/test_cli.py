@@ -4,9 +4,12 @@ import pathlib
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptmimo import cli, montecarlo, saddle
-from swiptmimo.errors import ConfigError
+from swiptmimo.errors import ConfigError, InvalidInputError
+from swiptmimo.scenario import ScenarioConfig
 
 REFERENCE = pathlib.Path(__file__).resolve().parent / "reference" / "sweeps"
 VERIFY_REFERENCES = pathlib.Path(__file__).resolve().parent / "reference"
@@ -22,10 +25,10 @@ def write(tmp_path, text, name="sweep.cfg"):
 class TestParseConfig:
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         cfg = cli.parse_config(write(tmp_path, ""))
-        assert cfg.k == 3 and cfg.m == 3 and cfg.n == 5
-        assert cfg.sigma_p2p == (0.9, 0.8, 0.7)
-        assert cfg.sigma_bs == (0.8, 0.7, 0.5)
-        assert cfg.p == 5.0
+        assert cfg.link.K == 3 and cfg.link.M == 3 and cfg.link.N == 5
+        assert cfg.link.sigma_p2p == (0.9, 0.8, 0.7)
+        assert cfg.link.sigma_bs == (0.8, 0.7, 0.5)
+        assert cfg.link.P == 5.0
         assert cfg.ratio_grid == tuple(float(r) for r in range(15))
         assert cfg.trials == 2000 and cfg.seed == 42
         assert cfg.scenarios == cli.DEFAULT_SCENARIOS
@@ -140,17 +143,17 @@ class TestParseConfig:
 
     def test_repeated_profile_values_allowed(self, tmp_path):
         cfg = cli.parse_config(write(tmp_path, "sigma_bs = [0.5, 0.5, 0.5]\n"))
-        assert cfg.sigma_bs == (0.5, 0.5, 0.5)
+        assert cfg.link.sigma_bs == (0.5, 0.5, 0.5)
 
     def test_single_split_value(self, tmp_path):
         assert cli.parse_config(write(tmp_path, "psi = 0.6\n")).psis == (0.6,)
 
 
 class TestRunSweep:
-    def small_config(self, **overrides):
-        base = dict(psis=(0.3,), ratio_grid=(0.0, 1.0), trials=25, seed=42)
+    def small_config(self, trials=25, seed=42, **overrides):
+        base = dict(psis=(0.3,), ratio_grid=(0.0, 1.0))
         base.update(overrides)
-        return cli.SweepConfig(**base)
+        return cli.SweepConfig(ScenarioConfig(trials=trials, seed=seed), **base)
 
     def test_header_and_row_count(self):
         cfg = self.small_config()
@@ -208,15 +211,16 @@ class TestRunSweep:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_worst_case_grid_matches_reference_csv(self, seed):
         cfg = cli.SweepConfig(
-            scenarios=("worst-case",), psis=tuple(i / 10 for i in range(1, 10)),
-            ratio_grid=tuple(float(r) for r in range(0, 15, 2)), seed=seed)
+            ScenarioConfig(seed=seed), scenarios=("worst-case",),
+            psis=tuple(i / 10 for i in range(1, 10)),
+            ratio_grid=tuple(float(r) for r in range(0, 15, 2)))
         expected = (REFERENCE / f"worst-case-grid-seed{seed}.csv").read_text(encoding="utf-8")
         assert cli.run_sweep(cfg) == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_default_sweep_matches_reference_csv(self, seed):
         expected = (REFERENCE / f"default-sweep-seed{seed}.csv").read_text(encoding="utf-8")
-        assert cli.run_sweep(cli.SweepConfig(seed=seed)) == expected
+        assert cli.run_sweep(cli.SweepConfig(ScenarioConfig(seed=seed))) == expected
 
     def test_one_grid_call_per_psi_and_family(self, monkeypatch):
         # in each slice of trials, one kernel call per (psi, structure family)
@@ -447,6 +451,17 @@ class TestMainEntry:
         assert cli.main(["--config", cfg_path]) == cli.EXIT_CONVERGENCE
         assert "ratio=1.0" in capsys.readouterr().err
 
+    def test_small_residual_without_a_saddle_point_exit_code(self, tmp_path, capsys):
+        # the rate residual settles at 3.1e-11, but the exact duality gap is 1.06e-3:
+        # the last iterate's rate is no saddle value, so no row is printed
+        path = write(tmp_path, "sigma_p2p = [0.7, 0.5, 0.2]\nsigma_bs = [2.9, 2.0, 1.9]\n"
+                               "sigma2_w = 1\nsigma2_n = 0.01\np = 1\npsi = [0.6]\n"
+                               "ratio_grid = [10]\nscenarios = [worst-case]\n")
+        assert cli.main(["--config", path]) == cli.EXIT_CONVERGENCE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "(psi=0.6, ratio=10.0)" in err and "duality gap 1.062e-03" in err
+
     def test_verify_reports_and_exit_code(self, capsys):
         # the saddle-curve anchors are unattainable (see repository notes), so
         # the battery reports that one criterion red and exits with code 4
@@ -476,3 +491,77 @@ def test_verify_report_matches_reference(seed):
     cli.verify_anchors(2000, seed, out=out)
     expected = (VERIFY_REFERENCES / f"verify-seed{seed}.txt").read_text(encoding="utf-8")
     assert out.getvalue() == expected
+
+
+SCHEMA = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+LINK_KEYS = [key for key in cli.FIELDS if key not in cli.SWEEP_KEYS]
+
+
+def render(value):
+    """A config value as `key = value` text writes it."""
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(str, value)) + "]"
+    return str(value)
+
+
+@st.composite
+def sweep_configs(draw):
+    """Any valid SweepConfig whose link keeps the default split (the grid sets it)."""
+    k = draw(st.integers(1, 3))
+    m, n = draw(st.integers(k, 5)), draw(st.integers(k, 6))
+    profile = st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k).map(
+        lambda values: tuple(sorted(values, reverse=True)))
+    noise = st.floats(1e-3, 1e100)
+    link = ScenarioConfig(
+        K=k, M=m, N=n, sigma_p2p=draw(profile), sigma_bs=draw(profile),
+        sigma2_w=draw(noise), sigma2_n=draw(noise), P=draw(st.floats(0.0, 1e50)),
+        trials=draw(st.integers(1, 10 ** 6)), seed=draw(st.integers(0, 2 ** 64)))
+    grid = st.lists(st.floats(0.0, 1e50), min_size=1, max_size=5, unique=True).map(tuple)
+    return cli.SweepConfig(
+        link, psis=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4,
+                                       unique=True))),
+        ratio_grid=draw(grid),
+        scenarios=tuple(draw(st.lists(st.sampled_from(cli.SCENARIOS), min_size=1,
+                                      unique=True))))
+
+
+@st.composite
+def link_entries(draw):
+    """A link key and a value of any sign, size or kind for it."""
+    key = draw(st.sampled_from(LINK_KEYS))
+    number = st.one_of(st.integers(-3, 12), st.floats(), st.sampled_from(
+        [0, 1, 3, 0.0, 1e-3, 9e-4, 10.0, 10.5, 1e50, 1e100, 2e100, 1e-300, 1e200]))
+    if cli.FIELDS[key][1] == "list":
+        descending = st.lists(st.floats(0.0, 12.0), min_size=3, max_size=3).map(
+            lambda values: sorted(values, reverse=True))
+        return key, tuple(draw(st.one_of(st.lists(number, max_size=4), descending)))
+    return key, draw(number)
+
+
+class TestOneSchema:
+    """parse_config reads text into the classes that check it, and nothing else."""
+
+    @SCHEMA
+    @given(sweep_configs())
+    def test_rendered_config_parses_back_equal(self, cfg):
+        text = "\n".join(
+            f"{key} = {render(getattr(cfg if key in cli.SWEEP_KEYS else cfg.link, attr))}"
+            for key, (attr, _) in cli.FIELDS.items())
+        assert cli.parse_config(text=text) == cfg
+
+    @settings(SCHEMA, max_examples=600)
+    @given(link_entries())
+    def test_link_key_rejected_by_parser_iff_by_scenario_config(self, entry):
+        # ratio_grid = [1] makes the largest interferer budget p itself
+        key, value = entry
+        try:
+            cli.parse_config(text=f"{key} = {render(value)}\nratio_grid = [1]\n")
+            parsed = True
+        except ConfigError:
+            parsed = False
+        try:
+            ScenarioConfig(**{cli.FIELDS[key][0]: value})
+            built = True
+        except InvalidInputError:
+            built = False
+        assert parsed == built, (key, value)

@@ -14,8 +14,7 @@ from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
 from swiptmimo.montecarlo import (FAMILIES, METRICS, TRIAL_CHUNK, McResult,
                                   average_metric, ensemble_for, metric_samples,
                                   metric_samples_grid, random_bs_covariance, sample_grids)
-from swiptmimo.rates import (NoiseProfile, self_noise, tin_rate_global,
-                             transmit_covariance, waterfill, waterfilled_modes)
+from swiptmimo.rates import tin_rate_global, transmit_covariance, waterfill, waterfilled_modes
 from swiptmimo.scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
                                 equivalent_channels, reference_scenario, synthesize_channel)
 from swiptmimo.transfer import energy_beam
@@ -79,7 +78,7 @@ def trial_terms(cfg, ens, t, pb):
     root_psi = np.sqrt(cfg.psi_vector)[:, None]
     hhat, hhat_bs = (EquivalentChannel.from_matrix(root_psi * a) for a in (ens.h[t], ens.h_bs[t]))
     q_bs = (pb / cfg.N) * ens.user_dirs[t] @ ens.user_dirs[t].conj().T
-    return hhat, hhat_bs, q_bs, NoiseProfile(cfg.sigma2_w, cfg.sigma2_n, cfg.psi_vector)
+    return hhat, hhat_bs, q_bs, cfg.beta
 
 
 def kernel_q(hhat, s, total_power):
@@ -111,9 +110,9 @@ class TestKernelOracles:
         ens = ensemble_for(cfg)
         rates = metric_samples_grid(cfg, ("rate-struct1",), [pb], ens)[0, 0]
         for t, rate in enumerate(rates):
-            hhat, hhat_bs, q_bs, noise = trial_terms(cfg, ens, t, pb)
-            s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + self_noise(noise, cfg.K)
-            oracle = tin_rate_global(hhat, hhat_bs, kernel_q(hhat, s, cfg.P), q_bs, noise)
+            hhat, hhat_bs, q_bs, beta = trial_terms(cfg, ens, t, pb)
+            s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + np.diag(beta)
+            oracle = tin_rate_global(hhat, hhat_bs, kernel_q(hhat, s, cfg.P), q_bs, beta)
             assert rate == pytest.approx(oracle, abs=1e-9 * max(1.0, oracle))
 
     @PROPERTY
@@ -130,11 +129,11 @@ class TestKernelOracles:
         beams = energy_beam(ens.h_bs, 1.0 - cfg.psi_vector)
         rng = np.random.default_rng(cfg.seed)
         for t in range(cfg.trials):
-            hhat, hhat_bs, q_bs, noise = trial_terms(cfg, ens, t, pb)
-            s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + self_noise(noise, cfg.K)
+            hhat, hhat_bs, q_bs, beta = trial_terms(cfg, ens, t, pb)
+            s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + np.diag(beta)
             for energy, q, q_bs_t in (
                     (struct1[t], kernel_q(hhat, s, cfg.P), q_bs),
-                    (swipt[t], kernel_q(hhat, self_noise(noise, cfg.K), cfg.P), pb * beams[t])):
+                    (swipt[t], kernel_q(hhat, np.diag(beta), cfg.P), pb * beams[t])):
                 th, th_bs = theta * ens.h[t], theta * ens.h_bs[t]
                 cov = th @ q @ th.conj().T + th_bs @ q_bs_t @ th_bs.conj().T + w
                 assert_top_rayleigh_quotient(energy, cov, rng)
@@ -179,7 +178,6 @@ def scalar_trial_metrics(cfg, pb_budget, trial):
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
     q_bs = random_bs_covariance(cfg.N, pb_budget, rng)
     hhat, hhat_bs = equivalent_channels(h, h_bs, PowerSplit(cfg.psi_vector))
-    noise = NoiseProfile(cfg.sigma2_w, cfg.sigma2_n, cfg.psi_vector)
     theta = np.diag(np.sqrt(1.0 - cfg.psi_vector))
     w = cfg.sigma2_w * theta @ theta
 
@@ -194,9 +192,9 @@ def scalar_trial_metrics(cfg, pb_budget, trial):
         return max(np.linalg.eigvalsh(cov)[-1], 0.0)
 
     out = {}
-    s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + self_noise(noise, cfg.K)
+    s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + np.diag(cfg.beta)
     q_opt = optimal_q(s)
-    out["rate-struct1"] = tin_rate_global(hhat, hhat_bs, q_opt, q_bs, noise)
+    out["rate-struct1"] = tin_rate_global(hhat, hhat_bs, q_opt, q_bs, cfg.beta)
     out["energy-struct1"] = harvested(q_opt, q_bs)
 
     psi = cfg.psi[0]
@@ -211,7 +209,7 @@ def scalar_trial_metrics(cfg, pb_budget, trial):
     # joint transfer: the link water-fills against noise alone, the BS beams its
     # whole budget along the top right singular vector of Theta h_bs
     e = np.linalg.svd(theta @ h_bs)[2][0].conj()
-    out["energy-swipt"] = harvested(optimal_q(self_noise(noise, cfg.K)),
+    out["energy-swipt"] = harvested(optimal_q(np.diag(cfg.beta)),
                                     pb_budget * np.outer(e, e.conj()))
     return out
 
@@ -515,8 +513,9 @@ class TestTrialChunks:
         # a sweep holds its (points, metrics, trials) rows and, beyond them, a
         # few slices of working memory whatever the trial count
         def sweep(trials):
-            return cli.SweepConfig(scenarios=self.MC_SCENARIOS, psis=(0.3,),
-                                   ratio_grid=(0.0, 7.0, 14.0), trials=trials, seed=42)
+            return cli.SweepConfig(ScenarioConfig(trials=trials, seed=42),
+                                   scenarios=self.MC_SCENARIOS, psis=(0.3,),
+                                   ratio_grid=(0.0, 7.0, 14.0))
 
         cli.run_sweep(sweep(64))  # first-call allocations
         extra = []
@@ -536,8 +535,9 @@ class TestTrialChunks:
 
         monkeypatch.setattr(montecarlo, "ensemble_for", recording)
         trials = 2 * TRIAL_CHUNK + 3
-        cli.run_sweep(cli.SweepConfig(scenarios=self.MC_SCENARIOS, psis=(0.3, 0.6),
-                                      ratio_grid=(1.0, 7.0, 14.0), trials=trials))
+        cli.run_sweep(cli.SweepConfig(ScenarioConfig(trials=trials),
+                                      scenarios=self.MC_SCENARIOS, psis=(0.3, 0.6),
+                                      ratio_grid=(1.0, 7.0, 14.0)))
         assert all(len(drawn) <= TRIAL_CHUNK for drawn in draws)
         assert [t for drawn in draws for t in drawn] == list(range(trials))
 

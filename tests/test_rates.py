@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from swiptmimo.errors import InvalidInputError
 from swiptmimo.linalg import haar_unitary, pad_diag
 from swiptmimo.montecarlo import random_bs_covariance
-from swiptmimo.rates import (NoiseProfile, PowerAllocation, mode_powers, tin_rate_global,
+from swiptmimo.saddle import p2p_best_response
+from swiptmimo.rates import (PowerAllocation, mode_powers, tin_rate_global,
                              transmit_covariance, waterfill, waterfilled_modes,
                              worst_case_rate)
-from swiptmimo.scenario import (EquivalentChannel, PowerSplit,
+from swiptmimo.scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
                                 equivalent_channels, reference_scenario,
                                 synthesize_channel)
 
@@ -18,7 +19,8 @@ BASE_INV_GAINS = 1.3 / np.array([0.243, 0.192, 0.147])
 
 
 def uniform_noise(psi, k=3):
-    return NoiseProfile(1.0, 1.0, np.full(k, psi))
+    """Per-mode noise beta = psi * sigma2_w + sigma2_n at unit noise variances."""
+    return np.full(k, psi) * 1.0 + 1.0
 
 
 class TestWaterfill:
@@ -91,13 +93,29 @@ class TestWaterfill:
 
 
 class TestNoiseProfile:
+    """The link's noise profile (sigma2_w, sigma2_n, psi), whose beta the rates read,
+    is checked where it is set: in ScenarioConfig."""
+
     @pytest.mark.parametrize("field", ["sigma2_w", "sigma2_n", "psi"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_fields_rejected(self, field, value):
         fields = {"sigma2_w": 1.0, "sigma2_n": 1.0, "psi": np.full(3, 0.3)}
         fields[field] = np.full(3, value) if field == "psi" else value
         with pytest.raises(InvalidInputError):
-            NoiseProfile(**fields)
+            ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize("beta", [[1.3, 0.0, 1.3], [1.3, np.nan, 1.3], [-1.0, 1.3, 1.3]],
+                             ids=["zero", "nan", "negative"])
+    def test_rates_refuse_a_non_positive_beta(self, beta):
+        # a raw beta array reaches the rates without a ScenarioConfig to check it
+        lam2 = np.array([0.243, 0.192, 0.147])
+        with pytest.raises(InvalidInputError):
+            worst_case_rate(lam2, lam2, np.ones(3), np.ones(3), beta)
+        with pytest.raises(InvalidInputError):
+            p2p_best_response(lam2, lam2, np.ones(3), beta, 5.0)
+        hhat = EquivalentChannel.from_matrix(np.diag(np.sqrt(lam2)))
+        with pytest.raises(InvalidInputError):
+            tin_rate_global(hhat, hhat, np.eye(3), np.eye(3), beta)
 
 
 class TestPowerAllocation:
@@ -138,7 +156,7 @@ class TestTinRateGlobal:
         p = np.array([2.0, 1.5, 0.5])
         rate = tin_rate_global(hhat, self.hhat_bs, np.diag(p), np.zeros((5, 5)),
                                self.noise)
-        expected = np.sum(np.log2(1 + lam ** 2 * p / self.noise.beta))
+        expected = np.sum(np.log2(1 + lam ** 2 * p / self.noise))
         assert rate == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_nonincreasing_in_interference(self):
@@ -207,7 +225,7 @@ class TestOptimalQGlobal:
         noise = uniform_noise(0.3)
         q_bs = random_bs_covariance(5, 10.0, rng)
         s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T \
-            + np.diag(noise.beta)
+            + np.diag(noise)
         q_star = optimal_q(hhat, s, 5.0)
         best = tin_rate_global(hhat, hhat_bs, q_star, q_bs, noise)
         for _ in range(200):

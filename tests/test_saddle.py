@@ -9,31 +9,33 @@ from swiptmimo import saddle
 from swiptmimo.acceptance import (projected_gradient_worst_allocation,
                                   saddle_certificate)
 from swiptmimo.errors import ConvergenceError, InvalidInputError
-from swiptmimo.rates import MAX_BUDGET, NoiseProfile, worst_case_rate
+from swiptmimo.rates import MAX_BUDGET, worst_case_rate
 from swiptmimo.saddle import (MU_TOL, bs_best_response, bs_response_batch, p2p_best_response,
-                              solve_saddle, solve_saddle_batch)
+                              solve_links, solve_saddle, solve_saddle_batch)
+from swiptmimo.scenario import ScenarioConfig
 
 LAM2 = 0.3 * np.array([0.81, 0.64, 0.49])
 LAM2_BS = 0.3 * np.array([0.64, 0.49, 0.25])
 
 
-def noise(psi=0.3, k=3):
-    return NoiseProfile(1.0, 1.0, np.full(k, psi))
+def unit_beta(psi=0.3, k=3):
+    """Per-mode noise psi * sigma2_w + sigma2_n at unit noise variances."""
+    return np.full(k, psi) * 1.0 + 1.0
 
 
 class TestP2pBestResponse:
     def test_no_interference_is_plain_waterfilling(self):
-        alloc = p2p_best_response(LAM2, LAM2_BS, np.zeros(3), noise(), 5.0)
+        alloc = p2p_best_response(LAM2, LAM2_BS, np.zeros(3), unit_beta(), 5.0)
         assert alloc.p == pytest.approx([3.21052, 1.78948, 0.0], abs=1e-5)
 
     def test_identical_modes_split_evenly(self):
         lam2 = np.full(3, 0.5)
-        alloc = p2p_best_response(lam2, lam2, np.full(3, 2.0), noise(), 6.0)
+        alloc = p2p_best_response(lam2, lam2, np.full(3, 2.0), unit_beta(), 6.0)
         assert np.allclose(alloc.p, 2.0)
 
     def test_heavily_jammed_mode_abandoned(self):
         p_bs = np.array([1000.0, 0.0, 0.0])
-        alloc = p2p_best_response(LAM2, LAM2_BS, p_bs, noise(), 5.0)
+        alloc = p2p_best_response(LAM2, LAM2_BS, p_bs, unit_beta(), 5.0)
         assert alloc.p[0] == 0.0
         assert alloc.total == pytest.approx(5.0, abs=1e-9)
 
@@ -207,30 +209,30 @@ class TestMultiplierSolve:
 
 class TestSolveSaddle:
     def test_zero_interferer_budget_endpoint(self):
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 0.0)
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 0.0)
         assert sol.rate == pytest.approx(1.016649, abs=1e-3)
         assert sol.pb_star.total == 0.0
 
     def test_budget_conservation(self):
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 25.0)
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 25.0)
         assert sol.p_star.total == pytest.approx(5.0, abs=1e-9)
         assert sol.pb_star.total == pytest.approx(25.0, abs=1e-9)
 
     @pytest.mark.parametrize("ratio", [1, 5, 14])
     def test_deviation_certificate(self, ratio):
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 5.0 * ratio)
-        assert saddle_certificate(LAM2, LAM2_BS, noise(), 5.0, 5.0 * ratio,
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 5.0 * ratio)
+        assert saddle_certificate(LAM2, LAM2_BS, unit_beta(), 5.0, 5.0 * ratio,
                                   sol, np.random.default_rng(ratio))
 
     def test_best_responses_cannot_improve_value(self):
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 10.0)
-        p_again = p2p_best_response(LAM2, LAM2_BS, sol.pb_star, noise(), 5.0)
-        pb_again = bs_best_response(LAM2 * sol.p_star.p, noise().beta,
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 10.0)
+        p_again = p2p_best_response(LAM2, LAM2_BS, sol.pb_star, unit_beta(), 5.0)
+        pb_again = bs_best_response(LAM2 * sol.p_star.p, unit_beta(),
                                     LAM2_BS, 10.0)
-        gain = worst_case_rate(LAM2, LAM2_BS, p_again, sol.pb_star, noise()) \
+        gain = worst_case_rate(LAM2, LAM2_BS, p_again, sol.pb_star, unit_beta()) \
             - sol.rate
         drop = sol.rate - worst_case_rate(LAM2, LAM2_BS, sol.p_star, pb_again,
-                                          noise())
+                                          unit_beta())
         assert -1e-12 <= gain <= 1e-8
         assert -1e-12 <= drop <= 1e-8
 
@@ -240,29 +242,29 @@ class TestSolveSaddle:
             lam2_bs = psi * np.array([0.64, 0.49, 0.25])
             prev = np.inf
             for ratio in range(15):
-                sol = solve_saddle(lam2, lam2_bs, noise(psi), 5.0, 5.0 * ratio)
+                sol = solve_saddle(lam2, lam2_bs, unit_beta(psi), 5.0, 5.0 * ratio)
                 assert sol.rate <= prev + 1e-9
                 prev = sol.rate
 
     def test_value_between_jammed_and_free_bounds(self):
-        free = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 0.0).rate
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 5.0)
-        naive = p2p_best_response(LAM2, LAM2_BS, np.zeros(3), noise(), 5.0)
+        free = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 0.0).rate
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 5.0)
+        naive = p2p_best_response(LAM2, LAM2_BS, np.zeros(3), unit_beta(), 5.0)
         worst_vs_naive = worst_case_rate(
             LAM2, LAM2_BS,
             naive,
-            bs_best_response(LAM2 * naive.p, noise().beta, LAM2_BS, 5.0),
-            noise())
+            bs_best_response(LAM2 * naive.p, unit_beta(), LAM2_BS, 5.0),
+            unit_beta())
         # adapting to the worst interference can only help over staying naive
         assert worst_vs_naive - 1e-9 <= sol.rate <= free + 1e-9
 
     def test_degenerate_interference_gains(self):
-        sol = solve_saddle(LAM2, np.zeros(3), noise(), 5.0, 9.0)
+        sol = solve_saddle(LAM2, np.zeros(3), unit_beta(), 5.0, 9.0)
         assert sol.rate == pytest.approx(1.016511, abs=1e-4)
         assert sol.pb_star.total == pytest.approx(9.0, abs=1e-9)
 
     def test_solution_metadata(self):
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 5.0)
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 5.0)
         assert sol.iterations >= 1
         assert sol.residual < 1e-10
 
@@ -290,14 +292,14 @@ class TestSolveSaddleBatch:
         batch = solve_saddle_batch(lam2, lam2_bs, beta, power, budget)
         assert batch.converged.all()
         for b in range(len(lam2)):
-            prof = NoiseProfile(1.0, 1.0, np.full(3, 0.3))
+            prof = unit_beta()
             alone = solve_saddle(lam2[b], lam2_bs[b], prof, power[b], budget[b])
             assert alone.rate == batch.rate[b]
             assert alone.iterations == batch.iterations[b]
             assert np.array_equal(alone.pb_star.p, batch.pb[b])
 
     def test_iterations_is_an_int(self):
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 5.0)
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 5.0)
         assert type(sol.iterations) is int and type(sol.rate) is float
 
     @pytest.mark.parametrize("psis, ratios", [
@@ -310,7 +312,7 @@ class TestSolveSaddleBatch:
         assert np.all(batch.gap >= -1e-11) and np.all(batch.gap <= 5e-9)
 
     def test_gap_is_zero_without_interference(self):
-        sol = solve_saddle(LAM2, LAM2_BS, noise(), 5.0, 0.0)
+        sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 0.0)
         assert sol.gap == 0.0
 
     def test_unconverged_row_raises_only_for_itself(self):
@@ -322,7 +324,7 @@ class TestSolveSaddleBatch:
         assert err.value.iterations == 3
 
     def test_no_usable_link_mode_gives_zero_rate(self):
-        sol = solve_saddle(np.zeros(3), np.zeros(3), noise(0.0), 5.0, 10.0)
+        sol = solve_saddle(np.zeros(3), np.zeros(3), unit_beta(0.0), 5.0, 10.0)
         assert sol.rate == 0.0
         assert np.all(sol.p_star.p == 0.0)
 
@@ -359,3 +361,23 @@ class TestSolveSaddleBatch:
                                    budget, budget)
         assert batch.converged[0]
         assert batch.rate[0] == pytest.approx(3.95098, abs=1e-5)
+
+    def test_small_residual_with_a_large_gap_is_not_converged(self):
+        # the rate residual settles below RATE_TOL while the exact duality gap is
+        # still ~1e-3: the iterate is no saddle point, and solution() says so
+        link = ScenarioConfig(sigma_p2p=(0.7, 0.5, 0.2), sigma_bs=(2.9, 2.0, 1.9),
+                              sigma2_n=0.01, P=1.0, psi=0.6)
+        batch = solve_links([link], [10.0])
+        assert batch.residual[0] < saddle.RATE_TOL
+        assert batch.gap[0] > saddle.GAP_TOL and not batch.converged[0]
+        with pytest.raises(ConvergenceError, match=f"duality gap {batch.gap[0]:.3e}"):
+            batch.solution(0)
+
+    def test_links_solve_as_their_worst_case_modes(self):
+        links = [ScenarioConfig(psi=psi, sigma2_w=2.0) for psi in (0.3, 0.6)]
+        batch = solve_links(links, [0.0, 5.0])
+        lam2, lam2_bs, beta = (np.stack(rows) for rows in zip(*(link.modes() for link in links)))
+        assert np.array_equal(lam2[1], 0.6 * np.square([0.9, 0.8, 0.7]))
+        assert np.array_equal(beta[1], np.full(3, 0.6 * 2.0 + 1.0))
+        alone = solve_saddle(lam2[1], lam2_bs[1], beta[1], 5.0, 5.0)
+        assert alone.rate == batch.rate[1] and np.array_equal(alone.pb_star.p, batch.pb[1])

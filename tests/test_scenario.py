@@ -29,7 +29,7 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError):
             ScenarioConfig(sigma_p2p=(0.7, 0.8, 0.9))
 
-    @pytest.mark.parametrize("field", ["P", "Pb", "sigma2_w", "sigma2_n"])
+    @pytest.mark.parametrize("field", ["P", "sigma2_w", "sigma2_n"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_scalars_rejected(self, field, value):
         with pytest.raises(InvalidInputError):
@@ -44,6 +44,42 @@ class TestScenarioConfig:
     def test_seed_and_trials_must_be_counts(self, field, value):
         with pytest.raises(InvalidInputError):
             ScenarioConfig(**{field: value})
+
+
+    @pytest.mark.parametrize("fields, key", [
+        (dict(P=1e200), "p"),
+        (dict(sigma2_w=1e-300, sigma2_n=1e-300), "sigma2_w"),
+        (dict(sigma_p2p=(1e200, 1, 1)), "sigma_p2p"),
+    ], ids=["huge-budget", "tiny-noise", "huge-profile"])
+    def test_library_path_meets_the_config_file_bounds(self, fields, key):
+        # a config file has always been refused these; built in code, they
+        # overflowed in the solvers or ran them without end
+        with pytest.raises(InvalidInputError) as err:
+            ScenarioConfig(**fields)
+        assert err.value.keys == (key,)
+
+    @pytest.mark.parametrize("fields, keys", [
+        (dict(K=2), ("sigma_p2p", "k", "m")),
+        (dict(N=2), ("sigma_bs", "k", "n")),
+        (dict(K=4, sigma_bs=(1, 1, 1, 1)), ("k", "m", "n")),
+        (dict(psi=(0.3, 0.3)), ("psi", "k")),
+    ])
+    def test_cross_field_errors_name_every_key_they_read(self, fields, keys):
+        with pytest.raises(InvalidInputError) as err:
+            ScenarioConfig(**fields)
+        assert err.value.keys == keys
+
+    def test_one_split_ratio_splits_every_antenna(self):
+        cfg = ScenarioConfig(K=2, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7), psi=0.6)
+        assert cfg.psi == (0.6, 0.6)
+
+    def test_beta_and_worst_case_modes(self):
+        cfg = ScenarioConfig(psi=(0.2, 0.5, 0.8), sigma2_w=2.0, sigma2_n=0.5)
+        lam2, lam2_bs, beta = cfg.modes()
+        assert np.array_equal(beta, cfg.beta)
+        assert np.allclose(beta, [0.9, 1.5, 2.1], rtol=0, atol=1e-15)
+        assert np.allclose(lam2, [0.2 * 0.81, 0.5 * 0.64, 0.8 * 0.49], rtol=0, atol=1e-15)
+        assert np.allclose(lam2_bs, [0.2 * 0.64, 0.5 * 0.49, 0.8 * 0.25], rtol=0, atol=1e-15)
 
 
 class TestPowerSplit:

@@ -7,7 +7,7 @@ import pytest
 from swiptmimo.errors import UnsupportedConfigError
 from swiptmimo.harvesting import delivered, harvested_power, to_db
 from swiptmimo.montecarlo import ensemble_for, metric_samples_grid, random_bs_covariance
-from swiptmimo.rates import NoiseProfile, transmit_covariance, waterfill, waterfilled_modes
+from swiptmimo.rates import transmit_covariance, waterfill, waterfilled_modes
 from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
                                 reference_scenario, synthesize_channel)
 from swiptmimo.transfer import (combined_energy, combined_interference, combined_rate,
@@ -21,14 +21,13 @@ def setup_link(psi, seed=0):
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
     split = PowerSplit(cfg.psi_vector)
     hhat, hhat_bs = equivalent_channels(h, h_bs, split)
-    noise = NoiseProfile(1.0, 1.0, cfg.psi_vector)
-    return cfg, h, h_bs, split, hhat, hhat_bs, noise
+    return cfg, h, h_bs, split, hhat, hhat_bs, cfg.beta
 
 
-def noise_only_covariance(hhat, noise, total_power):
+def noise_only_covariance(hhat, beta, total_power):
     """The joint-transfer link covariance: water-filled against noise alone."""
     m = hhat.matrix
-    _, g, p = waterfilled_modes(m.conj().T @ (m / noise.beta[:, None]), total_power)
+    _, g, p = waterfilled_modes(m.conj().T @ (m / beta[:, None]), total_power)
     return transmit_covariance(g, p)
 
 
@@ -42,13 +41,13 @@ def structure2(h, h_bs, q_bs, psi, total_power):
 
 class TestSwiptDesign:
     def test_zero_bs_budget(self):
-        cfg, h, h_bs, split, hhat, _, noise = setup_link(0.3)
+        cfg, h, h_bs, split, hhat, _, beta = setup_link(0.3)
         # the beam carries unit power, so the BS sends budget * beam: nothing at Pb = 0
         beam = energy_beam(h_bs[None], split.theta2)[0]
         assert np.real(np.trace(beam)) == pytest.approx(1.0, abs=1e-12)
         # the information covariance matches the interference-free optimum
-        q = noise_only_covariance(hhat, noise, cfg.P)
-        alloc, _ = waterfill(noise.beta / hhat.lambda2, cfg.P)
+        q = noise_only_covariance(hhat, beta, cfg.P)
+        alloc, _ = waterfill(beta / hhat.lambda2, cfg.P)
         eigs = np.sort(np.linalg.eigvalsh(q))[::-1]
         assert np.allclose(eigs, np.sort(alloc.p)[::-1], atol=1e-9)
 
@@ -61,9 +60,9 @@ class TestSwiptDesign:
         assert np.all(np.abs(w[:-1]) < 1e-9)
 
     def test_information_beams_ride_right_singular_basis(self):
-        cfg, _, _, _, hhat, _, noise = setup_link(0.3)
-        q = noise_only_covariance(hhat, noise, cfg.P)
-        alloc, _ = waterfill(noise.beta / hhat.lambda2, cfg.P)
+        cfg, _, _, _, hhat, _, beta = setup_link(0.3)
+        q = noise_only_covariance(hhat, beta, cfg.P)
+        alloc, _ = waterfill(beta / hhat.lambda2, cfg.P)
         expected = (hhat.right[:, :3] * alloc.p) @ hhat.right[:, :3].conj().T
         assert np.allclose(q, expected, atol=1e-9)
 
@@ -135,8 +134,8 @@ class TestStructure2:
 
 class TestSwiptEnergyMonotone:
     def test_rank_one_beam_adds_psd_mass(self):
-        cfg, h, h_bs, split, hhat, _, noise = setup_link(0.3, seed=9)
-        c_sig = delivered(split.theta2, h, noise_only_covariance(hhat, noise, cfg.P))
+        cfg, h, h_bs, split, hhat, _, beta = setup_link(0.3, seed=9)
+        c_sig = delivered(split.theta2, h, noise_only_covariance(hhat, beta, cfg.P))
         beam = energy_beam(h_bs, split.theta2)
         prev = -np.inf
         for pb in (0.0, 5.0, 25.0, 70.0):
