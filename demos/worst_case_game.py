@@ -36,7 +36,7 @@ def main():
     print("\nsaddle at psi=0.3, equal budgets:")
     print(f"  link powers       {np.round(sol.p_star.p, 4)}")
     print(f"  interferer powers {np.round(sol.pb_star.p, 4)}")
-    print(f"  rate {sol.rate:.6f} bits/cu after {sol.iterations} iterations, "
+    print(f"  rate {sol.rate:.6f} bits/cu after {sol.iterations} root steps, "
           f"duality gap {sol.gap:.1e}")
     ok = saddle_certificate(lam2, lam2_bs, beta, cfg.P, 5.0, sol,
                             np.random.default_rng(0))

@@ -24,13 +24,11 @@ class ConvergenceError(RuntimeError):
     Carries the last iterate so callers can inspect how close it got.
     """
 
-    def __init__(self, message, p=None, p_bs=None, rate=None, residual=None,
-                 iterations=None):
+    def __init__(self, message, p=None, p_bs=None, rate=None, iterations=None):
         super().__init__(message)
         self.p = p
         self.p_bs = p_bs
         self.rate = rate
-        self.residual = residual
         self.iterations = iterations
 
 

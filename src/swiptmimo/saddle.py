@@ -1,10 +1,9 @@
 """Max-min power-allocation game between the link and a worst-case interferer.
 
-The link maximizes the jointly-diagonalized rate by water-filling; the
-interferer minimizes it with a closed-form KKT allocation whose multiplier is
-found by safeguarded Newton steps. The rate is concave in the link powers and
-convex in the interferer powers, so alternating damped best responses converge
-to the saddle point.
+The rate is concave in the link powers and convex in the interferer powers, so
+the players' KKT conditions define the saddle point, and `solve_saddle_batch`
+solves them with one root per point. The two closed-form best responses
+(water-filling, and the interferer's KKT allocation) certify its duality gap.
 
 Every solver here is a kernel over a batch of points: arrays of shape (B, K)
 hold one point per row, and each row runs exactly the floating-point
@@ -21,9 +20,9 @@ from .rates import MAX_BUDGET, PowerAllocation, _beta, _powers, mode_rate_sum, w
 
 MU_TOL = 1e-10
 MU_STEPS = 100  # multiplier steps per interferer response; a few suffice
-RATE_TOL = 1e-10
+ROOT_TOL = 1e-13  # relative miss of the interferer's budget at which t is its root
+ROOT_STEPS = 100  # points t tried per saddle row; about ten suffice
 GAP_TOL = 1e-8  # a row is a saddle point only if its exact duality gap is this small
-MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class SaddleSolution:
     pb_star: PowerAllocation
     rate: float
     iterations: int
-    residual: float
     gap: float
 
 
@@ -47,9 +45,9 @@ class SaddleSolution:
 class SaddleBatch:
     """Solutions of a batch of saddle points, one row per point.
 
-    Rows that did not converge, whose interferer response hit its step cap, or
-    whose duality gap exceeds GAP_TOL hold their last iterate and `converged`
-    False; `solution` raises for them.
+    `iterations` counts the points t a row tried. Rows whose root search hit
+    ROOT_STEPS, or whose duality gap exceeds GAP_TOL or could not be computed,
+    hold their last iterate and `converged` False; `solution` raises for them.
     """
 
     p: np.ndarray
@@ -58,7 +56,6 @@ class SaddleBatch:
     pb_budget: np.ndarray
     rate: np.ndarray
     iterations: np.ndarray
-    residual: np.ndarray
     gap: np.ndarray
     converged: np.ndarray
 
@@ -66,15 +63,13 @@ class SaddleBatch:
         """The saddle point of row `b`."""
         if not self.converged[b]:
             raise ConvergenceError(
-                f"no saddle point after {self.iterations[b]} steps (last residual "
-                f"{self.residual[b]:.3e}, duality gap {self.gap[b]:.3e})",
-                p=self.p[b], p_bs=self.pb[b], rate=float(self.rate[b]),
-                residual=float(self.residual[b]), iterations=int(self.iterations[b]))
+                f"no saddle point after {self.iterations[b]} steps (duality gap "
+                f"{self.gap[b]:.3e})", p=self.p[b], p_bs=self.pb[b],
+                rate=float(self.rate[b]), iterations=int(self.iterations[b]))
         return SaddleSolution(
             PowerAllocation(self.p[b], float(self.total_power[b])),
             PowerAllocation(self.pb[b], float(self.pb_budget[b])),
-            float(self.rate[b]), int(self.iterations[b]),
-            float(self.residual[b]), float(self.gap[b]))
+            float(self.rate[b]), int(self.iterations[b]), float(self.gap[b]))
 
 
 def p2p_response_batch(lambda2, lambda2_bs, p_bs, beta, total_power):
@@ -108,20 +103,23 @@ def bs_response_batch(alpha, beta, lambda2_bs, pb_budget):
         raise InvalidInputError("bs_best_response requires beta > 0, gains >= 0, budget >= 0")
     harmful = (alpha > 0) & (lam2_bs > 0)
     live = harmful.any(axis=-1) & (budget > 0)
-    # harmless modes become a = 0, g = 1, whose root is negative, so they add
-    # exact zeros to each row sum; numpy sums rows of K < 8 left to right, so
+    # harmless modes become a = 0, g = 1 (and a root of 0 / 1 - beta < 0), so they
+    # add exact zeros to each row sum; numpy sums rows of K < 8 left to right, so
     # the total equals the sum over the harmful modes alone, bit for bit
     a = np.where(harmful, alpha, 0.0)
     g = np.where(harmful, lam2_bs, 1.0)
-    # positive root of the stationarity quadratic in x = g * p_b, in parts free of nu
-    shift, a2_4, ag = -(beta + a / 2), a * a / 4, a * g
+    # positive root of the stationarity quadratic in x = g * p_b, in parts free of nu, as
+    # a g nu / (sqrt(a^2 / 4 + a g nu) + a / 2) - beta: sqrt(...) - a / 2 cancels at large a
+    half, a2_4, ag = np.where(harmful, a / 2, 1.0), a * a / 4, a * g
 
     def allocation(nu):
-        return np.maximum(0.0, shift + np.sqrt(a2_4 + ag * nu[..., None])) / g
+        agnu = ag * nu[..., None]
+        return np.maximum(0.0, agnu / (np.sqrt(a2_4 + agnu) + half) - beta) / g
 
-    # ag = 0 gives kink = inf, and a row without a harmful mode NaNs, masked at the end;
-    # np.add.reduce and np.count_nonzero skip the Python wrappers of .sum() and .any()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # ag = 0 gives kink = inf (a tiny ag may overflow nu_hi to inf), and a row without
+    # a harmful mode NaNs, masked at the end; np.add.reduce and np.count_nonzero skip
+    # the Python wrappers of .sum() and .any()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kink = beta * (beta + a) / ag  # where each mode switches on
         gb = g * budget[..., None] + beta
         nu_hi = np.min(gb * (gb + a) / ag, axis=-1)  # where one mode alone spends the budget
@@ -151,100 +149,103 @@ def bs_response_batch(alpha, beta, lambda2_bs, pb_budget):
     return np.where(live[..., None], pb, 0.0), ~active
 
 
-def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget,
-                       damping=0.5, rate_tol=RATE_TOL, max_iter=MAX_ITER):
-    """Damped alternating best responses, run in lockstep over a batch.
+def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget):
+    """Saddle points of a batch from the KKT conditions, one root per row.
 
     `lambda2`, `lambda2_bs` and `beta` have shape (B, K); `total_power` and
-    `pb_budget` broadcast to (B,). Each row keeps its own damping factor,
-    stall counter and stop flag, and leaves the batch once converged.
-
-    The interferer update is damped (pb <- (1-gamma) pb + gamma BR) because
-    undamped alternation limit-cycles; when a row's rate residual stalls, its
-    damping factor is halved so the iteration contracts onto the saddle. A row
-    in which no interference mode can affect the rate stops after one step.
+    `pb_budget` broadcast to (B,). At t = mu * w (interferer multiplier times link
+    water level) mode i carries d_i = max(beta_i, w c_i), c_i = lambda2_bs_i lambda2_i
+    / (lambda2_bs_i + t lambda2_i), link power (w - d_i / lambda2_i)+ and interferer
+    power (d_i - beta_i) / lambda2_bs_i. The link's budget sets w exactly, and the
+    interferer's total falls with t: safeguarded Newton steps on 1 / total find where
+    it spends its budget. Budget no mode needs (all of it if no interference can
+    affect the rate, the rest at t = 0 once every reachable mode is shut) is split evenly.
     """
     lam2, lam2_bs, beta = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, beta))
     if lam2.ndim != 2 or lam2.shape != lam2_bs.shape or lam2.shape != beta.shape:
         raise InvalidInputError("mode arrays must share shape (B, K)")
     n, k = lam2.shape
-    power = np.broadcast_to(np.asarray(total_power, dtype=float), (n,))
-    budget = np.broadcast_to(np.asarray(pb_budget, dtype=float), (n,))
-    inputs = (lam2, lam2_bs, beta, power, budget)
-    if not all(np.all(np.isfinite(x)) for x in inputs):
-        raise InvalidInputError("saddle inputs must be finite")
-    if (np.any(lam2 < 0) or np.any(lam2_bs < 0) or np.any(beta <= 0)
-            or not np.all((0 <= power) & (power <= MAX_BUDGET) & (0 <= budget)
-                          & (budget <= MAX_BUDGET))):
-        raise InvalidInputError("saddle inputs need gains >= 0, beta > 0, budgets in "
+    power, budget = (np.broadcast_to(np.asarray(x, dtype=float), (n,))
+                     for x in (total_power, pb_budget))
+    if not (all(np.all(np.isfinite(x)) for x in (lam2, lam2_bs, beta))
+            and np.all((lam2 >= 0) & (lam2_bs >= 0) & (beta > 0))
+            and np.all([(0 <= x) & (x <= MAX_BUDGET) for x in (power, budget)])):
+        raise InvalidInputError("saddle inputs need finite gains >= 0, beta > 0, budgets in "
                                 f"[0, {MAX_BUDGET:g}]")
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be at least 1")
 
-    out_p = np.zeros((n, k))
-    out_pb = np.zeros((n, k))
-    out_rate = np.zeros(n)
-    out_iter = np.full(n, max_iter)
-    out_res = np.full(n, np.inf)
-    converged = np.zeros(n, dtype=bool)
+    harmful = (lam2 > 0) & (lam2_bs > 0)
+    free = np.any((lam2 > 0) & (lam2_bs == 0), axis=-1)  # modes the interferer cannot reach
+    trivial = (budget == 0) | (power == 0) | ~harmful.any(axis=-1)
+    plain = p2p_response_batch(lam2, lam2_bs, np.zeros_like(lam2), beta, power)
+    # unreachable knots are inf, and rows without a usable mode NaN, masked at the end
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        on = np.where(lam2 > 0, beta / lam2, np.inf)  # water level at which the link uses i
+        floor = np.where(harmful, beta / lam2_bs, 0.0)  # pb_i = w q_i - floor_i when jammed
 
-    # state of the rows still iterating; a row leaves when it stops
-    live = np.arange(n)
-    l2, l2_bs, b, pw, bg = inputs
-    pb = np.repeat((budget / k)[:, None], k, axis=1)
-    gamma = np.full(n, float(damping))
-    best_residual = np.full(n, np.inf)
-    stall = np.zeros(n, dtype=int)
-    settled = np.ones(n, dtype=bool)  # every interferer response so far converged
-    rate_prev = None
-    for iteration in range(1, max_iter + 1):
-        if not len(live):
-            break
-        p = p2p_response_batch(l2, l2_bs, pb, b, pw)
-        rate = mode_rate_sum(l2, l2_bs, p, pb, b)
-        if rate_prev is None:
-            # no interference mode can affect the rate: any feasible split works
-            stop = (bg == 0) | ~np.any((l2 > 0) & (l2_bs > 0), axis=-1)
-            residual = np.where(stop, 0.0, np.inf)
-        else:
-            residual = np.abs(rate - rate_prev)
-            stop = residual < rate_tol
-            better = residual < 0.9 * best_residual
-            stall = np.where(better, 0, stall + 1)
-            halve = ~better & (stall >= 50)
-            gamma = np.where(halve, np.maximum(gamma * 0.5, 1e-4), gamma)
-            best_residual = np.where(better | halve, residual, best_residual)
-            stall = np.where(halve, 0, stall)
-        if stop.any():
-            done = live[stop]
-            out_p[done], out_pb[done], out_rate[done] = p[stop], pb[stop], rate[stop]
-            out_iter[done], out_res[done] = iteration, residual[stop]
-            converged[done] = settled[stop]
-            live, p, rate, residual, pb, gamma, best_residual, stall, settled = (
-                x[~stop] for x in (live, p, rate, residual, pb, gamma,
-                                   best_residual, stall, settled))
-            l2, l2_bs, b, pw, bg = (x[live] for x in inputs)
-        rate_prev = rate
-        response, solved = bs_response_batch(l2 * p, b, l2_bs, bg)
-        settled = settled & solved
-        pb = (1.0 - gamma)[:, None] * pb + gamma[:, None] * response
-    else:
-        out_p[live], out_pb[live], out_rate[live], out_res[live] = p, pb, rate, residual
+        def kkt_point(t):
+            """(p, pb, the interferer's total, its slope in t) at t, all rows."""
+            d = np.where(harmful, lam2_bs + t[:, None] * lam2, 1.0)
+            q = np.where(harmful, lam2 / d, 0.0)  # c_i / lambda2_bs_i
+            tq = t[:, None] * q
+            jam = np.where(harmful, floor / q, np.inf)  # water level at which i is jammed
+            # the water level and the slope of the link's total on the segment after
+            # each knot; the highest knot below its own segment's level holds w
+            knots = np.concatenate([on, jam], axis=-1)
+            up, both = (x[:, None] <= knots[..., None] for x in (on, jam))
+            slope = np.add.reduce(np.where(up, np.where(both, tq[:, None], 1.0), 0.0), axis=-1)
+            level = (power[:, None] + np.add.reduce(np.where(up & ~both, on[:, None], 0.0),
+                                                    axis=-1)) / slope
+            j = np.argmax(np.where((level >= knots) & (knots < np.inf), knots, -np.inf), -1)
+            w, slope = (np.take_along_axis(x, j[:, None], axis=-1) for x in (level, slope))
+            both = harmful & (jam < w)
+            p = np.where(both, w * tq, np.maximum(w - on, 0.0))
+            pb = np.where(both, np.maximum(w * q - floor, 0.0), 0.0)
+            dw = np.add.reduce(np.where(both, w * lam2_bs * q / d, 0.0), -1, keepdims=True) / slope
+            dpb = np.add.reduce(np.where(both, (dw + w * q) * q, 0.0), axis=-1)
+            return p, pb, np.add.reduce(pb, axis=-1), -dpb
 
-    gap = duality_gap(lam2, lam2_bs, beta, power, budget, out_p, out_pb)
-    return SaddleBatch(out_p, out_pb, power, budget, out_rate, out_iter, out_res,
-                       gap, converged & (np.abs(gap) <= GAP_TOL))
+        # the interferer's total is at least power / t - sum(floor) without a free mode,
+        # and zero from the t at which it stops jamming the plain water-filling
+        t = lo = np.where(free, 0.0, power / (budget + np.add.reduce(floor, axis=-1)))
+        hi = np.max(np.where(harmful, lam2_bs * plain / beta, 0.0), axis=-1)
+        active, steps = ~trivial, trivial.astype(int)
+        for step in range(1, ROOT_STEPS + 1):
+            p, pb, total, slope = kkt_point(t)  # a row whose t stays gets the same bits
+            steps += active
+            over = total > budget
+            lo, hi = np.where(active & over, t, lo), np.where(active & ~over, t, hi)
+            newton = t + (total / budget) * (budget - total) / slope  # Newton on 1 / total
+            trial = np.where((newton > lo) & (newton < hi), newton,
+                             np.where(lo > 0, np.sqrt(lo) * np.sqrt(hi), 0.5 * hi))
+            # the root is a point within ROOT_TOL, or whose correction rounds away, or
+            # with no float left in its bracket (so is t_lo if the budget covers it)
+            active &= ((np.abs(budget - total) > ROOT_TOL * budget) & (trial > lo)
+                       & (trial < hi) & ((newton != t) | (total == 0)))
+            if step == ROOT_STEPS or not np.count_nonzero(active):
+                break
+            t = np.where(active, trial, t)
+    spare = np.where(trivial, budget, np.where(t == 0, budget - total, 0.0)) / k
+    p = np.where(trivial[:, None], plain, p)
+    pb = np.where(trivial[:, None], 0.0, pb) + spare[:, None]
+    gap = duality_gap(lam2, lam2_bs, beta, power, budget, p, pb)
+    return SaddleBatch(p, pb, power, budget, mode_rate_sum(lam2, lam2_bs, p, pb, beta),
+                       steps, gap, ~active & (np.abs(gap) <= GAP_TOL))
 
 
 def duality_gap(lambda2, lambda2_bs, beta, total_power, pb_budget, p, pb):
-    """rate(BR_p(pb), pb) - rate(p, BR_b(p)) per row; zero exactly at a saddle."""
+    """rate(BR_p(pb), pb) - rate(p, BR_b(p)) per row; zero exactly at a saddle, and
+    inf where the interferer's response hit MU_STEPS, so no certificate exists."""
     upper = mode_rate_sum(
         lambda2, lambda2_bs,
         p2p_response_batch(lambda2, lambda2_bs, pb, beta, total_power), pb, beta)
-    lower = mode_rate_sum(
-        lambda2, lambda2_bs, p,
-        bs_response_batch(lambda2 * p, beta, lambda2_bs, pb_budget)[0], beta)
-    return upper - lower
+    response, solved = bs_response_batch(lambda2 * p, beta, lambda2_bs, pb_budget)
+    # the response may stop up to MU_TOL short of its budget, which biases the gap
+    # down; spending the rest in proportion removes that bias to first order
+    spent = np.add.reduce(response, axis=-1, keepdims=True)
+    response = response * (np.asarray(pb_budget, dtype=float)[..., None]
+                           / np.where(spent > 0, spent, 1.0))
+    return np.where(solved, upper - mode_rate_sum(lambda2, lambda2_bs, p, response, beta),
+                    np.inf)
 
 
 def p2p_best_response(lambda2, lambda2_bs, p_bs, beta, total_power):
@@ -263,13 +264,11 @@ def bs_best_response(alpha, beta, lambda2_bs, pb_budget):
     return PowerAllocation(pb, pb_budget)
 
 
-def solve_saddle(lambda2, lambda2_bs, beta, total_power, pb_budget,
-                 damping=0.5, rate_tol=RATE_TOL, max_iter=MAX_ITER):
+def solve_saddle(lambda2, lambda2_bs, beta, total_power, pb_budget):
     """Saddle point of one link: a batch of one for `solve_saddle_batch`."""
     lam2, lam2_bs, beta = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, beta))
     return solve_saddle_batch(lam2[None], lam2_bs[None], beta[None],
-                              total_power, pb_budget, damping, rate_tol,
-                              max_iter).solution(0)
+                              total_power, pb_budget).solution(0)
 
 
 def solve_links(links, pb_budgets):
