@@ -3,11 +3,13 @@
 Config files are UTF-8 `key = value` lines with `#` comments; lists are comma-separated
 values in brackets, `FIELDS` states each key's kind, and ScenarioConfig and SweepConfig
 check the values. An empty (or absent) file reproduces the baseline setup.
-Exit codes: 0 success, 2 parse error, 3 convergence failure, 4 anchor failure.
+Exit codes: 0 success, 2 config or usage error (including sample rows too large to
+allocate and an unwritable --out), 3 convergence failure, 4 anchor failure.
 """
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -254,21 +256,24 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.verify:
-        ok = verify_anchors(trials=cfg.trials, seed=cfg.seed)
-        return EXIT_OK if ok else EXIT_ANCHORS
-
     try:
+        if args.verify:
+            return EXIT_OK if verify_anchors(trials=cfg.trials, seed=cfg.seed) else EXIT_ANCHORS
         csv_text = run_sweep(cfg)
     except SweepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except MemoryError:  # the (metrics, ratios, trials) sample rows grow with the input
+        print(f"config error: cannot allocate the sample rows of {cfg.trials} trials "
+              "(field 'trials')", file=sys.stderr)
+        return EXIT_CONFIG
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
             fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

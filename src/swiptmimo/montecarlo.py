@@ -1,23 +1,27 @@
 """Monte-Carlo averaging over random channel factors and BS user beams.
 
-Each trial t owns a generator seeded from the pair (seed, t), so trials are
-independent and order-free; identical (seed, trials) always reproduce
-bit-identical results regardless of how the work is scheduled. Nothing is
+Trial t draws from np.random.default_rng(SeedSequence((seed, t))), so trials are
+independent and order-free, and identical (seed, trials) reproduce bit-identical
+results however the work is scheduled; `seed_states` computes those seeds for a
+slice in one uint32 array pass, set trial by trial on one reused PCG64. Nothing is
 cached. `sample_grids` owns the one loop over trials: it draws each slice of
 TRIAL_CHUNK trials once with `ensemble_for` (which, like the kernel, refuses
 longer slices) and runs every requested `metric_samples_grid` call on it, into
 each request's (metrics, budgets, trials) rows, the only arrays that grow with
 the trial count. Every operation acts trial by trial: slicing changes no bit.
-The kernel runs one receiver structure at a time: structure 1 shares each
-budget's solve between its rate and energy, structure 2 its combiner and
-interference terms, joint transfer its beam and signal; the formulas are
-kernels in `rates`, `harvesting` and `transfer`. The structure-1 rate and every
-harvested power read `eigvalsh`; `eigh` runs only where an eigenvector is read.
+The kernel runs one receiver structure at a time and forms each product linear in
+the BS budget once per slice, for every budget to scale: structure 1 its received
+interference and delivered BS term, structure 2 its one interference term past the
+combiner, joint transfer its beam's delivered term. Structure 1 shares each budget's
+solve between rate and energy. The formulas are kernels in `rates`, `harvesting` and
+`transfer`. The structure-1 rate and every harvested power read `eigvalsh`; `eigh`
+runs only where an eigenvector is read.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
 FAMILIES = (("rate-struct1", "energy-struct1"), ("rate-struct2", "energy-struct2"),
             ("energy-swipt",))
 TRIAL_CHUNK = 512  # trials per slice drawn and evaluated by sample_grids
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -58,10 +63,34 @@ class McResult:
         return harvesting.to_db(self.mean), (10.0 / np.log(10.0)) * self.stderr / self.mean
 
 
-def trial_rng(seed, trial):
-    """The generator owned by one trial; mixing the pair avoids the
-    permuted-trial-set collisions a plain XOR of small integers produces."""
-    return np.random.default_rng(np.random.SeedSequence((seed, trial)))
+def _hasher(const, mult):
+    """numpy SeedSequence's hashmix with its running constant, on uint32 arrays (whose
+    products wrap silently, where uint32 scalars warn)."""
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ const, const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def seed_states(seed, trials):
+    """SeedSequence((seed, t)).generate_state(4, np.uint64) of every t in `trials` (each
+    below 2**32, one entropy word) as a (T, 4) array, in one pass over a pool of 4."""
+    t, seed = np.asarray(trials, dtype=np.uint32), int(seed)  # seed may be a numpy int
+    entropy = [np.full_like(t, seed >> shift & 0xFFFFFFFF)  # little-endian seed words
+               for shift in range(0, max(seed.bit_length(), 1), 32)] + [t]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * t) for i in range(4)]
+    # mix each pool word into the others, then any entropy past the pool into all
+    for src, dst in itertools.chain(itertools.permutations(range(4), 2),
+                                    itertools.product(range(4, len(entropy)), range(4))):
+        word = hashmix(pool[src] if src < 4 else entropy[src])
+        out = pool[dst] * 0xCA01F9DD - word * 0x4973F715
+        pool[dst] = out ^ out >> 16
+    state = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = np.stack([state(pool[i % 4]) for i in range(8)], axis=-1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def random_bs_covariance(n, pb_budget, rng):
@@ -101,8 +130,14 @@ def ensemble_for(cfg, start=0, stop=None):
     dims = (k, m, k, n, n)
     stops = np.cumsum(np.repeat(np.square(dims), 2)).tolist()  # real, imaginary blocks
     buf = np.empty((stop - start, stops[-1]))
-    for t in range(start, stop):
-        trial_rng(cfg.seed, t).standard_normal(out=buf[t - start])
+    gen = np.random.Generator(np.random.PCG64(0))
+    for row, (s0, s1, i0, i1) in zip(buf, seed_states(cfg.seed, range(start, stop)).tolist()):
+        # PCG64's 128-bit seeding step, so that gen is default_rng(SeedSequence((seed, t)))
+        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        gen.standard_normal(out=row)
     blocks = np.split(buf, stops[:-1], axis=1)
     z_left, z_right, z_bs_left, z_bs_right, z_users = (
         (re + 1j * im).reshape(-1, d, d) / np.sqrt(2.0)
@@ -176,10 +211,12 @@ def _structure1(cfg, ens, budgets, rows):
     noise = np.diag(cfg.beta)
     hhat, hhat_bs = root_psi * ens.h, root_psi * ens.h_bs
     gram = ens.user_dirs @ ch(ens.user_dirs)
+    rx = hhat_bs @ gram @ ch(hhat_bs)  # each budget scales the budget-free products
+    if "energy-struct1" in rows:
+        c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
 
     for r, pb in enumerate(budgets):
-        q_bs = (pb / cfg.N) * gram
-        t_mats = ch(hhat) @ np.linalg.solve(hhat_bs @ q_bs @ ch(hhat_bs) + noise, hhat)
+        t_mats = ch(hhat) @ np.linalg.solve((pb / cfg.N) * rx + noise, hhat)
         if "rate-struct1" in rows:
             modes = np.linalg.eigvalsh(hermitize(t_mats))[..., ::-1]
             rows["rate-struct1"][r] = np.sum(
@@ -188,17 +225,18 @@ def _structure1(cfg, ens, budgets, rows):
             _, g, powers = waterfilled_modes(t_mats, cfg.P)
             c_sig = harvesting.delivered(1.0 - cfg.psi_vector, ens.h,
                                          transmit_covariance(g, powers))
-            rows["energy-struct1"][r] = _harvested(cfg, ens, c_sig, q_bs)
+            rows["energy-struct1"][r] = _harvested(cfg, c_sig, (pb / cfg.N) * c_gram)
 
 
 def _structure2(cfg, ens, budgets, rows):
-    """Combine, then split: one combiner per grid, one interference term per budget."""
+    """Combine, then split: one combiner and one interference term per grid, which
+    each budget scales."""
     psi = cfg.psi[0]
     gram = ens.user_dirs @ ch(ens.user_dirs)
     lam1sq, u1 = transfer.combiner(ens.h)
+    unit = transfer.combined_interference(u1, ens.h_bs @ gram @ ch(ens.h_bs))
     for r, pb in enumerate(budgets):
-        rx = ens.h_bs @ ((pb / cfg.N) * gram) @ ch(ens.h_bs)
-        interference = transfer.combined_interference(u1, rx)
+        interference = (pb / cfg.N) * unit
         if "rate-struct2" in rows:
             rows["rate-struct2"][r] = transfer.combined_rate(
                 lam1sq, interference, psi, cfg.sigma2_w, cfg.sigma2_n, cfg.P)
@@ -216,15 +254,15 @@ def _swipt(cfg, ens, budgets, rows):
     hhat = np.sqrt(psi)[:, None] * ens.h
     _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
     c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
+    c_beam = harvesting.delivered(1.0 - psi, ens.h_bs, beam)
     for r, pb in enumerate(budgets):
-        rows["energy-swipt"][r] = _harvested(cfg, ens, c_sig, pb * beam)
+        rows["energy-swipt"][r] = _harvested(cfg, c_sig, pb * c_beam)
 
 
-def _harvested(cfg, ens, c_sig, q_bs):
-    """Power the best energy beam collects from link term c_sig, BS covariance q_bs
-    and the split antenna noise."""
+def _harvested(cfg, c_sig, c_bs):
+    """Power the best energy beam collects from link term c_sig, BS term c_bs and
+    the split antenna noise."""
     theta2 = 1.0 - cfg.psi_vector
-    c_bs = harvesting.delivered(theta2, ens.h_bs, q_bs)
     return harvesting.harvested_power(c_sig, c_bs, np.diag(cfg.sigma2_w * theta2))
 
 

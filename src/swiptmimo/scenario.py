@@ -29,6 +29,8 @@ BOUNDS = [(key, attr, lambda v, low=low: isinstance(v, numbers.Integral) and v >
            f"{key} = {{}} must be an integer >= {low}")
           for key, attr, low in (("k", "K", 1), ("m", "M", 1), ("n", "N", 1),
                                  ("trials", "trials", 1), ("seed", "seed", 0))] + [
+    # every trial index t < 2**32 is one SeedSequence entropy word
+    ("trials", "trials", lambda v: v <= 2 ** 32, "trials = {} exceeds 2**32"),
     ("sigma_p2p", "sigma_p2p", *PROFILE_BOUND), ("sigma_bs", "sigma_bs", *PROFILE_BOUND),
     ("psi", "psi", lambda v: 0.0 <= v <= 1.0, "split ratio {} outside [0, 1]"),
     ("sigma2_w", "sigma2_w", *NOISE_BOUND), ("sigma2_n", "sigma2_n", *NOISE_BOUND),

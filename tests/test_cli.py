@@ -2,6 +2,7 @@ import io
 import pathlib
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,6 +315,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("flags, field", [
         (["--trials", "0"], "trials"),
         (["--seed", "-1"], "seed"),
+        (["--trials", str(2 ** 32 + 1)], "trials"),
     ])
     @pytest.mark.parametrize("scenarios", ["worst-case", "average"])
     def test_invalid_override_exit_code(self, tmp_path, capsys, flags, field,
@@ -322,6 +324,39 @@ class TestMainEntry:
                                    f"scenarios = [{scenarios}]\n")
         assert cli.main(["--config", cfg_path] + flags) == cli.EXIT_CONFIG
         assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_trials_above_bound_exit_code(self, tmp_path, capsys):
+        assert cli.main(["--config", write(tmp_path, "k = 3\ntrials = 4294967297\n")]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "trials = 4294967297 exceeds 2**32 (field 'trials', line 2)" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--verify"]], ids=["sweep", "verify"])
+    def test_unallocatable_sample_rows_exit_code(self, tmp_path, capsys, monkeypatch, flags):
+        # a real oversized allocation fails or not by the host's overcommit policy,
+        # so the allocation of rows of 10**9 trials is made to fail instead
+        empty = np.empty
+
+        def failing_empty(shape, *args, **kwargs):
+            if np.ndim(shape) and shape[-1] == 10 ** 9:
+                raise MemoryError("cannot allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing_empty)
+        path = write(tmp_path, "trials = 1000000000\n")
+        assert cli.main(["--config", path] + flags) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "field 'trials'" in err and "1000000000 trials" in err
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "trials = 2\nratio_grid = [0]\npsi = [0.9]\n")
+        target = tmp_path / "missing" / "x.csv"
+        assert cli.main(["--config", path, "--out", str(target)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "cannot write output" in err
+        assert not target.exists()
 
     @pytest.mark.parametrize("text, line, product", [
         ("ratio_grid = [1e308]\ntrials = 4\np = 5\n", 3, "ratio 1e+308 times p = 5.0"),

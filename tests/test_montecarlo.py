@@ -173,7 +173,7 @@ class TestKernelOracles:
 def scalar_trial_metrics(cfg, pb_budget, trial):
     """Replay one trial from its own generator with the scalar building blocks and
     plain per-matrix numpy, none of the batched kernels."""
-    rng = montecarlo.trial_rng(cfg.seed, trial)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
     q_bs = random_bs_covariance(cfg.N, pb_budget, rng)
@@ -236,13 +236,16 @@ class TestEnsembleDraw:
             reference_scenario(0.3, trials=TRIAL_CHUNK + 1, seed=5),
             ScenarioConfig(K=2, M=4, N=3, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
                            psi=(0.4, 0.4), trials=TRIAL_CHUNK + 1, seed=11),
+            # seeds of two and of four entropy words (the latter mixes past the pool)
+            reference_scenario(0.3, trials=3, seed=2 ** 63),
+            reference_scenario(0.3, trials=3, seed=2 ** 100),
         ])
     ] + [pytest.param(reference_scenario(0.3, trials=9, seed=5), 4, id="T9-chunk4")])
     def test_matches_per_trial_complex_gaussian_replay(self, cfg, chunk):
         k, m, n = cfg.K, cfg.M, cfg.N
         zs = [np.empty((cfg.trials, d, d), dtype=complex) for d in (k, m, k, n, n)]
         for t in range(cfg.trials):
-            rng = montecarlo.trial_rng(cfg.seed, t)
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t)))
             for z in zs:
                 z[t] = complex_gaussian(z.shape[1:], rng)
         z_left, z_right, z_bs_left, z_bs_right, z_users = zs
@@ -288,6 +291,16 @@ class TestEnsembleDraw:
             ens = ensemble_for(cfg)
         with pytest.raises(InvalidInputError, match="ensemble"):
             metric_samples_grid(cfg, ("rate-struct1",), [1.0], ens)
+
+
+class TestSeedStates:
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 100,
+                                      np.uint64(2 ** 63 + 5)])
+    def test_equal_numpy_seed_sequence(self, seed):
+        trials = [0, 1, 511, 512, 2 ** 31, 2 ** 32 - 1]
+        want = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64) for t in trials]
+        got = montecarlo.seed_states(seed, trials)
+        assert got.dtype == np.uint64 and got.tobytes() == np.array(want).tobytes()
 
 
 class TestMetricSamplesGrid:

@@ -45,6 +45,13 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError):
             ScenarioConfig(**{field: value})
 
+    def test_trials_bounded_at_two_to_the_32(self):
+        # every trial index is then one SeedSequence entropy word
+        assert ScenarioConfig(trials=2 ** 32).trials == 2 ** 32
+        with pytest.raises(InvalidInputError, match="exceeds") as err:
+            ScenarioConfig(trials=2 ** 32 + 1)
+        assert err.value.keys == ("trials",)
+
 
     @pytest.mark.parametrize("fields, key", [
         (dict(P=1e200), "p"),
