@@ -10,9 +10,9 @@ signal and noise contribute along the same direction.
 
 import numpy as np
 
-from swiptmimo import (delivered, harvested_power, random_bs_covariance, reference_scenario,
-                       steering, synthesize_channel, top_eigpair, transmit_covariance,
-                       waterfilled_modes)
+from swiptmimo import (delivered, equivalent_channel, harvested_power, random_bs_covariance,
+                       reference_scenario, steering, synthesize_channel, top_eigpair,
+                       transmit_covariance, waterfilled_modes)
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     rng = np.random.default_rng(7)
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-    hhat = np.sqrt(cfg.psi_vector)[:, None] * h
+    hhat = equivalent_channel(cfg.psi_vector, h)
     _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / cfg.beta[:, None]), cfg.P)
     print(f"link water-filling at psi={psi}: powers {np.round(p, 4)}")
 

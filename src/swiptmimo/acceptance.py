@@ -12,7 +12,7 @@ import numpy as np
 from . import montecarlo, rates, saddle, scenario
 from .harvesting import to_db
 from .rates import LN2, waterfill
-from .scenario import PowerSplit, reference_scenario
+from .scenario import equivalent_channel, reference_scenario
 
 RATIO_GRID = tuple(range(15))
 RATE_PSIS = (0.3, 0.6, 0.9)
@@ -71,20 +71,19 @@ def saddle_table():
     return dict(zip(points, _wc_solutions(points)))
 
 
-def criterion_1(trials=2000, seed=42, shared=None):
+def criterion_1(trials, seed, shared):
     """Deterministic worst-case rate endpoints at zero interferer power."""
     tol = 1e-3
     lines, ok = [], True
-    sols = shared.solutions if shared else saddle_table()
     for psi, expected in WC_ENDPOINTS.items():
-        got = sols[psi, 0].rate
+        got = shared.solutions[psi, 0].rate
         good = abs(got - expected) <= tol
         ok &= good
         lines.append(f"psi={psi}: {got:.6f} vs {expected:.6f} (tol {tol})")
     return CheckResult(1, "worst-case rate endpoints", ok, "; ".join(lines))
 
 
-def criterion_2(trials=2000, seed=42, shared=None):
+def criterion_2(trials, seed, shared):
     """Saddle curve anchors plus the unilateral-deviation certificate."""
     tol = 5e-3
     lines, values_ok = [], True
@@ -92,9 +91,8 @@ def criterion_2(trials=2000, seed=42, shared=None):
     rng = np.random.default_rng(seed)
     cfg = reference_scenario(0.3)
     lam2, lam2_bs, beta = cfg.modes()
-    sols = shared.solutions if shared else saddle_table()
     for ratio, expected in WC_CURVE_03.items():
-        sol = sols[0.3, ratio]
+        sol = shared.solutions[0.3, ratio]
         good = abs(sol.rate - expected) <= tol
         values_ok &= good
         lines.append(f"ratio={ratio}: {sol.rate:.6f} vs {expected:.6f}")
@@ -160,10 +158,10 @@ def criterion_5(trials=2000, seed=42):
                            "energy-struct1", seed, 0.05, " dB")
 
 
-def criterion_6(trials=2000, seed=42, shared=None):
+def criterion_6(trials, seed, shared):
     """Monte-Carlo average-rate anchors for psi = 0.3."""
     lines, ok = [], True
-    samples = (shared.samples if shared else sample_table(trials, seed))[0.3, "rate-struct1"]
+    samples = shared.samples[0.3, "rate-struct1"]
     for ratio, expected in AVG_CURVE_03.items():
         res = montecarlo.McResult.from_samples(samples[RATIO_GRID.index(ratio)])
         band = max(3 * res.stderr, 0.03)
@@ -174,10 +172,10 @@ def criterion_6(trials=2000, seed=42, shared=None):
     return CheckResult(6, "average rate curve anchors", ok, "; ".join(lines))
 
 
-def criterion_7(trials=2000, seed=42, shared=None):
+def criterion_7(trials, seed, shared):
     """Joint-transfer harvested-energy anchors and grid monotonicity."""
     lines, ok = [], True
-    samples = (shared.samples if shared else sample_table(trials, seed))[0.3, "energy-swipt"]
+    samples = shared.samples[0.3, "energy-swipt"]
     curve = [montecarlo.McResult.from_samples(row) for row in samples]
     for ratio, expected in SWIPT_CURVE_03.items():
         got, got_stderr = curve[RATIO_GRID.index(ratio)].db()
@@ -199,10 +197,9 @@ def _dominates(high, low):
     return not diff.mean < -max(3 * diff.stderr, 1e-9)
 
 
-def criterion_8(trials=2000, seed=42, shared=None):
+def criterion_8(trials, seed, shared):
     """Ordering properties across the full sweep, paired per trial on one ensemble."""
-    samples = shared.samples if shared else sample_table(trials, seed)
-    sols = shared.solutions if shared else saddle_table()
+    samples, sols = shared.samples, shared.solutions
     worst = all(sols[psi, ratio].rate <= avg.mean + max(3 * avg.stderr, 1e-9)
                 for psi in RATE_PSIS for ratio, avg in zip(
                     RATIO_GRID, map(montecarlo.McResult.from_samples,
@@ -328,14 +325,14 @@ def criterion_9(trials=2000, seed=42):
                  f"max component gap {worst_dev:.2e}")
 
     cfg = reference_scenario(0.3)
-    split = PowerSplit(cfg.psi_vector)
     h = scenario.synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = scenario.synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-    hhat, hhat_bs = scenario.equivalent_channels(h, h_bs, split)
+    hhat = equivalent_channel(cfg.psi_vector, h)
+    hhat_bs = equivalent_channel(cfg.psi_vector, h_bs)
     q_bs = montecarlo.random_bs_covariance(cfg.N, cfg.P, rng)
-    s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T + np.diag(cfg.beta)
-    _, g, p = rates.waterfilled_modes(hhat.matrix.conj().T @ np.linalg.solve(s, hhat.matrix),
-                                      cfg.P)
+    s = hhat_bs @ q_bs @ hhat_bs.conj().T + np.diag(cfg.beta)
+    t_mat = hhat.conj().T @ np.linalg.solve(s, hhat)
+    _, g, p = rates.waterfilled_modes(t_mat, cfg.P)
     q_star = rates.transmit_covariance(g, p)
     best = rates.tin_rate_global(hhat, hhat_bs, q_star, q_bs, cfg.beta)
     margin = 0.0

@@ -256,6 +256,15 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if args.out and not args.verify:
+        # checked before the sweep, so a bad path costs no work; opening to append
+        # truncates nothing, so a sweep that fails leaves an existing file as it was
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+
     try:
         if args.verify:
             return EXIT_OK if verify_anchors(trials=cfg.trials, seed=cfg.seed) else EXIT_ANCHORS

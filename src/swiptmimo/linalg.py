@@ -1,6 +1,6 @@
 """Complex dense-matrix primitives: batched conjugate transpose and Hermitian part,
-SVD (descending), Haar sampling. The eigen-solves live with the formulas that read
-them: batched kernels in `rates` and `harvesting`, and the structure-1 rate in `montecarlo`.
+Haar sampling. The eigen-solves live with the formulas that read them: batched
+kernels in `rates` and `harvesting`, and the structure-1 rate in `montecarlo`.
 """
 
 import numpy as np
@@ -56,17 +56,6 @@ def haar_unitary(n, rng):
     if n < 1:
         raise InvalidInputError("haar_unitary requires n >= 1")
     return haar_from_gaussian(complex_gaussian((n, n), rng))
-
-
-def svd(a):
-    """Full SVD with descending singular values.
-
-    Returns (L, sigma, R) such that a = L @ diag_pad(sigma) @ R^H, with L and
-    R square unitary and sigma of length min(rows, cols).
-    """
-    a = check_finite(np.asarray(a, dtype=complex), "svd input")
-    left, sigma, right_h = np.linalg.svd(a, full_matrices=True)
-    return left, sigma, right_h.conj().T
 
 
 def pad_diag(sigma, rows, cols):

@@ -13,9 +13,9 @@ The kernel runs one receiver structure at a time and forms each product linear i
 the BS budget once per slice, for every budget to scale: structure 1 its received
 interference and delivered BS term, structure 2 its one interference term past the
 combiner, joint transfer its beam's delivered term. Structure 1 shares each budget's
-solve between rate and energy. The formulas are kernels in `rates`, `harvesting` and
-`transfer`. The structure-1 rate and every harvested power read `eigvalsh`; `eigh`
-runs only where an eigenvector is read.
+solve between rate and energy. The formulas are kernels in `scenario` (the split
+channel), `rates`, `harvesting` and `transfer`. The structure-1 rate and every
+harvested power read `eigvalsh`; `eigh` runs only where an eigenvector is read.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -29,7 +29,8 @@ import numpy as np
 from . import harvesting, transfer
 from .errors import InvalidInputError, UnsupportedConfigError
 from .linalg import ch, complex_gaussian, haar_from_gaussian, hermitize, pad_diag
-from .rates import mode_powers, transmit_covariance, waterfilled_modes
+from .rates import MAX_BUDGET, mode_powers, transmit_covariance, waterfilled_modes
+from .scenario import equivalent_channel
 
 METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
            "energy-struct2", "energy-swipt")
@@ -185,8 +186,8 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
     if len(set(names)) != len(names) or not set(names) <= set(METRICS):
         raise InvalidInputError(f"expected distinct metrics from {METRICS}, got {metrics!r}")
     budgets = [float(pb) for pb in pb_budgets]
-    if not all(0.0 <= pb < np.inf for pb in budgets):
-        raise InvalidInputError("BS power budget must be finite and nonnegative")
+    if not all(0.0 <= pb <= MAX_BUDGET for pb in budgets):
+        raise InvalidInputError(f"BS power budget must lie in [0, {MAX_BUDGET:g}]")
     t, k, m, n = len(ens.trials), cfg.K, cfg.M, cfg.N
     shapes = (ens.h.shape, ens.h_bs.shape, ens.user_dirs.shape)
     if (ens.seed != cfg.seed or not 0 <= ens.trials.start < ens.trials.stop <= cfg.trials
@@ -207,9 +208,9 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
 def _structure1(cfg, ens, budgets, rows):
     """Split per antenna: each budget's solve feeds both metrics; the rate reads
     eigenvalues, so its bits do not depend on the energy's eigh being run too."""
-    root_psi = np.sqrt(cfg.psi_vector)[:, None]
     noise = np.diag(cfg.beta)
-    hhat, hhat_bs = root_psi * ens.h, root_psi * ens.h_bs
+    hhat = equivalent_channel(cfg.psi_vector, ens.h)
+    hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
     gram = ens.user_dirs @ ch(ens.user_dirs)
     rx = hhat_bs @ gram @ ch(hhat_bs)  # each budget scales the budget-free products
     if "energy-struct1" in rows:
@@ -251,7 +252,7 @@ def _swipt(cfg, ens, budgets, rows):
     budget on one rank-one energy beam."""
     psi = cfg.psi_vector
     beam = transfer.energy_beam(ens.h_bs, 1.0 - psi)
-    hhat = np.sqrt(psi)[:, None] * ens.h
+    hhat = equivalent_channel(psi, ens.h)
     _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
     c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
     c_beam = harvesting.delivered(1.0 - psi, ens.h_bs, beam)

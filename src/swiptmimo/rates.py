@@ -112,12 +112,13 @@ def tin_rate_global(hhat, hhat_bs, q, q_bs, beta):
 
     log2 det(I + Hhat^H S^-1 Hhat Q) with S the interference-plus-noise
     covariance at the information branch, whose own noise is diag(beta).
+    `hhat` and `hhat_bs` are the split channel matrices (`scenario.equivalent_channel`).
     """
     q = check_finite(np.asarray(q, dtype=complex), "Q")
-    s = hermitize(hhat_bs.matrix @ np.asarray(q_bs, dtype=complex) @ hhat_bs.matrix.conj().T) \
+    s = hermitize(hhat_bs @ np.asarray(q_bs, dtype=complex) @ ch(hhat_bs)) \
         + np.diag(_beta(beta))
     try:
-        inner = np.linalg.solve(s, hhat.matrix @ q @ hhat.matrix.conj().T)
+        inner = np.linalg.solve(s, hhat @ q @ ch(hhat))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("interference-plus-noise covariance is singular") from exc
     k = s.shape[0]

@@ -1,11 +1,13 @@
-"""Scenario configuration, channel synthesis, power splitting, equivalent channels.
+"""Scenario configuration, channel synthesis and the split channel.
 
 Channels are specified by their singular-value profiles only; the unitary
-factors are drawn Haar-randomly per trial from a seeded generator.
+factors are drawn Haar-randomly per trial from a seeded generator. A channel
+is a plain complex matrix (or a stack of them); `equivalent_channel` is the one
+place the information branch's split channel Psi^1/2 H is formed.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,45 +117,6 @@ def reference_scenario(psi=0.3, trials=2000, seed=42):
     return ScenarioConfig(psi=float(psi), trials=trials, seed=seed)
 
 
-@dataclass(frozen=True)
-class PowerSplit:
-    """Per-antenna power split between information detection and harvesting.
-
-    `psi` and `theta2 = 1 - psi` are the squared split gains of the two
-    branches, so psi + theta2 == 1 holds exactly entrywise.
-    """
-
-    psi: np.ndarray
-    theta2: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        if np.any(psi < 0) or np.any(psi > 1):
-            raise InvalidInputError("split ratios must lie in [0, 1]")
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "theta2", 1.0 - psi)
-
-
-@dataclass(frozen=True)
-class EquivalentChannel:
-    """A channel matrix with its cached SVD factors (matrix = left @ diag @ right^H)."""
-
-    matrix: np.ndarray
-    left: np.ndarray
-    sigma: np.ndarray
-    right: np.ndarray
-
-    @property
-    def lambda2(self):
-        """Squared singular values, descending."""
-        return self.sigma ** 2
-
-    @classmethod
-    def from_matrix(cls, a):
-        left, sigma, right = linalg.svd(a)
-        return cls(np.asarray(a, dtype=complex), left, sigma, right)
-
-
 def synthesize_channel(sigma, rows, cols, rng):
     """Build rows x cols channel with the given singular values and Haar factors.
 
@@ -168,14 +131,8 @@ def synthesize_channel(sigma, rows, cols, rng):
     return left @ linalg.pad_diag(sigma, rows, cols) @ right.conj().T
 
 
-def equivalent_channels(h, h_bs, split):
-    """Equivalent channels after the information-branch split, with fresh SVDs."""
-    h = np.asarray(h, dtype=complex)
-    h_bs = np.asarray(h_bs, dtype=complex)
-    k = len(split.psi)
-    if h.shape[0] != k or h_bs.shape[0] != k:
-        raise InvalidInputError("split dimension must match the receiver antenna count")
-    scale = np.sqrt(split.psi)[:, None]
-    return (EquivalentChannel.from_matrix(scale * h),
-            EquivalentChannel.from_matrix(scale * h_bs))
-
+def equivalent_channel(psi, h):
+    """The channel Psi^1/2 H the information branch sees after splitting antenna k's
+    signal with ratio psi[k]: row k of h scaled by sqrt(psi[k]), over any leading
+    batch axes of h."""
+    return np.sqrt(psi)[:, None] * h

@@ -125,25 +125,6 @@ def recorded_run():
     return results, grids, batches
 
 
-def test_run_all_matches_each_criterion_alone(recorded_run):
-    # the shared inputs change no result: a criterion called alone builds what it reads
-    results, _, _ = recorded_run
-    assert results == [check(100, SEED) for check in acceptance.ALL_CRITERIA]
-
-
-@pytest.fixture(scope="module")
-def shared_small():
-    """The shared inputs at the T = 100 of the comparisons below."""
-    return acceptance.SharedInputs(acceptance.sample_table(100, SEED),
-                                   acceptance.saddle_table())
-
-
-@pytest.mark.parametrize("check", [acceptance.criterion_6, acceptance.criterion_7,
-                                   acceptance.criterion_8])
-def test_shared_ensemble_gives_the_same_report(check, shared_small):
-    assert check(100, SEED, shared_small) == check(100, SEED)
-
-
 def test_run_all_builds_the_shared_inputs_once(recorded_run):
     _, grids, batches = recorded_run
     # criteria 6-8: one call per psi over the whole ratio grid; criteria 3-5: one

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -54,3 +55,11 @@ def test_tracer_sees_the_kernels_and_changes_no_byte():
     assert traced == plain
     assert metrics["transfer.calls"][0] > 0 and metrics["harvesting.calls"][0] > 0
     assert metrics["cli.rows"][0] == plain.count("\n") - 1
+
+
+def test_all_lists_each_public_name_once():
+    # a deletion that drops a name from one place and not the other shows up here
+    assert len(swiptmimo.__all__) == len(set(swiptmimo.__all__))
+    bound = {name for name, value in vars(swiptmimo).items()
+             if not name.startswith("__") and not inspect.ismodule(value)}
+    assert bound <= set(swiptmimo.__all__), sorted(bound - set(swiptmimo.__all__))

@@ -350,13 +350,27 @@ class TestMainEntry:
         assert out == "" and len(err.splitlines()) == 1
         assert "field 'trials'" in err and "1000000000 trials" in err
 
-    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: sweeps.append(cfg) or "")
         path = write(tmp_path, "trials = 2\nratio_grid = [0]\npsi = [0.9]\n")
         target = tmp_path / "missing" / "x.csv"
         assert cli.main(["--config", path, "--out", str(target)]) == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "cannot write output" in err
         assert not target.exists()
+        assert sweeps == []  # the path is checked before any sweep work
+
+    def test_failed_sweep_keeps_existing_out(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "psi = [0.3]\nratio_grid = [0, 1]\nscenarios = [worst-case]\n")
+        target = tmp_path / "x.csv"
+        target.write_bytes(b"earlier results\n")
+        monkeypatch.setattr(saddle, "ROOT_STEPS", 3)  # ratio 1 takes 7 root steps
+        assert cli.main(["--config", path, "--out", str(target)]) == cli.EXIT_CONVERGENCE
+        assert target.read_bytes() == b"earlier results\n"
+        monkeypatch.undo()  # a sweep that succeeds replaces the file
+        assert cli.main(["--config", path, "--out", str(target)]) == cli.EXIT_OK
+        assert target.read_text().startswith("ratio,scenario,psi,value,stderr\n0,worst-case")
 
     @pytest.mark.parametrize("text, line, product", [
         ("ratio_grid = [1e308]\ntrials = 4\np = 5\n", 3, "ratio 1e+308 times p = 5.0"),

@@ -10,38 +10,6 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestSvd:
-    def test_identity(self):
-        _, sigma, _ = linalg.svd(np.eye(2))
-        assert np.allclose(sigma, [1.0, 1.0])
-
-    def test_diagonal_reordered_descending(self):
-        _, sigma, _ = linalg.svd(np.diag([1.0, 3.0]))
-        assert np.allclose(sigma, [3.0, 1.0])
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_reconstruction(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_complex(rng, (3, 3))
-        left, sigma, right = linalg.svd(a)
-        recon = left @ linalg.pad_diag(sigma, 3, 3) @ right.conj().T
-        assert np.linalg.norm(recon - a) <= 1e-10 * np.linalg.norm(a)
-        assert np.allclose(left.conj().T @ left, np.eye(3), atol=1e-12)
-        assert np.allclose(right.conj().T @ right, np.eye(3), atol=1e-12)
-
-    def test_rectangular_reconstruction(self):
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, (3, 5))
-        left, sigma, right = linalg.svd(a)
-        assert left.shape == (3, 3) and right.shape == (5, 5)
-        recon = left @ linalg.pad_diag(sigma, 3, 5) @ right.conj().T
-        assert np.linalg.norm(recon - a) <= 1e-10 * np.linalg.norm(a)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            linalg.svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
 class TestHermEig:
     """The top eigenpair kernel that energy steering and the combiner read."""
 

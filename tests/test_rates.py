@@ -10,8 +10,7 @@ from swiptmimo.saddle import p2p_best_response
 from swiptmimo.rates import (PowerAllocation, mode_powers, tin_rate_global,
                              transmit_covariance, waterfill, waterfilled_modes,
                              worst_case_rate)
-from swiptmimo.scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
-                                equivalent_channels, reference_scenario,
+from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
                                 synthesize_channel)
 
 # inverse gains beta/lambda2 of the psi=0.3 baseline
@@ -113,7 +112,7 @@ class TestNoiseProfile:
             worst_case_rate(lam2, lam2, np.ones(3), np.ones(3), beta)
         with pytest.raises(InvalidInputError):
             p2p_best_response(lam2, lam2, np.ones(3), beta, 5.0)
-        hhat = EquivalentChannel.from_matrix(np.diag(np.sqrt(lam2)))
+        hhat = np.diag(np.sqrt(lam2))
         with pytest.raises(InvalidInputError):
             tin_rate_global(hhat, hhat, np.eye(3), np.eye(3), beta)
 
@@ -140,8 +139,8 @@ class TestTinRateGlobal:
         rng = np.random.default_rng(10)
         self.h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         self.h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        self.split = PowerSplit(np.full(3, 0.3))
-        self.hhat, self.hhat_bs = equivalent_channels(self.h, self.h_bs, self.split)
+        self.hhat = equivalent_channel(np.full(3, 0.3), self.h)
+        self.hhat_bs = equivalent_channel(np.full(3, 0.3), self.h_bs)
         self.noise = uniform_noise(0.3)
         self.q_bs = random_bs_covariance(5, 5.0, rng)
 
@@ -152,7 +151,7 @@ class TestTinRateGlobal:
 
     def test_diagonal_reduction(self):
         lam = np.array([0.9, 0.6, 0.2])
-        hhat = EquivalentChannel.from_matrix(np.diag(lam).astype(complex))
+        hhat = np.diag(lam).astype(complex)
         p = np.array([2.0, 1.5, 0.5])
         rate = tin_rate_global(hhat, self.hhat_bs, np.diag(p), np.zeros((5, 5)),
                                self.noise)
@@ -174,22 +173,25 @@ class TestTinRateGlobal:
         rng = np.random.default_rng(12)
         left, right, right_bs = (haar_unitary(d, rng) for d in (cfg.K, cfg.M, cfg.N))
         hhat, hhat_bs = (
-            EquivalentChannel(left @ pad_diag(sigma, cfg.K, r.shape[0]) @ r.conj().T,
-                              left, sigma, r)
+            left @ pad_diag(sigma, cfg.K, r.shape[0]) @ r.conj().T
             for sigma, r in ((np.sqrt(0.3) * np.asarray(cfg.sigma_p2p), right),
                              (np.sqrt(0.3) * np.asarray(cfg.sigma_bs), right_bs)))
+        # the oracle reads each channel's own SVD: squared gains and right vectors
+        _, sigma, right_h = np.linalg.svd(hhat)
+        _, sigma_bs, right_bs_h = np.linalg.svd(hhat_bs)
+        right, right_bs = right_h.conj().T, right_bs_h.conj().T
         p = np.array([3.0, 1.5, 0.5])
         p_bs = np.array([2.0, 2.0, 1.0])
-        q = (hhat.right[:, :3] * p) @ hhat.right[:, :3].conj().T
-        q_bs = (hhat_bs.right[:, :3] * p_bs) @ hhat_bs.right[:, :3].conj().T
-        expected = worst_case_rate(hhat.lambda2, hhat_bs.lambda2, p, p_bs, self.noise)
+        q = (right[:, :3] * p) @ right[:, :3].conj().T
+        q_bs = (right_bs[:, :3] * p_bs) @ right_bs[:, :3].conj().T
+        expected = worst_case_rate(sigma ** 2, sigma_bs ** 2, p, p_bs, self.noise)
         got = tin_rate_global(hhat, hhat_bs, q, q_bs, self.noise)
         assert got == pytest.approx(expected, abs=1e-9)
 
 
 def optimal_q(hhat, s, total_power):
     """The rates kernel's optimal covariance against receive covariance s, one row."""
-    t = hhat.matrix.conj().T @ np.linalg.solve(s, hhat.matrix)
+    t = hhat.conj().T @ np.linalg.solve(s, hhat)
     _, g, p = waterfilled_modes(t[None], total_power)
     return transmit_covariance(g, p)[0]
 
@@ -197,7 +199,7 @@ def optimal_q(hhat, s, total_power):
 class TestOptimalQGlobal:
     def test_identity_noise_diagonal_channel(self):
         lam = np.array([0.9, 0.6, 0.2])
-        hhat = EquivalentChannel.from_matrix(np.diag(lam).astype(complex))
+        hhat = np.diag(lam).astype(complex)
         q = optimal_q(hhat, np.eye(3), 5.0)
         expected, _ = waterfill(1.0 / lam ** 2, 5.0)
         assert np.allclose(np.sort(np.diag(q).real)[::-1],
@@ -205,13 +207,13 @@ class TestOptimalQGlobal:
         assert np.allclose(q - np.diag(np.diag(q)), 0.0, atol=1e-9)
 
     def test_zero_budget(self):
-        hhat = EquivalentChannel.from_matrix(np.eye(3).astype(complex))
+        hhat = np.eye(3).astype(complex)
         assert np.all(optimal_q(hhat, np.eye(3), 0.0) == 0.0)
 
     def test_trace_equals_budget(self):
         rng = np.random.default_rng(13)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        hhat = EquivalentChannel.from_matrix(np.sqrt(0.3) * h)
+        hhat = np.sqrt(0.3) * h
         s = np.eye(3) * 1.3
         q = optimal_q(hhat, s, 5.0)
         assert np.real(np.trace(q)) == pytest.approx(5.0, abs=1e-9)
@@ -220,11 +222,11 @@ class TestOptimalQGlobal:
         rng = np.random.default_rng(14)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        split = PowerSplit(np.full(3, 0.3))
-        hhat, hhat_bs = equivalent_channels(h, h_bs, split)
+        hhat = equivalent_channel(np.full(3, 0.3), h)
+        hhat_bs = equivalent_channel(np.full(3, 0.3), h_bs)
         noise = uniform_noise(0.3)
         q_bs = random_bs_covariance(5, 10.0, rng)
-        s = hhat_bs.matrix @ q_bs @ hhat_bs.matrix.conj().T \
+        s = hhat_bs @ q_bs @ hhat_bs.conj().T \
             + np.diag(noise)
         q_star = optimal_q(hhat, s, 5.0)
         best = tin_rate_global(hhat, hhat_bs, q_star, q_bs, noise)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from swiptmimo import linalg
 from swiptmimo.errors import InvalidInputError
-from swiptmimo.scenario import (EquivalentChannel, PowerSplit, ScenarioConfig,
-                                equivalent_channels, reference_scenario,
+from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
                                 synthesize_channel)
 
 
@@ -89,13 +87,6 @@ class TestScenarioConfig:
         assert np.allclose(lam2_bs, [0.2 * 0.64, 0.5 * 0.49, 0.8 * 0.25], rtol=0, atol=1e-15)
 
 
-class TestPowerSplit:
-    @pytest.mark.parametrize("psi", [0.0, 0.1, 0.3, 0.5, 0.77, 1.0])
-    def test_squared_splits_sum_to_one_exactly(self, psi):
-        split = PowerSplit(np.full(3, psi))
-        assert np.all(split.psi + split.theta2 == 1.0)
-
-
 class TestSynthesizeChannel:
     def test_scalar_channel(self):
         h = synthesize_channel([1.0], 1, 1, np.random.default_rng(0))
@@ -105,12 +96,12 @@ class TestSynthesizeChannel:
     @pytest.mark.parametrize("seed", [0, 5, 99])
     def test_square_profile_recovered(self, seed):
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, np.random.default_rng(seed))
-        _, sigma, _ = linalg.svd(h)
+        sigma = np.linalg.svd(h, compute_uv=False)
         assert np.allclose(sigma, [0.9, 0.8, 0.7], atol=1e-10)
 
     def test_wide_profile_recovered_rank(self):
         h = synthesize_channel([0.8, 0.7, 0.5], 3, 5, np.random.default_rng(1))
-        _, sigma, _ = linalg.svd(h)
+        sigma = np.linalg.svd(h, compute_uv=False)
         assert np.allclose(sigma, [0.8, 0.7, 0.5], atol=1e-10)
         assert np.linalg.matrix_rank(h, tol=1e-8) == 3
 
@@ -129,38 +120,37 @@ class TestEquivalentChannels:
         rng = np.random.default_rng(2)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
         h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        hhat, hhat_bs = equivalent_channels(h, h_bs, PowerSplit(np.full(3, 1.0)))
-        assert np.allclose(hhat.matrix, h)
-        assert np.allclose(hhat_bs.matrix, h_bs)
+        assert np.allclose(equivalent_channel(np.full(3, 1.0), h), h)
+        assert np.allclose(equivalent_channel(np.full(3, 1.0), h_bs), h_bs)
 
     def test_full_eh_split_is_zero(self):
         rng = np.random.default_rng(3)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        hhat, _ = equivalent_channels(h, h_bs, PowerSplit(np.full(3, 0.0)))
-        assert np.allclose(hhat.matrix, 0.0)
-        assert np.allclose(hhat.sigma, 0.0)
+        hhat = equivalent_channel(np.full(3, 0.0), h)
+        assert np.allclose(hhat, 0.0)
+        assert np.allclose(np.linalg.svd(hhat, compute_uv=False), 0.0)
 
     def test_uniform_split_scales_gains(self):
         # hand oracle: squared gains scale by psi
         rng = np.random.default_rng(4)
         h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        hhat, _ = equivalent_channels(h, h_bs, PowerSplit(np.full(3, 0.3)))
-        assert np.allclose(hhat.lambda2, [0.243, 0.192, 0.147], atol=1e-10)
+        sigma = np.linalg.svd(equivalent_channel(np.full(3, 0.3), h), compute_uv=False)
+        assert np.allclose(sigma ** 2, [0.243, 0.192, 0.147], atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_singular_values_scale_for_random_channels(self, seed):
         rng = np.random.default_rng(seed)
         h = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
         psi = float(rng.uniform(0.05, 1.0))
-        hhat, _ = equivalent_channels(h, np.zeros((3, 5)), PowerSplit(np.full(3, psi)))
-        _, sigma, _ = linalg.svd(h)
-        assert np.allclose(hhat.sigma, np.sqrt(psi) * sigma, atol=1e-10)
+        sigma_hat = np.linalg.svd(equivalent_channel(np.full(3, psi), h), compute_uv=False)
+        sigma = np.linalg.svd(h, compute_uv=False)
+        assert np.allclose(sigma_hat, np.sqrt(psi) * sigma, atol=1e-10)
 
-    def test_cached_svd_reconstructs(self):
+    def test_stack_matches_each_row_bit_for_bit(self):
         rng = np.random.default_rng(6)
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        hhat = EquivalentChannel.from_matrix(h)
-        recon = hhat.left @ linalg.pad_diag(hhat.sigma, 3, 3) @ hhat.right.conj().T
-        assert np.linalg.norm(recon - h) <= 1e-10 * np.linalg.norm(h)
+        psi = np.array([0.2, 0.5, 0.9])
+        stack = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+        whole = equivalent_channel(psi, stack)
+        assert whole.shape == stack.shape
+        for t, h in enumerate(stack):
+            assert whole[t].tobytes() == equivalent_channel(psi, h).tobytes()

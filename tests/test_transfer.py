@@ -8,8 +8,8 @@ from swiptmimo.errors import UnsupportedConfigError
 from swiptmimo.harvesting import delivered, harvested_power, to_db
 from swiptmimo.montecarlo import ensemble_for, metric_samples_grid, random_bs_covariance
 from swiptmimo.rates import transmit_covariance, waterfill, waterfilled_modes
-from swiptmimo.scenario import (PowerSplit, ScenarioConfig, equivalent_channels,
-                                reference_scenario, synthesize_channel)
+from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
+                                synthesize_channel)
 from swiptmimo.transfer import (combined_energy, combined_interference, combined_rate,
                                 combiner, energy_beam)
 
@@ -19,15 +19,14 @@ def setup_link(psi, seed=0):
     rng = np.random.default_rng(seed)
     h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
     h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-    split = PowerSplit(cfg.psi_vector)
-    hhat, hhat_bs = equivalent_channels(h, h_bs, split)
-    return cfg, h, h_bs, split, hhat, hhat_bs, cfg.beta
+    theta2 = 1.0 - cfg.psi_vector
+    hhat = equivalent_channel(cfg.psi_vector, h)
+    return cfg, h, h_bs, theta2, hhat, cfg.beta
 
 
 def noise_only_covariance(hhat, beta, total_power):
     """The joint-transfer link covariance: water-filled against noise alone."""
-    m = hhat.matrix
-    _, g, p = waterfilled_modes(m.conj().T @ (m / beta[:, None]), total_power)
+    _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / beta[:, None]), total_power)
     return transmit_covariance(g, p)
 
 
@@ -41,35 +40,37 @@ def structure2(h, h_bs, q_bs, psi, total_power):
 
 class TestSwiptDesign:
     def test_zero_bs_budget(self):
-        cfg, h, h_bs, split, hhat, _, beta = setup_link(0.3)
+        cfg, h, h_bs, theta2, hhat, beta = setup_link(0.3)
         # the beam carries unit power, so the BS sends budget * beam: nothing at Pb = 0
-        beam = energy_beam(h_bs[None], split.theta2)[0]
+        beam = energy_beam(h_bs[None], theta2)[0]
         assert np.real(np.trace(beam)) == pytest.approx(1.0, abs=1e-12)
         # the information covariance matches the interference-free optimum
         q = noise_only_covariance(hhat, beta, cfg.P)
-        alloc, _ = waterfill(beta / hhat.lambda2, cfg.P)
+        alloc, _ = waterfill(beta / np.linalg.svd(hhat, compute_uv=False) ** 2, cfg.P)
         eigs = np.sort(np.linalg.eigvalsh(q))[::-1]
         assert np.allclose(eigs, np.sort(alloc.p)[::-1], atol=1e-9)
 
     def test_energy_beam_is_rank_one_full_power(self):
-        _, _, h_bs, split, _, _, _ = setup_link(0.3)
-        q_bs = 25.0 * energy_beam(h_bs[None], split.theta2)[0]
+        _, _, h_bs, theta2, _, _ = setup_link(0.3)
+        q_bs = 25.0 * energy_beam(h_bs[None], theta2)[0]
         w = np.linalg.eigvalsh(q_bs)
         assert np.real(np.trace(q_bs)) == pytest.approx(25.0, abs=1e-9)
         assert w[-1] == pytest.approx(25.0, abs=1e-9)
         assert np.all(np.abs(w[:-1]) < 1e-9)
 
     def test_information_beams_ride_right_singular_basis(self):
-        cfg, _, _, _, hhat, _, beta = setup_link(0.3)
+        cfg, _, _, _, hhat, beta = setup_link(0.3)
         q = noise_only_covariance(hhat, beta, cfg.P)
-        alloc, _ = waterfill(beta / hhat.lambda2, cfg.P)
-        expected = (hhat.right[:, :3] * alloc.p) @ hhat.right[:, :3].conj().T
+        _, sigma, right_h = np.linalg.svd(hhat)
+        alloc, _ = waterfill(beta / sigma ** 2, cfg.P)
+        right = right_h.conj().T
+        expected = (right[:, :3] * alloc.p) @ right[:, :3].conj().T
         assert np.allclose(q, expected, atol=1e-9)
 
     def test_energy_beam_maximizes_delivered_power(self):
-        _, _, h_bs, split, _, _, _ = setup_link(0.3, seed=3)
-        q_bs = 10.0 * energy_beam(h_bs[None], split.theta2)[0]
-        theta_h = np.sqrt(split.theta2)[:, None] * h_bs
+        _, _, h_bs, theta2, _, _ = setup_link(0.3, seed=3)
+        q_bs = 10.0 * energy_beam(h_bs[None], theta2)[0]
+        theta_h = np.sqrt(theta2)[:, None] * h_bs
         delivered_power = np.real(np.trace(theta_h @ q_bs @ theta_h.conj().T))
         rng = np.random.default_rng(4)
         for _ in range(300):
@@ -83,7 +84,7 @@ class TestStructure2:
     @pytest.mark.parametrize("psi,expected", [
         (0.3, 0.952047), (0.6, 1.332708), (0.9, 1.545188)])
     def test_rate_endpoints(self, psi, expected):
-        _, h, h_bs, _, _, _, _ = setup_link(psi)
+        _, h, h_bs, _, _, _ = setup_link(psi)
         rate, _ = structure2(h, h_bs, np.zeros((5, 5)), psi, 5.0)
         assert rate == pytest.approx(expected, abs=1e-3)
         # closed-form scalar oracle
@@ -92,23 +93,23 @@ class TestStructure2:
 
     @pytest.mark.parametrize("psi,expected", [(0.3, 5.483894), (0.6, 3.053514)])
     def test_energy_endpoints(self, psi, expected):
-        _, h, h_bs, _, _, _, _ = setup_link(psi)
+        _, h, h_bs, _, _, _ = setup_link(psi)
         _, linear = structure2(h, h_bs, np.zeros((5, 5)), psi, 5.0)
         assert to_db(linear) == pytest.approx(expected, abs=0.01)
         assert linear == pytest.approx((1 - psi) * (0.81 * 5.0 + 1.0), abs=1e-9)
 
     def test_noise_only_harvest(self):
-        _, h, h_bs, _, _, _, _ = setup_link(0.3)
+        _, h, h_bs, _, _, _ = setup_link(0.3)
         _, linear = structure2(h, h_bs, np.zeros((5, 5)), 0.3, 0.0)
         assert linear == pytest.approx(0.7 * 1.0, abs=1e-12)
 
     def test_zero_power_gives_zero_rate(self):
-        _, h, h_bs, _, _, _, _ = setup_link(0.3)
+        _, h, h_bs, _, _, _ = setup_link(0.3)
         assert structure2(h, h_bs, np.zeros((5, 5)), 0.3, 0.0)[0] == 0.0
 
     def test_split_conservation(self):
         # EH share plus ID share reconstruct the combined branch power exactly
-        _, h, h_bs, _, _, _, _ = setup_link(0.3, seed=5)
+        _, h, h_bs, _, _, _ = setup_link(0.3, seed=5)
         q_bs = random_bs_covariance(5, 10.0, np.random.default_rng(6))
         psi = 0.3
         _, linear = structure2(h, h_bs, q_bs, psi, 5.0)
@@ -124,7 +125,7 @@ class TestStructure2:
             metric_samples_grid(cfg, ("rate-struct2",), [5.0], ensemble_for(cfg))
 
     def test_interference_lowers_rate_raises_energy(self):
-        _, h, h_bs, _, _, _, _ = setup_link(0.3, seed=7)
+        _, h, h_bs, _, _, _ = setup_link(0.3, seed=7)
         q_bs = random_bs_covariance(5, 20.0, np.random.default_rng(8))
         loud = structure2(h, h_bs, q_bs, 0.3, 5.0)
         quiet = structure2(h, h_bs, np.zeros((5, 5)), 0.3, 5.0)
@@ -134,12 +135,12 @@ class TestStructure2:
 
 class TestSwiptEnergyMonotone:
     def test_rank_one_beam_adds_psd_mass(self):
-        cfg, h, h_bs, split, hhat, _, beta = setup_link(0.3, seed=9)
-        c_sig = delivered(split.theta2, h, noise_only_covariance(hhat, beta, cfg.P))
-        beam = energy_beam(h_bs, split.theta2)
+        cfg, h, h_bs, theta2, hhat, beta = setup_link(0.3, seed=9)
+        c_sig = delivered(theta2, h, noise_only_covariance(hhat, beta, cfg.P))
+        beam = energy_beam(h_bs, theta2)
         prev = -np.inf
         for pb in (0.0, 5.0, 25.0, 70.0):
-            energy = harvested_power(c_sig, delivered(split.theta2, h_bs, pb * beam),
-                                     np.diag(split.theta2))
+            energy = harvested_power(c_sig, delivered(theta2, h_bs, pb * beam),
+                                     np.diag(theta2))
             assert energy >= prev - 1e-12
             prev = energy
