@@ -8,6 +8,7 @@ allocate and an unwritable --out), 3 convergence failure, 4 anchor failure.
 """
 
 import argparse
+import io
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -239,7 +240,7 @@ def main(argv=None):
         description="Sweep rates and harvested energy of a power-splitting "
                     "MIMO receiver against interferer power.")
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--out", help="CSV or --verify report path (default: stdout)")
     parser.add_argument("--verify", action="store_true",
                         help="run the acceptance checks instead of a sweep")
     parser.add_argument("--trials", type=int, help="override the trial count")
@@ -256,9 +257,9 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.out and not args.verify:
-        # checked before the sweep, so a bad path costs no work; opening to append
-        # truncates nothing, so a sweep that fails leaves an existing file as it was
+    if args.out:
+        # checked before any work, so a bad path costs none; opening to append
+        # truncates nothing, so a run that fails leaves an existing file as it was
         try:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
@@ -267,8 +268,11 @@ def main(argv=None):
 
     try:
         if args.verify:
-            return EXIT_OK if verify_anchors(trials=cfg.trials, seed=cfg.seed) else EXIT_ANCHORS
-        csv_text = run_sweep(cfg)
+            report = io.StringIO()
+            passed = verify_anchors(trials=cfg.trials, seed=cfg.seed, out=report)
+            text, code = report.getvalue(), EXIT_OK if passed else EXIT_ANCHORS
+        else:
+            text, code = run_sweep(cfg), EXIT_OK
     except SweepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
@@ -279,11 +283,11 @@ def main(argv=None):
 
     try:
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-            fh.write(csv_text)
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -4,12 +4,12 @@ The energy branch sees C + C_bs + W, where C carries the desired signal, C_bs
 the interference, and W = sigma2_w * Theta^2 the split-scaled antenna noise.
 The optimal unit-norm steering vector is the top eigenvector of that sum, and
 the harvested power its eigenvalue. Every kernel broadcasts over leading
-batch axes; the power reads eigenvalues alone.
+batch axes; the power reads eigenvalues alone, from `linalg.hermitian_eigvals`.
 """
 
 import numpy as np
 
-from .linalg import ch, hermitize
+from .linalg import ch, hermitian_eigvals, hermitize
 
 
 def to_db(linear):
@@ -33,7 +33,7 @@ def delivered(theta2, h, q):
 
 def harvested_power(c_sig, c_bs, w):
     """Top eigenvalue of C + C_bs + W, clipped at zero: what the best steering collects."""
-    return np.maximum(np.linalg.eigvalsh(hermitize(c_sig + c_bs + w))[..., -1], 0.0)
+    return np.maximum(hermitian_eigvals(c_sig + c_bs + w)[..., -1], 0.0)
 
 
 def steering(c_sig, c_bs, w):

@@ -15,7 +15,7 @@ interference and delivered BS term, structure 2 its one interference term past t
 combiner, joint transfer its beam's delivered term. Structure 1 shares each budget's
 solve between rate and energy. The formulas are kernels in `scenario` (the split
 channel), `rates`, `harvesting` and `transfer`. The structure-1 rate and every
-harvested power read `eigvalsh`; `eigh` runs only where an eigenvector is read.
+harvested power read `hermitian_eigvals`; `eigh` runs only where an eigenvector is read.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import harvesting, transfer
 from .errors import InvalidInputError, UnsupportedConfigError
-from .linalg import ch, complex_gaussian, haar_from_gaussian, hermitize, pad_diag
+from .linalg import ch, complex_gaussian, haar_from_gaussian, hermitian_eigvals, pad_diag
 from .rates import MAX_BUDGET, mode_powers, transmit_covariance, waterfilled_modes
 from .scenario import equivalent_channel
 
@@ -207,7 +207,7 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
 
 def _structure1(cfg, ens, budgets, rows):
     """Split per antenna: each budget's solve feeds both metrics; the rate reads
-    eigenvalues, so its bits do not depend on the energy's eigh being run too."""
+    `hermitian_eigvals`, so its bits do not depend on the energy's eigh being run too."""
     noise = np.diag(cfg.beta)
     hhat = equivalent_channel(cfg.psi_vector, ens.h)
     hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
@@ -219,7 +219,7 @@ def _structure1(cfg, ens, budgets, rows):
     for r, pb in enumerate(budgets):
         t_mats = ch(hhat) @ np.linalg.solve((pb / cfg.N) * rx + noise, hhat)
         if "rate-struct1" in rows:
-            modes = np.linalg.eigvalsh(hermitize(t_mats))[..., ::-1]
+            modes = hermitian_eigvals(t_mats)[..., ::-1]
             rows["rate-struct1"][r] = np.sum(
                 np.log2(1.0 + np.maximum(modes, 0.0) * mode_powers(modes, cfg.P)), axis=-1)
         if "energy-struct1" in rows:

@@ -361,6 +361,30 @@ class TestMainEntry:
         assert not target.exists()
         assert sweeps == []  # the path is checked before any sweep work
 
+    def test_verify_report_to_file(self, tmp_path, capsys):
+        target = tmp_path / "report.txt"
+        assert cli.main(["--verify", "--trials", "20", "--out", str(target)]) \
+            == cli.EXIT_ANCHORS  # criterion 2 is red
+        out, err = capsys.readouterr()
+        assert out == "" and err == ""
+        expected = io.StringIO()
+        cli.verify_anchors(20, 42, out=expected)
+        assert target.read_text(encoding="utf-8") == expected.getvalue()
+        assert "[FAIL]  2." in expected.getvalue() and expected.getvalue().count("[FAIL]") == 1
+
+    def test_verify_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch):
+        from swiptmimo import acceptance
+
+        batteries = []
+        monkeypatch.setattr(acceptance, "run_all", lambda **kw: batteries.append(kw) or [])
+        target = tmp_path / "missing" / "report.txt"
+        assert cli.main(["--verify", "--trials", "20", "--out", str(target)]) \
+            == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "cannot write output" in err
+        assert batteries == []  # the path is checked before the battery runs
+        assert not target.exists()
+
     def test_failed_sweep_keeps_existing_out(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "psi = [0.3]\nratio_grid = [0, 1]\nscenarios = [worst-case]\n")
         target = tmp_path / "x.csv"

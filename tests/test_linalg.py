@@ -1,13 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptmimo import linalg
 from swiptmimo.errors import InvalidInputError
 from swiptmimo.harvesting import top_eigpair
+from swiptmimo.linalg import hermitian_eigvals, hermitize
+
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def with_spectrum(spectrum, seed):
+    """U diag(spectrum) U^H for a Haar unitary U drawn from `seed`."""
+    u = linalg.haar_unitary(len(spectrum), np.random.default_rng(seed))
+    return (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+
+
+def lapack(a):
+    return np.linalg.eigvalsh(hermitize(a))
+
+
+def assert_matches_lapack(a):
+    """hermitian_eigvals agrees with LAPACK within 1e-13 of each row's largest |eigenvalue|."""
+    got, want = hermitian_eigvals(a), lapack(a)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 class TestHermEig:
@@ -76,3 +99,95 @@ class TestHaarUnitary:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidInputError):
             linalg.haar_unitary(0, np.random.default_rng(0))
+
+
+SPECTRA = {
+    "positive": (0.3, 1.7, 4.2),
+    "indefinite": (-2.5, 0.4, 3.1),
+    "double-top": (0.5, 2.0, 2.0),
+    "double-bottom": (-1.0, -1.0, 3.0),
+    "triple": (1.5, 1.5, 1.5),
+    "near-double-1e-7": (0.5, 2.0, 2.0 + 1e-7),
+    "near-double-1e-9": (0.5, 2.0 - 1e-9, 2.0),
+    "rank-1": (0.0, 0.0, 3.0),
+    "rank-2": (0.0, 1.0, 3.0),
+    "zero": (0.0, 0.0, 0.0),
+    "spread-1e10": (1e-10, 1.0, 1e10),
+}
+
+
+class TestHermitianEigvals:
+    """The eigenvalue-only kernel: the 3 x 3 closed form against LAPACK, and its routing."""
+
+    @pytest.mark.parametrize("spectrum", SPECTRA.values(), ids=SPECTRA)
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e102])
+    def test_matches_lapack_on_spectrum(self, spectrum, scale):
+        a = np.stack([with_spectrum(np.multiply(spectrum, scale), seed) for seed in range(8)])
+        assert_matches_lapack(a)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e102])
+    def test_matches_lapack_on_random_matrices(self, scale):
+        rng = np.random.default_rng(17)
+        z = scale * random_complex(rng, (2000, 3, 3))
+        assert_matches_lapack(z)  # indefinite, and not Hermitian: its Hermitian part
+        assert_matches_lapack(z @ linalg.ch(z / scale))  # positive semidefinite
+        assert_matches_lapack(z.real)
+
+    def test_ascending(self):
+        w = hermitian_eigvals(random_complex(np.random.default_rng(2), (500, 3, 3)))
+        assert np.all(np.diff(w, axis=-1) >= 0)
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           st.integers(0, 2 ** 32 - 1), st.integers(-150, 100))
+    @ORACLE
+    def test_unitary_times_diagonal(self, spectrum, seed, exponent):
+        assert_matches_lapack(with_spectrum(np.multiply(spectrum, 10.0 ** exponent), seed)[None])
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_other_sizes_are_lapack_bit_for_bit(self, n):
+        a = random_complex(np.random.default_rng(n), (50, n, n))
+        assert np.array_equal(hermitian_eigvals(a), lapack(a))
+
+    def test_near_degenerate_rows_go_to_lapack_bit_for_bit(self, monkeypatch):
+        a = np.stack([with_spectrum((-1.0, 0.5, 2.0), seed) for seed in range(12)])
+        routed = [1, 4, 6, 7, 10]
+        for row, name in zip(routed[1:], ["double-top", "near-double-1e-9", "zero", "rank-1"]):
+            a[row] = with_spectrum(SPECTRA[name], row)
+        a[routed[0]] = 1.5 * np.eye(3)  # an exact triple: zero spread
+        want = lapack(a)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(m) or eigvalsh(m))
+        got = hermitian_eigvals(a)
+        assert len(calls) == 1 and np.array_equal(calls[0], hermitize(a[routed]))
+        assert np.array_equal(got[routed], want[routed])
+
+    def test_nan_row_fails_as_lapack_does(self):
+        a = random_complex(np.random.default_rng(6), (4, 3, 3))
+        a[2, 0, 1] = np.nan
+        try:
+            want = lapack(a)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                hermitian_eigvals(a)
+        else:
+            assert np.array_equal(hermitian_eigvals(a), want, equal_nan=True)
+
+    def test_separated_batch_makes_no_lapack_call(self, monkeypatch):
+        a = np.stack([with_spectrum((-1.0, 0.5, 2.0), seed) for seed in range(64)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert hermitian_eigvals(a).shape == (64, 3)
+
+    def test_row_alone_gives_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        a = random_complex(rng, (40, 3, 3))
+        a[[3, 17]] = with_spectrum(SPECTRA["double-bottom"], 3), np.zeros((3, 3))
+        batch = hermitian_eigvals(a)
+        for row in range(len(a)):
+            assert np.array_equal(hermitian_eigvals(a[row:row + 1])[0], batch[row])
+            assert np.array_equal(hermitian_eigvals(a[row]), batch[row])
+        assert np.array_equal(hermitian_eigvals(a.reshape(4, 10, 3, 3)).reshape(40, 3), batch)

@@ -430,7 +430,8 @@ class TestMetricSets:
 
 
 class TestEigenSolves:
-    """`eigh` runs only where an eigenvector is read; eigenvalues come from `eigvalsh`."""
+    """`eigh` runs only where an eigenvector is read; eigenvalues come from
+    `linalg.hermitian_eigvals`, whose 3 x 3 closed form leaves LAPACK few rows."""
 
     @pytest.mark.parametrize("metrics, per_slice", [
         (("rate-struct1",), 0),       # water-filled mode gains only
@@ -450,6 +451,23 @@ class TestEigenSolves:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         sample_grids([(cfg, metrics, budgets)])
         assert len(calls) == 3 * per_slice
+
+    @pytest.mark.parametrize("psi", [0.3, 0.6, 0.9])
+    def test_few_eigenvalue_rows_reach_lapack(self, psi, monkeypatch):
+        cfg = ScenarioConfig(psi=psi, trials=2 * TRIAL_CHUNK)
+        metrics = ("rate-struct1", "energy-struct1", "energy-swipt")  # one read per budget each
+        budgets = [ratio * cfg.P for ratio in range(15)]
+        eigvalsh, kernel, rows, shares = np.linalg.eigvalsh, montecarlo.metric_samples_grid, [], []
+
+        def per_slice(cfg, names, pbs, ens, out=None):
+            rows.clear()
+            kernel(cfg, names, pbs, ens, out=out)
+            shares.append(sum(rows) / (len(names) * len(pbs) * len(ens.trials)))
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(montecarlo, "metric_samples_grid", per_slice)
+        sample_grids([(cfg, metrics, budgets)])
+        assert len(shares) == 2 and max(shares) < 0.05
 
 
 class TestTrialChunks:
