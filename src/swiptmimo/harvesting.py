@@ -4,12 +4,12 @@ The energy branch sees C + C_bs + W, where C carries the desired signal, C_bs
 the interference, and W = sigma2_w * Theta^2 the split-scaled antenna noise.
 The optimal unit-norm steering vector is the top eigenvector of that sum, and
 the harvested power its eigenvalue. Every kernel broadcasts over leading
-batch axes; the power reads eigenvalues alone, from `linalg.hermitian_eigvals`.
+batch axes; the power reads `linalg.hermitian_eigvals`, the eigenpair `hermitian_eigh`.
 """
 
 import numpy as np
 
-from .linalg import ch, hermitian_eigvals, hermitize
+from .linalg import ch, hermitian_eigh, hermitian_eigvals
 
 
 def to_db(linear):
@@ -20,7 +20,7 @@ def to_db(linear):
 
 def top_eigpair(mats):
     """Largest eigenvalue and its unit eigenvector of stacked Hermitian matrices."""
-    w, v = np.linalg.eigh(hermitize(mats))
+    w, v = hermitian_eigh(mats)
     return w[..., -1], v[..., :, -1]
 
 

@@ -12,10 +12,11 @@ the trial count. Every operation acts trial by trial: slicing changes no bit.
 The kernel runs one receiver structure at a time and forms each product linear in
 the BS budget once per slice, for every budget to scale: structure 1 its received
 interference and delivered BS term, structure 2 its one interference term past the
-combiner, joint transfer its beam's delivered term. Structure 1 shares each budget's
-solve between rate and energy. The formulas are kernels in `scenario` (the split
-channel), `rates`, `harvesting` and `transfer`. The structure-1 rate and every
-harvested power read `hermitian_eigvals`; `eigh` runs only where an eigenvector is read.
+combiner, joint transfer its beam's delivered term lambda u u^H. Structure 1 shares each
+budget's solve between rate and energy. The formulas are kernels in `scenario` (the split
+channel), `rates`, `harvesting` and `transfer`. Eigenvalue reads (the structure-1 rate,
+every harvested power) go through `linalg.hermitian_eigvals`, eigenvector reads through
+`linalg.hermitian_eigh`: both solve 3 x 3 rows in closed form.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -207,7 +208,7 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
 
 def _structure1(cfg, ens, budgets, rows):
     """Split per antenna: each budget's solve feeds both metrics; the rate reads
-    `hermitian_eigvals`, so its bits do not depend on the energy's eigh being run too."""
+    `hermitian_eigvals`, so its bits do not depend on the energy's `hermitian_eigh`."""
     noise = np.diag(cfg.beta)
     hhat = equivalent_channel(cfg.psi_vector, ens.h)
     hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
@@ -249,13 +250,13 @@ def _structure2(cfg, ens, budgets, rows):
 def _swipt(cfg, ens, budgets, rows):
     """Joint transfer: the link ignores the cancelled BS symbols, so it water-fills
     against noise alone and its delivered term is formed once; the BS puts each
-    budget on one rank-one energy beam."""
+    budget on one rank-one energy beam, which delivers lambda u u^H (`energy_mode`)."""
     psi = cfg.psi_vector
-    beam = transfer.energy_beam(ens.h_bs, 1.0 - psi)
+    lam, u = transfer.energy_mode(ens.h_bs, 1.0 - psi)
     hhat = equivalent_channel(psi, ens.h)
     _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
     c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
-    c_beam = harvesting.delivered(1.0 - psi, ens.h_bs, beam)
+    c_beam = lam[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
     for r, pb in enumerate(budgets):
         rows["energy-swipt"][r] = _harvested(cfg, c_sig, pb * c_beam)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import ch, check_finite, hermitize
+from .linalg import ch, check_finite, hermitian_eigh, hermitize
 
 LN2 = np.log(2.0)
 BUDGET_TOL = 1e-9
@@ -138,7 +138,7 @@ def waterfilled_modes(t_mats, total_power):
     powers, as (gains, vectors, powers) with modes descending per matrix; the
     rate-optimal transmit covariance against receive covariance S is
     `transmit_covariance(vectors, powers)`, PSD with trace `total_power` (0 if T = 0)."""
-    w, g = np.linalg.eigh(hermitize(t_mats))
+    w, g = hermitian_eigh(t_mats)
     w = w[..., ::-1]
     return w, g[..., :, ::-1], mode_powers(w, total_power)
 

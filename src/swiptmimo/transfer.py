@@ -14,11 +14,21 @@ from .harvesting import top_eigpair
 from .linalg import ch
 
 
+def energy_mode(h_bs, theta2):
+    """Top eigenpair (lambda, u) of (Theta h_bs)(Theta h_bs)^H, K x K, theta2 = 1 - psi: the
+    beam e of `energy_beam` delivers Theta h_bs e = sqrt(lambda) u, so lambda u u^H."""
+    th = np.sqrt(theta2)[:, None] * h_bs
+    return top_eigpair(th @ ch(th))
+
+
 def energy_beam(h_bs, theta2):
-    """Unit-power rank-one BS energy beam e e^H along the top right singular direction
-    of Theta h_bs (theta2 = 1 - psi), the one that delivers most to the energy branches."""
-    _, e_bs = top_eigpair(ch(h_bs) @ (theta2[:, None] * h_bs))
-    return e_bs[..., :, None] @ ch(e_bs[..., :, None])
+    """Unit-power rank-one BS energy beam e e^H, e = (Theta h_bs)^H u / sqrt(lambda) from
+    `energy_mode`, the direction that delivers most; the last basis vector if lambda = 0."""
+    lam, u = energy_mode(h_bs, theta2)
+    e = ch(np.sqrt(theta2)[:, None] * h_bs) @ u[..., :, None]
+    e = e / np.sqrt(np.where(lam > 0, lam, 1.0))[..., None, None]
+    e[..., -1, 0] += lam == 0  # Theta h_bs = 0 there, so e = 0 before this
+    return e @ ch(e)
 
 
 def combiner(h):

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,8 @@ from hypothesis import strategies as st
 
 from swiptmimo import linalg
 from swiptmimo.errors import InvalidInputError
-from swiptmimo.harvesting import top_eigpair
-from swiptmimo.linalg import hermitian_eigvals, hermitize
+from swiptmimo.harvesting import harvested_power, top_eigpair
+from swiptmimo.linalg import DEGENERACY_FLOOR, hermitian_eigh, hermitian_eigvals, hermitize
 
 ORACLE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -162,16 +165,11 @@ class TestHermitianEigvals:
         assert len(calls) == 1 and np.array_equal(calls[0], hermitize(a[routed]))
         assert np.array_equal(got[routed], want[routed])
 
-    def test_nan_row_fails_as_lapack_does(self):
+    def test_nan_row_raises_invalid_input(self):
         a = random_complex(np.random.default_rng(6), (4, 3, 3))
         a[2, 0, 1] = np.nan
-        try:
-            want = lapack(a)
-        except np.linalg.LinAlgError:
-            with pytest.raises(np.linalg.LinAlgError):
-                hermitian_eigvals(a)
-        else:
-            assert np.array_equal(hermitian_eigvals(a), want, equal_nan=True)
+        with pytest.raises(InvalidInputError):
+            hermitian_eigvals(a)
 
     def test_separated_batch_makes_no_lapack_call(self, monkeypatch):
         a = np.stack([with_spectrum((-1.0, 0.5, 2.0), seed) for seed in range(64)])
@@ -191,3 +189,155 @@ class TestHermitianEigvals:
             assert np.array_equal(hermitian_eigvals(a[row:row + 1])[0], batch[row])
             assert np.array_equal(hermitian_eigvals(a[row]), batch[row])
         assert np.array_equal(hermitian_eigvals(a.reshape(4, 10, 3, 3)).reshape(40, 3), batch)
+
+
+def degeneracy(spectrum):
+    """1 - |r| of a 3 x 3 Hermitian matrix with this spectrum: r = det(B) / (2 p^3) for
+    its shifted part B = A - trace / 3, the quantity DEGENERACY_FLOOR bounds."""
+    b = np.asarray(spectrum, dtype=float) - np.mean(spectrum)
+    return 1.0 - abs(np.prod(b) / (2.0 * np.sqrt(np.sum(b * b) / 6.0) ** 3))
+
+
+def lapack_calls(monkeypatch):
+    """Record the matrices each np.linalg.eigh call receives."""
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    return calls
+
+
+def assert_eigh_oracle(a, monkeypatch):
+    """hermitian_eigh against the definition: A v = lambda v within 1e-14 of the row's
+    largest |eigenvalue|, orthonormal columns within 1e-12, ascending eigenvalues that
+    are bit for bit hermitian_eigvals' on every row the closed form solves, and each
+    row's bits the same when it is solved alone. Returns which rows LAPACK solved."""
+    calls = lapack_calls(monkeypatch)
+    w, v = hermitian_eigh(a)
+    h = hermitize(a)
+    sent = np.concatenate(calls) if calls else np.empty((0, 3, 3))
+    routed = np.array([any(np.array_equal(h[row], m) for m in sent)
+                       for row in np.ndindex(a.shape[:-2])]).reshape(a.shape[:-2])
+    assert sum(map(len, calls)) == routed.sum()
+    assert w.shape == a.shape[:-1] and v.shape == a.shape
+    scale = np.max(np.abs(w), axis=-1)
+    residual = np.linalg.norm(h @ v - v * w[..., None, :], axis=-2).max(axis=-1)
+    assert np.all(residual <= 1e-14 * scale)
+    gram = linalg.ch(v) @ v - np.eye(3)
+    assert np.all(np.linalg.norm(gram, axis=(-2, -1)) <= 1e-12)
+    assert np.all(np.diff(w, axis=-1) >= 0)
+    assert np.array_equal(w[~routed], hermitian_eigvals(a)[~routed])
+    for row in np.ndindex(a.shape[:-2]):
+        alone_w, alone_v = hermitian_eigh(a[row])
+        assert np.array_equal(alone_w, w[row]) and np.array_equal(alone_v, v[row])
+    return routed
+
+
+SCALES = [1e-100, 1.0, 1e100]
+
+
+class TestHermitianEigh:
+    """The eigenvector kernel: the 3 x 3 closed form against the eigenpair definition,
+    and the rows it leaves to LAPACK."""
+
+    @pytest.mark.parametrize("rank", [3, 2, 1], ids=["wishart", "rank-2", "rank-1"])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_wishart_batches(self, rank, scale, monkeypatch):
+        z = random_complex(np.random.default_rng(rank), (200, 3, rank))
+        routed = assert_eigh_oracle(scale * (z @ linalg.ch(z)), monkeypatch)
+        # distinct eigenvalues leave LAPACK few rows; a double zero leaves it all
+        assert np.mean(routed) < 0.1 if rank > 1 else np.all(routed)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_near_diagonal_rows(self, scale, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = scale * (np.diag([1.0, 2.0, 3.5]) + 1e-9 * random_complex(rng, (50, 3, 3)))
+        assert not np.any(assert_eigh_oracle(a, monkeypatch))
+        v = hermitian_eigh(a)[1]
+        assert np.all(np.abs(np.abs(np.diagonal(v, axis1=-2, axis2=-1)) - 1.0) < 1e-8)
+
+    def test_near_repeated_rows_on_both_sides_of_the_floor(self, monkeypatch):
+        # spectra whose 1 - |r| lies within 4x of the floor, but not within 25% of it
+        deltas = [delta for delta in np.geomspace(1e-5, 1.0, 400)
+                  if 0.25 <= degeneracy((0.5, 2.0, 2.0 + delta)) / DEGENERACY_FLOOR <= 4.0
+                  and abs(degeneracy((0.5, 2.0, 2.0 + delta)) / DEGENERACY_FLOOR - 1) > 0.25]
+        spectra = [(0.5, 2.0, 2.0 + delta) for delta in deltas]
+        spectra += [(-2.0 - delta, -2.0, 0.5) for delta in deltas]  # the pair at the bottom
+        a = np.stack([with_spectrum(spectrum, seed) for seed, spectrum in enumerate(spectra)])
+        below = np.array([degeneracy(s) < DEGENERACY_FLOOR for s in spectra])
+        assert below.any() and (~below).any()
+        assert np.array_equal(assert_eigh_oracle(a, monkeypatch), below)
+
+    def test_zero_and_identity_rows_go_to_lapack_bit_for_bit(self, monkeypatch):
+        a = random_complex(np.random.default_rng(9), (6, 3, 3))
+        a[1], a[4] = 0.0, np.eye(3)
+        want = np.linalg.eigh(hermitize(a[[1, 4]]))
+        w, v = hermitian_eigh(a)
+        assert np.array_equal(w[[1, 4]], want[0]) and np.array_equal(v[[1, 4]], want[1])
+        assert np.array_equal(np.flatnonzero(assert_eigh_oracle(a, monkeypatch)), [1, 4])
+
+    def test_unbatched_matrix_has_eigenvector_columns(self, monkeypatch):
+        a = random_complex(np.random.default_rng(10), (3, 3))
+        w, v = hermitian_eigh(a)
+        assert w.shape == (3,) and v.shape == (3, 3)
+        for k in range(3):  # column k, not row k, belongs to w[k]
+            residual = hermitize(a) @ v[:, k] - w[k] * v[:, k]
+            assert np.linalg.norm(residual) <= 1e-14 * np.abs(w).max()
+        batch_w, batch_v = hermitian_eigh(a[None])
+        assert np.array_equal(w, batch_w[0]) and np.array_equal(v, batch_v[0])
+        assert not assert_eigh_oracle(a, monkeypatch)
+
+    def test_real_input_gives_real_vectors(self, monkeypatch):
+        a = np.random.default_rng(11).standard_normal((40, 3, 3))
+        assert hermitian_eigh(a)[1].dtype == np.float64
+        assert_eigh_oracle(a, monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_other_sizes_are_lapack_bit_for_bit(self, n):
+        a = random_complex(np.random.default_rng(n), (50, n, n))
+        for got, want in zip(hermitian_eigh(a), np.linalg.eigh(hermitize(a))):
+            assert np.array_equal(got, want)
+
+    def test_separated_batch_makes_no_lapack_call(self, monkeypatch):
+        a = np.stack([with_spectrum((-1.0, 0.5, 2.0), seed) for seed in range(64)])
+        assert not np.any(assert_eigh_oracle(a, monkeypatch))
+
+
+KERNELS = {
+    "hermitian_eigvals": hermitian_eigvals,
+    "hermitian_eigh": hermitian_eigh,
+    "top_eigpair": top_eigpair,
+    "harvested_power": lambda mats: harvested_power(mats, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS)
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)],
+                         ids=["inf", "-inf", "nan", "imaginary-inf"])
+@pytest.mark.parametrize("n", [3, 2])
+def test_non_finite_row_raises_invalid_input(kernel, value, n, monkeypatch):
+    # the check runs before LAPACK sees the row, and warns nowhere (warnings fail the suite)
+    a = random_complex(np.random.default_rng(12), (5, n, n))
+    a[3, n - 1, 0] = value
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(InvalidInputError):
+        kernel(a)
+
+
+def test_eigen_solves_live_only_in_linalg():
+    # every eigen-solve goes through hermitian_eigvals or hermitian_eigh, so each
+    # formula that reads eigenvalues or eigenvectors keeps one solver
+    solvers = {"eigh", "eigvalsh"}
+    package = pathlib.Path(linalg.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.attr] if isinstance(node, ast.Attribute) else
+                     [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            for name in solvers.intersection(names):
+                found.setdefault(path.name, set()).add(name)
+    assert found == {"linalg.py": solvers}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swiptmimo import cli, linalg, montecarlo, saddle
+from swiptmimo import cli, harvesting, linalg, montecarlo, rates, saddle, transfer
 from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
 from swiptmimo.harvesting import to_db
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
@@ -430,8 +430,23 @@ class TestMetricSets:
 
 
 class TestEigenSolves:
-    """`eigh` runs only where an eigenvector is read; eigenvalues come from
-    `linalg.hermitian_eigvals`, whose 3 x 3 closed form leaves LAPACK few rows."""
+    """Eigen-solves go through `linalg.hermitian_eigh` only where an eigenvector is
+    read and through `linalg.hermitian_eigvals` elsewhere; their 3 x 3 closed forms
+    leave LAPACK few rows."""
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        """Record the rows of each `hermitian_eigh` call, under every name it is bound to."""
+        eigh, rows = linalg.hermitian_eigh, []
+
+        def counted(a):
+            rows.append(len(a))
+            return eigh(a)
+
+        for module in (linalg, harvesting, rates, transfer, montecarlo):
+            if getattr(module, "hermitian_eigh", None) is eigh:
+                monkeypatch.setattr(module, "hermitian_eigh", counted)
+        return rows
 
     @pytest.mark.parametrize("metrics, per_slice", [
         (("rate-struct1",), 0),       # water-filled mode gains only
@@ -441,16 +456,30 @@ class TestEigenSolves:
     @pytest.mark.parametrize("budgets", [(5.0,), (0.0, 5.0, 25.0, 70.0)])
     def test_eigh_calls_per_slice(self, metrics, per_slice, budgets, monkeypatch):
         cfg = reference_scenario(0.3, trials=10, seed=3)
-        eigh, calls = np.linalg.eigh, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
         monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 4)  # slices of 4, 4 and 2 trials
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rows = self.count_eigh(monkeypatch)
         sample_grids([(cfg, metrics, budgets)])
-        assert len(calls) == 3 * per_slice
+        assert sorted(rows) == sorted([4, 4, 2] * per_slice)
+
+    @pytest.mark.parametrize("psi", [0.3, 0.6, 0.9])
+    def test_few_eigenvector_rows_reach_lapack(self, psi, monkeypatch):
+        cfg = ScenarioConfig(psi=psi, trials=2 * TRIAL_CHUNK)
+        metrics = ("energy-struct1", "rate-struct2", "energy-swipt")  # every eigenvector read
+        budgets = [ratio * cfg.P for ratio in range(15)]
+        eigh, kernel, lapack, shares = np.linalg.eigh, montecarlo.metric_samples_grid, [], []
+        rows = self.count_eigh(monkeypatch)
+
+        def per_slice(cfg, names, pbs, ens, out=None):
+            rows.clear()
+            lapack.clear()
+            kernel(cfg, names, pbs, ens, out=out)
+            assert sum(rows) == (len(pbs) + 3) * len(ens.trials)  # per budget, and 3 once
+            shares.append(sum(lapack) / sum(rows))
+
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(len(a)) or eigh(a))
+        monkeypatch.setattr(montecarlo, "metric_samples_grid", per_slice)
+        sample_grids([(cfg, metrics, budgets)])
+        assert len(shares) == 2 and max(shares) < 0.05
 
     @pytest.mark.parametrize("psi", [0.3, 0.6, 0.9])
     def test_few_eigenvalue_rows_reach_lapack(self, psi, monkeypatch):

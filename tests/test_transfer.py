@@ -11,7 +11,7 @@ from swiptmimo.rates import transmit_covariance, waterfill, waterfilled_modes
 from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
                                 synthesize_channel)
 from swiptmimo.transfer import (combined_energy, combined_interference, combined_rate,
-                                combiner, energy_beam)
+                                combiner, energy_beam, energy_mode)
 
 
 def setup_link(psi, seed=0):
@@ -66,6 +66,19 @@ class TestSwiptDesign:
         right = right_h.conj().T
         expected = (right[:, :3] * alloc.p) @ right[:, :3].conj().T
         assert np.allclose(q, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("psi", [0.3, 0.9, 1.0, (0.0, 0.5, 1.0)])
+    def test_beam_delivers_its_energy_mode(self, psi):
+        # the joint-transfer kernel takes lambda u u^H as the beam's delivered term
+        cfg = ScenarioConfig(psi=psi, trials=16)
+        h_bs, theta2 = ensemble_for(cfg).h_bs, 1.0 - cfg.psi_vector
+        lam, u = energy_mode(h_bs, theta2)
+        beam = energy_beam(h_bs, theta2)
+        mode_term = lam[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
+        assert np.allclose(delivered(theta2, h_bs, beam), mode_term, rtol=0.0, atol=1e-14)
+        # a unit-power rank-one beam on every row, psi = 1 (lambda = 0) included
+        assert np.allclose(np.trace(beam, axis1=-2, axis2=-1), 1.0, rtol=0.0, atol=1e-14)
+        assert np.allclose(beam @ beam, beam, rtol=0.0, atol=1e-14)
 
     def test_energy_beam_maximizes_delivered_power(self):
         _, _, h_bs, theta2, _, _ = setup_link(0.3, seed=3)
