@@ -56,8 +56,9 @@ def main():
     _, q = noise_only_design(cfg, h)
     c_sig = delivered(theta2, h, q)
     c_bs = delivered(theta2, h_bs, 25.0 * energy_beam(h_bs, theta2))
-    eig_sig = np.sort(np.linalg.eigvalsh(c_sig))[::-1]
-    eig_bs = np.sort(np.linalg.eigvalsh(c_bs))[::-1]
+    # modes that get no power read a rounding-level eigenvalue, possibly negative
+    eig_sig = np.maximum(np.sort(np.linalg.eigvalsh(c_sig))[::-1], 0.0)
+    eig_bs = np.maximum(np.sort(np.linalg.eigvalsh(c_bs))[::-1], 0.0)
     print(f"  interferer {np.round(eig_bs, 3)}  vs  link {np.round(eig_sig, 3)}"
           f"  ->  {bool(np.all(np.cumsum(eig_bs) >= np.cumsum(eig_sig)))}")
 

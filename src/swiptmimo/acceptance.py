@@ -1,6 +1,7 @@
 """Acceptance checks: pinned reference values, oracle equivalences, orderings.
 
-Each criterion returns a CheckResult; `run_all` drives the full battery.
+Each criterion takes the battery's SharedInputs and returns a CheckResult;
+`run_all` builds the inputs once and drives the full battery.
 Reference curve values are regression anchors for the baseline setup
 (K = M = 3, N = 5, unit noise variances, P = 5, seed 42).
 """
@@ -36,28 +37,24 @@ class CheckResult:
     detail: str
 
 
-def _wc_solutions(points):
-    """Saddle solutions of baseline (psi, ratio) points from one batched solve."""
-    links = [reference_scenario(psi) for psi, _ in points]
-    batch = saddle.solve_links(links, [ratio * link.P for link, (_, ratio) in zip(links, points)])
-    return [batch.solution(b) for b in range(len(points))]
-
-
 @dataclass(frozen=True)
 class SharedInputs:
-    """What criteria 1, 2 and 6-8 read, built once by `run_all`."""
+    """What every criterion reads, built once by `run_all`. Criteria 9 and 10 read
+    only the seed, so run alone they can take empty tables."""
 
+    trials: int
+    seed: int
     samples: dict    # (psi, metric) -> per-trial samples over RATIO_GRID (`sample_table`)
     solutions: dict  # (psi, ratio) -> saddle solution (`saddle_table`)
 
 
 def sample_table(trials, seed):
-    """Per-trial samples of every metric criteria 6-8 read, over RATIO_GRID: one
+    """Per-trial samples of every metric criteria 3-8 read, over RATIO_GRID: one
     request per psi, all on one draw, so rows of different metrics are paired."""
     requests = []
     for psi in RATE_PSIS:
         metrics = ("rate-struct1", "rate-struct2") + (
-            ("energy-struct1", "energy-swipt") if psi in ENERGY_PSIS else ())
+            ("energy-struct1", "energy-swipt", "energy-struct2") if psi in ENERGY_PSIS else ())
         cfg = reference_scenario(psi, trials=trials, seed=seed)
         requests.append((cfg, metrics, [ratio * cfg.P for ratio in RATIO_GRID]))
     grids = montecarlo.sample_grids(requests)
@@ -68,10 +65,12 @@ def sample_table(trials, seed):
 def saddle_table():
     """Saddle solutions of every (psi, ratio) in RATE_PSIS x RATIO_GRID, one batch."""
     points = [(psi, ratio) for psi in RATE_PSIS for ratio in RATIO_GRID]
-    return dict(zip(points, _wc_solutions(points)))
+    links = [reference_scenario(psi) for psi, _ in points]
+    batch = saddle.solve_links(links, [ratio * link.P for link, (_, ratio) in zip(links, points)])
+    return {point: batch.solution(b) for b, point in enumerate(points)}
 
 
-def criterion_1(trials, seed, shared):
+def criterion_1(shared):
     """Deterministic worst-case rate endpoints at zero interferer power."""
     tol = 1e-3
     lines, ok = [], True
@@ -83,12 +82,12 @@ def criterion_1(trials, seed, shared):
     return CheckResult(1, "worst-case rate endpoints", ok, "; ".join(lines))
 
 
-def criterion_2(trials, seed, shared):
+def criterion_2(shared):
     """Saddle curve anchors plus the unilateral-deviation certificate."""
     tol = 5e-3
     lines, values_ok = [], True
     cert_ok = True
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(shared.seed)
     cfg = reference_scenario(0.3)
     lam2, lam2_bs, beta = cfg.modes()
     for ratio, expected in WC_CURVE_03.items():
@@ -105,60 +104,53 @@ def criterion_2(trials, seed, shared):
 
 def saddle_certificate(lam2, lam2_bs, beta, p_budget, pb_budget, sol, rng,
                        deviations=200, margin=1e-6):
-    """No unilateral deviation improves either player's objective."""
-    base = sol.rate
-    for _ in range(deviations):
-        p_dev = p_budget * rng.dirichlet(np.ones(len(lam2)))
-        if rates.worst_case_rate(lam2, lam2_bs, p_dev, sol.pb_star, beta) \
-                > base + margin:
-            return False
-    if pb_budget > 0:
-        for _ in range(deviations):
-            pb_dev = pb_budget * rng.dirichlet(np.ones(len(lam2)))
-            if rates.worst_case_rate(lam2, lam2_bs, sol.p_star, pb_dev, beta) \
-                    < base - margin:
-                return False
-    return True
+    """No unilateral deviation improves either player's objective: `deviations`
+    random splits of each player's budget, drawn in one pass and rated together."""
+    ones = np.ones(len(lam2))
+    p_dev = p_budget * rng.dirichlet(ones, size=deviations)
+    if np.any(rates.mode_rate_sum(lam2, lam2_bs, p_dev, sol.pb_star.p, beta)
+              > sol.rate + margin):
+        return False
+    if pb_budget == 0:
+        return True
+    pb_dev = pb_budget * rng.dirichlet(ones, size=deviations)
+    return not np.any(rates.mode_rate_sum(lam2, lam2_bs, sol.p_star.p, pb_dev, beta)
+                      < sol.rate - margin)
 
 
-def _endpoint_check(criterion, name, anchors, metric, seed, tol, unit=""):
-    """`metric` at Pb = 0 against anchors {psi: value}, on one synthesize_channel draw
-    per psi from one generator, run through the sweep's grid kernel as a one-trial
-    ensemble. Energies (unit " dB") compare in dB to 4 decimals, rates to 6."""
-    rng = np.random.default_rng(seed)
+def _endpoint_check(criterion, name, anchors, metric, shared, tol, unit=""):
+    """`metric` at Pb = 0 against anchors {psi: value}: trial 0 of the sample table's
+    ratio-0 row. With no BS power and a uniform split the metric sees only the
+    singular values, which all trials share. Energies (unit " dB") compare in dB
+    to 4 decimals, rates to 6."""
     lines, ok, spec = [], True, ".4f" if unit else ".6f"
     for psi, expected in anchors.items():
-        cfg = reference_scenario(psi, trials=1, seed=seed)
-        h = scenario.synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
-        h_bs = scenario.synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-        ens = montecarlo.TrialEnsemble(seed, range(1), h[None], h_bs[None],
-                                       np.eye(cfg.N)[None])  # no BS power: any beams
-        got = montecarlo.metric_samples_grid(cfg, (metric,), [0.0], ens)[0, 0, 0]
+        got = shared.samples[psi, metric][RATIO_GRID.index(0), 0]
         got = to_db(got) if unit else float(got)
         ok &= abs(got - expected) <= tol
         lines.append(f"psi={psi}: {got:{spec}}{unit} vs {expected:{spec}}{unit}")
     return CheckResult(criterion, name, ok, "; ".join(lines))
 
 
-def criterion_3(trials=2000, seed=42):
+def criterion_3(shared):
     """Combine-then-split baseline rate endpoints."""
     return _endpoint_check(3, "structure-2 rate endpoints", S2_RATE_ENDPOINTS,
-                           "rate-struct2", seed, 1e-3)
+                           "rate-struct2", shared, 1e-3)
 
 
-def criterion_4(trials=2000, seed=42):
+def criterion_4(shared):
     """Combine-then-split baseline harvested-energy endpoints."""
     return _endpoint_check(4, "structure-2 energy endpoints", S2_ENERGY_ENDPOINTS,
-                           "energy-struct2", seed, 0.01, " dB")
+                           "energy-struct2", shared, 0.01, " dB")
 
 
-def criterion_5(trials=2000, seed=42):
+def criterion_5(shared):
     """Per-antenna-split receiver classical harvested-energy endpoints."""
     return _endpoint_check(5, "structure-1 classical energy endpoints", S1_ENERGY_ENDPOINTS,
-                           "energy-struct1", seed, 0.05, " dB")
+                           "energy-struct1", shared, 0.05, " dB")
 
 
-def criterion_6(trials, seed, shared):
+def criterion_6(shared):
     """Monte-Carlo average-rate anchors for psi = 0.3."""
     lines, ok = [], True
     samples = shared.samples[0.3, "rate-struct1"]
@@ -172,7 +164,7 @@ def criterion_6(trials, seed, shared):
     return CheckResult(6, "average rate curve anchors", ok, "; ".join(lines))
 
 
-def criterion_7(trials, seed, shared):
+def criterion_7(shared):
     """Joint-transfer harvested-energy anchors and grid monotonicity."""
     lines, ok = [], True
     samples = shared.samples[0.3, "energy-swipt"]
@@ -197,7 +189,7 @@ def _dominates(high, low):
     return not diff.mean < -max(3 * diff.stderr, 1e-9)
 
 
-def criterion_8(trials, seed, shared):
+def criterion_8(shared):
     """Ordering properties across the full sweep, paired per trial on one ensemble."""
     samples, sols = shared.samples, shared.solutions
     worst = all(sols[psi, ratio].rate <= avg.mean + max(3 * avg.stderr, 1e-9)
@@ -293,10 +285,10 @@ def waterfill_instances(rng, count=50):
     return [(rng.uniform(0.3, 4.0, size=3), rng.uniform(0.5, 2.0)) for _ in range(count)]
 
 
-def criterion_9(trials=2000, seed=42):
+def criterion_9(shared):
     """Oracle equivalences for the three optimizing primitives; water-filling
     is checked against the coarse-to-fine simplex search."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(shared.seed)
     lines, ok = [], True
 
     worst_gap = 0.0
@@ -350,13 +342,13 @@ def criterion_9(trials=2000, seed=42):
     return CheckResult(9, "oracle equivalences", ok, "; ".join(lines))
 
 
-def criterion_10(trials=2000, seed=42):
+def criterion_10(shared):
     """Byte-identical reruns of a sweep with a fixed seed."""
     from . import cli
 
     sweep_cfg = cli.SweepConfig(
-        reference_scenario(trials=50, seed=seed), psis=(0.3,), ratio_grid=(0.0, 3.0, 7.0),
-        scenarios=("worst-case", "average", "swipt", "structure2"))
+        reference_scenario(trials=50, seed=shared.seed), psis=(0.3,),
+        ratio_grid=(0.0, 3.0, 7.0), scenarios=("worst-case", "average", "swipt", "structure2"))
     first = cli.run_sweep(sweep_cfg)
     second = cli.run_sweep(sweep_cfg)
     same = first == second
@@ -369,10 +361,7 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(trials=2000, seed=42):
-    """Every criterion in order. The Monte-Carlo sample table (criteria 6-8) and
-    the saddle batch (criteria 1, 2 and 8) are built once, here, and passed on."""
-    shared = SharedInputs(sample_table(trials, seed), saddle_table())
-    results = [check(trials, seed, shared) if i in (1, 2, 6, 7, 8) else check(trials, seed)
-               for i, check in enumerate(ALL_CRITERIA[:8], start=1)]
-    del shared  # criteria 9 and 10 do not read it, so free the sample table first
-    return results + [check(trials, seed) for check in ALL_CRITERIA[8:]]
+    """Every criterion in order, each reading the one SharedInputs built here: the
+    Monte-Carlo sample table (criteria 3-8) and the saddle batch (1, 2 and 8)."""
+    shared = SharedInputs(trials, seed, sample_table(trials, seed), saddle_table())
+    return [check(shared) for check in ALL_CRITERIA]

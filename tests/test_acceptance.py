@@ -6,13 +6,15 @@ pinned curve is not the saddle value of the stated game; see the analysis in
 the repository notes) — the certificate half of that criterion passes.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from swiptmimo import acceptance, montecarlo, saddle
-from swiptmimo.rates import waterfill
+from swiptmimo.rates import PowerAllocation, waterfill
+from swiptmimo.scenario import reference_scenario
 
 TRIALS = 2000
 SEED = 42
@@ -27,62 +29,97 @@ def report(result):
 @pytest.fixture(scope="module")
 def shared():
     """The sample table and saddle batch `run_all` builds, built once for this module."""
-    return acceptance.SharedInputs(acceptance.sample_table(TRIALS, SEED),
+    return acceptance.SharedInputs(TRIALS, SEED, acceptance.sample_table(TRIALS, SEED),
                                    acceptance.saddle_table())
 
 
+def alone(seed=SEED):
+    """The SharedInputs of a criterion that reads no table (9 and 10)."""
+    return acceptance.SharedInputs(TRIALS, seed, {}, {})
+
+
 def test_criterion_1_worst_case_endpoints(shared):
-    res = report(acceptance.criterion_1(TRIALS, SEED, shared))
+    res = report(acceptance.criterion_1(shared))
     assert res.passed, res.detail
 
 
 def test_criterion_2_saddle_curve_anchors(shared):
-    res = report(acceptance.criterion_2(TRIALS, SEED, shared))
+    res = report(acceptance.criterion_2(shared))
     assert res.passed, res.detail
 
 
 def test_criterion_2_saddle_certificate_alone():
-    from swiptmimo.acceptance import WC_CURVE_03, _wc_solutions, saddle_certificate
-    from swiptmimo.scenario import reference_scenario
     cfg = reference_scenario(0.3)
     lam2, lam2_bs, beta = cfg.modes()
     rng = np.random.default_rng(SEED)
+    table = acceptance.saddle_table()
     ok = True
-    for ratio in WC_CURVE_03:
-        sol = _wc_solutions([(0.3, ratio)])[0]
-        ok &= saddle_certificate(lam2, lam2_bs, beta, cfg.P, ratio * cfg.P,
-                                 sol, rng)
+    for ratio in acceptance.WC_CURVE_03:
+        ok &= acceptance.saddle_certificate(lam2, lam2_bs, beta, cfg.P, ratio * cfg.P,
+                                            table[0.3, ratio], rng)
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 2 (certificate half)")
     assert ok
 
 
-def test_criterion_3_combined_rate_endpoints():
-    res = report(acceptance.criterion_3(TRIALS, SEED))
+@pytest.mark.parametrize("player", ["p_star", "pb_star"])
+def test_saddle_certificate_refuses_an_even_split(player):
+    # an even split at ratio 5 is no best response, so one player gains by deviating
+    cfg = reference_scenario(0.3)
+    lam2, lam2_bs, beta = cfg.modes()
+    ratio = 5
+    budget = cfg.P if player == "p_star" else ratio * cfg.P
+    sol = acceptance.saddle_table()[0.3, ratio]
+    even = PowerAllocation(np.full(len(lam2), budget / len(lam2)), budget)
+    assert acceptance.saddle_certificate(lam2, lam2_bs, beta, cfg.P, ratio * cfg.P,
+                                         sol, np.random.default_rng(SEED))
+    assert not acceptance.saddle_certificate(lam2, lam2_bs, beta, cfg.P, ratio * cfg.P,
+                                             dataclasses.replace(sol, **{player: even}),
+                                             np.random.default_rng(SEED))
+
+
+def test_criterion_3_combined_rate_endpoints(shared):
+    res = report(acceptance.criterion_3(shared))
     assert res.passed, res.detail
 
 
-def test_criterion_4_combined_energy_endpoints():
-    res = report(acceptance.criterion_4(TRIALS, SEED))
+def test_criterion_4_combined_energy_endpoints(shared):
+    res = report(acceptance.criterion_4(shared))
     assert res.passed, res.detail
 
 
-def test_criterion_5_structure1_energy_endpoints():
-    res = report(acceptance.criterion_5(TRIALS, SEED))
+def test_criterion_5_structure1_energy_endpoints(shared):
+    res = report(acceptance.criterion_5(shared))
     assert res.passed, res.detail
+
+
+ENDPOINT_ROWS = [("rate-struct2", acceptance.S2_RATE_ENDPOINTS),
+                 ("energy-struct2", acceptance.S2_ENERGY_ENDPOINTS),
+                 ("energy-struct1", acceptance.S1_ENERGY_ENDPOINTS)]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_endpoint_rows_read_the_same_on_every_trial(shared, seed):
+    # criteria 3-5 read trial 0 of each Pb = 0 row: the premise is that the row
+    # depends only on the channel's singular values, which every trial shares
+    samples = shared.samples if seed == SEED else acceptance.sample_table(TRIALS, seed)
+    for metric, anchors in ENDPOINT_ROWS:
+        for psi in anchors:
+            row = samples[psi, metric][acceptance.RATIO_GRID.index(0)]
+            assert np.max(np.abs(row - row[0])) <= 1e-12 * abs(row[0]), (psi, metric)
 
 
 def test_criterion_6_average_rate_curve(shared):
-    res = report(acceptance.criterion_6(TRIALS, SEED, shared))
+    res = report(acceptance.criterion_6(shared))
     assert res.passed, res.detail
 
 
 def test_criterion_7_swipt_energy_curve(shared):
-    res = report(acceptance.criterion_7(TRIALS, SEED, shared))
+    res = report(acceptance.criterion_7(shared))
     assert res.passed, res.detail
 
 
 def test_criterion_8_sweep_orderings(shared):
-    res = report(acceptance.criterion_8(TRIALS, SEED, shared))
+    res = report(acceptance.criterion_8(shared))
     assert res.passed, res.detail
 
 
@@ -99,7 +136,7 @@ def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
     results = acceptance.run_all(trials=60, seed=SEED)
     assert [res.criterion for res in results] == list(range(1, 11))
     # each trial is drawn exactly once, slice after slice, for the sample table
-    # that criteria 6-8 share and for each of criterion 10's two T = 50 sweeps
+    # that criteria 3-8 share and for each of criterion 10's two T = 50 sweeps
     assert all(len(trials) <= 16 for trials in draws)
     assert [t for trials in draws for t in trials] == [*range(60), *range(50), *range(50)]
 
@@ -127,30 +164,25 @@ def recorded_run():
 
 def test_run_all_builds_the_shared_inputs_once(recorded_run):
     _, grids, batches = recorded_run
-    # criteria 6-8: one call per psi over the whole ratio grid; criteria 3-5: one
-    # Pb = 0 call per endpoint on its one-trial draw; then criterion 10's two
-    # T = 50 sweeps, one call per structure family each
-    rates, energies = ("rate-struct1", "rate-struct2"), ("energy-struct1", "energy-swipt")
+    # criteria 3-8: one call per psi over the whole ratio grid; then criterion
+    # 10's two T = 50 sweeps, one call per structure family each
+    rates = ("rate-struct1", "rate-struct2")
+    energies = ("energy-struct1", "energy-swipt", "energy-struct2")
     assert grids[:3] == [(0.3, rates + energies, 15), (0.6, rates + energies, 15),
                          (0.9, rates, 15)]
-    endpoints = (("rate-struct2", acceptance.S2_RATE_ENDPOINTS),
-                 ("energy-struct2", acceptance.S2_ENERGY_ENDPOINTS),
-                 ("energy-struct1", acceptance.S1_ENERGY_ENDPOINTS))
-    assert grids[3:10] == [(psi, (metric,), 1) for metric, anchors in endpoints
-                           for psi in anchors]
-    assert len(grids) == 10 + 6
-    assert all(call[2] == 3 for call in grids[10:])
+    assert len(grids) == 3 + 6
+    assert all(call[2] == 3 for call in grids[3:])
     # criteria 1, 2 and 8: one 45-point batch; then criterion 10's worst-case rows
     assert batches == [45, 3, 3]
 
 
 def test_criterion_9_oracle_equivalences():
-    res = report(acceptance.criterion_9(TRIALS, SEED))
+    res = report(acceptance.criterion_9(alone()))
     assert res.passed, res.detail
 
 
 def test_criterion_10_determinism():
-    res = report(acceptance.criterion_10(TRIALS, SEED))
+    res = report(acceptance.criterion_10(alone()))
     assert res.passed, res.detail
 
 
@@ -212,10 +244,10 @@ def test_criterion_9_search_gap_not_worse_than_dense_grid(seed):
 @pytest.mark.parametrize("seed", [42, 7])
 def test_criterion_9_peak_memory(seed):
     # the search's windows are 41 x 41, so criterion 9 holds no large grid
-    acceptance.criterion_9(TRIALS, seed)  # warm-up: first-call allocations
+    acceptance.criterion_9(alone(seed))  # warm-up: first-call allocations
     tracemalloc.start()
     try:
-        acceptance.criterion_9(TRIALS, seed)
+        acceptance.criterion_9(alone(seed))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

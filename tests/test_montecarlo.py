@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import tracemalloc
 from dataclasses import replace
 
@@ -681,3 +683,20 @@ class TestAverageMetric:
         res = average_metric(cfg, "rate-struct1", 5.0)
         assert res.trials == 17
         assert len(metric_samples(cfg, "rate-struct1", 5.0)) == 17
+
+
+def test_trial_ensembles_are_built_only_by_ensemble_for():
+    # one draw path into the grid kernel: every TrialEnsemble the package builds
+    # holds trials of its seed as ensemble_for draws them
+    package = pathlib.Path(montecarlo.__file__).parent
+    builders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk goes outside in, so the innermost enclosing function names a node
+        scope = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        builders += [(path.name, scope.get(id(node))) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and "TrialEnsemble" in (
+                         getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert builders == [("montecarlo.py", "ensemble_for")]
