@@ -10,8 +10,8 @@ while the rate stays put.
 
 import numpy as np
 
-from swiptmimo import (delivered, energy_beam, reference_scenario, sample_grids,
-                       synthesize_channel, transmit_covariance, waterfilled_modes)
+from swiptmimo import (delivered, energy_beam, equivalent_channel, reference_scenario,
+                       sample_grids, synthesize_channel, transmit_covariance, waterfilled_modes)
 
 TRIALS = 800
 
@@ -19,7 +19,7 @@ TRIALS = 800
 def noise_only_design(cfg, h):
     """The link's covariance with the BS symbols cancelled: water-filled against
     the information-branch noise alone."""
-    hhat = np.sqrt(cfg.psi_vector)[:, None] * h
+    hhat = equivalent_channel(cfg.psi_vector, h)
     _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / cfg.beta[:, None]), cfg.P)
     return hhat, transmit_covariance(g, p)
 

@@ -108,13 +108,13 @@ def saddle_certificate(lam2, lam2_bs, beta, p_budget, pb_budget, sol, rng,
     random splits of each player's budget, drawn in one pass and rated together."""
     ones = np.ones(len(lam2))
     p_dev = p_budget * rng.dirichlet(ones, size=deviations)
-    if np.any(rates.mode_rate_sum(lam2, lam2_bs, p_dev, sol.pb_star.p, beta)
+    if np.any(rates.worst_case_rate(lam2, lam2_bs, p_dev, sol.pb_star.p, beta)
               > sol.rate + margin):
         return False
     if pb_budget == 0:
         return True
     pb_dev = pb_budget * rng.dirichlet(ones, size=deviations)
-    return not np.any(rates.mode_rate_sum(lam2, lam2_bs, sol.p_star.p, pb_dev, beta)
+    return not np.any(rates.worst_case_rate(lam2, lam2_bs, sol.p_star.p, pb_dev, beta)
                       < sol.rate - margin)
 
 
@@ -308,9 +308,9 @@ def criterion_9(shared):
         beta = rng.uniform(0.5, 2.0, size=k)
         lam2_bs = rng.uniform(0.05, 1.0, size=k)
         pb = float(rng.uniform(0.5, 8.0))
-        closed = saddle.bs_best_response(alpha, beta, lam2_bs, pb).p
+        closed, solved = saddle.bs_best_response(alpha, beta, lam2_bs, pb)
         numeric = projected_gradient_worst_allocation(alpha, beta, lam2_bs, pb)
-        worst_dev = max(worst_dev, float(np.max(np.abs(closed - numeric))))
+        worst_dev = max(worst_dev, float(np.max(np.abs(closed - numeric))) if solved else np.inf)
     bs_ok = worst_dev <= 1e-6
     ok &= bs_ok
     lines.append(f"closed-form vs projected-gradient minimizer: "

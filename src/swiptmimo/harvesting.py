@@ -10,6 +10,7 @@ batch axes; the power reads `linalg.hermitian_eigvals`, the eigenpair `hermitian
 import numpy as np
 
 from .linalg import ch, hermitian_eigh, hermitian_eigvals
+from .scenario import equivalent_channel
 
 
 def to_db(linear):
@@ -27,7 +28,7 @@ def top_eigpair(mats):
 def delivered(theta2, h, q):
     """(Theta h) q (Theta h)^H: what transmit covariance q delivers through channel h
     to the energy branches, whose squared split gains are theta2 = 1 - psi."""
-    th = np.sqrt(theta2)[:, None] * h
+    th = equivalent_channel(theta2, h)
     return th @ q @ ch(th)
 
 

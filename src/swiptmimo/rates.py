@@ -54,10 +54,6 @@ def _beta(beta):
     return beta
 
 
-def _powers(alloc):
-    return alloc.p if isinstance(alloc, PowerAllocation) else np.asarray(alloc, dtype=float)
-
-
 def waterfill_batch(inv_gains, total_power):
     """Vectorized sorted active-set water-filling over stacked instances.
 
@@ -149,21 +145,10 @@ def transmit_covariance(vectors, powers):
 
 
 def worst_case_rate(lambda2, lambda2_bs, p, p_bs, beta):
-    """Scalar-sum rate over jointly diagonalized modes.
-
-    sum_k log2(1 + lambda2_k p_k / (lambda2_bs_k p_bs_k + beta_k)).
-    """
-    lam2 = np.asarray(lambda2, dtype=float)
-    lam2_bs = np.asarray(lambda2_bs, dtype=float)
-    p = _powers(p)
-    p_bs = _powers(p_bs)
+    """Rate over jointly diagonalized modes, summed over the last axis and broadcast
+    over leading ones: sum_k log2(1 + lambda2_k p_k / (lambda2_bs_k p_bs_k + beta_k))."""
+    lam2, lam2_bs, p, p_bs = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, p, p_bs))
     beta = _beta(beta)
-    if not (len(lam2) == len(lam2_bs) == len(p) == len(p_bs) == len(beta)):
+    if len({x.shape[-1:] for x in (lam2, lam2_bs, p, p_bs, beta)}) != 1:
         raise InvalidInputError("mode vectors must share length K")
-    return float(mode_rate_sum(lam2, lam2_bs, p, p_bs, beta))
-
-
-def mode_rate_sum(lambda2, lambda2_bs, p, p_bs, beta):
-    """Kernel of `worst_case_rate`: the mode sum over the last axis, stacked."""
-    return np.log2(1.0 + lambda2 * p / (lambda2_bs * p_bs + beta)).sum(axis=-1)
-
+    return np.log2(1.0 + lam2 * p / (lam2_bs * p_bs + beta)).sum(axis=-1)

@@ -8,7 +8,7 @@ solves them with one root per point. The two closed-form best responses
 Every solver here is a kernel over a batch of points: arrays of shape (B, K)
 hold one point per row, and each row runs exactly the floating-point
 operations it would run alone, so a row's result does not depend on the
-batch it is solved in. The scalar entry points are batches of one.
+batch it is solved in. Only `solve_saddle` is a batch of one.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .rates import MAX_BUDGET, PowerAllocation, _beta, _powers, mode_rate_sum, waterfill_batch
+from .rates import MAX_BUDGET, PowerAllocation, _beta, waterfill_batch, worst_case_rate
 
 MU_TOL = 1e-10
 MU_STEPS = 100  # multiplier steps per interferer response; a few suffice
@@ -72,21 +72,24 @@ class SaddleBatch:
             float(self.rate[b]), int(self.iterations[b]), float(self.gap[b]))
 
 
-def p2p_response_batch(lambda2, lambda2_bs, p_bs, beta, total_power):
+def p2p_best_response(lambda2, lambda2_bs, p_bs, beta, total_power):
     """Water-filling response of the link to interferer powers, per row.
 
     Modes with zero gain get nothing, so a row with no usable mode gets the
     all-zero allocation.
     """
+    lambda2, lambda2_bs, p_bs = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, p_bs))
+    if not np.all(np.isfinite(total_power) & (np.asarray(total_power) >= 0)):
+        raise InvalidInputError("total power must be finite and nonnegative")
     usable = lambda2 > 0
-    denom = lambda2_bs * p_bs + beta
+    denom = lambda2_bs * p_bs + _beta(beta)
     inv_gains = np.where(usable, denom / np.where(usable, lambda2, 1.0), np.inf)
     return waterfill_batch(inv_gains, total_power)[0]
 
 
-def bs_response_batch(alpha, beta, lambda2_bs, pb_budget):
+def bs_best_response(alpha, beta, lambda2_bs, pb_budget):
     """Rate-minimizing interferer allocation for fixed link mode powers, and whether
-    each row's multiplier was found within MU_STEPS steps.
+    each row was solved: its multiplier found within MU_STEPS steps, its powers finite.
 
     Solves the KKT stationarity condition per mode: with x = lambda2_bs * p_b,
     (x + beta)(x + beta + alpha) = alpha * lambda2_bs * nu, taking the positive
@@ -99,8 +102,9 @@ def bs_response_batch(alpha, beta, lambda2_bs, pb_budget):
     """
     alpha, beta, lam2_bs = (np.asarray(x, dtype=float) for x in (alpha, beta, lambda2_bs))
     budget = np.broadcast_to(np.asarray(pb_budget, dtype=float), alpha.shape[:-1])
-    if np.any(beta <= 0) or np.any(lam2_bs < 0) or np.any(budget < 0):
-        raise InvalidInputError("bs_best_response requires beta > 0, gains >= 0, budget >= 0")
+    if not (np.all(beta > 0) and np.all((0 <= lam2_bs) & (lam2_bs < np.inf))
+            and np.all((0 <= budget) & (budget < np.inf))):
+        raise InvalidInputError("bs_best_response requires beta > 0, finite gains and budget >= 0")
     harmful = (alpha > 0) & (lam2_bs > 0)
     live = harmful.any(axis=-1) & (budget > 0)
     # harmless modes become a = 0, g = 1 (and a root of 0 / 1 - beta < 0), so they
@@ -146,7 +150,7 @@ def bs_response_batch(alpha, beta, lambda2_bs, pb_budget):
         # one last Newton step for all rows at once, kept where it stays feasible
         pb = allocation(np.where((newton > nu_lo) & (newton < nu_hi), newton, nu_lo))
         pb = np.where((np.add.reduce(pb, axis=-1) <= budget)[..., None], pb, allocation(nu_lo))
-    return np.where(live[..., None], pb, 0.0), ~active
+    return np.where(live[..., None], pb, 0.0), ~active & (~live | np.isfinite(pb).all(-1))
 
 
 def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget):
@@ -176,7 +180,7 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget):
     harmful = (lam2 > 0) & (lam2_bs > 0)
     free = np.any((lam2 > 0) & (lam2_bs == 0), axis=-1)  # modes the interferer cannot reach
     trivial = (budget == 0) | (power == 0) | ~harmful.any(axis=-1)
-    plain = p2p_response_batch(lam2, lam2_bs, np.zeros_like(lam2), beta, power)
+    plain = p2p_best_response(lam2, lam2_bs, np.zeros_like(lam2), beta, power)
     # unreachable knots are inf, and rows without a usable mode NaN, masked at the end
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         on = np.where(lam2 > 0, beta / lam2, np.inf)  # water level at which the link uses i
@@ -228,40 +232,24 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget):
     p = np.where(trivial[:, None], plain, p)
     pb = np.where(trivial[:, None], 0.0, pb) + spare[:, None]
     gap = duality_gap(lam2, lam2_bs, beta, power, budget, p, pb)
-    return SaddleBatch(p, pb, power, budget, mode_rate_sum(lam2, lam2_bs, p, pb, beta),
+    return SaddleBatch(p, pb, power, budget, worst_case_rate(lam2, lam2_bs, p, pb, beta),
                        steps, gap, ~active & (np.abs(gap) <= GAP_TOL))
 
 
 def duality_gap(lambda2, lambda2_bs, beta, total_power, pb_budget, p, pb):
     """rate(BR_p(pb), pb) - rate(p, BR_b(p)) per row; zero exactly at a saddle, and
     inf where the interferer's response hit MU_STEPS, so no certificate exists."""
-    upper = mode_rate_sum(
+    upper = worst_case_rate(
         lambda2, lambda2_bs,
-        p2p_response_batch(lambda2, lambda2_bs, pb, beta, total_power), pb, beta)
-    response, solved = bs_response_batch(lambda2 * p, beta, lambda2_bs, pb_budget)
+        p2p_best_response(lambda2, lambda2_bs, pb, beta, total_power), pb, beta)
+    response, solved = bs_best_response(lambda2 * p, beta, lambda2_bs, pb_budget)
     # the response may stop up to MU_TOL short of its budget, which biases the gap
     # down; spending the rest in proportion removes that bias to first order
     spent = np.add.reduce(response, axis=-1, keepdims=True)
     response = response * (np.asarray(pb_budget, dtype=float)[..., None]
                            / np.where(spent > 0, spent, 1.0))
-    return np.where(solved, upper - mode_rate_sum(lambda2, lambda2_bs, p, response, beta),
+    return np.where(solved, upper - worst_case_rate(lambda2, lambda2_bs, p, response, beta),
                     np.inf)
-
-
-def p2p_best_response(lambda2, lambda2_bs, p_bs, beta, total_power):
-    """Water-filling response of the link against a fixed interferer allocation."""
-    p = p2p_response_batch(np.asarray(lambda2, dtype=float),
-                           np.asarray(lambda2_bs, dtype=float),
-                           _powers(p_bs), _beta(beta), total_power)
-    return PowerAllocation(p, total_power)
-
-
-def bs_best_response(alpha, beta, lambda2_bs, pb_budget):
-    """Rate-minimizing interferer allocation for fixed link mode powers."""
-    pb, converged = bs_response_batch(alpha, beta, lambda2_bs, pb_budget)
-    if not np.all(converged):
-        raise ConvergenceError(f"interferer multiplier not found in {MU_STEPS} steps", p_bs=pb)
-    return PowerAllocation(pb, pb_budget)
 
 
 def solve_saddle(lambda2, lambda2_bs, beta, total_power, pb_budget):

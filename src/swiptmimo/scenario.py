@@ -132,7 +132,7 @@ def synthesize_channel(sigma, rows, cols, rng):
 
 
 def equivalent_channel(psi, h):
-    """The channel Psi^1/2 H the information branch sees after splitting antenna k's
-    signal with ratio psi[k]: row k of h scaled by sqrt(psi[k]), over any leading
-    batch axes of h."""
+    """The split channel Psi^1/2 H after splitting antenna k's signal with ratio psi[k]:
+    row k of h scaled by sqrt(psi[k]), over any leading batch axes of h. Pass psi for
+    the information branch, and theta2 = 1 - psi for the energy branch."""
     return np.sqrt(psi)[:, None] * h

@@ -12,12 +12,13 @@ import numpy as np
 
 from .harvesting import top_eigpair
 from .linalg import ch
+from .scenario import equivalent_channel
 
 
 def energy_mode(h_bs, theta2):
     """Top eigenpair (lambda, u) of (Theta h_bs)(Theta h_bs)^H, K x K, theta2 = 1 - psi: the
     beam e of `energy_beam` delivers Theta h_bs e = sqrt(lambda) u, so lambda u u^H."""
-    th = np.sqrt(theta2)[:, None] * h_bs
+    th = equivalent_channel(theta2, h_bs)
     return top_eigpair(th @ ch(th))
 
 
@@ -25,7 +26,7 @@ def energy_beam(h_bs, theta2):
     """Unit-power rank-one BS energy beam e e^H, e = (Theta h_bs)^H u / sqrt(lambda) from
     `energy_mode`, the direction that delivers most; the last basis vector if lambda = 0."""
     lam, u = energy_mode(h_bs, theta2)
-    e = ch(np.sqrt(theta2)[:, None] * h_bs) @ u[..., :, None]
+    e = ch(equivalent_channel(theta2, h_bs)) @ u[..., :, None]
     e = e / np.sqrt(np.where(lam > 0, lam, 1.0))[..., None, None]
     e[..., -1, 0] += lam == 0  # Theta h_bs = 0 there, so e = 0 before this
     return e @ ch(e)

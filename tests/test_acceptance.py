@@ -181,6 +181,14 @@ def test_criterion_9_oracle_equivalences():
     assert res.passed, res.detail
 
 
+def test_criterion_9_fails_on_an_unsolved_interferer_response(monkeypatch):
+    # a response whose multiplier hit MU_STEPS is no closed form to compare
+    monkeypatch.setattr(saddle, "MU_STEPS", 0)
+    res = report(acceptance.criterion_9(alone()))
+    assert res.passed is False
+    assert "max component gap inf" in res.detail
+
+
 def test_criterion_10_determinism():
     res = report(acceptance.criterion_10(alone()))
     assert res.passed, res.detail

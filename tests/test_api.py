@@ -39,7 +39,8 @@ def test_traced_module_resolves(module):
 
 def test_tracer_sees_the_kernels_and_changes_no_byte():
     # the benchmark's --trace mode: the wrappers change no CSV byte, and the
-    # harvesting and transfer kernels that sweeps run show up as layers
+    # harvesting and transfer kernels and the saddle's certificate kernels that
+    # sweeps run show up
     from swiptmimo import cli
 
     cfg = cli.SweepConfig(swiptmimo.ScenarioConfig(trials=8), psis=(0.3,),
@@ -54,6 +55,9 @@ def test_tracer_sees_the_kernels_and_changes_no_byte():
     metrics = spans.metrics()
     assert traced == plain
     assert metrics["transfer.calls"][0] > 0 and metrics["harvesting.calls"][0] > 0
+    for name in ("saddle.bs_best_response", "saddle.p2p_best_response",
+                 "rates.worst_case_rate"):
+        assert metrics[f"{name}.calls"][0] > 0, name
     assert metrics["cli.rows"][0] == plain.count("\n") - 1
 
 

@@ -327,7 +327,7 @@ class TestWorstCaseRate:
         lam2 = psi * np.array([0.81, 0.64, 0.49])
         alloc, _ = waterfill((1.0 + psi) / lam2, 5.0)
         rate = worst_case_rate(lam2, psi * np.array([0.64, 0.49, 0.25]),
-                               alloc, np.zeros(3), uniform_noise(psi))
+                               alloc.p, np.zeros(3), uniform_noise(psi))
         assert rate == pytest.approx(expected, abs=1e-3)
 
     def test_length_mismatch_rejected(self):
@@ -340,5 +340,5 @@ class TestWorstCaseRate:
         lam2 = 0.3 * np.array([0.81, 0.64, 0.49])
         alloc, _ = waterfill(1.3 / lam2, 4.9)
         rate = worst_case_rate(lam2, 0.3 * np.array([0.64, 0.49, 0.25]),
-                               alloc, np.zeros(3), uniform_noise(0.3))
+                               alloc.p, np.zeros(3), uniform_noise(0.3))
         assert abs(rate - 1.016649) > 1e-3

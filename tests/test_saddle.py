@@ -10,8 +10,8 @@ from swiptmimo.acceptance import (projected_gradient_worst_allocation,
                                   saddle_certificate)
 from swiptmimo.errors import ConvergenceError, InvalidInputError
 from swiptmimo.rates import MAX_BUDGET, worst_case_rate
-from swiptmimo.saddle import (MU_TOL, bs_best_response, bs_response_batch, p2p_best_response,
-                              solve_links, solve_saddle, solve_saddle_batch)
+from swiptmimo.saddle import (MU_TOL, bs_best_response, p2p_best_response, solve_links,
+                              solve_saddle, solve_saddle_batch)
 from swiptmimo.scenario import ScenarioConfig
 
 LAM2 = 0.3 * np.array([0.81, 0.64, 0.49])
@@ -25,39 +25,61 @@ def unit_beta(psi=0.3, k=3):
 
 class TestP2pBestResponse:
     def test_no_interference_is_plain_waterfilling(self):
-        alloc = p2p_best_response(LAM2, LAM2_BS, np.zeros(3), unit_beta(), 5.0)
-        assert alloc.p == pytest.approx([3.21052, 1.78948, 0.0], abs=1e-5)
+        p = p2p_best_response(LAM2, LAM2_BS, np.zeros(3), unit_beta(), 5.0)
+        assert p == pytest.approx([3.21052, 1.78948, 0.0], abs=1e-5)
 
     def test_identical_modes_split_evenly(self):
         lam2 = np.full(3, 0.5)
-        alloc = p2p_best_response(lam2, lam2, np.full(3, 2.0), unit_beta(), 6.0)
-        assert np.allclose(alloc.p, 2.0)
+        p = p2p_best_response(lam2, lam2, np.full(3, 2.0), unit_beta(), 6.0)
+        assert np.allclose(p, 2.0)
 
     def test_heavily_jammed_mode_abandoned(self):
         p_bs = np.array([1000.0, 0.0, 0.0])
-        alloc = p2p_best_response(LAM2, LAM2_BS, p_bs, unit_beta(), 5.0)
-        assert alloc.p[0] == 0.0
-        assert alloc.total == pytest.approx(5.0, abs=1e-9)
+        p = p2p_best_response(LAM2, LAM2_BS, p_bs, unit_beta(), 5.0)
+        assert p[0] == 0.0
+        assert p.sum() == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("power", [-1.0, np.nan, np.inf, [5.0, -1.0]],
+                             ids=["negative", "nan", "inf", "one-row-negative"])
+    def test_negative_or_non_finite_power_rejected(self, power):
+        with pytest.raises(InvalidInputError, match="total power"):
+            p2p_best_response(np.stack([LAM2, LAM2]), LAM2_BS, np.zeros(3), unit_beta(), power)
 
 
 class TestBsBestResponse:
     def test_single_mode_takes_all(self):
-        alloc = bs_best_response([0.7], [1.3], [0.2], 5.0)
-        assert alloc.p == pytest.approx([5.0], abs=1e-8)
+        pb, _ = bs_best_response([0.7], [1.3], [0.2], 5.0)
+        assert pb == pytest.approx([5.0], abs=1e-8)
 
     def test_nothing_to_jam(self):
-        alloc = bs_best_response(np.zeros(3), np.full(3, 1.3), LAM2_BS, 5.0)
-        assert np.allclose(alloc.p, 0.0)
+        pb, _ = bs_best_response(np.zeros(3), np.full(3, 1.3), LAM2_BS, 5.0)
+        assert np.allclose(pb, 0.0)
 
     def test_zero_budget(self):
-        alloc = bs_best_response([0.7, 0.3], [1.3, 1.3], [0.2, 0.1], 0.0)
-        assert np.allclose(alloc.p, 0.0)
+        pb, _ = bs_best_response([0.7, 0.3], [1.3, 1.3], [0.2, 0.1], 0.0)
+        assert np.allclose(pb, 0.0)
+
+    @pytest.mark.parametrize("field, value", [(1, np.nan), (2, np.nan), (2, np.inf),
+                                              (2, -0.1), (3, np.nan), (3, np.inf)],
+                             ids=["nan-beta", "nan-gain", "inf-gain", "negative-gain",
+                                  "nan-budget", "inf-budget"])
+    def test_non_finite_or_negative_input_rejected(self, field, value):
+        args = [np.array([0.7, 0.3]), np.full(2, 1.3), np.array([0.2, 0.1]), np.array(5.0)]
+        args[field].flat[0] = value
+        with pytest.raises(InvalidInputError, match="bs_best_response requires"):
+            bs_best_response(*args)
+
+    def test_non_finite_allocation_is_not_solved(self):
+        pb, solved = bs_best_response([[0.7, 0.3], [np.inf, 0.3]], np.full((2, 2), 1.3),
+                                      [0.2, 0.1], 5.0)
+        assert list(solved) == [True, False]
+        assert np.all(np.isfinite(pb[0])) and not np.all(np.isfinite(pb[1]))
 
     def test_matches_projected_gradient_minimizer(self):
         alpha = np.array([0.78, 0.34])
         beta = np.array([1.3, 1.3])
         lam2_bs = np.array([0.192, 0.147])
-        closed = bs_best_response(alpha, beta, lam2_bs, 5.0).p
+        closed, _ = bs_best_response(alpha, beta, lam2_bs, 5.0)
         numeric = projected_gradient_worst_allocation(alpha, beta, lam2_bs, 5.0)
         assert np.max(np.abs(closed - numeric)) <= 1e-6
 
@@ -66,8 +88,8 @@ class TestBsBestResponse:
         for _ in range(20):
             alpha = rng.uniform(0.05, 2.0, size=3)
             pb = float(rng.uniform(0.1, 30.0))
-            alloc = bs_best_response(alpha, np.full(3, 1.3), LAM2_BS, pb)
-            assert abs(alloc.total - pb) <= 1e-9
+            p_bs, _ = bs_best_response(alpha, np.full(3, 1.3), LAM2_BS, pb)
+            assert abs(p_bs.sum() - pb) <= 1e-9
 
     def test_stationarity_equalized_on_active_modes(self):
         rng = np.random.default_rng(1)
@@ -76,7 +98,7 @@ class TestBsBestResponse:
             beta = rng.uniform(0.5, 2.0, size=3)
             g = rng.uniform(0.05, 1.0, size=3)
             pb = float(rng.uniform(0.5, 20.0))
-            p_bs = bs_best_response(alpha, beta, g, pb).p
+            p_bs, _ = bs_best_response(alpha, beta, g, pb)
             den = g * p_bs + beta
             marginal = alpha * g / (den * (den + alpha))
             active = p_bs > 1e-12
@@ -134,7 +156,7 @@ class TestMultiplierSolve:
     @given(interferer_rows())
     def test_allocation_is_feasible_and_spends_the_budget(self, case):
         alpha, beta, gain, budget = case
-        pb, converged = bs_response_batch(alpha, beta, gain, budget)
+        pb, converged = bs_best_response(alpha, beta, gain, budget)
         assert converged.all() and np.all(pb >= 0.0)
         live = ((alpha > 0) & (gain > 0)).any(axis=-1) & (budget > 0)
         tol = np.minimum(MU_TOL * budget, 5e-10)
@@ -147,7 +169,7 @@ class TestMultiplierSolve:
     @given(interferer_rows())
     def test_stationarity_equalized_on_active_modes(self, case):
         alpha, beta, gain, budget = case
-        pb, _ = bs_response_batch(alpha, beta, gain, budget)
+        pb, _ = bs_best_response(alpha, beta, gain, budget)
         den = gain * pb + beta
         marginal = alpha * gain / (den * (den + alpha))
         for row, m in zip(pb, marginal):
@@ -162,7 +184,7 @@ class TestMultiplierSolve:
     @given(interferer_rows())
     def test_matches_log_mu_bisection(self, case):
         alpha, beta, gain, budget = case
-        pb, _ = bs_response_batch(alpha, beta, gain, budget)
+        pb, _ = bs_best_response(alpha, beta, gain, budget)
         for i, row in enumerate(pb):
             oracle = log_mu_bisection(alpha[i], beta[i], gain[i], budget[i])
             assert np.max(np.abs(row - oracle)) <= 1e-9
@@ -170,13 +192,21 @@ class TestMultiplierSolve:
     @PROPERTY
     @given(interferer_rows())
     def test_rows_carry_the_same_bits_alone(self, case):
+        # the link's response and the rate too, with alpha as the link's gains
+        # and the budget as its power
         alpha, beta, gain, budget = case
-        pb, converged = bs_response_batch(alpha, beta, gain, budget)
+        pb, converged = bs_best_response(alpha, beta, gain, budget)
+        p = p2p_best_response(alpha, gain, pb, beta, budget)
+        rate = worst_case_rate(alpha, gain, p, pb, beta)
         for i in range(len(pb)):
-            row, flag = bs_response_batch(alpha[i:i + 1], beta[i:i + 1], gain[i:i + 1],
-                                          budget[i:i + 1])
-            assert row.tobytes() == pb[i:i + 1].tobytes()
-            assert flag.tobytes() == converged[i:i + 1].tobytes()
+            one = np.s_[i:i + 1]
+            row, flag = bs_best_response(alpha[one], beta[one], gain[one], budget[one])
+            assert row.tobytes() == pb[one].tobytes()
+            assert flag.tobytes() == converged[one].tobytes()
+            p_row = p2p_best_response(alpha[one], gain[one], row, beta[one], budget[one])
+            assert p_row.tobytes() == p[one].tobytes()
+            assert (worst_case_rate(alpha[one], gain[one], p_row, row, beta[one]).tobytes()
+                    == rate[one].tobytes())
 
     @PROPERTY
     @given(interferer_rows(), st.integers(0, 3))
@@ -184,8 +214,8 @@ class TestMultiplierSolve:
         # a row that stops within the cap runs the same steps as without it
         alpha, beta, gain, budget = case
         with mock.patch.object(saddle, "MU_STEPS", max_steps):
-            capped, converged = bs_response_batch(alpha, beta, gain, budget)
-        free, _ = bs_response_batch(alpha, beta, gain, budget)
+            capped, converged = bs_best_response(alpha, beta, gain, budget)
+        free, _ = bs_best_response(alpha, beta, gain, budget)
         assert capped[converged].tobytes() == free[converged].tobytes()
 
     @pytest.mark.parametrize("max_steps", [0, 1])
@@ -193,7 +223,7 @@ class TestMultiplierSolve:
         alpha = np.array([[0.78, 0.34, 0.2], [0.0, 0.0, 0.0]])
         gain = np.array([[0.192, 0.147, 0.1], [0.192, 0.147, 0.1]])
         monkeypatch.setattr(saddle, "MU_STEPS", max_steps)
-        pb, converged = bs_response_batch(alpha, np.full((2, 3), 1.3), gain, 5.0)
+        pb, converged = bs_best_response(alpha, np.full((2, 3), 1.3), gain, 5.0)
         assert list(converged) == [False, True]
         assert np.all(pb >= 0.0) and pb[0].sum() <= 5.0
 
@@ -203,8 +233,8 @@ class TestMultiplierSolve:
         assert list(batch.converged) == [True, False]
         with pytest.raises(ConvergenceError):
             batch.solution(1)
-        with pytest.raises(ConvergenceError):
-            bs_best_response([0.78, 0.34], [1.3, 1.3], [0.192, 0.147], 5.0)
+        _, solved = bs_best_response([0.78, 0.34], [1.3, 1.3], [0.192, 0.147], 5.0)
+        assert not solved
 
 
 class TestSolveSaddle:
@@ -226,12 +256,12 @@ class TestSolveSaddle:
 
     def test_best_responses_cannot_improve_value(self):
         sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 10.0)
-        p_again = p2p_best_response(LAM2, LAM2_BS, sol.pb_star, unit_beta(), 5.0)
-        pb_again = bs_best_response(LAM2 * sol.p_star.p, unit_beta(),
-                                    LAM2_BS, 10.0)
-        gain = worst_case_rate(LAM2, LAM2_BS, p_again, sol.pb_star, unit_beta()) \
+        p_again = p2p_best_response(LAM2, LAM2_BS, sol.pb_star.p, unit_beta(), 5.0)
+        pb_again, _ = bs_best_response(LAM2 * sol.p_star.p, unit_beta(),
+                                       LAM2_BS, 10.0)
+        gain = worst_case_rate(LAM2, LAM2_BS, p_again, sol.pb_star.p, unit_beta()) \
             - sol.rate
-        drop = sol.rate - worst_case_rate(LAM2, LAM2_BS, sol.p_star, pb_again,
+        drop = sol.rate - worst_case_rate(LAM2, LAM2_BS, sol.p_star.p, pb_again,
                                           unit_beta())
         assert -1e-12 <= gain <= 1e-8
         assert -1e-12 <= drop <= 1e-8
@@ -253,7 +283,7 @@ class TestSolveSaddle:
         worst_vs_naive = worst_case_rate(
             LAM2, LAM2_BS,
             naive,
-            bs_best_response(LAM2 * naive.p, unit_beta(), LAM2_BS, 5.0),
+            bs_best_response(LAM2 * naive, unit_beta(), LAM2_BS, 5.0)[0],
             unit_beta())
         # adapting to the worst interference can only help over staying naive
         assert worst_vs_naive - 1e-9 <= sol.rate <= free + 1e-9
