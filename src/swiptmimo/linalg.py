@@ -31,9 +31,10 @@ def hermitize(a):
 def _smith(a):
     """Smith's closed form (CACM 1961) for stacked 3 x 3 Hermitian parts: a row scaled by
     its largest entry s, shifted by trace / 3 to B of spread p, has eigenvalues p mu with
-    mu^3 - 3 mu = 2 r = det(B) / p^3. Returns the ascending eigenvalues, the rows with not
-    1 - |r| >= DEGENERACY_FLOOR (zero and non-finite ones too), mu, p, and B's diagonal
-    and lower triangle d, e, f as real and imaginary parts, the last three on axis 0."""
+    mu^3 - 3 mu = 2 r = det(B) / p^3. Returns the ascending eigenvalues (+0 on a row of
+    s = 0, as LAPACK gives), the other rows with not 1 - |r| >= DEGENERACY_FLOOR (non-finite
+    ones too), the rows of s = 0, mu, p, and B's diagonal and lower triangle d, e, f as real
+    and imaginary parts, the last three on axis 0."""
     off = 0.5 * (a[..., (1, 2, 2), (0, 0, 1)] + a[..., (0, 0, 1), (1, 2, 2)].conj())
     x = np.concatenate([a[..., (0, 1, 2), (0, 1, 2)].real, off.real, off.imag], axis=-1)
     s = np.abs(x).max(axis=-1, keepdims=True)
@@ -51,13 +52,16 @@ def _smith(a):
     mu = np.stack([bottom, -bottom - top, top])
     bottom, top = q + p * bottom, q + p * top
     w = s * np.stack([bottom, 3.0 * q - top - bottom, top], axis=-1)
-    return w, ~(1.0 - np.abs(r) >= DEGENERACY_FLOOR), mu, p, x
+    zero = s[..., 0] == 0
+    w[zero] = 0.0
+    return w, ~(1.0 - np.abs(r) >= DEGENERACY_FLOOR) & ~zero, zero, mu, p, x
 
 
 def hermitian_eigvals(a):
     """Ascending eigenvalues of the Hermitian parts of stacked matrices, as
-    `np.linalg.eigvalsh(hermitize(a))`: a 3 x 3 row in closed form (`_smith`); rows with
-    not 1 - |r| >= DEGENERACY_FLOOR and other sizes by LAPACK, after a finiteness check."""
+    `np.linalg.eigvalsh(hermitize(a))`: a 3 x 3 row in closed form (`_smith`), a zero row
+    as 0; rows with not 1 - |r| >= DEGENERACY_FLOOR and other sizes by LAPACK, after a
+    finiteness check."""
     a = np.asarray(a)
     if a.shape[-2:] != (3, 3):
         return np.linalg.eigvalsh(hermitize(check_finite(a)))
@@ -72,12 +76,13 @@ def hermitian_eigh(a):
     """Ascending eigenvalues and unit eigenvector columns of the Hermitian parts of stacked
     matrices, as `np.linalg.eigh(hermitize(a))` up to phase: a 3 x 3 row takes the column
     of adj(B / p - mu I) with the largest diagonal entry for each root mu of `_smith`
-    (Kopp, IJMPC 2008), and other rows and sizes go to LAPACK as in `hermitian_eigvals`."""
+    (Kopp, IJMPC 2008), a zero row takes the identity, and other rows and sizes go to
+    LAPACK as in `hermitian_eigvals`."""
     a = np.asarray(a)
     if a.shape[-2:] != (3, 3):
         return np.linalg.eigh(hermitize(check_finite(a)))
     with np.errstate(divide="ignore", invalid="ignore"):  # such rows go to LAPACK
-        w, near, mu, p, x = _smith(a)
+        w, near, zero, mu, p, x = _smith(a)
         m0, m1, m2 = x[:3, None] / p - mu  # B / p - mu I, whose roots lie apart on an O(1) scale
         # d, e, f stay arrays for a lone matrix too: numpy scalars round complex products
         d, e, f = (x[3:6] + 1j * x[6:] if np.iscomplexobj(a) else x[3:6])[:, None] / p
@@ -97,6 +102,7 @@ def hermitian_eigh(a):
         v = np.stack([np.where(pair_top, iso, near_root), v[:, 1],
                       np.where(pair_top, near_root, iso)], axis=1)
         v = np.moveaxis(v / np.sqrt(np.sum((v * v.conj()).real, axis=0)), (0, 1), (-2, -1))
+        v[zero] = np.eye(3)
     if near.any():
         w[near], v[near] = np.linalg.eigh(hermitize(check_finite(a[near])))
     return w, v

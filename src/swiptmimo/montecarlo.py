@@ -10,13 +10,14 @@ longer slices) and runs every requested `metric_samples_grid` call on it, into
 each request's (metrics, budgets, trials) rows, the only arrays that grow with
 the trial count. Every operation acts trial by trial: slicing changes no bit.
 The kernel runs one receiver structure at a time and forms each product linear in
-the BS budget once per slice, for every budget to scale: structure 1 its received
-interference and delivered BS term, structure 2 its one interference term past the
-combiner, joint transfer its beam's delivered term lambda u u^H. Structure 1 shares each
-budget's solve between rate and energy. The formulas are kernels in `scenario` (the split
-channel), `rates`, `harvesting` and `transfer`. Eigenvalue reads (the structure-1 rate,
-every harvested power) go through `linalg.hermitian_eigvals`, eigenvector reads through
-`linalg.hermitian_eigh`: both solve 3 x 3 rows in closed form.
+the BS budget once per slice, for every budget to scale: structure 1 its whitened
+received interference and delivered BS term, structure 2 its one interference term past
+the combiner, joint transfer its beam's delivered term lambda u u^H. Structure 1 shares
+each budget's scaled product between rate and energy. The formulas are kernels in
+`scenario` (the split channel), `rates`, `harvesting` and `transfer`. Eigenvalue reads (the
+structure-1 rate, every harvested power) go through `linalg.hermitian_eigvals`, eigenvector
+reads (the whitening among them) through `linalg.hermitian_eigh`: both solve 3 x 3 rows in
+closed form.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import harvesting, transfer
 from .errors import InvalidInputError, UnsupportedConfigError
-from .linalg import ch, complex_gaussian, haar_from_gaussian, hermitian_eigvals, pad_diag
+from .linalg import ch, complex_gaussian, haar_from_gaussian, hermitian_eigh, hermitian_eigvals
 from .rates import MAX_BUDGET, mode_powers, transmit_covariance, waterfilled_modes
 from .scenario import equivalent_channel
 
@@ -144,12 +145,13 @@ def ensemble_for(cfg, start=0, stop=None):
     z_left, z_right, z_bs_left, z_bs_right, z_users = (
         (re + 1j * im).reshape(-1, d, d) / np.sqrt(2.0)
         for re, im, d in zip(blocks[::2], blocks[1::2], dims))
-    sig = pad_diag(np.asarray(cfg.sigma_p2p), k, m)
-    sig_bs = pad_diag(np.asarray(cfg.sigma_bs), k, n)
+    # only the first K columns of a right factor meet the K x K diagonal: a reduced QR
     ens = TrialEnsemble(
         cfg.seed, range(start, stop),
-        haar_from_gaussian(z_left) @ sig @ ch(haar_from_gaussian(z_right)),
-        haar_from_gaussian(z_bs_left) @ sig_bs @ ch(haar_from_gaussian(z_bs_right)),
+        haar_from_gaussian(z_left) @ np.diag(cfg.sigma_p2p)
+        @ ch(haar_from_gaussian(z_right[..., :k])),
+        haar_from_gaussian(z_bs_left) @ np.diag(cfg.sigma_bs)
+        @ ch(haar_from_gaussian(z_bs_right[..., :k])),
         z_users / np.linalg.norm(z_users, axis=1, keepdims=True))
     for arr in (ens.h, ens.h_bs, ens.user_dirs):
         arr.flags.writeable = False
@@ -207,18 +209,25 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
 
 
 def _structure1(cfg, ens, budgets, rows):
-    """Split per antenna: each budget's solve feeds both metrics; the rate reads
-    `hermitian_eigvals`, so its bits do not depend on the energy's `hermitian_eigh`."""
-    noise = np.diag(cfg.beta)
-    hhat = equivalent_channel(cfg.psi_vector, ens.h)
+    """Split per antenna, treating interference as noise: T = Hhat^H ((pb/N) R + B)^-1 Hhat
+    with R the received interference and B = diag(beta). The pencil (R, B) is diagonalised
+    once (Golub & Van Loan, Matrix Computations, 8.7): B^-1/2 R B^-1/2 = V D V^H, D clipped
+    at 0, gives T = G^H diag(1 / (1 + (pb/N) D)) G with G = V^H B^-1/2 Hhat, one scaled
+    product per budget and no solve (a singular (pb/N) R + B is no error). Each budget's T
+    feeds both metrics; the rate reads `hermitian_eigvals`, so its bits do not depend on the
+    energy's `hermitian_eigh`."""
+    root = 1.0 / np.sqrt(cfg.beta)[:, None]  # B^-1/2 as a column
     hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
     gram = ens.user_dirs @ ch(ens.user_dirs)
-    rx = hhat_bs @ gram @ ch(hhat_bs)  # each budget scales the budget-free products
+    d, v = hermitian_eigh(root * (hhat_bs @ gram @ ch(hhat_bs)) * root.T)
+    white = ch(v) @ (root * equivalent_channel(cfg.psi_vector, ens.h))
+    scales = np.maximum(d, 0.0)[..., None] / cfg.N  # each budget scales the budget-free products
     if "energy-struct1" in rows:
         c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
 
     for r, pb in enumerate(budgets):
-        t_mats = ch(hhat) @ np.linalg.solve((pb / cfg.N) * rx + noise, hhat)
+        scaled = white / np.sqrt(1.0 + pb * scales)
+        t_mats = ch(scaled) @ scaled
         if "rate-struct1" in rows:
             modes = hermitian_eigvals(t_mats)[..., ::-1]
             rows["rate-struct1"][r] = np.sum(

@@ -109,6 +109,7 @@ def tin_rate_global(hhat, hhat_bs, q, q_bs, beta):
     log2 det(I + Hhat^H S^-1 Hhat Q) with S the interference-plus-noise
     covariance at the information branch, whose own noise is diag(beta).
     `hhat` and `hhat_bs` are the split channel matrices (`scenario.equivalent_channel`).
+    Broadcasts over leading axes of `q`; a single Q gives a numpy float.
     """
     q = check_finite(np.asarray(q, dtype=complex), "Q")
     s = hermitize(hhat_bs @ np.asarray(q_bs, dtype=complex) @ ch(hhat_bs)) \
@@ -117,8 +118,7 @@ def tin_rate_global(hhat, hhat_bs, q, q_bs, beta):
         inner = np.linalg.solve(s, hhat @ q @ ch(hhat))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("interference-plus-noise covariance is singular") from exc
-    k = s.shape[0]
-    return max(float(_logdet2(np.eye(k) + inner)), 0.0)
+    return np.maximum(_logdet2(np.eye(s.shape[0]) + inner), 0.0)
 
 
 def mode_powers(gains, total_power):

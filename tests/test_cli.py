@@ -295,6 +295,18 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "worst-case" in out
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rank_deficient_interferer_at_a_huge_budget(self, tmp_path, seed):
+        # (pb / N) R + B is singular in floating point at pb = 1e20 for this BS profile
+        cfg_path = write(tmp_path, "sigma_bs = [0.8, 0.5, 0.0]\np = 1e20\n"
+                                   "scenarios = [average]\nratio_grid = [0, 1]\n")
+        out_path = tmp_path / "out.csv"
+        code = cli.main(["--config", cfg_path, "--out", str(out_path), "--seed", str(seed)])
+        assert code == cli.EXIT_OK
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(np.isfinite(float(value)) for row in rows for value in row[3:])
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "psi = 2.0\n")
         code = cli.main(["--config", cfg_path])

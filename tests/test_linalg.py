@@ -153,17 +153,18 @@ class TestHermitianEigvals:
 
     def test_near_degenerate_rows_go_to_lapack_bit_for_bit(self, monkeypatch):
         a = np.stack([with_spectrum((-1.0, 0.5, 2.0), seed) for seed in range(12)])
-        routed = [1, 4, 6, 7, 10]
-        for row, name in zip(routed[1:], ["double-top", "near-double-1e-9", "zero", "rank-1"]):
+        routed = [1, 4, 6, 10]
+        for row, name in zip([4, 6, 7, 10], ["double-top", "near-double-1e-9", "zero", "rank-1"]):
             a[row] = with_spectrum(SPECTRA[name], row)
         a[routed[0]] = 1.5 * np.eye(3)  # an exact triple: zero spread
+        assert not np.any(a[7])  # the zero spectrum is a zero row: answered without LAPACK
         want = lapack(a)
         eigvalsh, calls = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda m: calls.append(m) or eigvalsh(m))
         got = hermitian_eigvals(a)
         assert len(calls) == 1 and np.array_equal(calls[0], hermitize(a[routed]))
-        assert np.array_equal(got[routed], want[routed])
+        assert got[routed + [7]].tobytes() == want[routed + [7]].tobytes()
 
     def test_nan_row_raises_invalid_input(self):
         a = random_complex(np.random.default_rng(6), (4, 3, 3))
@@ -266,13 +267,15 @@ class TestHermitianEigh:
         assert below.any() and (~below).any()
         assert np.array_equal(assert_eigh_oracle(a, monkeypatch), below)
 
-    def test_zero_and_identity_rows_go_to_lapack_bit_for_bit(self, monkeypatch):
+    def test_zero_and_identity_rows_match_lapack_bit_for_bit(self, monkeypatch):
+        # the identity goes to LAPACK; the zero row is answered without it, with its bits
         a = random_complex(np.random.default_rng(9), (6, 3, 3))
         a[1], a[4] = 0.0, np.eye(3)
         want = np.linalg.eigh(hermitize(a[[1, 4]]))
         w, v = hermitian_eigh(a)
-        assert np.array_equal(w[[1, 4]], want[0]) and np.array_equal(v[[1, 4]], want[1])
-        assert np.array_equal(np.flatnonzero(assert_eigh_oracle(a, monkeypatch)), [1, 4])
+        assert w[[1, 4]].tobytes() == want[0].tobytes()
+        assert v[[1, 4]].tobytes() == want[1].tobytes()
+        assert np.array_equal(np.flatnonzero(assert_eigh_oracle(a, monkeypatch)), [4])
 
     def test_unbatched_matrix_has_eigenvector_columns(self, monkeypatch):
         a = random_complex(np.random.default_rng(10), (3, 3))
@@ -299,6 +302,35 @@ class TestHermitianEigh:
     def test_separated_batch_makes_no_lapack_call(self, monkeypatch):
         a = np.stack([with_spectrum((-1.0, 0.5, 2.0), seed) for seed in range(64)])
         assert not np.any(assert_eigh_oracle(a, monkeypatch))
+
+
+ZERO_ROWS = {
+    "complex": np.zeros((4, 3, 3), dtype=complex),
+    "real": np.zeros((4, 3, 3)),
+    "one-matrix": np.zeros((3, 3), dtype=complex),
+    "anti-hermitian": 1j * np.eye(3)[None] + np.array([[0, 2, 0], [-2, 0, 0], [0, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("a", ZERO_ROWS.values(), ids=ZERO_ROWS)
+def test_zero_rows_are_answered_without_lapack(a, monkeypatch):
+    # rows whose Hermitian part is zero: eigenvalues +0 and the identity, the bits
+    # LAPACK returns for them, with no LAPACK call
+    want_w, want_v = np.linalg.eigh(hermitize(a))
+    assert not np.any(np.signbit(want_w)) and np.array_equal(want_v, np.broadcast_to(
+        np.eye(3), want_v.shape))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    w, v = hermitian_eigh(a)
+    for got, want in ((w, want_w), (v, want_v), (hermitian_eigvals(a), want_w)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        assert got.tobytes() == want.tobytes()
 
 
 KERNELS = {

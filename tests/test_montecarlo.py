@@ -217,6 +217,66 @@ def scalar_trial_metrics(cfg, pb_budget, trial):
     return out
 
 
+def solved_structure1(cfg, ens, pb):
+    """Structure 1's rate and energy samples from T = Hhat^H ((pb / N) R + B)^-1 Hhat,
+    solved trial by trial with np.linalg.solve and read with np.linalg.eigvalsh."""
+    rate, energy = np.empty(len(ens.trials)), np.empty(len(ens.trials))
+    theta = np.sqrt(1.0 - cfg.psi_vector)[:, None]
+    w = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
+    for t in range(len(ens.trials)):
+        hhat, hhat_bs, q_bs, beta = trial_terms(cfg, ens, t, pb)
+        s = hhat_bs @ q_bs @ hhat_bs.conj().T + np.diag(beta)
+        modes = np.linalg.eigvalsh(hhat.conj().T @ np.linalg.solve(s, hhat))[::-1]
+        rate[t] = np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * rates.mode_powers(modes, cfg.P)))
+        th, th_bs = theta * ens.h[t], theta * ens.h_bs[t]
+        cov = th @ kernel_q(hhat, s, cfg.P) @ th.conj().T + th_bs @ q_bs @ th_bs.conj().T + w
+        energy[t] = np.linalg.eigvalsh(cov)[-1]
+    return rate, energy
+
+
+class TestWhitenedStructure1:
+    """Structure 1 whitens the interference once per slice; each budget only rescales."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("link", [{}, {"psi": (0.2, 0.5, 0.9)}, {"sigma_bs": (0.8, 0.5, 0.0)}],
+                             ids=["default", "per-antenna-split", "rank-deficient-bs"])
+    def test_samples_match_a_per_trial_solve(self, link, seed):
+        cfg = replace(reference_scenario(0.3, trials=64, seed=seed), **link)
+        budgets = [0.0, 1e-3, 1.0, 5.0, 70.0, 1e3]
+        ens = ensemble_for(cfg)
+        grid = metric_samples_grid(cfg, ("rate-struct1", "energy-struct1"), budgets, ens)
+        for r, pb in enumerate(budgets):
+            rate, energy = solved_structure1(cfg, ens, pb)
+            assert grid[0, r] == pytest.approx(rate, rel=1e-12, abs=0.0)
+            assert grid[1, r] == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+    def test_no_linear_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        cfg = reference_scenario(0.3, trials=8)
+        sample_grids([(cfg, ("rate-struct1", "energy-struct1"), (0.0, 5.0, 70.0))])
+
+    @pytest.mark.parametrize("sigma_bs", [(0.8, 0.5, 0.0), (0.8, 0.0, 0.0)])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_rank_deficient_interferer_at_huge_budgets(self, sigma_bs, seed):
+        # (pb / N) R + B is singular in floating point there: no solve may be needed
+        cfg = ScenarioConfig(sigma_bs=sigma_bs, trials=64, seed=seed)
+        budgets = [1e20, 1e50, 1e100]
+        grid, = sample_grids([(cfg, ("rate-struct1", "energy-struct1"), budgets)])
+        assert np.all(np.isfinite(grid))
+
+    @pytest.mark.parametrize("link", [{}, {"sigma_bs": (0.8, 0.5, 0.0)},
+                                      {"sigma_bs": (0.8, 0.0, 0.0)}],
+                             ids=["default", "rank-2-bs", "rank-1-bs"])
+    def test_rate_does_not_grow_with_the_budget(self, link):
+        cfg = replace(reference_scenario(0.3, trials=64, seed=42), **link)
+        budgets = [0.0, 1e-3, 1.0, 5.0, 70.0, 1e3, 1e6, 1e12, 1e20, 1e50, 1e100]
+        rate = sample_grids([(cfg, ("rate-struct1",), budgets)])[0][0]
+        assert np.all(rate[1:] <= rate[:-1] * (1.0 + 1e-12))
+
+
 class TestBatchedAgainstScalarPath:
     @pytest.mark.parametrize("metric", METRICS)
     def test_first_trials_match(self, metric):
@@ -242,6 +302,8 @@ class TestEnsembleDraw:
             # seeds of two and of four entropy words (the latter mixes past the pool)
             reference_scenario(0.3, trials=3, seed=2 ** 63),
             reference_scenario(0.3, trials=3, seed=2 ** 100),
+            ScenarioConfig(K=2, M=3, N=5, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                           psi=(0.4, 0.4), trials=3, seed=7),
         ])
     ] + [pytest.param(reference_scenario(0.3, trials=9, seed=5), 4, id="T9-chunk4")])
     def test_matches_per_trial_complex_gaussian_replay(self, cfg, chunk):
@@ -451,7 +513,7 @@ class TestEigenSolves:
         return rows
 
     @pytest.mark.parametrize("metrics, per_slice", [
-        (("rate-struct1",), 0),       # water-filled mode gains only
+        (("rate-struct1",), 1),       # the whitened interference, once
         (("energy-swipt",), 2),       # the energy beam and the link covariance, once
         (("rate-struct2",), 1),       # the combiner, once
     ])
@@ -475,13 +537,28 @@ class TestEigenSolves:
             rows.clear()
             lapack.clear()
             kernel(cfg, names, pbs, ens, out=out)
-            assert sum(rows) == (len(pbs) + 3) * len(ens.trials)  # per budget, and 3 once
+            assert sum(rows) == (len(pbs) + 4) * len(ens.trials)  # per budget, and 4 once
             shares.append(sum(lapack) / sum(rows))
 
         monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(len(a)) or eigh(a))
         monkeypatch.setattr(montecarlo, "metric_samples_grid", per_slice)
         sample_grids([(cfg, metrics, budgets)])
         assert len(shares) == 2 and max(shares) < 0.05
+
+    def test_zero_rows_at_psi_zero_reach_no_lapack(self, monkeypatch):
+        # at psi = 0 the information branch sees nothing: every whitened interference
+        # and every structure-1 T matrix is a zero row, which the kernels answer alone
+        cfg = ScenarioConfig(psi=0.0, trials=TRIAL_CHUNK + 3)
+        eigh, eigvalsh, lapack = np.linalg.eigh, np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(len(a)) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: lapack.append(len(a)) or eigvalsh(a))
+        rows = self.count_eigh(monkeypatch)
+        # at Pb > 0; at Pb = 0 the energy branch reads sigma2_w I, a triple root
+        samples, = sample_grids([(cfg, ("rate-struct1", "energy-struct1", "rate-struct2"),
+                                  (5.0, 25.0, 70.0))])
+        assert sum(rows) > 0 and lapack == []
+        assert np.all(samples[0] == 0.0) and np.all(np.isfinite(samples))
 
     @pytest.mark.parametrize("psi", [0.3, 0.6, 0.9])
     def test_few_eigenvalue_rows_reach_lapack(self, psi, monkeypatch):
