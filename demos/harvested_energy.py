@@ -10,17 +10,17 @@ signal and noise contribute along the same direction.
 
 import numpy as np
 
-from swiptmimo import (delivered, equivalent_channel, harvested_power, random_bs_covariance,
-                       reference_scenario, steering, synthesize_channel, top_eigpair,
-                       transmit_covariance, waterfilled_modes)
+from swiptmimo import (delivered, ensemble_for, equivalent_channel, harvested_power,
+                       reference_scenario, steering, top_eigpair, transmit_covariance,
+                       waterfilled_modes)
 
 
 def main():
     psi = 0.3
-    cfg = reference_scenario(psi)
-    rng = np.random.default_rng(7)
-    h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
-    h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
+    cfg = reference_scenario(psi, trials=1, seed=7)
+    ens = ensemble_for(cfg)  # one random channel pair and BS user beams
+    h, h_bs, users = ens.h[0], ens.h_bs[0], ens.user_dirs[0]
+    gram = users @ users.conj().T  # Q_bs = (Pb / N) * gram
     hhat = equivalent_channel(cfg.psi_vector, h)
     _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / cfg.beta[:, None]), cfg.P)
     print(f"link water-filling at psi={psi}: powers {np.round(p, 4)}")
@@ -37,7 +37,7 @@ def main():
     # sweep the interferer power and watch the steering flip over
     print("\nPb    harvested(dB)  aligned-with-interferer?")
     for pb in (0.0, 5.0, 20.0, 70.0):
-        c_bs = delivered(theta2, h_bs, random_bs_covariance(cfg.N, pb, np.random.default_rng(1)))
+        c_bs = delivered(theta2, h_bs, (pb / cfg.N) * gram)
         linear, q = harvested_power(c_sig, c_bs, w), steering(c_sig, c_bs, w)
         overlap = abs(np.vdot(q, top_eigpair(c_bs)[1])) if pb > 0 else 0.0
         print(f"{pb:5.1f}  {10 * np.log10(linear):12.3f}  |<q, q_bs>| = {overlap:.3f}")
@@ -45,7 +45,7 @@ def main():
     # the dominant-interference shortcut agrees with the exact maximizer: steer
     # along the top interference eigenvector, then add the signal and noise
     # seen along it
-    c_bs = delivered(theta2, h_bs, random_bs_covariance(cfg.N, 200.0, np.random.default_rng(2)))
+    c_bs = delivered(theta2, h_bs, (200.0 / cfg.N) * gram)
     exact = harvested_power(c_sig, c_bs, w)
     top, q = top_eigpair(c_bs)
     shortcut = max(top, 0.0) + np.real(q.conj() @ (c_sig + w) @ q)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import montecarlo, rates, saddle, scenario
+from . import montecarlo, rates, saddle
 from .harvesting import to_db
-from .rates import LN2, waterfill
+from .rates import LN2
 from .scenario import equivalent_channel, reference_scenario
 
 RATIO_GRID = tuple(range(15))
@@ -44,22 +44,25 @@ class SharedInputs:
 
     trials: int
     seed: int
-    samples: dict    # (psi, metric) -> per-trial samples over RATIO_GRID (`sample_table`)
+    samples: dict    # (psi, metric) -> per-trial samples per budget (`sample_table`)
     solutions: dict  # (psi, ratio) -> saddle solution (`saddle_table`)
 
 
 def sample_table(trials, seed):
-    """Per-trial samples of every metric criteria 3-8 read, over RATIO_GRID: one
-    request per psi, all on one draw, so rows of different metrics are paired."""
+    """Per-trial samples of every metric criteria 3-8 read, all on one draw, so rows of
+    different metrics are paired: one request per psi over RATIO_GRID, and one per energy
+    psi for `energy-struct2`, which criterion 4 reads at Pb = 0 only."""
     requests = []
     for psi in RATE_PSIS:
-        metrics = ("rate-struct1", "rate-struct2") + (
-            ("energy-struct1", "energy-swipt", "energy-struct2") if psi in ENERGY_PSIS else ())
         cfg = reference_scenario(psi, trials=trials, seed=seed)
-        requests.append((cfg, metrics, [ratio * cfg.P for ratio in RATIO_GRID]))
+        energies = ("energy-struct1", "energy-swipt") if psi in ENERGY_PSIS else ()
+        requests.append((cfg, ("rate-struct1", "rate-struct2") + energies,
+                         [ratio * cfg.P for ratio in RATIO_GRID]))
+        if energies:
+            requests.append((cfg, ("energy-struct2",), [0.0]))
     grids = montecarlo.sample_grids(requests)
-    return {(psi, metric): rows for psi, (_, metrics, _), grid
-            in zip(RATE_PSIS, requests, grids) for metric, rows in zip(metrics, grid)}
+    return {(cfg.psi[0], metric): rows for (cfg, metrics, _), grid in zip(requests, grids)
+            for metric, rows in zip(metrics, grid)}
 
 
 def saddle_table():
@@ -120,12 +123,13 @@ def saddle_certificate(lam2, lam2_bs, beta, p_budget, pb_budget, sol, rng,
 
 def _endpoint_check(criterion, name, anchors, metric, shared, tol, unit=""):
     """`metric` at Pb = 0 against anchors {psi: value}: trial 0 of the sample table's
-    ratio-0 row. With no BS power and a uniform split the metric sees only the
+    Pb = 0 row, the first of every metric (RATIO_GRID starts at 0, and `energy-struct2`
+    has no other). With no BS power and a uniform split the metric sees only the
     singular values, which all trials share. Energies (unit " dB") compare in dB
     to 4 decimals, rates to 6."""
     lines, ok, spec = [], True, ".4f" if unit else ".6f"
     for psi, expected in anchors.items():
-        got = shared.samples[psi, metric][RATIO_GRID.index(0), 0]
+        got = shared.samples[psi, metric][0, 0]
         got = to_db(got) if unit else float(got)
         ok &= abs(got - expected) <= tol
         lines.append(f"psi={psi}: {got:{spec}}{unit} vs {expected:{spec}}{unit}")
@@ -291,37 +295,39 @@ def criterion_9(shared):
     rng = np.random.default_rng(shared.seed)
     lines, ok = [], True
 
-    worst_gap = 0.0
-    for c, p_total in waterfill_instances(rng):
-        alloc, _ = waterfill(c, p_total)
-        ours = float(np.sum(np.log2(1.0 + alloc.p / c)))
-        grid = _grid_search_objective(c, p_total)
-        worst_gap = max(worst_gap, abs(ours - grid))
+    c, p_total = (np.array(x) for x in zip(*waterfill_instances(rng)))
+    ours = np.sum(np.log2(1.0 + rates.waterfill_batch(c, p_total)[0] / c), axis=-1)
+    grid = [_grid_search_objective(*instance) for instance in zip(c, p_total)]
+    worst_gap = float(np.max(np.abs(ours - grid)))
     wf_ok = worst_gap <= 1e-3
     ok &= wf_ok
     lines.append(f"waterfill vs grid search: max gap {worst_gap:.2e}")
 
-    worst_dev = 0.0
+    # (alpha, beta, lambda2_bs, pb) of 2 or 3 modes: one response batch per mode count
+    instances = []
     for _ in range(50):
         k = int(rng.integers(2, 4))
-        alpha = rng.uniform(0.1, 2.0, size=k)
-        beta = rng.uniform(0.5, 2.0, size=k)
-        lam2_bs = rng.uniform(0.05, 1.0, size=k)
-        pb = float(rng.uniform(0.5, 8.0))
-        closed, solved = saddle.bs_best_response(alpha, beta, lam2_bs, pb)
-        numeric = projected_gradient_worst_allocation(alpha, beta, lam2_bs, pb)
-        worst_dev = max(worst_dev, float(np.max(np.abs(closed - numeric))) if solved else np.inf)
+        instances.append((rng.uniform(0.1, 2.0, size=k), rng.uniform(0.5, 2.0, size=k),
+                          rng.uniform(0.05, 1.0, size=k), float(rng.uniform(0.5, 8.0))))
+    worst_dev = 0.0
+    for k in (2, 3):
+        batch = [x for x in instances if len(x[0]) == k]
+        closed, solved = saddle.bs_best_response(*(np.array(x) for x in zip(*batch)))
+        for x, row, row_solved in zip(batch, closed, solved):
+            numeric = projected_gradient_worst_allocation(*x)
+            worst_dev = max(worst_dev, float(np.max(np.abs(row - numeric)))
+                            if row_solved else np.inf)
     bs_ok = worst_dev <= 1e-6
     ok &= bs_ok
     lines.append(f"closed-form vs projected-gradient minimizer: "
                  f"max component gap {worst_dev:.2e}")
 
-    cfg = reference_scenario(0.3)
-    h = scenario.synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
-    h_bs = scenario.synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-    hhat = equivalent_channel(cfg.psi_vector, h)
-    hhat_bs = equivalent_channel(cfg.psi_vector, h_bs)
-    q_bs = montecarlo.random_bs_covariance(cfg.N, cfg.P, rng)
+    cfg = reference_scenario(0.3, trials=1, seed=shared.seed)
+    ens = montecarlo.ensemble_for(cfg)
+    hhat = equivalent_channel(cfg.psi_vector, ens.h[0])
+    hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs[0])
+    users = ens.user_dirs[0]
+    q_bs = (cfg.P / cfg.N) * (users @ users.conj().T)
     s = hhat_bs @ q_bs @ hhat_bs.conj().T + np.diag(cfg.beta)
     t_mat = hhat.conj().T @ np.linalg.solve(s, hhat)
     _, g, p = rates.waterfilled_modes(t_mat, cfg.P)

@@ -109,12 +109,11 @@ def hermitian_eigh(a):
 
 
 def complex_gaussian(shape, rng):
-    """Standard circular complex Gaussian entries, unit variance per entry.
+    """Standard circular complex Gaussian entries, unit variance per entry, from two
+    `rng.standard_normal(shape)` blocks: the real block, then the imaginary block.
 
-    Draw order (real block then imaginary block) is part of the seeding
-    contract: the Monte-Carlo ensemble builder draws a trial's five matrices
-    in one standard_normal call and slices it in this layout, so a replay
-    through complex_gaussian calls reads the same stream.
+    `montecarlo.ensemble_for` reads each trial's (seed, t) stream in this layout without
+    calling it. It stays for `perfbench/tracer.py`, which counts its calls by name.
     """
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
@@ -131,18 +130,3 @@ def haar_from_gaussian(z):
     d = np.diagonal(r, axis1=-2, axis2=-1)
     phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
     return q * phase[..., None, :]
-
-
-def haar_unitary(n, rng):
-    """Draw an n x n unitary matrix from the Haar measure."""
-    if n < 1:
-        raise InvalidInputError("haar_unitary requires n >= 1")
-    return haar_from_gaussian(complex_gaussian((n, n), rng))
-
-
-def pad_diag(sigma, rows, cols):
-    """Embed a singular-value vector into a rows x cols rectangular diagonal."""
-    out = np.zeros((rows, cols))
-    k = len(sigma)
-    out[:k, :k] = np.diag(sigma)
-    return out

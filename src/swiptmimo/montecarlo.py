@@ -30,7 +30,7 @@ import numpy as np
 
 from . import harvesting, transfer
 from .errors import InvalidInputError, UnsupportedConfigError
-from .linalg import ch, complex_gaussian, haar_from_gaussian, hermitian_eigh, hermitian_eigvals
+from .linalg import ch, haar_from_gaussian, hermitian_eigh, hermitian_eigvals
 from .rates import MAX_BUDGET, mode_powers, transmit_covariance, waterfilled_modes
 from .scenario import equivalent_channel
 
@@ -96,15 +96,6 @@ def seed_states(seed, trials):
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def random_bs_covariance(n, pb_budget, rng):
-    """BS covariance from n independent unit-sphere user beams at power Pb/n."""
-    if n < 1:
-        raise InvalidInputError("user count must be at least 1")
-    z = complex_gaussian((n, n), rng)
-    beams = z / np.linalg.norm(z, axis=0, keepdims=True)
-    return (pb_budget / n) * (beams @ beams.conj().T)
-
-
 @dataclass(frozen=True)
 class TrialEnsemble:
     """Stacked channels and BS user beam directions of some trials of a seed."""
@@ -117,13 +108,14 @@ class TrialEnsemble:
 
 
 def ensemble_for(cfg, start=0, stop=None):
-    """Draw trials [start, stop) (by default to the end), at most TRIAL_CHUNK, as one batch.
+    """Draw trials [start, stop) (by default to the end), at most TRIAL_CHUNK, as one
+    batch: the package's one channel sampler.
 
-    Trial t fills a row of one buffer with 2(2k^2 + m^2 + 2n^2) standard normals
-    from its generator, read as real block then imaginary block of the p2p
-    left/right, BS left/right and user-beam Gaussians in that order: the stream
-    that synthesize_channel followed by random_bs_covariance reads through five
-    complex_gaussian calls, so a trial's scalar replay and every slice holding it agree.
+    Trial t reads 2(2k^2 + m^2 + 2n^2) standard normals from its own generator
+    default_rng(SeedSequence((seed, t))) as five complex Gaussians, each laid out as
+    `linalg.complex_gaussian` draws it: the link's k x k and m x m Haar factors, the BS
+    channel's k x k and n x n ones, and the n x n user beams (unit columns). So a trial's
+    draw depends on (seed, t) alone, whatever slice holds it.
     """
     stop = cfg.trials if stop is None else stop
     if not 0 <= start < stop <= min(cfg.trials, start + TRIAL_CHUNK):
@@ -220,8 +212,12 @@ def _structure1(cfg, ens, budgets, rows):
     hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
     gram = ens.user_dirs @ ch(ens.user_dirs)
     d, v = hermitian_eigh(root * (hhat_bs @ gram @ ch(hhat_bs)) * root.T)
+    # a null direction of R whitens to a rounding-level d, which a huge budget would scale
+    # into a jam of a free mode: d at most 64 K eps (4.3e-14 at K = 3) of its row's largest
+    # is 0. Rounding-level ratios were seen up to 2.2e-15, genuine ones down to 1.9e-3
+    d = np.where(d > 64 * cfg.K * np.finfo(float).eps * d[..., -1:], d, 0.0)
     white = ch(v) @ (root * equivalent_channel(cfg.psi_vector, ens.h))
-    scales = np.maximum(d, 0.0)[..., None] / cfg.N  # each budget scales the budget-free products
+    scales = d[..., None] / cfg.N  # each budget scales the budget-free products
     if "energy-struct1" in rows:
         c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
 

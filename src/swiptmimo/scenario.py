@@ -1,9 +1,9 @@
-"""Scenario configuration, channel synthesis and the split channel.
+"""Scenario configuration and the split channel.
 
-Channels are specified by their singular-value profiles only; the unitary
-factors are drawn Haar-randomly per trial from a seeded generator. A channel
-is a plain complex matrix (or a stack of them); `equivalent_channel` is the one
-place the information branch's split channel Psi^1/2 H is formed.
+A link's channels are specified by their singular-value profiles only: trial t of a
+seed draws the unitary factors from its own (seed, t) generator, in
+`montecarlo.ensemble_for`. A channel is a plain complex matrix (or a stack of them);
+`equivalent_channel` is the one place the split channel Psi^1/2 H is formed.
 """
 
 import numbers
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import InvalidInputError
 from .rates import MAX_BUDGET
 
@@ -115,20 +114,6 @@ class ScenarioConfig:
 def reference_scenario(psi=0.3, trials=2000, seed=42):
     """The baseline setup used throughout: K=M=3, N=5, unit noise, P=5."""
     return ScenarioConfig(psi=float(psi), trials=trials, seed=seed)
-
-
-def synthesize_channel(sigma, rows, cols, rng):
-    """Build rows x cols channel with the given singular values and Haar factors.
-
-    Draws the left factor first, then the right factor; the Monte-Carlo
-    ensemble replays the same order for bit-identical trials.
-    """
-    sigma = _descending_nonneg(sigma, "sigma")
-    if len(sigma) > min(rows, cols):
-        raise InvalidInputError("singular-value profile longer than min(rows, cols)")
-    left = linalg.haar_unitary(rows, rng)
-    right = linalg.haar_unitary(cols, rng)
-    return left @ linalg.pad_diag(sigma, rows, cols) @ right.conj().T
 
 
 def equivalent_channel(psi, h):

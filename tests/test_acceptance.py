@@ -99,12 +99,12 @@ ENDPOINT_ROWS = [("rate-struct2", acceptance.S2_RATE_ENDPOINTS),
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_endpoint_rows_read_the_same_on_every_trial(shared, seed):
-    # criteria 3-5 read trial 0 of each Pb = 0 row: the premise is that the row
-    # depends only on the channel's singular values, which every trial shares
+    # criteria 3-5 read trial 0 of each Pb = 0 row, every metric's first: the premise
+    # is that the row depends only on the channel's singular values, which every trial shares
     samples = shared.samples if seed == SEED else acceptance.sample_table(TRIALS, seed)
     for metric, anchors in ENDPOINT_ROWS:
         for psi in anchors:
-            row = samples[psi, metric][acceptance.RATIO_GRID.index(0)]
+            row = samples[psi, metric][0]
             assert np.max(np.abs(row - row[0])) <= 1e-12 * abs(row[0]), (psi, metric)
 
 
@@ -136,9 +136,10 @@ def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
     results = acceptance.run_all(trials=60, seed=SEED)
     assert [res.criterion for res in results] == list(range(1, 11))
     # each trial is drawn exactly once, slice after slice, for the sample table
-    # that criteria 3-8 share and for each of criterion 10's two T = 50 sweeps
+    # that criteria 3-8 share, for criterion 9's one channel pair and for each of
+    # criterion 10's two T = 50 sweeps
     assert all(len(trials) <= 16 for trials in draws)
-    assert [t for trials in draws for t in trials] == [*range(60), *range(50), *range(50)]
+    assert [t for trials in draws for t in trials] == [*range(60), 0, *range(50), *range(50)]
 
 
 @pytest.fixture(scope="module")
@@ -164,14 +165,16 @@ def recorded_run():
 
 def test_run_all_builds_the_shared_inputs_once(recorded_run):
     _, grids, batches = recorded_run
-    # criteria 3-8: one call per psi over the whole ratio grid; then criterion
-    # 10's two T = 50 sweeps, one call per structure family each
+    # criteria 3-8: one call per psi over the whole ratio grid, and criterion 4's
+    # structure-2 energy at Pb = 0 alone; then criterion 10's two T = 50 sweeps, one
+    # call per structure family each
     rates = ("rate-struct1", "rate-struct2")
-    energies = ("energy-struct1", "energy-swipt", "energy-struct2")
-    assert grids[:3] == [(0.3, rates + energies, 15), (0.6, rates + energies, 15),
+    energies = ("energy-struct1", "energy-swipt")
+    assert grids[:5] == [(0.3, rates + energies, 15), (0.3, ("energy-struct2",), 1),
+                         (0.6, rates + energies, 15), (0.6, ("energy-struct2",), 1),
                          (0.9, rates, 15)]
-    assert len(grids) == 3 + 6
-    assert all(call[2] == 3 for call in grids[3:])
+    assert len(grids) == 5 + 6
+    assert all(call[2] == 3 for call in grids[5:])
     # criteria 1, 2 and 8: one 45-point batch; then criterion 10's worst-case rows
     assert batches == [45, 3, 3]
 

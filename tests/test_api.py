@@ -1,5 +1,7 @@
-"""The public names and the names the benchmark tracer binds all resolve."""
+"""The public names and the names the benchmark tracer binds all resolve, and every
+public function or class of the package is used."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -9,7 +11,8 @@ import pytest
 
 import swiptmimo
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -67,3 +70,24 @@ def test_all_lists_each_public_name_once():
     bound = {name for name, value in vars(swiptmimo).items()
              if not name.startswith("__") and not inspect.ismodule(value)}
     assert bound <= set(swiptmimo.__all__), sorted(bound - set(swiptmimo.__all__))
+
+
+def used_names(path):
+    """Every name and attribute a module reads, by an AST scan."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_and_class_is_used():
+    # no dead API: each public top-level def or class is read by the package (past the
+    # re-exports of __init__), by a demo, or by name by the benchmark tracer
+    modules = sorted((ROOT / "src" / "swiptmimo").glob("*.py"))
+    used = set().union(*(used_names(path) for path in modules if path.name != "__init__.py"),
+                       *(used_names(path) for path in (ROOT / "demos").glob("*.py")),
+                       (function for _, function in tracer.TIMED + tracer.COUNTED))
+    unused = [f"{path.stem}.{node.name}" for path in modules
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []

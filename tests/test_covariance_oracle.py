@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from swiptmimo import cli
-from swiptmimo.linalg import haar_unitary
+from swiptmimo.linalg import complex_gaussian, haar_from_gaussian
 from swiptmimo.scenario import ScenarioConfig
 
 LN2 = np.log(2.0)
@@ -92,7 +92,8 @@ def channels(cfg, rng=None):
     h_bs = np.zeros((k, cfg.N), dtype=complex)
     h[:, :k], h_bs[:, :k] = np.diag(cfg.sigma_p2p), np.diag(cfg.sigma_bs)
     if rng is not None:
-        h_bs = haar_unitary(k, rng) @ h_bs @ haar_unitary(cfg.N, rng)
+        left, right = (haar_from_gaussian(complex_gaussian((n, n), rng)) for n in (k, cfg.N))
+        h_bs = left @ h_bs @ right
     split = np.sqrt(cfg.psi_vector)[:, None]
     return split * h, split * h_bs
 

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from swiptmimo.harvesting import delivered, harvested_power, steering, to_db, top_eigpair
+from swiptmimo.montecarlo import ensemble_for
 from swiptmimo.rates import transmit_covariance, waterfilled_modes
-from swiptmimo.scenario import reference_scenario, synthesize_channel
+from swiptmimo.scenario import reference_scenario
 
 
 def baseline_parts(psi, seed=0):
     """A baseline link (one-row batches) and its interference-free optimal covariance."""
-    cfg = reference_scenario(psi)
-    rng = np.random.default_rng(seed)
-    h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)[None]
-    h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)[None]
+    cfg = reference_scenario(psi, trials=1, seed=seed)
+    ens = ensemble_for(cfg)
+    h, h_bs = ens.h, ens.h_bs
     hhat = np.sqrt(cfg.psi_vector)[:, None] * h
     beta = cfg.psi_vector * cfg.sigma2_w + cfg.sigma2_n
     _, g, p = waterfilled_modes(hhat.conj().swapaxes(-2, -1) @ (hhat / beta[:, None]), cfg.P)

@@ -10,6 +10,7 @@ from swiptmimo import linalg
 from swiptmimo.errors import InvalidInputError
 from swiptmimo.harvesting import harvested_power, top_eigpair
 from swiptmimo.linalg import DEGENERACY_FLOOR, hermitian_eigh, hermitian_eigvals, hermitize
+from swiptmimo.scenario import ScenarioConfig
 
 ORACLE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -18,9 +19,14 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def haar(n, rng):
+    """An n x n Haar unitary from one complex Gaussian draw of `rng`."""
+    return linalg.haar_from_gaussian(linalg.complex_gaussian((n, n), rng))
+
+
 def with_spectrum(spectrum, seed):
     """U diag(spectrum) U^H for a Haar unitary U drawn from `seed`."""
-    u = linalg.haar_unitary(len(spectrum), np.random.default_rng(seed))
+    u = haar(len(spectrum), np.random.default_rng(seed))
     return (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
 
 
@@ -68,25 +74,27 @@ class TestHermEig:
         rng = np.random.default_rng(5)
         b = random_complex(rng, (3, 3))
         a = b.conj().T @ b
-        u = linalg.haar_unitary(3, rng)
+        u = haar(3, rng)
         w_orig, _ = top_eigpair(a[None])
         w_conj, _ = top_eigpair((u @ a @ u.conj().T)[None])
         assert np.allclose(w_orig, w_conj, atol=1e-10 * max(np.linalg.norm(a), 1))
 
 
 class TestHaarUnitary:
+    """`haar_from_gaussian`, which maps ensemble_for's Gaussians to its Haar factors."""
+
     def test_dimension_one_is_unit_modulus(self):
-        u = linalg.haar_unitary(1, np.random.default_rng(0))
+        u = haar(1, np.random.default_rng(0))
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 11, 42])
     def test_unitarity(self, seed):
-        u = linalg.haar_unitary(3, np.random.default_rng(seed))
+        u = haar(3, np.random.default_rng(seed))
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-12
 
     def test_same_seed_bit_identical(self):
-        u1 = linalg.haar_unitary(4, np.random.default_rng(9))
-        u2 = linalg.haar_unitary(4, np.random.default_rng(9))
+        u1 = haar(4, np.random.default_rng(9))
+        u2 = haar(4, np.random.default_rng(9))
         assert np.array_equal(u1, u2)
 
     def test_isotropy_of_first_entry(self):
@@ -100,8 +108,9 @@ class TestHaarUnitary:
         assert abs(mean - 1 / 3) < three_sigma
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidInputError):
-            linalg.haar_unitary(0, np.random.default_rng(0))
+        # the factors' sizes are the config's antenna counts, which must be at least 1
+        with pytest.raises(InvalidInputError, match="n = 0"):
+            ScenarioConfig(N=0)
 
 
 SPECTRA = {

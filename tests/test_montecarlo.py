@@ -12,37 +12,47 @@ from hypothesis import strategies as st
 from swiptmimo import cli, harvesting, linalg, montecarlo, rates, saddle, transfer
 from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
 from swiptmimo.harvesting import to_db
-from swiptmimo.linalg import complex_gaussian, haar_from_gaussian, pad_diag
+from swiptmimo.linalg import complex_gaussian, haar_from_gaussian
 from swiptmimo.montecarlo import (FAMILIES, METRICS, TRIAL_CHUNK, McResult,
                                   average_metric, ensemble_for, metric_samples,
-                                  metric_samples_grid, random_bs_covariance, sample_grids)
+                                  metric_samples_grid, sample_grids)
 from swiptmimo.rates import tin_rate_global, transmit_covariance, waterfill, waterfilled_modes
-from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
-                                synthesize_channel)
+from swiptmimo.scenario import ScenarioConfig, equivalent_channel, reference_scenario
 from swiptmimo.transfer import energy_beam
 
 
+def bs_covariances(ens, pb_budget):
+    """Each trial's BS covariance Q_bs = (Pb / N) U U^H from its unit user beams U."""
+    users = ens.user_dirs
+    return (pb_budget / users.shape[-1]) * (users @ linalg.ch(users))
+
+
 class TestRandomBsCovariance:
+    """The random BS covariance that ensemble_for's user beams give."""
+
     def test_zero_budget(self):
-        q = random_bs_covariance(5, 0.0, np.random.default_rng(0))
+        q = bs_covariances(ensemble_for(reference_scenario(trials=4, seed=0)), 0.0)
         assert np.allclose(q, 0.0)
 
     def test_single_user_rank_one(self):
-        q = random_bs_covariance(1, 3.0, np.random.default_rng(1))
-        assert q.shape == (1, 1)
-        assert np.real(np.trace(q)) == pytest.approx(3.0, abs=1e-12)
+        cfg = ScenarioConfig(K=1, M=1, N=1, sigma_p2p=(0.9,), sigma_bs=(0.8,), trials=3, seed=1)
+        q = bs_covariances(ensemble_for(cfg), 3.0)
+        assert q.shape == (3, 1, 1)
+        assert np.real(q[:, 0, 0]) == pytest.approx([3.0] * 3, abs=1e-12)
 
     def test_trace_binds(self):
-        q = random_bs_covariance(5, 7.0, np.random.default_rng(2))
-        assert np.real(np.trace(q)) == pytest.approx(7.0, abs=1e-12)
+        ens = ensemble_for(reference_scenario(trials=16, seed=2))
+        assert np.linalg.norm(ens.user_dirs, axis=-2) == pytest.approx(np.ones((16, 5)), abs=1e-12)
+        trace = np.real(np.trace(bs_covariances(ens, 7.0), axis1=-2, axis2=-1))
+        assert trace == pytest.approx([7.0] * 16, abs=1e-12)
 
     def test_isotropy(self):
         # E[Q] = (Pb/N) I; check entrywise at 3 sigma over many draws
         n, pb, draws = 4, 4.0, 10_000
-        rng = np.random.default_rng(3)
-        acc = np.zeros((n, n), dtype=complex)
-        for _ in range(draws):
-            acc += random_bs_covariance(n, pb, rng)
+        cfg = ScenarioConfig(N=n, trials=draws, seed=3)
+        slices = (ensemble_for(cfg, t0, min(t0 + TRIAL_CHUNK, draws))
+                  for t0 in range(0, draws, TRIAL_CHUNK))
+        acc = sum(bs_covariances(ens, pb).sum(axis=0) for ens in slices)
         mean = acc / draws
         # each diagonal entry is (pb/n) * mean of Beta(1, n-1)-like masses
         off_tol = 3 * (pb / n) / np.sqrt(draws)
@@ -173,12 +183,10 @@ class TestKernelOracles:
 
 
 def scalar_trial_metrics(cfg, pb_budget, trial):
-    """Replay one trial from its own generator with the scalar building blocks and
-    plain per-matrix numpy, none of the batched kernels."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
-    h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
-    h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
-    q_bs = random_bs_covariance(cfg.N, pb_budget, rng)
+    """One trial's metrics on its ensemble_for channels and BS covariance (whose bits the
+    replay test pins), in plain per-matrix numpy, none of the batched kernels."""
+    ens = ensemble_for(cfg, trial, trial + 1)
+    h, h_bs, q_bs = ens.h[0], ens.h_bs[0], bs_covariances(ens, pb_budget)[0]
     hhat = equivalent_channel(cfg.psi_vector, h)
     hhat_bs = equivalent_channel(cfg.psi_vector, h_bs)
     theta = np.diag(np.sqrt(1.0 - cfg.psi_vector))
@@ -267,6 +275,24 @@ class TestWhitenedStructure1:
         grid, = sample_grids([(cfg, ("rate-struct1", "energy-struct1"), budgets)])
         assert np.all(np.isfinite(grid))
 
+    @pytest.mark.parametrize("sigma_bs", [(0.8, 0.5, 0.0), (0.8, 0.0, 0.0)])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_rank_deficient_rate_at_a_huge_budget_is_its_limit(self, sigma_bs, seed):
+        # as pb -> inf, T -> G^H P0 G with G = B^-1/2 Hhat and P0 the projector onto the
+        # null space of B^-1/2 R B^-1/2, which the interferer cannot reach: no mode jams
+        cfg = ScenarioConfig(sigma_bs=sigma_bs, trials=64, seed=seed)
+        ens = ensemble_for(cfg)
+        rate = sample_grids([(cfg, ("rate-struct1",), [1e20])])[0][0, 0]
+        for t in range(cfg.trials):
+            hhat, hhat_bs, r, beta = trial_terms(cfg, ens, t, cfg.N)  # pb / N = 1: Q_bs = U U^H
+            root = 1.0 / np.sqrt(beta)[:, None]
+            null = np.linalg.eigh(root * (hhat_bs @ r @ hhat_bs.conj().T) * root.T)[1][
+                :, :sigma_bs.count(0.0)]
+            g = null.conj().T @ (root * hhat)  # P0 = null null^H
+            modes = np.linalg.eigvalsh(g.conj().T @ g)[::-1]
+            limit = np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * rates.mode_powers(modes, cfg.P)))
+            assert rate[t] == pytest.approx(limit, rel=1e-12, abs=0.0), t
+
     @pytest.mark.parametrize("link", [{}, {"sigma_bs": (0.8, 0.5, 0.0)},
                                       {"sigma_bs": (0.8, 0.0, 0.0)}],
                              ids=["default", "rank-2-bs", "rank-1-bs"])
@@ -315,9 +341,9 @@ class TestEnsembleDraw:
                 z[t] = complex_gaussian(z.shape[1:], rng)
         z_left, z_right, z_bs_left, z_bs_right, z_users = zs
         ch = linalg.ch
-        h = haar_from_gaussian(z_left) @ pad_diag(cfg.sigma_p2p, k, m) \
+        h = haar_from_gaussian(z_left) @ (np.eye(k, m) * np.array(cfg.sigma_p2p)[:, None]) \
             @ ch(haar_from_gaussian(z_right))
-        h_bs = haar_from_gaussian(z_bs_left) @ pad_diag(cfg.sigma_bs, k, n) \
+        h_bs = haar_from_gaussian(z_bs_left) @ (np.eye(k, n) * np.array(cfg.sigma_bs)[:, None]) \
             @ ch(haar_from_gaussian(z_bs_right))
         user_dirs = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
 

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swiptmimo.errors import InvalidInputError
-from swiptmimo.linalg import haar_unitary, pad_diag
-from swiptmimo.montecarlo import random_bs_covariance
+from swiptmimo.linalg import complex_gaussian, haar_from_gaussian
+from swiptmimo.montecarlo import ensemble_for
 from swiptmimo.saddle import p2p_best_response
 from swiptmimo.rates import (PowerAllocation, mode_powers, tin_rate_global,
                              transmit_covariance, waterfill, waterfilled_modes,
                              worst_case_rate)
-from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
-                                synthesize_channel)
+from swiptmimo.scenario import ScenarioConfig, equivalent_channel, reference_scenario
 
 # inverse gains beta/lambda2 of the psi=0.3 baseline
 BASE_INV_GAINS = 1.3 / np.array([0.243, 0.192, 0.147])
@@ -134,15 +133,21 @@ class TestPowerAllocation:
             PowerAllocation(np.array([0.5, 0.5]) * budget * (1 + 1e-6), budget)
 
 
+def random_link(seed, pb_budget, n=5):
+    """Trial 0 of the psi = 0.3 reference link with n BS antennas at `seed`: the channels
+    after the split and the BS covariance (Pb / n) U U^H of its unit user beams U."""
+    cfg = ScenarioConfig(N=n, psi=0.3, trials=1, seed=seed)
+    ens = ensemble_for(cfg)
+    users = ens.user_dirs[0]
+    return (equivalent_channel(cfg.psi_vector, ens.h[0]),
+            equivalent_channel(cfg.psi_vector, ens.h_bs[0]),
+            (pb_budget / n) * (users @ users.conj().T))
+
+
 class TestTinRateGlobal:
     def setup_method(self):
-        rng = np.random.default_rng(10)
-        self.h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        self.h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        self.hhat = equivalent_channel(np.full(3, 0.3), self.h)
-        self.hhat_bs = equivalent_channel(np.full(3, 0.3), self.h_bs)
+        self.hhat, self.hhat_bs, self.q_bs = random_link(10, 5.0)
         self.noise = uniform_noise(0.3)
-        self.q_bs = random_bs_covariance(5, 5.0, rng)
 
     def test_zero_covariance_gives_zero_rate(self):
         rate = tin_rate_global(self.hhat, self.hhat_bs, np.zeros((3, 3)),
@@ -159,8 +164,7 @@ class TestTinRateGlobal:
         assert rate == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_nonincreasing_in_interference(self):
-        rng = np.random.default_rng(11)
-        q = random_bs_covariance(3, 5.0, rng)
+        q = random_link(11, 5.0, n=3)[2]  # a random trace-5 link covariance
         base = tin_rate_global(self.hhat, self.hhat_bs, q, self.q_bs, self.noise)
         for delta in (0.1, 1.0):
             worse = tin_rate_global(self.hhat, self.hhat_bs, q,
@@ -171,9 +175,10 @@ class TestTinRateGlobal:
         # both channels share one left singular basis, so they diagonalize jointly
         cfg = reference_scenario(0.3)
         rng = np.random.default_rng(12)
-        left, right, right_bs = (haar_unitary(d, rng) for d in (cfg.K, cfg.M, cfg.N))
+        left, right, right_bs = (haar_from_gaussian(complex_gaussian((d, d), rng))
+                                 for d in (cfg.K, cfg.M, cfg.N))
         hhat, hhat_bs = (
-            left @ pad_diag(sigma, cfg.K, r.shape[0]) @ r.conj().T
+            left @ (np.eye(cfg.K, len(r)) * sigma[:, None]) @ r.conj().T
             for sigma, r in ((np.sqrt(0.3) * np.asarray(cfg.sigma_p2p), right),
                              (np.sqrt(0.3) * np.asarray(cfg.sigma_bs), right_bs)))
         # the oracle reads each channel's own SVD: squared gains and right vectors
@@ -211,21 +216,15 @@ class TestOptimalQGlobal:
         assert np.all(optimal_q(hhat, np.eye(3), 0.0) == 0.0)
 
     def test_trace_equals_budget(self):
-        rng = np.random.default_rng(13)
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        hhat = np.sqrt(0.3) * h
+        hhat = random_link(13, 0.0)[0]
         s = np.eye(3) * 1.3
         q = optimal_q(hhat, s, 5.0)
         assert np.real(np.trace(q)) == pytest.approx(5.0, abs=1e-9)
 
     def test_beats_random_equal_trace_alternatives(self):
         rng = np.random.default_rng(14)
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
-        hhat = equivalent_channel(np.full(3, 0.3), h)
-        hhat_bs = equivalent_channel(np.full(3, 0.3), h_bs)
+        hhat, hhat_bs, q_bs = random_link(14, 10.0)
         noise = uniform_noise(0.3)
-        q_bs = random_bs_covariance(5, 10.0, rng)
         s = hhat_bs @ q_bs @ hhat_bs.conj().T \
             + np.diag(noise)
         q_star = optimal_q(hhat, s, 5.0)

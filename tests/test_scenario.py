@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from swiptmimo.errors import InvalidInputError
-from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
-                                synthesize_channel)
+from swiptmimo.montecarlo import ensemble_for
+from swiptmimo.scenario import ScenarioConfig, equivalent_channel, reference_scenario
 
 
 class TestScenarioConfig:
@@ -87,53 +87,61 @@ class TestScenarioConfig:
         assert np.allclose(lam2_bs, [0.2 * 0.64, 0.5 * 0.49, 0.8 * 0.25], rtol=0, atol=1e-15)
 
 
+def link(seed):
+    """Trial 0's link and BS channels of the reference scenario at `seed`."""
+    ens = ensemble_for(reference_scenario(trials=1, seed=seed))
+    return ens.h[0], ens.h_bs[0]
+
+
 class TestSynthesizeChannel:
+    """ensemble_for's channels U diag(sigma) V^H carry the profiles' singular values."""
+
     def test_scalar_channel(self):
-        h = synthesize_channel([1.0], 1, 1, np.random.default_rng(0))
+        cfg = ScenarioConfig(K=1, M=1, N=1, sigma_p2p=(1.0,), sigma_bs=(1.0,), trials=1, seed=0)
+        h = ensemble_for(cfg).h[0]
         assert h.shape == (1, 1)
         assert abs(abs(h[0, 0]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 5, 99])
     def test_square_profile_recovered(self, seed):
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, np.random.default_rng(seed))
-        sigma = np.linalg.svd(h, compute_uv=False)
+        sigma = np.linalg.svd(link(seed)[0], compute_uv=False)
         assert np.allclose(sigma, [0.9, 0.8, 0.7], atol=1e-10)
 
     def test_wide_profile_recovered_rank(self):
-        h = synthesize_channel([0.8, 0.7, 0.5], 3, 5, np.random.default_rng(1))
-        sigma = np.linalg.svd(h, compute_uv=False)
+        h_bs = link(1)[1]
+        assert h_bs.shape == (3, 5)
+        sigma = np.linalg.svd(h_bs, compute_uv=False)
         assert np.allclose(sigma, [0.8, 0.7, 0.5], atol=1e-10)
-        assert np.linalg.matrix_rank(h, tol=1e-8) == 3
+        assert np.linalg.matrix_rank(h_bs, tol=1e-8) == 3
 
     def test_seed_determinism(self):
-        h1 = synthesize_channel([1.0, 0.5], 2, 4, np.random.default_rng(21))
-        h2 = synthesize_channel([1.0, 0.5], 2, 4, np.random.default_rng(21))
-        assert np.array_equal(h1, h2)
+        cfg = ScenarioConfig(K=2, M=2, N=4, sigma_p2p=(1.0, 0.5), sigma_bs=(1.0, 0.5),
+                             trials=2, seed=21)
+        first, second = ensemble_for(cfg), ensemble_for(cfg)
+        for name in ("h", "h_bs", "user_dirs"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_profile_too_long(self):
-        with pytest.raises(InvalidInputError):
-            synthesize_channel([1.0, 0.9, 0.8], 2, 3, np.random.default_rng(0))
+        # a profile longer than min(K, M) fits no channel: the config refuses it
+        with pytest.raises(InvalidInputError, match="sigma_p2p has length 3"):
+            ScenarioConfig(K=2, M=3, N=3, sigma_p2p=(1.0, 0.9, 0.8), sigma_bs=(0.8, 0.7))
 
 
 class TestEquivalentChannels:
     def test_full_id_split_is_identity(self):
-        rng = np.random.default_rng(2)
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
-        h_bs = synthesize_channel([0.8, 0.7, 0.5], 3, 5, rng)
+        h, h_bs = link(2)
         assert np.allclose(equivalent_channel(np.full(3, 1.0), h), h)
         assert np.allclose(equivalent_channel(np.full(3, 1.0), h_bs), h_bs)
 
     def test_full_eh_split_is_zero(self):
-        rng = np.random.default_rng(3)
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
+        h = link(3)[0]
         hhat = equivalent_channel(np.full(3, 0.0), h)
         assert np.allclose(hhat, 0.0)
         assert np.allclose(np.linalg.svd(hhat, compute_uv=False), 0.0)
 
     def test_uniform_split_scales_gains(self):
         # hand oracle: squared gains scale by psi
-        rng = np.random.default_rng(4)
-        h = synthesize_channel([0.9, 0.8, 0.7], 3, 3, rng)
+        h = link(4)[0]
         sigma = np.linalg.svd(equivalent_channel(np.full(3, 0.3), h), compute_uv=False)
         assert np.allclose(sigma ** 2, [0.243, 0.192, 0.147], atol=1e-10)
 

@@ -6,22 +6,26 @@ import pytest
 
 from swiptmimo.errors import UnsupportedConfigError
 from swiptmimo.harvesting import delivered, harvested_power, to_db
-from swiptmimo.montecarlo import ensemble_for, metric_samples_grid, random_bs_covariance
+from swiptmimo.montecarlo import ensemble_for, metric_samples_grid
 from swiptmimo.rates import transmit_covariance, waterfill, waterfilled_modes
-from swiptmimo.scenario import (ScenarioConfig, equivalent_channel, reference_scenario,
-                                synthesize_channel)
+from swiptmimo.scenario import ScenarioConfig, equivalent_channel, reference_scenario
 from swiptmimo.transfer import (combined_energy, combined_interference, combined_rate,
                                 combiner, energy_beam, energy_mode)
 
 
 def setup_link(psi, seed=0):
-    cfg = reference_scenario(psi)
-    rng = np.random.default_rng(seed)
-    h = synthesize_channel(cfg.sigma_p2p, cfg.K, cfg.M, rng)
-    h_bs = synthesize_channel(cfg.sigma_bs, cfg.K, cfg.N, rng)
+    cfg = reference_scenario(psi, trials=1, seed=seed)
+    ens = ensemble_for(cfg)
+    h, h_bs = ens.h[0], ens.h_bs[0]
     theta2 = 1.0 - cfg.psi_vector
     hhat = equivalent_channel(cfg.psi_vector, h)
     return cfg, h, h_bs, theta2, hhat, cfg.beta
+
+
+def bs_covariance(pb_budget, seed):
+    """(Pb / N) U U^H of trial 0's unit user beams U at `seed`."""
+    users = ensemble_for(reference_scenario(trials=1, seed=seed)).user_dirs[0]
+    return (pb_budget / len(users)) * (users @ users.conj().T)
 
 
 def noise_only_covariance(hhat, beta, total_power):
@@ -123,7 +127,7 @@ class TestStructure2:
     def test_split_conservation(self):
         # EH share plus ID share reconstruct the combined branch power exactly
         _, h, h_bs, _, _, _ = setup_link(0.3, seed=5)
-        q_bs = random_bs_covariance(5, 10.0, np.random.default_rng(6))
+        q_bs = bs_covariance(10.0, 6)
         psi = 0.3
         _, linear = structure2(h, h_bs, q_bs, psi, 5.0)
         u1 = combiner(h[None])[1][0]
@@ -139,7 +143,7 @@ class TestStructure2:
 
     def test_interference_lowers_rate_raises_energy(self):
         _, h, h_bs, _, _, _ = setup_link(0.3, seed=7)
-        q_bs = random_bs_covariance(5, 20.0, np.random.default_rng(8))
+        q_bs = bs_covariance(20.0, 8)
         loud = structure2(h, h_bs, q_bs, 0.3, 5.0)
         quiet = structure2(h, h_bs, np.zeros((5, 5)), 0.3, 5.0)
         assert loud[0] <= quiet[0]
