@@ -34,8 +34,8 @@ def main():
     lam2, lam2_bs, beta = cfg.modes()
     sol = solve_saddle(lam2, lam2_bs, beta, cfg.P, 5.0)
     print("\nsaddle at psi=0.3, equal budgets:")
-    print(f"  link powers       {np.round(sol.p_star.p, 4)}")
-    print(f"  interferer powers {np.round(sol.pb_star.p, 4)}")
+    print(f"  link powers       {np.round(sol.p, 4)}")
+    print(f"  interferer powers {np.round(sol.pb, 4)}")
     print(f"  rate {sol.rate:.6f} bits/cu after {sol.iterations} root steps, "
           f"duality gap {sol.gap:.1e}")
     ok = saddle_certificate(lam2, lam2_bs, beta, cfg.P, 5.0, sol,

@@ -6,10 +6,10 @@ from .errors import (ConfigError, ConvergenceError, InvalidInputError,
 from .harvesting import delivered, harvested_power, steering, top_eigpair
 from .montecarlo import (McResult, average_metric, ensemble_for, metric_samples,
                          metric_samples_grid, sample_grids)
-from .rates import (PowerAllocation, tin_rate_global, transmit_covariance, waterfill,
-                    waterfilled_modes, worst_case_rate)
-from .saddle import (SaddleBatch, SaddleSolution, bs_best_response,
-                     p2p_best_response, solve_links, solve_saddle, solve_saddle_batch)
+from .rates import (tin_rate_global, transmit_covariance, waterfill, waterfilled_modes,
+                    worst_case_rate)
+from .saddle import (SaddleBatch, bs_best_response, p2p_best_response, solve_links,
+                     solve_saddle, solve_saddle_batch)
 from .scenario import ScenarioConfig, equivalent_channel, reference_scenario
 from .transfer import (combined_energy, combined_interference, combined_rate,
                        combiner, energy_beam)
@@ -22,9 +22,9 @@ __all__ = [
     "delivered", "harvested_power", "steering", "top_eigpair",
     "McResult", "average_metric", "ensemble_for", "metric_samples",
     "metric_samples_grid", "sample_grids",
-    "PowerAllocation", "tin_rate_global",
-    "transmit_covariance", "waterfill", "waterfilled_modes", "worst_case_rate",
-    "SaddleBatch", "SaddleSolution", "bs_best_response", "p2p_best_response",
+    "tin_rate_global", "transmit_covariance", "waterfill", "waterfilled_modes",
+    "worst_case_rate",
+    "SaddleBatch", "bs_best_response", "p2p_best_response",
     "solve_links", "solve_saddle", "solve_saddle_batch",
     "ScenarioConfig", "equivalent_channel", "reference_scenario",
     "combined_energy", "combined_interference", "combined_rate", "combiner",

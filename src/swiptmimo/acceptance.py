@@ -45,7 +45,7 @@ class SharedInputs:
     trials: int
     seed: int
     samples: dict    # (psi, metric) -> per-trial samples per budget (`sample_table`)
-    solutions: dict  # (psi, ratio) -> saddle solution (`saddle_table`)
+    solutions: dict  # (psi, ratio) -> saddle point, a SaddleBatch row (`saddle_table`)
 
 
 def sample_table(trials, seed):
@@ -66,11 +66,11 @@ def sample_table(trials, seed):
 
 
 def saddle_table():
-    """Saddle solutions of every (psi, ratio) in RATE_PSIS x RATIO_GRID, one batch."""
+    """Saddle points (SaddleBatch rows) of every (psi, ratio) in RATE_PSIS x RATIO_GRID."""
     points = [(psi, ratio) for psi in RATE_PSIS for ratio in RATIO_GRID]
     links = [reference_scenario(psi) for psi, _ in points]
     batch = saddle.solve_links(links, [ratio * link.P for link, (_, ratio) in zip(links, points)])
-    return {point: batch.solution(b) for b, point in enumerate(points)}
+    return {point: batch.row(b) for b, point in enumerate(points)}
 
 
 def criterion_1(shared):
@@ -111,13 +111,13 @@ def saddle_certificate(lam2, lam2_bs, beta, p_budget, pb_budget, sol, rng,
     random splits of each player's budget, drawn in one pass and rated together."""
     ones = np.ones(len(lam2))
     p_dev = p_budget * rng.dirichlet(ones, size=deviations)
-    if np.any(rates.worst_case_rate(lam2, lam2_bs, p_dev, sol.pb_star.p, beta)
+    if np.any(rates.worst_case_rate(lam2, lam2_bs, p_dev, sol.pb, beta)
               > sol.rate + margin):
         return False
     if pb_budget == 0:
         return True
     pb_dev = pb_budget * rng.dirichlet(ones, size=deviations)
-    return not np.any(rates.worst_case_rate(lam2, lam2_bs, sol.p_star.p, pb_dev, beta)
+    return not np.any(rates.worst_case_rate(lam2, lam2_bs, sol.p, pb_dev, beta)
                       < sol.rate - margin)
 
 
@@ -338,7 +338,7 @@ def criterion_9(shared):
     q_alt = a @ a.conj().swapaxes(-2, -1)
     q_alt *= cfg.P / np.real(np.trace(q_alt, axis1=-2, axis2=-1))[:, None, None]
     alt = rates.tin_rate_global(hhat, hhat_bs, q_alt, q_bs, cfg.beta)
-    margin = min(0.0, float(np.min(best - alt)))
+    margin = float(np.min(best - alt))
     opt_ok = margin >= -1e-9
     ok &= opt_ok
     lines.append(f"optimal covariance vs 1000 random deviations: "

@@ -184,23 +184,22 @@ def _worst_case_points(cfg, points):
                                [ratio * cfg.link.P for _, ratio in points])
     for b, (psi_b, ratio_b) in enumerate(points):
         try:
-            yield batch.solution(b).rate, None
+            yield batch.row(b).rate, None
         except ConvergenceError as exc:
             raise SweepFailure("worst-case", psi_b, ratio_b, exc) from exc
 
 
 def _monte_carlo_points(cfg, tags):
     """{tag: mean and stderr (in dB for energy tags) of each sweep point, in order},
-    from one request per (psi, structure family), all on one draw."""
+    from one request per psi holding every tag's metric, all on one draw; no tag, no draw."""
+    tags = sorted(tags)
     budgets = [ratio * cfg.link.P for ratio in sorted(cfg.ratio_grid)]
-    groups = list(filter(None, ([tag for tag in sorted(tags) if SCENARIO_METRICS[tag] in f]
-                                for f in montecarlo.FAMILIES)))  # tags per structure
-    grids = montecarlo.sample_grids([
-        (cfg.scenario_for(psi), tuple(SCENARIO_METRICS[tag] for tag in group), budgets)
-        for psi in sorted(cfg.psis) for group in groups])
+    metrics = tuple(SCENARIO_METRICS[tag] for tag in tags)
+    grids = montecarlo.sample_grids([(cfg.scenario_for(psi), metrics, budgets)
+                                     for psi in sorted(cfg.psis) if tags])
     values = {tag: [] for tag in tags}
-    for group, grid in zip(groups * len(cfg.psis), grids):  # psi-major order
-        for tag, results in zip(group, grid):
+    for grid in grids:  # psi-major order
+        for tag, results in zip(tags, grid):
             values[tag] += [res.db() if tag in ENERGY_SCENARIOS else (res.mean, res.stderr)
                             for res in map(montecarlo.McResult.from_samples, results)]
     return values

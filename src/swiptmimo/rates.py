@@ -4,15 +4,12 @@ Rates are in bits per channel use (base-2 logs throughout). The per-mode
 effective noise is beta_k = psi_k * sigma2_w + sigma2_n (`ScenarioConfig.beta`).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import ch, check_finite, hermitian_eigh, hermitize
 
 LN2 = np.log(2.0)
-BUDGET_TOL = 1e-9
 # Largest power budget (link or interferer) a sweep or a saddle solve accepts.
 # No product the solvers form grows faster than the square of a budget: the
 # interferer's stationarity root forms a * a / 4 ~ P^2 and a * g / mu ~ (g * Pb)^2,
@@ -22,28 +19,6 @@ BUDGET_TOL = 1e-9
 # the saddle value at ratio 1 is the same to 1e-12 from p = 1e20 to 1e105, and
 # first drifts at 1e110. `scenario.BOUNDS` bounds gains and noise variances to match.
 MAX_BUDGET = 1e100
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Nonnegative per-eigenmode powers under a total budget."""
-
-    p: np.ndarray
-    budget: float
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if np.any(p < -1e-12) or not np.all(np.isfinite(p)):
-            raise InvalidInputError("mode powers must be finite and nonnegative")
-        p = np.maximum(p, 0.0)
-        if p.sum() > self.budget + BUDGET_TOL * max(1.0, self.budget):
-            raise InvalidInputError(
-                f"allocation {p.sum():.12g} exceeds budget {self.budget:.12g}")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def total(self):
-        return float(self.p.sum())
 
 
 def _beta(beta):
@@ -81,20 +56,20 @@ def waterfill_batch(inv_gains, total_power):
 
 
 def waterfill(inv_gains, total_power):
-    """Water-filling allocation: p_k = max(0, eta - inv_gains_k), sum p = P.
+    """Water-filling allocation (p, eta): p_k = max(0, eta - inv_gains_k), sum p = P.
 
     Modes with zero gain are passed as +inf and receive zero power. The water
     level is found by the exact sorted active-set method, no iterative search.
     """
     c = np.asarray(inv_gains, dtype=float)
-    if total_power < 0:
-        raise InvalidInputError("total power must be nonnegative")
+    if not 0 <= total_power < np.inf:
+        raise InvalidInputError("total power must be finite and nonnegative")
     if np.any(np.isnan(c)) or np.any(c <= 0):
         raise InvalidInputError("inverse gains must be positive (or +inf)")
     if not np.any(np.isfinite(c)) and total_power > 0:
         raise InvalidInputError("no usable mode: all inverse gains are infinite")
     p, eta = waterfill_batch(c[None, :], total_power)
-    return PowerAllocation(p[0], total_power), float(eta[0])
+    return p[0], float(eta[0])
 
 
 def _logdet2(a):

@@ -11,12 +11,12 @@ operations it would run alone, so a row's result does not depend on the
 batch it is solved in. Only `solve_saddle` is a batch of one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .rates import MAX_BUDGET, PowerAllocation, _beta, waterfill_batch, worst_case_rate
+from .rates import MAX_BUDGET, _beta, waterfill_batch, worst_case_rate
 
 MU_TOL = 1e-10
 MU_STEPS = 100  # multiplier steps per interferer response; a few suffice
@@ -26,28 +26,13 @@ GAP_TOL = 1e-8  # a row is a saddle point only if its exact duality gap is this 
 
 
 @dataclass(frozen=True)
-class SaddleSolution:
-    """Saddle allocations with the achieved rate and convergence metadata.
-
-    `gap` is the exact duality gap rate(BR_p(pb*), pb*) - rate(p*, BR_b(p*))
-    from the two closed-form best responses: a certificate of how far the
-    returned pair is from the saddle point.
-    """
-
-    p_star: PowerAllocation
-    pb_star: PowerAllocation
-    rate: float
-    iterations: int
-    gap: float
-
-
-@dataclass(frozen=True)
 class SaddleBatch:
     """Solutions of a batch of saddle points, one row per point.
 
-    `iterations` counts the points t a row tried. Rows whose root search hit
-    ROOT_STEPS, or whose duality gap exceeds GAP_TOL or could not be computed,
-    hold their last iterate and `converged` False; `solution` raises for them.
+    `iterations` counts the points t a row tried, and `gap` is the row's exact
+    duality gap (`duality_gap`). Rows whose root search hit ROOT_STEPS, or whose
+    duality gap exceeds GAP_TOL or could not be computed, hold their last iterate
+    and `converged` False; `row` raises for them.
     """
 
     p: np.ndarray
@@ -59,17 +44,15 @@ class SaddleBatch:
     gap: np.ndarray
     converged: np.ndarray
 
-    def solution(self, b):
-        """The saddle point of row `b`."""
+    def row(self, b):
+        """The saddle point of row `b`, as a SaddleBatch of that row's values: `p` and
+        `pb` of shape (K,), every other field a numpy scalar."""
         if not self.converged[b]:
             raise ConvergenceError(
                 f"no saddle point after {self.iterations[b]} steps (duality gap "
                 f"{self.gap[b]:.3e})", p=self.p[b], p_bs=self.pb[b],
                 rate=float(self.rate[b]), iterations=int(self.iterations[b]))
-        return SaddleSolution(
-            PowerAllocation(self.p[b], float(self.total_power[b])),
-            PowerAllocation(self.pb[b], float(self.pb_budget[b])),
-            float(self.rate[b]), int(self.iterations[b]), float(self.gap[b]))
+        return SaddleBatch(*(getattr(self, field.name)[b] for field in fields(self)))
 
 
 def p2p_best_response(lambda2, lambda2_bs, p_bs, beta, total_power):
@@ -253,10 +236,10 @@ def duality_gap(lambda2, lambda2_bs, beta, total_power, pb_budget, p, pb):
 
 
 def solve_saddle(lambda2, lambda2_bs, beta, total_power, pb_budget):
-    """Saddle point of one link: a batch of one for `solve_saddle_batch`."""
+    """Saddle point of one link: row 0 of a batch of one for `solve_saddle_batch`."""
     lam2, lam2_bs, beta = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, beta))
     return solve_saddle_batch(lam2[None], lam2_bs[None], beta[None],
-                              total_power, pb_budget).solution(0)
+                              total_power, pb_budget).row(0)
 
 
 def solve_links(links, pb_budgets):

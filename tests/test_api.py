@@ -73,21 +73,47 @@ def test_all_lists_each_public_name_once():
 
 
 def used_names(path):
-    """Every name and attribute a module reads, by an AST scan."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    """The names and the attributes a module reads, by an AST scan."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)},
+            {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+
+def public_defs(path):
+    """(qualified name, name, is a member) of each public top-level function or class of
+    a module, and of each public method or property of its public classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name, False
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            yield from ((f"{path.stem}.{node.name}.{member.name}", member.name, True)
+                        for member in members if isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("_"))
 
 
 def test_every_public_function_and_class_is_used():
     # no dead API: each public top-level def or class is read by the package (past the
-    # re-exports of __init__), by a demo, or by name by the benchmark tracer
+    # re-exports of __init__), by a demo, or by name by the benchmark tracer, and each
+    # public method or property of a public class is read as an attribute there
     modules = sorted((ROOT / "src" / "swiptmimo").glob("*.py"))
-    used = set().union(*(used_names(path) for path in modules if path.name != "__init__.py"),
-                       *(used_names(path) for path in (ROOT / "demos").glob("*.py")),
+    scans = [used_names(path) for path in modules if path.name != "__init__.py"] \
+        + [used_names(path) for path in (ROOT / "demos").glob("*.py")]
+    attributes = set().union(*(attrs for _, attrs in scans))
+    used = set().union(attributes, *(names for names, _ in scans),
                        (function for _, function in tracer.TIMED + tracer.COUNTED))
-    unused = [f"{path.stem}.{node.name}" for path in modules
-              for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used]
+    unused = [qualified for path in modules for qualified, name, member in public_defs(path)
+              if name not in (attributes if member else used)]
     assert unused == []
+
+
+def test_tracer_counts_the_steps_of_a_saddle_row():
+    # the tracer's solve_saddle hook reads int(iterations) off the returned row
+    lam2, lam2_bs, beta = swiptmimo.reference_scenario(0.3).modes()
+    spans = tracer.Tracer(swiptmimo)
+    spans.install()
+    try:
+        sol = swiptmimo.saddle.solve_saddle(lam2, lam2_bs, beta, 5.0, 5.0)
+    finally:
+        spans.uninstall()
+    assert sol.iterations > 1
+    assert spans.metrics()["saddle.iterations.sum"][0] == sol.iterations

@@ -223,23 +223,33 @@ class TestRunSweep:
         assert cli.run_sweep(cli.SweepConfig(ScenarioConfig(seed=seed))) == expected
 
     def test_one_grid_call_per_psi_and_family(self, monkeypatch):
-        # in each slice of trials, one kernel call per (psi, structure family)
+        # in each slice of trials, one kernel call per psi holding every metric (the
+        # kernel runs the structure families in turn); no Monte-Carlo tag, no draw
         calls, kernel = [], montecarlo.metric_samples_grid
+        draws, sampler = [], montecarlo.ensemble_for
 
         def recording(cfg, metrics, budgets, ens, out=None):
             calls.append((ens.trials, cfg.psi[0], metrics, tuple(budgets)))
             return kernel(cfg, metrics, budgets, ens, out)
 
+        def drawing(cfg, *args):
+            draws.append(args)
+            return sampler(cfg, *args)
+
         monkeypatch.setattr(cli.montecarlo, "metric_samples_grid", recording)
+        monkeypatch.setattr(montecarlo, "ensemble_for", drawing)
         monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 2)
         cfg = self.small_config(scenarios=cli.SCENARIOS, psis=(0.6, 0.3), trials=5)
         cli.run_sweep(cfg)
-        budgets = (0.0, 5.0)
-        assert calls == [
-            (trials, psi, metrics, budgets)
-            for trials in (range(0, 2), range(2, 4), range(4, 5)) for psi in (0.3, 0.6)
-            for metrics in (("rate-struct1", "energy-struct1"),
-                            ("energy-struct2", "rate-struct2"), ("energy-swipt",))]
+        metrics = ("rate-struct1", "energy-struct1", "energy-struct2", "rate-struct2",
+                   "energy-swipt")
+        assert calls == [(trials, psi, metrics, (0.0, 5.0))
+                         for trials in (range(0, 2), range(2, 4), range(4, 5))
+                         for psi in (0.3, 0.6)]
+        assert len(draws) == 3
+        draws.clear()
+        cli.run_sweep(self.small_config(scenarios=("worst-case",), psis=(0.6, 0.3), trials=5))
+        assert draws == [] and len(calls) == 6
 
     def test_repeated_scenario_repeats_its_rows(self):
         once = cli.run_sweep(self.small_config(scenarios=("average", "swipt"), trials=4))

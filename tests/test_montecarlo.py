@@ -195,8 +195,8 @@ def scalar_trial_metrics(cfg, pb_budget, trial):
     def optimal_q(s):
         gains, vectors = np.linalg.eigh(hhat.conj().T @ np.linalg.solve(s, hhat))
         usable = gains > max(gains[-1], 0.0) * 1e-14
-        alloc, _ = waterfill(np.where(usable, 1.0 / np.where(usable, gains, 1.0), np.inf), cfg.P)
-        return vectors @ np.diag(alloc.p) @ vectors.conj().T
+        powers, _ = waterfill(np.where(usable, 1.0 / np.where(usable, gains, 1.0), np.inf), cfg.P)
+        return vectors @ np.diag(powers) @ vectors.conj().T
 
     def harvested(q, q_bs_t):
         cov = theta @ (h @ q @ h.conj().T + h_bs @ q_bs_t @ h_bs.conj().T) @ theta + w

@@ -7,9 +7,8 @@ from swiptmimo.errors import InvalidInputError
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian
 from swiptmimo.montecarlo import ensemble_for
 from swiptmimo.saddle import p2p_best_response
-from swiptmimo.rates import (PowerAllocation, mode_powers, tin_rate_global,
-                             transmit_covariance, waterfill, waterfilled_modes,
-                             worst_case_rate)
+from swiptmimo.rates import (mode_powers, tin_rate_global, transmit_covariance, waterfill,
+                             waterfill_batch, waterfilled_modes, worst_case_rate)
 from swiptmimo.scenario import ScenarioConfig, equivalent_channel, reference_scenario
 
 # inverse gains beta/lambda2 of the psi=0.3 baseline
@@ -23,23 +22,23 @@ def uniform_noise(psi, k=3):
 
 class TestWaterfill:
     def test_symmetric_modes_split_evenly(self):
-        alloc, _ = waterfill([2.0, 2.0], 3.0)
-        assert np.allclose(alloc.p, [1.5, 1.5])
+        powers, _ = waterfill([2.0, 2.0], 3.0)
+        assert np.allclose(powers, [1.5, 1.5])
 
     def test_single_mode(self):
-        alloc, eta = waterfill([1.0], 5.0)
-        assert np.allclose(alloc.p, [5.0])
+        powers, eta = waterfill([1.0], 5.0)
+        assert np.allclose(powers, [5.0])
         assert eta == pytest.approx(6.0)
 
     def test_baseline_active_set(self):
         # analytic active-set oracle: modes 1-2 active, eta = (P + c1 + c2)/2
         c = BASE_INV_GAINS
         eta_expected = (5.0 + c[0] + c[1]) / 2
-        alloc, eta = waterfill(c, 5.0)
+        powers, eta = waterfill(c, 5.0)
         assert eta == pytest.approx(eta_expected, abs=1e-12)
-        assert np.allclose(alloc.p, [eta_expected - c[0], eta_expected - c[1], 0.0],
+        assert np.allclose(powers, [eta_expected - c[0], eta_expected - c[1], 0.0],
                            atol=1e-12)
-        assert alloc.p == pytest.approx([3.21052, 1.78948, 0.0], abs=1e-5)
+        assert powers == pytest.approx([3.21052, 1.78948, 0.0], abs=1e-5)
         assert eta == pytest.approx(8.56031, abs=1e-5)
 
     def test_budget_binds(self):
@@ -47,26 +46,31 @@ class TestWaterfill:
         for _ in range(20):
             c = rng.uniform(0.2, 6.0, size=4)
             p_total = float(rng.uniform(0.0, 10.0))
-            alloc, _ = waterfill(c, p_total)
-            assert abs(alloc.total - p_total) <= 1e-9
+            powers, _ = waterfill(c, p_total)
+            assert abs(powers.sum() - p_total) <= 1e-9
 
     def test_kkt_conditions(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             c = rng.uniform(0.2, 6.0, size=5)
-            alloc, eta = waterfill(c, float(rng.uniform(0.1, 8.0)))
-            active = alloc.p > 0
-            assert np.allclose(alloc.p[active], eta - c[active])
+            powers, eta = waterfill(c, float(rng.uniform(0.1, 8.0)))
+            active = powers > 0
+            assert np.allclose(powers[active], eta - c[active])
             assert np.all(eta <= c[~active] + 1e-12)
 
     def test_zero_gain_modes_get_nothing(self):
-        alloc, _ = waterfill([1.0, np.inf, 2.0], 4.0)
-        assert alloc.p[1] == 0.0
-        assert abs(alloc.total - 4.0) <= 1e-9
+        powers, _ = waterfill([1.0, np.inf, 2.0], 4.0)
+        assert powers[1] == 0.0
+        assert abs(powers.sum() - 4.0) <= 1e-9
 
     def test_negative_power_rejected(self):
         with pytest.raises(InvalidInputError):
             waterfill([1.0], -1.0)
+
+    @pytest.mark.parametrize("power", [np.inf, np.nan])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(InvalidInputError):
+            waterfill([1.0, 2.0], power)
 
     def test_all_disabled_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -78,8 +82,8 @@ class TestWaterfill:
         for _ in range(5):
             c = rng.uniform(0.3, 4.0, size=3)
             p_total = float(rng.uniform(0.5, 1.5))
-            alloc, _ = waterfill(c, p_total)
-            ours = np.sum(np.log2(1 + alloc.p / c))
+            powers, _ = waterfill(c, p_total)
+            ours = np.sum(np.log2(1 + powers / c))
             grid = np.arange(0.0, p_total + step / 2, step)
             p1, p2 = np.meshgrid(grid, grid, indexing="ij", sparse=True)
             p3 = p_total - p1 - p2
@@ -116,21 +120,23 @@ class TestNoiseProfile:
             tin_rate_global(hhat, hhat, np.eye(3), np.eye(3), beta)
 
 
-class TestPowerAllocation:
-    def test_over_budget_rejected(self):
-        with pytest.raises(InvalidInputError):
-            PowerAllocation(np.array([2.0, 2.0]), 3.0)
+class TestWaterfillBatch:
+    """Every water-filled allocation is nonnegative and spends its budget."""
 
-    def test_negative_power_rejected(self):
-        with pytest.raises(InvalidInputError):
-            PowerAllocation(np.array([-0.5, 1.0]), 3.0)
-
-    @pytest.mark.parametrize("budget", [1.0, 1e8, 1e100])
-    def test_budget_tolerance_scales_with_budget(self, budget):
-        # a sum one rounding above a large budget passes; a relative excess of 1e-6 does not
-        PowerAllocation(np.array([0.5, 0.5]) * np.nextafter(budget, np.inf), budget)
-        with pytest.raises(InvalidInputError):
-            PowerAllocation(np.array([0.5, 0.5]) * budget * (1 + 1e-6), budget)
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e100])
+    def test_powers_are_nonnegative_and_sum_to_each_budget(self, scale):
+        # disabled modes (+inf), one usable mode, zero budgets; the sum is within 1e-9
+        # of each budget at its scale
+        rng = np.random.default_rng(5)
+        c = rng.uniform(0.05, 20.0, size=(300, 4))
+        c[::3, -1] = np.inf
+        c[::7, 1:] = np.inf
+        budgets = scale * rng.uniform(0.0, 10.0, size=300)
+        budgets[::11] = 0.0
+        p, eta = waterfill_batch(c, budgets)
+        assert p.shape == c.shape and eta.shape == budgets.shape
+        assert np.all(p >= 0.0) and np.all(p[np.isinf(c)] == 0.0)
+        assert np.all(np.abs(p.sum(axis=-1) - budgets) <= 1e-9 * np.maximum(1.0, budgets))
 
 
 def random_link(seed, pb_budget, n=5):
@@ -208,7 +214,7 @@ class TestOptimalQGlobal:
         q = optimal_q(hhat, np.eye(3), 5.0)
         expected, _ = waterfill(1.0 / lam ** 2, 5.0)
         assert np.allclose(np.sort(np.diag(q).real)[::-1],
-                           np.sort(expected.p)[::-1], atol=1e-9)
+                           np.sort(expected)[::-1], atol=1e-9)
         assert np.allclose(q - np.diag(np.diag(q)), 0.0, atol=1e-9)
 
     def test_zero_budget(self):
@@ -324,9 +330,9 @@ class TestWorstCaseRate:
         (0.3, 1.016649), (0.6, 1.509088), (0.9, 1.816096)])
     def test_reference_endpoints(self, psi, expected):
         lam2 = psi * np.array([0.81, 0.64, 0.49])
-        alloc, _ = waterfill((1.0 + psi) / lam2, 5.0)
+        powers, _ = waterfill((1.0 + psi) / lam2, 5.0)
         rate = worst_case_rate(lam2, psi * np.array([0.64, 0.49, 0.25]),
-                               alloc.p, np.zeros(3), uniform_noise(psi))
+                               powers, np.zeros(3), uniform_noise(psi))
         assert rate == pytest.approx(expected, abs=1e-3)
 
     def test_length_mismatch_rejected(self):
@@ -337,7 +343,7 @@ class TestWorstCaseRate:
     def test_endpoint_anchor_sensitive_to_budget(self):
         # a perturbed link budget must break the endpoint anchor
         lam2 = 0.3 * np.array([0.81, 0.64, 0.49])
-        alloc, _ = waterfill(1.3 / lam2, 4.9)
+        powers, _ = waterfill(1.3 / lam2, 4.9)
         rate = worst_case_rate(lam2, 0.3 * np.array([0.64, 0.49, 0.25]),
-                               alloc.p, np.zeros(3), uniform_noise(0.3))
+                               powers, np.zeros(3), uniform_noise(0.3))
         assert abs(rate - 1.016649) > 1e-3

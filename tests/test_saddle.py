@@ -1,3 +1,5 @@
+import dataclasses
+import numbers
 from unittest import mock
 
 import numpy as np
@@ -232,7 +234,7 @@ class TestMultiplierSolve:
         batch = solve_saddle_batch(*_grid((0.3,), (0, 5)))
         assert list(batch.converged) == [True, False]
         with pytest.raises(ConvergenceError):
-            batch.solution(1)
+            batch.row(1)
         _, solved = bs_best_response([0.78, 0.34], [1.3, 1.3], [0.192, 0.147], 5.0)
         assert not solved
 
@@ -241,12 +243,12 @@ class TestSolveSaddle:
     def test_zero_interferer_budget_endpoint(self):
         sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 0.0)
         assert sol.rate == pytest.approx(1.016649, abs=1e-3)
-        assert sol.pb_star.total == 0.0
+        assert sol.pb.sum() == 0.0
 
     def test_budget_conservation(self):
         sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 25.0)
-        assert sol.p_star.total == pytest.approx(5.0, abs=1e-9)
-        assert sol.pb_star.total == pytest.approx(25.0, abs=1e-9)
+        assert sol.p.sum() == pytest.approx(5.0, abs=1e-9)
+        assert sol.pb.sum() == pytest.approx(25.0, abs=1e-9)
 
     @pytest.mark.parametrize("ratio", [1, 5, 14])
     def test_deviation_certificate(self, ratio):
@@ -256,12 +258,12 @@ class TestSolveSaddle:
 
     def test_best_responses_cannot_improve_value(self):
         sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 10.0)
-        p_again = p2p_best_response(LAM2, LAM2_BS, sol.pb_star.p, unit_beta(), 5.0)
-        pb_again, _ = bs_best_response(LAM2 * sol.p_star.p, unit_beta(),
+        p_again = p2p_best_response(LAM2, LAM2_BS, sol.pb, unit_beta(), 5.0)
+        pb_again, _ = bs_best_response(LAM2 * sol.p, unit_beta(),
                                        LAM2_BS, 10.0)
-        gain = worst_case_rate(LAM2, LAM2_BS, p_again, sol.pb_star.p, unit_beta()) \
+        gain = worst_case_rate(LAM2, LAM2_BS, p_again, sol.pb, unit_beta()) \
             - sol.rate
-        drop = sol.rate - worst_case_rate(LAM2, LAM2_BS, sol.p_star.p, pb_again,
+        drop = sol.rate - worst_case_rate(LAM2, LAM2_BS, sol.p, pb_again,
                                           unit_beta())
         assert -1e-12 <= gain <= 1e-8
         assert -1e-12 <= drop <= 1e-8
@@ -291,7 +293,7 @@ class TestSolveSaddle:
     def test_degenerate_interference_gains(self):
         sol = solve_saddle(LAM2, np.zeros(3), unit_beta(), 5.0, 9.0)
         assert sol.rate == pytest.approx(1.016511, abs=1e-4)
-        assert sol.pb_star.total == pytest.approx(9.0, abs=1e-9)
+        assert sol.pb.sum() == pytest.approx(9.0, abs=1e-9)
 
     def test_solution_metadata(self):
         sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 5.0)
@@ -326,20 +328,35 @@ class TestSolveSaddleBatch:
             alone = solve_saddle(lam2[b], lam2_bs[b], prof, power[b], budget[b])
             assert alone.rate == batch.rate[b]
             assert alone.iterations == batch.iterations[b]
-            assert np.array_equal(alone.pb_star.p, batch.pb[b])
+            assert np.array_equal(alone.pb, batch.pb[b])
+
+    def test_row_holds_the_values_of_its_row(self):
+        batch = solve_saddle_batch(*_grid((0.3, 0.9), (0, 1, 5)))
+        for b in range(len(batch.rate)):
+            row = batch.row(b)
+            for field in dataclasses.fields(batch):
+                assert np.array_equal(getattr(row, field.name), getattr(batch, field.name)[b])
 
     def test_iterations_is_an_int(self):
+        # a row's fields are numpy scalars: the benchmark tracer reads int(iterations)
         sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 5.0)
-        assert type(sol.iterations) is int and type(sol.rate) is float
+        assert isinstance(sol.iterations, numbers.Integral) and isinstance(sol.rate, float)
+        assert sol.p.shape == sol.pb.shape == (3,) and sol.converged
 
     @pytest.mark.parametrize("psis, ratios", [
         ((0.3, 0.6, 0.9), range(15)),
         (tuple(i / 10 for i in range(1, 10)), range(0, 15, 2)),
     ])
     def test_duality_gap_certifies_every_grid_point(self, psis, ratios):
-        batch = solve_saddle_batch(*_grid(psis, ratios))
+        # the pinned sweeps' grids: every row is certified, nonnegative, and spends
+        # both budgets to within 1e-9
+        lam2, lam2_bs, beta, power, budget = _grid(psis, ratios)
+        batch = solve_saddle_batch(lam2, lam2_bs, beta, power, budget)
         assert batch.converged.all()
         assert np.all(batch.gap >= -1e-11) and np.all(batch.gap <= 5e-9)
+        assert np.all(batch.p >= 0.0) and np.all(batch.pb >= 0.0)
+        assert np.all(np.abs(batch.p.sum(axis=-1) - power) <= 1e-9)
+        assert np.all(np.abs(batch.pb.sum(axis=-1) - budget) <= 1e-9)
 
     def test_gap_is_zero_without_interference(self):
         sol = solve_saddle(LAM2, LAM2_BS, unit_beta(), 5.0, 0.0)
@@ -350,15 +367,15 @@ class TestSolveSaddleBatch:
         monkeypatch.setattr(saddle, "ROOT_STEPS", 3)
         batch = solve_saddle_batch(*_grid((0.3,), (0, 1)))
         assert list(batch.converged) == [True, False]
-        assert batch.solution(0).iterations == 1
+        assert batch.row(0).iterations == 1
         with pytest.raises(ConvergenceError) as err:
-            batch.solution(1)
+            batch.row(1)
         assert err.value.iterations == 3
 
     def test_no_usable_link_mode_gives_zero_rate(self):
         sol = solve_saddle(np.zeros(3), np.zeros(3), unit_beta(0.0), 5.0, 10.0)
         assert sol.rate == 0.0
-        assert np.all(sol.p_star.p == 0.0)
+        assert np.all(sol.p == 0.0)
 
     @pytest.mark.parametrize("field", [0, 1, 2, 3, 4])
     def test_non_finite_input_rejected(self, field):
@@ -409,7 +426,7 @@ class TestSolveSaddleBatch:
         assert not batch.converged[0]
         with pytest.raises(ConvergenceError,
                            match=f"after 3 steps \\(duality gap {batch.gap[0]:.3e}\\)"):
-            batch.solution(0)
+            batch.row(0)
 
     def test_links_solve_as_their_worst_case_modes(self):
         links = [ScenarioConfig(psi=psi, sigma2_w=2.0) for psi in (0.3, 0.6)]
@@ -418,7 +435,7 @@ class TestSolveSaddleBatch:
         assert np.array_equal(lam2[1], 0.6 * np.square([0.9, 0.8, 0.7]))
         assert np.array_equal(beta[1], np.full(3, 0.6 * 2.0 + 1.0))
         alone = solve_saddle(lam2[1], lam2_bs[1], beta[1], 5.0, 5.0)
-        assert alone.rate == batch.rate[1] and np.array_equal(alone.pb_star.p, batch.pb[1])
+        assert alone.rate == batch.rate[1] and np.array_equal(alone.pb, batch.pb[1])
 
 
 def random_links(count, k=3, seed=1):

@@ -50,9 +50,9 @@ class TestSwiptDesign:
         assert np.real(np.trace(beam)) == pytest.approx(1.0, abs=1e-12)
         # the information covariance matches the interference-free optimum
         q = noise_only_covariance(hhat, beta, cfg.P)
-        alloc, _ = waterfill(beta / np.linalg.svd(hhat, compute_uv=False) ** 2, cfg.P)
+        powers, _ = waterfill(beta / np.linalg.svd(hhat, compute_uv=False) ** 2, cfg.P)
         eigs = np.sort(np.linalg.eigvalsh(q))[::-1]
-        assert np.allclose(eigs, np.sort(alloc.p)[::-1], atol=1e-9)
+        assert np.allclose(eigs, np.sort(powers)[::-1], atol=1e-9)
 
     def test_energy_beam_is_rank_one_full_power(self):
         _, _, h_bs, theta2, _, _ = setup_link(0.3)
@@ -66,9 +66,9 @@ class TestSwiptDesign:
         cfg, _, _, _, hhat, beta = setup_link(0.3)
         q = noise_only_covariance(hhat, beta, cfg.P)
         _, sigma, right_h = np.linalg.svd(hhat)
-        alloc, _ = waterfill(beta / sigma ** 2, cfg.P)
+        powers, _ = waterfill(beta / sigma ** 2, cfg.P)
         right = right_h.conj().T
-        expected = (right[:, :3] * alloc.p) @ right[:, :3].conj().T
+        expected = (right[:, :3] * powers) @ right[:, :3].conj().T
         assert np.allclose(q, expected, atol=1e-9)
 
     @pytest.mark.parametrize("psi", [0.3, 0.9, 1.0, (0.0, 0.5, 1.0)])
