@@ -90,11 +90,12 @@ def hermitian_eigh(a):
         a00, a11, a22 = m1 * m2 - (f * f.conj()).real, m0 * m2 - (e * e.conj()).real, \
             m0 * m1 - (d * d.conj()).real
         a10, a20, a21 = f.conj() * e - d * m2, d * f - m1 * e, d.conj() * e - m0 * f
-        g0, g1, g2 = np.abs(a00), np.abs(a11), np.abs(a22)
-        col0, col1 = (g0 >= g1) & (g0 >= g2), g1 >= g2
+        col0 = (np.abs(a00) >= np.abs(a11)) & (np.abs(a00) >= np.abs(a22))
+        col1 = np.abs(a11) >= np.abs(a22)
         v = np.stack([np.where(col0, a00, np.where(col1, a10.conj(), a20.conj())),
                       np.where(col0, a10, np.where(col1, a11, a21.conj())),
                       np.where(col0, a20, np.where(col1, a21, a22))])
+        del x, m0, m1, m2, d, e, f, a00, a11, a22, a10, a20, a21, col0, col1  # lower peak memory
         # the middle root's nearer neighbour: the others' cross product keeps that pair orthogonal
         pair_top = mu[1] > 0
         iso = np.where(pair_top, v[:, 0], v[:, 2])

@@ -9,15 +9,15 @@ TRIAL_CHUNK trials once with `ensemble_for` (which, like the kernel, refuses
 longer slices) and runs every requested `metric_samples_grid` call on it, into
 each request's (metrics, budgets, trials) rows, the only arrays that grow with
 the trial count. Every operation acts trial by trial: slicing changes no bit.
-The kernel runs one receiver structure at a time and forms each product linear in
-the BS budget once per slice, for every budget to scale: structure 1 its whitened
-received interference and delivered BS term, structure 2 its one interference term past
-the combiner, joint transfer its beam's delivered term lambda u u^H. Structure 1 shares
-each budget's scaled product between rate and energy. The formulas are kernels in
-`scenario` (the split channel), `rates`, `harvesting` and `transfer`. Eigenvalue reads (the
-structure-1 rate, every harvested power) go through `linalg.hermitian_eigvals`, eigenvector
-reads (the whitening among them) through `linalg.hermitian_eigh`: both solve 3 x 3 rows in
-closed form.
+The kernel runs one receiver structure at a time and forms each product linear in the BS
+budget once per slice (structure 1 its whitened interference and delivered BS term, structure
+2 its interference past the combiner, joint transfer its beam's delivered term lambda u u^H),
+then scales it by BUDGET_BLOCK budgets at a time on a leading axis, structure 1 sharing each
+block's products between rate and energy; a row's bits do not depend on its block. The formulas
+are kernels in `scenario` (the split channel), `rates`, `harvesting` and `transfer`. Eigenvalue
+reads (the structure-1 rate, every harvested power) go through `linalg.hermitian_eigvals`,
+eigenvector reads (the whitening among them) through `linalg.hermitian_eigh`: both solve
+3 x 3 rows in closed form.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -40,6 +40,7 @@ METRICS = ("rate-struct1", "rate-struct2", "energy-struct1",
 FAMILIES = (("rate-struct1", "energy-struct1"), ("rate-struct2", "energy-struct2"),
             ("energy-swipt",))
 TRIAL_CHUNK = 512  # trials per slice drawn and evaluated by sample_grids
+BUDGET_BLOCK = 3  # budgets per kernel call: fastest with peak RSS near one budget's (README)
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
@@ -174,9 +175,9 @@ def metric_samples(cfg, metric, pb_budget):
 def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
     """Per-trial values of each metric at each BS budget on `ens`, a slice of cfg's
     trials, shape (len(metrics), len(pb_budgets), len(ens.trials)), into `out` if given.
-    The metrics run one family (FAMILIES) after another; a family does its
-    budget-free work once and each budget's work once for all its metrics, and
-    every row runs exactly the operations of a single-metric, single-budget call."""
+    The metrics run one family (FAMILIES) after another; a family does its budget-free
+    work once, then each block of BUDGET_BLOCK budgets in one call per kernel for all its
+    metrics, and every row runs exactly the operations of a single-metric, single-budget call."""
     names = tuple(metrics)
     if len(set(names)) != len(names) or not set(names) <= set(METRICS):
         raise InvalidInputError(f"expected distinct metrics from {METRICS}, got {metrics!r}")
@@ -200,6 +201,12 @@ def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
     return out
 
 
+def _budget_blocks(budgets):
+    """(row slice, (block, 1, 1, 1) budgets) of each block of BUDGET_BLOCK budgets or fewer."""
+    return ((slice(b, b + BUDGET_BLOCK), np.reshape(budgets[b:b + BUDGET_BLOCK], (-1, 1, 1, 1)))
+            for b in range(0, len(budgets), BUDGET_BLOCK))
+
+
 def _structure1(cfg, ens, budgets, rows):
     """Split per antenna, treating interference as noise: T = Hhat^H ((pb/N) R + B)^-1 Hhat
     with R the received interference and B = diag(beta). The pencil (R, B) is diagonalised
@@ -221,7 +228,7 @@ def _structure1(cfg, ens, budgets, rows):
     if "energy-struct1" in rows:
         c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
 
-    for r, pb in enumerate(budgets):
+    for r, pb in _budget_blocks(budgets):
         scaled = white / np.sqrt(1.0 + pb * scales)
         t_mats = ch(scaled) @ scaled
         if "rate-struct1" in rows:
@@ -229,10 +236,10 @@ def _structure1(cfg, ens, budgets, rows):
             rows["rate-struct1"][r] = np.sum(
                 np.log2(1.0 + np.maximum(modes, 0.0) * mode_powers(modes, cfg.P)), axis=-1)
         if "energy-struct1" in rows:
-            _, g, powers = waterfilled_modes(t_mats, cfg.P)
-            c_sig = harvesting.delivered(1.0 - cfg.psi_vector, ens.h,
-                                         transmit_covariance(g, powers))
-            rows["energy-struct1"][r] = _harvested(cfg, c_sig, (pb / cfg.N) * c_gram)
+            q = transmit_covariance(*waterfilled_modes(t_mats, cfg.P)[1:])
+            rows["energy-struct1"][r] = _harvested(
+                cfg, harvesting.delivered(1.0 - cfg.psi_vector, ens.h, q), (pb / cfg.N) * c_gram)
+            del q  # before the next block's eigen-solve
 
 
 def _structure2(cfg, ens, budgets, rows):
@@ -242,8 +249,8 @@ def _structure2(cfg, ens, budgets, rows):
     gram = ens.user_dirs @ ch(ens.user_dirs)
     lam1sq, u1 = transfer.combiner(ens.h)
     unit = transfer.combined_interference(u1, ens.h_bs @ gram @ ch(ens.h_bs))
-    for r, pb in enumerate(budgets):
-        interference = (pb / cfg.N) * unit
+    for r, pb in _budget_blocks(budgets):
+        interference = (pb[..., 0, 0] / cfg.N) * unit
         if "rate-struct2" in rows:
             rows["rate-struct2"][r] = transfer.combined_rate(
                 lam1sq, interference, psi, cfg.sigma2_w, cfg.sigma2_n, cfg.P)
@@ -262,7 +269,7 @@ def _swipt(cfg, ens, budgets, rows):
     _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
     c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
     c_beam = lam[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
-    for r, pb in enumerate(budgets):
+    for r, pb in _budget_blocks(budgets):
         rows["energy-swipt"][r] = _harvested(cfg, c_sig, pb * c_beam)
 
 

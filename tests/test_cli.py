@@ -222,7 +222,7 @@ class TestRunSweep:
         expected = (REFERENCE / f"default-sweep-seed{seed}.csv").read_text(encoding="utf-8")
         assert cli.run_sweep(cli.SweepConfig(ScenarioConfig(seed=seed))) == expected
 
-    def test_one_grid_call_per_psi_and_family(self, monkeypatch):
+    def test_one_grid_call_per_psi_per_slice(self, monkeypatch):
         # in each slice of trials, one kernel call per psi holding every metric (the
         # kernel runs the structure families in turn); no Monte-Carlo tag, no draw
         calls, kernel = [], montecarlo.metric_samples_grid

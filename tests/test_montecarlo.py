@@ -525,12 +525,17 @@ class TestEigenSolves:
     leave LAPACK few rows."""
 
     @staticmethod
+    def matrices(a):
+        """The matrices in a stack of any number of leading axes (a budget block's too)."""
+        return int(np.prod(np.shape(a)[:-2]))
+
+    @staticmethod
     def count_eigh(monkeypatch):
         """Record the rows of each `hermitian_eigh` call, under every name it is bound to."""
         eigh, rows = linalg.hermitian_eigh, []
 
         def counted(a):
-            rows.append(len(a))
+            rows.append(TestEigenSolves.matrices(a))
             return eigh(a)
 
         for module in (linalg, harvesting, rates, transfer, montecarlo):
@@ -566,7 +571,8 @@ class TestEigenSolves:
             assert sum(rows) == (len(pbs) + 4) * len(ens.trials)  # per budget, and 4 once
             shares.append(sum(lapack) / sum(rows))
 
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(len(a)) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: lapack.append(self.matrices(a)) or eigh(a))
         monkeypatch.setattr(montecarlo, "metric_samples_grid", per_slice)
         sample_grids([(cfg, metrics, budgets)])
         assert len(shares) == 2 and max(shares) < 0.05
@@ -576,9 +582,10 @@ class TestEigenSolves:
         # and every structure-1 T matrix is a zero row, which the kernels answer alone
         cfg = ScenarioConfig(psi=0.0, trials=TRIAL_CHUNK + 3)
         eigh, eigvalsh, lapack = np.linalg.eigh, np.linalg.eigvalsh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(len(a)) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: lapack.append(self.matrices(a)) or eigh(a))
         monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: lapack.append(len(a)) or eigvalsh(a))
+                            lambda a: lapack.append(self.matrices(a)) or eigvalsh(a))
         rows = self.count_eigh(monkeypatch)
         # at Pb > 0; at Pb = 0 the energy branch reads sigma2_w I, a triple root
         samples, = sample_grids([(cfg, ("rate-struct1", "energy-struct1", "rate-struct2"),
@@ -598,7 +605,8 @@ class TestEigenSolves:
             kernel(cfg, names, pbs, ens, out=out)
             shares.append(sum(rows) / (len(names) * len(pbs) * len(ens.trials)))
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: rows.append(self.matrices(a)) or eigvalsh(a))
         monkeypatch.setattr(montecarlo, "metric_samples_grid", per_slice)
         sample_grids([(cfg, metrics, budgets)])
         assert len(shares) == 2 and max(shares) < 0.05
@@ -707,6 +715,46 @@ class TestTrialChunks:
                                       ratio_grid=(1.0, 7.0, 14.0)))
         assert all(len(drawn) <= TRIAL_CHUNK for drawn in draws)
         assert [t for drawn in draws for t in drawn] == list(range(trials))
+
+
+class TestBudgetBlocks:
+    """metric_samples_grid takes BUDGET_BLOCK budgets per kernel call; every row runs
+    the same elementwise operations, so the blocking changes no bit."""
+
+    BUDGETS = (12.5, 0.0, 1.0, 35.0, 1e6, 5.0, 1e20)
+
+    @pytest.mark.parametrize("cfg", [
+        reference_scenario(0.6, trials=9, seed=13),
+        reference_scenario(0.0, trials=9, seed=13),
+        reference_scenario(1.0, trials=9, seed=13),
+        ScenarioConfig(K=2, M=3, N=4, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
+                       psi=(0.4, 0.4), trials=9, seed=9),
+        ScenarioConfig(K=3, M=3, N=5, psi=(0.2, 0.5, 0.8), trials=9, seed=3),
+        ScenarioConfig(sigma_bs=(0.8, 0.5, 0.0), psi=0.3, trials=9, seed=5),
+    ], ids=["psi0.6", "psi0", "psi1", "K<M", "per-antenna", "rank-deficient"])
+    @pytest.mark.parametrize("block", [2, 3, len(BUDGETS) + 1])
+    def test_samples_do_not_depend_on_the_block(self, cfg, block, monkeypatch):
+        metrics = METRICS if len(set(cfg.psi)) == 1 else \
+            tuple(metric for metric in METRICS if metric not in FAMILIES[1])
+        ens = ensemble_for(cfg)
+        monkeypatch.setattr(montecarlo, "BUDGET_BLOCK", 1)
+        single = metric_samples_grid(cfg, metrics, self.BUDGETS, ens)
+        monkeypatch.setattr(montecarlo, "BUDGET_BLOCK", block)
+        grid = metric_samples_grid(cfg, metrics, self.BUDGETS, ens)
+        assert grid.tobytes() == single.tobytes()
+
+    def test_transient_memory_does_not_grow_with_budgets(self):
+        # beyond its output rows, the kernel holds one block of budgets' working
+        # memory at a time, however many budgets a slice is asked for
+        cfg = reference_scenario(0.3, trials=TRIAL_CHUNK, seed=42)
+        ens = ensemble_for(cfg)
+        metric_samples_grid(cfg, METRICS, (1.0, 5.0), ens)  # first-call allocations
+        extra = []
+        for count in (4, 60):
+            budgets = np.linspace(0.0, 70.0, count)
+            out, peak = TestTrialChunks.traced(metric_samples_grid, cfg, METRICS, budgets, ens)
+            extra.append(peak - out.nbytes)
+        assert extra[1] - extra[0] < 0.5 * 2 ** 20, extra
 
 
 class TestMcResult:
