@@ -1,7 +1,8 @@
 """Acceptance checks: pinned reference values, oracle equivalences, orderings.
 
-Each criterion takes the battery's SharedInputs and returns a CheckResult;
-`run_all` builds the inputs once and drives the full battery.
+Each criterion takes the battery's `cli.SweepResult` and returns a CheckResult;
+`run_all` builds that result once with `cli.sweep`, the code that makes every CSV
+row, and drives the full battery.
 Reference curve values are regression anchors for the baseline setup
 (K = M = 3, N = 5, unit noise variances, P = 5, seed 42).
 """
@@ -10,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import montecarlo, rates, saddle
+from . import cli, montecarlo, rates, saddle
 from .harvesting import to_db
 from .rates import LN2
 from .scenario import equivalent_channel, reference_scenario
 
-RATIO_GRID = tuple(range(15))
+RATIO_GRID = cli.SweepConfig.ratio_grid  # 0 to 14
 RATE_PSIS = (0.3, 0.6, 0.9)
 ENERGY_PSIS = (0.3, 0.6)
 
@@ -37,40 +38,13 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class SharedInputs:
-    """What every criterion reads, built once by `run_all`. Criteria 9 and 10 read
-    only the seed, so run alone they can take empty tables."""
-
-    trials: int
-    seed: int
-    samples: dict    # (psi, metric) -> per-trial samples per budget (`sample_table`)
-    solutions: dict  # (psi, ratio) -> saddle point, a SaddleBatch row (`saddle_table`)
-
-
-def sample_table(trials, seed):
-    """Per-trial samples of every metric criteria 3-8 read, all on one draw, so rows of
-    different metrics are paired: one request per psi over RATIO_GRID, and one per energy
-    psi for `energy-struct2`, which criterion 4 reads at Pb = 0 only."""
-    requests = []
-    for psi in RATE_PSIS:
-        cfg = reference_scenario(psi, trials=trials, seed=seed)
-        energies = ("energy-struct1", "energy-swipt") if psi in ENERGY_PSIS else ()
-        requests.append((cfg, ("rate-struct1", "rate-struct2") + energies,
-                         [ratio * cfg.P for ratio in RATIO_GRID]))
-        if energies:
-            requests.append((cfg, ("energy-struct2",), [0.0]))
-    grids = montecarlo.sample_grids(requests)
-    return {(cfg.psi[0], metric): rows for (cfg, metrics, _), grid in zip(requests, grids)
-            for metric, rows in zip(metrics, grid)}
-
-
-def saddle_table():
-    """Saddle points (SaddleBatch rows) of every (psi, ratio) in RATE_PSIS x RATIO_GRID."""
-    points = [(psi, ratio) for psi in RATE_PSIS for ratio in RATIO_GRID]
-    links = [reference_scenario(psi) for psi, _ in points]
-    batch = saddle.solve_links(links, [ratio * link.P for link, (_, ratio) in zip(links, points)])
-    return {point: batch.row(b) for b, point in enumerate(points)}
+def sweep_configs(trials, seed):
+    """The sweep the battery reads, on one link: every scenario at ENERGY_PSIS, and the
+    worst-case and both average rates at the other RATE_PSIS, over RATIO_GRID."""
+    link = reference_scenario(trials=trials, seed=seed)
+    rest = tuple(psi for psi in RATE_PSIS if psi not in ENERGY_PSIS)
+    return (cli.SweepConfig(link, ENERGY_PSIS, RATIO_GRID, cli.SCENARIOS),
+            cli.SweepConfig(link, rest, RATIO_GRID, ("worst-case", "average", "structure2")))
 
 
 def criterion_1(shared):
@@ -122,11 +96,10 @@ def saddle_certificate(lam2, lam2_bs, beta, p_budget, pb_budget, sol, rng,
 
 
 def _endpoint_check(criterion, name, anchors, metric, shared, tol, unit=""):
-    """`metric` at Pb = 0 against anchors {psi: value}: trial 0 of the sample table's
-    Pb = 0 row, the first of every metric (RATIO_GRID starts at 0, and `energy-struct2`
-    has no other). With no BS power and a uniform split the metric sees only the
-    singular values, which all trials share. Energies (unit " dB") compare in dB
-    to 4 decimals, rates to 6."""
+    """`metric` at Pb = 0 against anchors {psi: value}: trial 0 of the sweep's Pb = 0
+    row, the first of every metric (RATIO_GRID starts at 0). With no BS power and a
+    uniform split the metric sees only the singular values, which all trials share.
+    Energies (unit " dB") compare in dB to 4 decimals, rates to 6."""
     lines, ok, spec = [], True, ".4f" if unit else ".6f"
     for psi, expected in anchors.items():
         got = shared.samples[psi, metric][0, 0]
@@ -349,8 +322,6 @@ def criterion_9(shared):
 
 def criterion_10(shared):
     """Byte-identical reruns of a sweep with a fixed seed."""
-    from . import cli
-
     sweep_cfg = cli.SweepConfig(
         reference_scenario(trials=50, seed=shared.seed), psis=(0.3,),
         ratio_grid=(0.0, 3.0, 7.0), scenarios=("worst-case", "average", "swipt", "structure2"))
@@ -366,7 +337,7 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(trials=2000, seed=42):
-    """Every criterion in order, each reading the one SharedInputs built here: the
-    Monte-Carlo sample table (criteria 3-8) and the saddle batch (1, 2 and 8)."""
-    shared = SharedInputs(trials, seed, sample_table(trials, seed), saddle_table())
+    """Every criterion in order, each reading the one `cli.sweep` result of
+    `sweep_configs` built here: its samples (criteria 3-8) and saddle points (1, 2 and 8)."""
+    shared = cli.sweep(sweep_configs(trials, seed))
     return [check(shared) for check in ALL_CRITERIA]

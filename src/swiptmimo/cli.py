@@ -174,53 +174,74 @@ def _fmt(value):
     return format(value, ".9g")
 
 
-def _worst_case_points(cfg, points):
-    """Saddle rates of the (psi, ratio) points, solved as one batch, in order.
+@dataclass(frozen=True)
+class SweepResult:
+    """What `sweep` computed: the trial count and seed of its one draw, and its points."""
 
-    Raises SweepFailure for the first point, in order, that did not converge.
-    """
-    links = {psi: cfg.scenario_for(psi) for psi in cfg.psis}
-    batch = saddle.solve_links([links[psi] for psi, _ in points],
-                               [ratio * cfg.link.P for _, ratio in points])
-    for b, (psi_b, ratio_b) in enumerate(points):
-        try:
-            yield batch.row(b).rate, None
-        except ConvergenceError as exc:
-            raise SweepFailure("worst-case", psi_b, ratio_b, exc) from exc
+    trials: int
+    seed: int
+    samples: dict    # (psi, metric) -> (ratios, T) per-trial samples, ratios ascending
+    solutions: dict  # (psi, ratio) -> saddle point, a SaddleBatch row
 
 
-def _monte_carlo_points(cfg, tags):
-    """{tag: mean and stderr (in dB for energy tags) of each sweep point, in order},
-    from one request per psi holding every tag's metric, all on one draw; no tag, no draw."""
-    tags = sorted(tags)
-    budgets = [ratio * cfg.link.P for ratio in sorted(cfg.ratio_grid)]
-    metrics = tuple(SCENARIO_METRICS[tag] for tag in tags)
-    grids = montecarlo.sample_grids([(cfg.scenario_for(psi), metrics, budgets)
-                                     for psi in sorted(cfg.psis) if tags])
-    values = {tag: [] for tag in tags}
-    for grid in grids:  # psi-major order
-        for tag, results in zip(tags, grid):
-            values[tag] += [res.db() if tag in ENERGY_SCENARIOS else (res.mean, res.stderr)
-                            for res in map(montecarlo.McResult.from_samples, results)]
-    return values
+def sweep(configs):
+    """Every point of SweepConfigs that share a link (`sample_grids`' rule) and no psi,
+    on one draw: one `sample_grids` request per psi holding its config's Monte-Carlo
+    metrics over its whole ratio grid (none if it has none), and one `solve_links` batch
+    of every worst-case point. Raises SweepFailure for the first worst-case point, in
+    row order, that did not converge."""
+    psis = [psi for cfg in configs for psi in set(cfg.psis)]
+    if len(set(psis)) < len(psis):
+        raise InvalidInputError("a psi appears in two sweep configs", ("psi",))
+    requests, keys, points = [], [], []
+    for cfg in configs:
+        ratios = sorted(cfg.ratio_grid)
+        metrics = tuple(SCENARIO_METRICS[tag]
+                        for tag in sorted(set(cfg.scenarios) & set(SCENARIO_METRICS)))
+        for psi in sorted(cfg.psis):
+            link = cfg.scenario_for(psi)
+            if metrics:
+                requests.append((link, metrics, [ratio * link.P for ratio in ratios]))
+                keys += [(psi, metric) for metric in metrics]
+            if "worst-case" in cfg.scenarios:
+                points += [(link, psi, ratio) for ratio in ratios]
+    grids = montecarlo.sample_grids(requests)
+    samples = dict(zip(keys, (rows for grid in grids for rows in grid)))
+    solutions = {}
+    if points:
+        batch = saddle.solve_links([link for link, _, _ in points],
+                                   [ratio * link.P for link, _, ratio in points])
+        for b, (_, psi, ratio) in enumerate(points):
+            try:
+                solutions[psi, ratio] = batch.row(b)
+            except ConvergenceError as exc:
+                raise SweepFailure("worst-case", psi, ratio, exc) from exc
+    return SweepResult(configs[0].trials, configs[0].seed, samples, solutions)
 
 
 def run_sweep(cfg):
-    """Evaluate every (scenario, psi, ratio) point and render the CSV text."""
-    rows = []
-    points = [(psi, ratio) for psi in sorted(cfg.psis) for ratio in sorted(cfg.ratio_grid)]
-    mc_values = _monte_carlo_points(cfg, set(cfg.scenarios) & set(SCENARIO_METRICS))
+    """Evaluate every (scenario, psi, ratio) point with `sweep` and render the CSV text:
+    worst-case rows with the saddle rate, the others with the mean and stderr of their
+    samples (in dB for energy tags)."""
+    result, rows = sweep([cfg]), []
+    ratios = sorted(cfg.ratio_grid)
     for tag in sorted(cfg.scenarios):
-        values = _worst_case_points(cfg, points) if tag == "worst-case" else mc_values[tag]
-        for (psi, ratio), (value, stderr) in zip(points, values):
-            stderr_text = "" if stderr is None else _fmt(stderr)
-            rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")
+        for psi in sorted(cfg.psis):
+            if tag == "worst-case":
+                values = [(result.solutions[psi, ratio].rate, None) for ratio in ratios]
+            else:
+                values = [res.db() if tag in ENERGY_SCENARIOS else (res.mean, res.stderr)
+                          for res in map(montecarlo.McResult.from_samples,
+                                         result.samples[psi, SCENARIO_METRICS[tag]])]
+            for ratio, (value, stderr) in zip(ratios, values):
+                stderr_text = "" if stderr is None else _fmt(stderr)
+                rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")
     return "\n".join([CSV_HEADER] + rows) + "\n"
 
 
 def verify_anchors(trials=2000, seed=42, out=None):
     """Run every acceptance check and print a pass/fail table."""
-    from . import acceptance
+    from . import acceptance  # here, not at the top: acceptance imports cli
 
     out = sys.stdout if out is None else out
     results = acceptance.run_all(trials=trials, seed=seed)

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swiptmimo import acceptance, montecarlo, saddle
+from swiptmimo import acceptance, cli, montecarlo, saddle
 from swiptmimo.rates import waterfill
 from swiptmimo.scenario import reference_scenario
 
@@ -28,14 +28,19 @@ def report(result):
 
 @pytest.fixture(scope="module")
 def shared():
-    """The sample table and saddle batch `run_all` builds, built once for this module."""
-    return acceptance.SharedInputs(TRIALS, SEED, acceptance.sample_table(TRIALS, SEED),
-                                   acceptance.saddle_table())
+    """The sweep result `run_all` builds, built once for this module."""
+    return cli.sweep(acceptance.sweep_configs(TRIALS, SEED))
 
 
 def alone(seed=SEED):
-    """The SharedInputs of a criterion that reads no table (9 and 10)."""
-    return acceptance.SharedInputs(TRIALS, seed, {}, {})
+    """The sweep result of a criterion that reads no point (9 and 10)."""
+    return cli.SweepResult(TRIALS, seed, {}, {})
+
+
+def saddle_points():
+    """The saddle points of the battery's psi = 0.3 row, by ratio."""
+    cfg = cli.SweepConfig(reference_scenario(), (0.3,), acceptance.RATIO_GRID, ("worst-case",))
+    return {ratio: sol for (_, ratio), sol in cli.sweep([cfg]).solutions.items()}
 
 
 def test_criterion_1_worst_case_endpoints(shared):
@@ -52,11 +57,11 @@ def test_criterion_2_saddle_certificate_alone():
     cfg = reference_scenario(0.3)
     lam2, lam2_bs, beta = cfg.modes()
     rng = np.random.default_rng(SEED)
-    table = acceptance.saddle_table()
+    table = saddle_points()
     ok = True
     for ratio in acceptance.WC_CURVE_03:
         ok &= acceptance.saddle_certificate(lam2, lam2_bs, beta, cfg.P, ratio * cfg.P,
-                                            table[0.3, ratio], rng)
+                                            table[ratio], rng)
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 2 (certificate half)")
     assert ok
 
@@ -68,7 +73,7 @@ def test_saddle_certificate_refuses_an_even_split(player):
     lam2, lam2_bs, beta = cfg.modes()
     ratio = 5
     budget = cfg.P if player == "p" else ratio * cfg.P
-    sol = acceptance.saddle_table()[0.3, ratio]
+    sol = saddle_points()[ratio]
     even = np.full(len(lam2), budget / len(lam2))
     assert acceptance.saddle_certificate(lam2, lam2_bs, beta, cfg.P, ratio * cfg.P,
                                          sol, np.random.default_rng(SEED))
@@ -101,7 +106,8 @@ ENDPOINT_ROWS = [("rate-struct2", acceptance.S2_RATE_ENDPOINTS),
 def test_endpoint_rows_read_the_same_on_every_trial(shared, seed):
     # criteria 3-5 read trial 0 of each Pb = 0 row, every metric's first: the premise
     # is that the row depends only on the channel's singular values, which every trial shares
-    samples = shared.samples if seed == SEED else acceptance.sample_table(TRIALS, seed)
+    samples = shared.samples if seed == SEED else \
+        cli.sweep(acceptance.sweep_configs(TRIALS, seed)).samples
     for metric, anchors in ENDPOINT_ROWS:
         for psi in anchors:
             row = samples[psi, metric][0]
@@ -135,8 +141,8 @@ def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
     monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 16)
     results = acceptance.run_all(trials=60, seed=SEED)
     assert [res.criterion for res in results] == list(range(1, 11))
-    # each trial is drawn exactly once, slice after slice, for the sample table
-    # that criteria 3-8 share, for criterion 9's one channel pair and for each of
+    # each trial is drawn exactly once, slice after slice, for the sweep result
+    # that criteria 1-8 share, for criterion 9's one channel pair and for each of
     # criterion 10's two T = 50 sweeps
     assert all(len(trials) <= 16 for trials in draws)
     assert [t for trials in draws for t in trials] == [*range(60), 0, *range(50), *range(50)]
@@ -163,19 +169,52 @@ def recorded_run():
     return results, grids, batches
 
 
-def test_run_all_builds_the_shared_inputs_once(recorded_run):
+def test_run_all_builds_one_sweep_result(recorded_run):
     _, grids, batches = recorded_run
-    # criteria 3-8: one call per psi over the whole ratio grid, and criterion 4's
-    # structure-2 energy at Pb = 0 alone; then criterion 10's two T = 50 sweeps, one
-    # call each for all their metrics
-    rates = ("rate-struct1", "rate-struct2")
-    energies = ("energy-struct1", "energy-swipt")
-    assert grids[:5] == [(0.3, rates + energies, 15), (0.3, ("energy-struct2",), 1),
-                         (0.6, rates + energies, 15), (0.6, ("energy-struct2",), 1),
-                         (0.9, rates, 15)]
-    assert grids[5:] == [(0.3, ("rate-struct1", "rate-struct2", "energy-swipt"), 3)] * 2
+    # criteria 3-8: one call per psi over the whole ratio grid, holding all five
+    # metrics at psi 0.3 and 0.6 and both rates at 0.9; then criterion 10's two T = 50
+    # sweeps, one call each for all their metrics
+    every = ("rate-struct1", "energy-struct1", "energy-struct2", "rate-struct2",
+             "energy-swipt")
+    assert grids[:3] == [(0.3, every, 15), (0.6, every, 15),
+                         (0.9, ("rate-struct1", "rate-struct2"), 15)]
+    assert grids[3:] == [(0.3, ("rate-struct1", "rate-struct2", "energy-swipt"), 3)] * 2
     # criteria 1, 2 and 8: one 45-point batch; then criterion 10's worst-case rows
     assert batches == [45, 3, 3]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_run_all_reads_the_rows_run_sweep_prints(seed):
+    # every row the default sweep prints at this seed and T, but swipt at psi 0.9, which
+    # the battery does not request, equals the row made from the result run_all reads
+    built, sweep = [], cli.sweep
+
+    def recording(configs):
+        built.append(sweep(configs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "sweep", recording)
+        acceptance.run_all(100, seed)
+    shared = built[0]  # criterion 10's own sweeps follow
+    metric = cli.SCENARIO_METRICS
+    csv = cli.run_sweep(cli.parse_config(text=f"trials = 100\nseed = {seed}\n"))
+    checked = 0
+    for line in csv.splitlines()[1:]:
+        ratio, tag, psi, value, stderr = line.split(",")
+        ratio, psi = float(ratio), float(psi)
+        if tag == "worst-case":
+            made = cli._fmt(shared.solutions[psi, ratio].rate), ""
+        elif (psi, metric[tag]) in shared.samples:
+            res = montecarlo.McResult.from_samples(
+                shared.samples[psi, metric[tag]][acceptance.RATIO_GRID.index(ratio)])
+            made = tuple(map(cli._fmt, res.db() if tag == "swipt" else (res.mean, res.stderr)))
+        else:
+            assert (tag, psi) == ("swipt", 0.9)
+            continue
+        assert made == (value, stderr), line
+        checked += 1
+    assert checked == 3 * 3 * 15 + 2 * 15  # worst-case, average, structure2; swipt at 2 psi
 
 
 def test_criterion_9_oracle_equivalences():

@@ -251,6 +251,12 @@ class TestRunSweep:
         cli.run_sweep(self.small_config(scenarios=("worst-case",), psis=(0.6, 0.3), trials=5))
         assert draws == [] and len(calls) == 6
 
+    def test_sweep_refuses_a_psi_in_two_configs(self):
+        # a (psi, metric) or (psi, ratio) key names one point of one config
+        cfg = self.small_config(psis=(0.3, 0.6), trials=4)
+        with pytest.raises(InvalidInputError, match="psi appears in two sweep configs"):
+            cli.sweep([cfg, self.small_config(psis=(0.9, 0.6), trials=4)])
+
     def test_repeated_scenario_repeats_its_rows(self):
         once = cli.run_sweep(self.small_config(scenarios=("average", "swipt"), trials=4))
         twice = cli.run_sweep(self.small_config(
@@ -542,6 +548,15 @@ class TestMainEntry:
         cfg_path = write(tmp_path, "psi = [0.3]\nscenarios = [worst-case]\n")
         assert cli.main(["--config", cfg_path]) == cli.EXIT_CONVERGENCE
         assert "ratio=1.0" in capsys.readouterr().err
+
+    def test_verify_convergence_failure_exit_code(self, capsys, monkeypatch):
+        # the battery's saddle points are a sweep's, so they fail the same way
+        monkeypatch.setattr(saddle, "ROOT_STEPS", 3)  # ratio 1 takes 7 root steps
+        assert cli.main(["--verify", "--trials", "20"]) == cli.EXIT_CONVERGENCE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: convergence failure in scenario 'worst-case' "
+                              "(psi=0.3, ratio=1.0)")
 
     def test_former_gap_failure_link_exits_ok(self, tmp_path, capsys):
         # damped best responses stalled on this link with a duality gap of 1.06e-3;
