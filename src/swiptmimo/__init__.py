@@ -4,8 +4,7 @@ splits power between information detection and RF energy harvesting."""
 from .errors import (ConfigError, ConvergenceError, InvalidInputError,
                      NumericalError, UnsupportedConfigError)
 from .harvesting import delivered, harvested_power, steering, top_eigpair
-from .montecarlo import (McResult, average_metric, ensemble_for, metric_samples,
-                         metric_samples_grid, sample_grids)
+from .montecarlo import McResult, average_metric, ensemble_for, metric_samples, sample_grids
 from .rates import (tin_rate_global, transmit_covariance, waterfill, waterfilled_modes,
                     worst_case_rate)
 from .saddle import (SaddleBatch, bs_best_response, p2p_best_response, solve_links,
@@ -20,8 +19,7 @@ __all__ = [
     "ConfigError", "ConvergenceError", "InvalidInputError", "NumericalError",
     "UnsupportedConfigError",
     "delivered", "harvested_power", "steering", "top_eigpair",
-    "McResult", "average_metric", "ensemble_for", "metric_samples",
-    "metric_samples_grid", "sample_grids",
+    "McResult", "average_metric", "ensemble_for", "metric_samples", "sample_grids",
     "tin_rate_global", "transmit_covariance", "waterfill", "waterfilled_modes",
     "worst_case_rate",
     "SaddleBatch", "bs_best_response", "p2p_best_response",

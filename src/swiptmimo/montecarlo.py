@@ -4,11 +4,11 @@ Trial t draws from np.random.default_rng(SeedSequence((seed, t))), so trials are
 independent and order-free, and identical (seed, trials) reproduce bit-identical
 results however the work is scheduled; `seed_states` computes those seeds for a
 slice in one uint32 array pass, set trial by trial on one reused PCG64. Nothing is
-cached. `sample_grids` owns the one loop over trials: it draws each slice of
-TRIAL_CHUNK trials once with `ensemble_for` (which, like the kernel, refuses
-longer slices) and runs every requested `metric_samples_grid` call on it, into
-each request's (metrics, budgets, trials) rows, the only arrays that grow with
-the trial count. Every operation acts trial by trial: slicing changes no bit.
+cached. `sample_grids` is the one entry into the grid kernel: it checks every
+request, then draws each slice of TRIAL_CHUNK trials once with `ensemble_for` (which
+refuses longer slices) and runs every request's kernel on it, into the request's
+(metrics, budgets, trials) rows, the only arrays that grow with the trial count.
+Every operation acts trial by trial: slicing changes no bit.
 The kernel runs one receiver structure at a time and forms each product linear in the BS
 budget once per slice (structure 1 its whitened interference and delivered BS term, structure
 2 its interference past the combiner, joint transfer its beam's delivered term lambda u u^H),
@@ -101,7 +101,6 @@ def seed_states(seed, trials):
 class TrialEnsemble:
     """Stacked channels and BS user beam directions of some trials of a seed."""
 
-    seed: int
     trials: range        # the trial indices drawn, T of them
     h: np.ndarray        # (T, K, M)
     h_bs: np.ndarray     # (T, K, N)
@@ -140,7 +139,7 @@ def ensemble_for(cfg, start=0, stop=None):
         for re, im, d in zip(blocks[::2], blocks[1::2], dims))
     # only the first K columns of a right factor meet the K x K diagonal: a reduced QR
     ens = TrialEnsemble(
-        cfg.seed, range(start, stop),
+        range(start, stop),
         haar_from_gaussian(z_left) @ np.diag(cfg.sigma_p2p)
         @ ch(haar_from_gaussian(z_right[..., :k])),
         haar_from_gaussian(z_bs_left) @ np.diag(cfg.sigma_bs)
@@ -152,17 +151,28 @@ def ensemble_for(cfg, start=0, stop=None):
 
 
 def sample_grids(requests):
-    """`metric_samples_grid` of each (cfg, metrics, pb_budgets) request over all trials
-    of its cfg; each TRIAL_CHUNK slice is drawn once for all, so all share one draw."""
+    """Per-trial values of each (cfg, metrics, pb_budgets) request over all its cfg's
+    trials, as a (metrics, budgets, trials) grid. Every request is checked before the
+    first draw, and each TRIAL_CHUNK slice is drawn once for all: all share one draw."""
     keys = {(c.seed, c.trials, c.K, c.M, c.N, c.sigma_p2p, c.sigma_bs) for c, _, _ in requests}
     if len(keys) > 1:
         raise InvalidInputError("requests must share seed, trials, K, M, N and profiles")
+    checked = []
+    for cfg, metrics, pb_budgets in requests:
+        names, budgets = tuple(metrics), [float(pb) for pb in pb_budgets]
+        if len(set(names)) != len(names) or not set(names) <= set(METRICS):
+            raise InvalidInputError(f"expected distinct metrics from {METRICS}, got {metrics!r}")
+        if not all(0.0 <= pb <= MAX_BUDGET for pb in budgets):
+            raise InvalidInputError(f"BS power budget must lie in [0, {MAX_BUDGET:g}]")
+        if set(names) & set(FAMILIES[1]) and len(set(cfg.psi)) > 1:
+            raise UnsupportedConfigError("structure-2 metrics require a uniform split ratio")
+        checked.append((cfg, names, budgets))
     trials = requests[0][0].trials if requests else 0
-    grids = [np.empty((len(names), len(pbs), trials)) for _, names, pbs in requests]
+    grids = [np.empty((len(names), len(pbs), trials)) for _, names, pbs in checked]
     for t0 in range(0, trials, TRIAL_CHUNK):
         ens = ensemble_for(requests[0][0], t0, min(t0 + TRIAL_CHUNK, trials))
-        for (cfg, names, pbs), grid in zip(requests, grids):
-            metric_samples_grid(cfg, names, pbs, ens, out=grid[..., t0:t0 + TRIAL_CHUNK])
+        for (cfg, names, pbs), grid in zip(checked, grids):
+            _slice_rows(cfg, names, pbs, ens, grid[..., t0:t0 + TRIAL_CHUNK])
     return grids
 
 
@@ -172,33 +182,16 @@ def metric_samples(cfg, metric, pb_budget):
     return sample_grids([(cfg, (metric,), (pb_budget,))])[0][0, 0]
 
 
-def metric_samples_grid(cfg, metrics, pb_budgets, ens, out=None):
-    """Per-trial values of each metric at each BS budget on `ens`, a slice of cfg's
-    trials, shape (len(metrics), len(pb_budgets), len(ens.trials)), into `out` if given.
-    The metrics run one family (FAMILIES) after another; a family does its budget-free
-    work once, then each block of BUDGET_BLOCK budgets in one call per kernel for all its
-    metrics, and every row runs exactly the operations of a single-metric, single-budget call."""
-    names = tuple(metrics)
-    if len(set(names)) != len(names) or not set(names) <= set(METRICS):
-        raise InvalidInputError(f"expected distinct metrics from {METRICS}, got {metrics!r}")
-    budgets = [float(pb) for pb in pb_budgets]
-    if not all(0.0 <= pb <= MAX_BUDGET for pb in budgets):
-        raise InvalidInputError(f"BS power budget must lie in [0, {MAX_BUDGET:g}]")
-    t, k, m, n = len(ens.trials), cfg.K, cfg.M, cfg.N
-    shapes = (ens.h.shape, ens.h_bs.shape, ens.user_dirs.shape)
-    if (ens.seed != cfg.seed or not 0 <= ens.trials.start < ens.trials.stop <= cfg.trials
-            or t > TRIAL_CHUNK or shapes != ((t, k, m), (t, k, n), (t, n, n))):
-        raise InvalidInputError(f"ensemble of seed {ens.seed}, {ens.trials} is no slice of "
-                                f"seed={cfg.seed}, trials={cfg.trials}, K={k}, M={m}, N={n}")
-    if set(names) & set(FAMILIES[1]) and len(set(cfg.psi)) > 1:
-        raise UnsupportedConfigError("structure-2 metrics require a uniform split ratio")
-
-    out = np.empty((len(names), len(budgets), t)) if out is None else out
+def _slice_rows(cfg, names, budgets, ens, out):
+    """Write each metric's rows at each BS budget on the slice `ens` into `out`, shape
+    (len(names), len(budgets), len(ens.trials)). The metrics run one family (FAMILIES)
+    after another; a family does its budget-free work once, then each block of
+    BUDGET_BLOCK budgets in one call per kernel for all its metrics, and every row runs
+    exactly the operations of a single-metric, single-budget call."""
     for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
         rows = {metric: out[names.index(metric)] for metric in family if metric in names}
         if rows:
             run(cfg, ens, budgets, rows)
-    return out
 
 
 def _budget_blocks(budgets):

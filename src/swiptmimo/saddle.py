@@ -37,8 +37,6 @@ class SaddleBatch:
 
     p: np.ndarray
     pb: np.ndarray
-    total_power: np.ndarray
-    pb_budget: np.ndarray
     rate: np.ndarray
     iterations: np.ndarray
     gap: np.ndarray
@@ -59,20 +57,23 @@ def p2p_best_response(lambda2, lambda2_bs, p_bs, beta, total_power):
     """Water-filling response of the link to interferer powers, per row.
 
     Modes with zero gain get nothing, so a row with no usable mode gets the
-    all-zero allocation.
+    all-zero allocation. The gains must be finite and nonnegative; `p_bs` may be a
+    solver's iterate, so it is not checked.
     """
-    lambda2, lambda2_bs, p_bs = (np.asarray(x, dtype=float) for x in (lambda2, lambda2_bs, p_bs))
-    if not np.all(np.isfinite(total_power) & (np.asarray(total_power) >= 0)):
-        raise InvalidInputError("total power must be finite and nonnegative")
+    lambda2, lambda2_bs, p_bs, power = (np.asarray(x, dtype=float)
+                                        for x in (lambda2, lambda2_bs, p_bs, total_power))
+    if not all(np.all(np.isfinite(x) & (x >= 0)) for x in (power, lambda2, lambda2_bs)):
+        raise InvalidInputError("total power and gains must be finite and nonnegative")
     usable = lambda2 > 0
     denom = lambda2_bs * p_bs + _beta(beta)
     inv_gains = np.where(usable, denom / np.where(usable, lambda2, 1.0), np.inf)
-    return waterfill_batch(inv_gains, total_power)[0]
+    return waterfill_batch(inv_gains, power)[0]
 
 
 def bs_best_response(alpha, beta, lambda2_bs, pb_budget):
     """Rate-minimizing interferer allocation for fixed link mode powers, and whether
-    each row was solved: its multiplier found within MU_STEPS steps, its powers finite.
+    each row was solved: its alpha (maybe a solver's iterate, so no error) finite and
+    >= 0, its multiplier found within MU_STEPS steps, its powers finite.
 
     Solves the KKT stationarity condition per mode: with x = lambda2_bs * p_b,
     (x + beta)(x + beta + alpha) = alpha * lambda2_bs * nu, taking the positive
@@ -133,7 +134,8 @@ def bs_best_response(alpha, beta, lambda2_bs, pb_budget):
         # one last Newton step for all rows at once, kept where it stays feasible
         pb = allocation(np.where((newton > nu_lo) & (newton < nu_hi), newton, nu_lo))
         pb = np.where((np.add.reduce(pb, axis=-1) <= budget)[..., None], pb, allocation(nu_lo))
-    return np.where(live[..., None], pb, 0.0), ~active & (~live | np.isfinite(pb).all(-1))
+    sound = np.all(np.isfinite(alpha) & (alpha >= 0), axis=-1)
+    return np.where(live[..., None], pb, 0.0), ~active & sound & (~live | np.isfinite(pb).all(-1))
 
 
 def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget):
@@ -215,8 +217,8 @@ def solve_saddle_batch(lambda2, lambda2_bs, beta, total_power, pb_budget):
     p = np.where(trivial[:, None], plain, p)
     pb = np.where(trivial[:, None], 0.0, pb) + spare[:, None]
     gap = duality_gap(lam2, lam2_bs, beta, power, budget, p, pb)
-    return SaddleBatch(p, pb, power, budget, worst_case_rate(lam2, lam2_bs, p, pb, beta),
-                       steps, gap, ~active & (np.abs(gap) <= GAP_TOL))
+    return SaddleBatch(p, pb, worst_case_rate(lam2, lam2_bs, p, pb, beta), steps, gap,
+                       ~active & (np.abs(gap) <= GAP_TOL))
 
 
 def duality_gap(lambda2, lambda2_bs, beta, total_power, pb_budget, p, pb):

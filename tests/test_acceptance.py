@@ -151,10 +151,10 @@ def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
 @pytest.fixture(scope="module")
 def recorded_run():
     """run_all(100, SEED), with the grid calls and saddle batches it makes."""
-    grids, grid = [], montecarlo.metric_samples_grid
+    grids, grid = [], montecarlo._slice_rows
     batches, batch = [], saddle.solve_saddle_batch
 
-    def recording_grid(cfg, metrics, budgets, ens, out=None):
+    def recording_grid(cfg, metrics, budgets, ens, out):
         grids.append((cfg.psi[0], metrics, len(budgets)))
         return grid(cfg, metrics, budgets, ens, out)
 
@@ -163,7 +163,7 @@ def recorded_run():
         return batch(lambda2, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(acceptance.montecarlo, "metric_samples_grid", recording_grid)
+        patch.setattr(acceptance.montecarlo, "_slice_rows", recording_grid)
         patch.setattr(acceptance.saddle, "solve_saddle_batch", recording_batch)
         results = acceptance.run_all(100, SEED)
     return results, grids, batches

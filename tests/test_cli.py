@@ -225,10 +225,10 @@ class TestRunSweep:
     def test_one_grid_call_per_psi_per_slice(self, monkeypatch):
         # in each slice of trials, one kernel call per psi holding every metric (the
         # kernel runs the structure families in turn); no Monte-Carlo tag, no draw
-        calls, kernel = [], montecarlo.metric_samples_grid
+        calls, kernel = [], montecarlo._slice_rows
         draws, sampler = [], montecarlo.ensemble_for
 
-        def recording(cfg, metrics, budgets, ens, out=None):
+        def recording(cfg, metrics, budgets, ens, out):
             calls.append((ens.trials, cfg.psi[0], metrics, tuple(budgets)))
             return kernel(cfg, metrics, budgets, ens, out)
 
@@ -236,7 +236,7 @@ class TestRunSweep:
             draws.append(args)
             return sampler(cfg, *args)
 
-        monkeypatch.setattr(cli.montecarlo, "metric_samples_grid", recording)
+        monkeypatch.setattr(cli.montecarlo, "_slice_rows", recording)
         monkeypatch.setattr(montecarlo, "ensemble_for", drawing)
         monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 2)
         cfg = self.small_config(scenarios=cli.SCENARIOS, psis=(0.6, 0.3), trials=5)

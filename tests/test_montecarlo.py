@@ -14,11 +14,15 @@ from swiptmimo.errors import InvalidInputError, UnsupportedConfigError
 from swiptmimo.harvesting import to_db
 from swiptmimo.linalg import complex_gaussian, haar_from_gaussian
 from swiptmimo.montecarlo import (FAMILIES, METRICS, TRIAL_CHUNK, McResult,
-                                  average_metric, ensemble_for, metric_samples,
-                                  metric_samples_grid, sample_grids)
+                                  average_metric, ensemble_for, metric_samples, sample_grids)
 from swiptmimo.rates import tin_rate_global, transmit_covariance, waterfill, waterfilled_modes
 from swiptmimo.scenario import ScenarioConfig, equivalent_channel, reference_scenario
 from swiptmimo.transfer import energy_beam
+
+
+def grid_of(cfg, metrics, budgets):
+    """The (metrics, budgets, trials) samples of one `sample_grids` request."""
+    return sample_grids([(cfg, metrics, budgets)])[0]
 
 
 def bs_covariances(ens, pb_budget):
@@ -120,7 +124,7 @@ class TestKernelOracles:
     def test_rate_struct1_is_the_log_det_rate_at_the_kernel_q(self, case):
         cfg, pb = case
         ens = ensemble_for(cfg)
-        rates = metric_samples_grid(cfg, ("rate-struct1",), [pb], ens)[0, 0]
+        rates = grid_of(cfg, ("rate-struct1",), [pb])[0, 0]
         for t, rate in enumerate(rates):
             hhat, hhat_bs, q_bs, beta = trial_terms(cfg, ens, t, pb)
             s = hhat_bs @ q_bs @ hhat_bs.conj().T + np.diag(beta)
@@ -134,8 +138,7 @@ class TestKernelOracles:
         # energy branch's covariance Theta (H Q H^H + H_bs Q_bs H_bs^H) Theta + W
         cfg, pb = case
         ens = ensemble_for(cfg)
-        struct1, swipt = metric_samples_grid(cfg, ("energy-struct1", "energy-swipt"),
-                                             [pb], ens)[:, 0]
+        struct1, swipt = grid_of(cfg, ("energy-struct1", "energy-swipt"), [pb])[:, 0]
         theta = np.sqrt(1.0 - cfg.psi_vector)[:, None]
         w = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
         beams = energy_beam(ens.h_bs, 1.0 - cfg.psi_vector)
@@ -156,8 +159,7 @@ class TestKernelOracles:
         # all power on the dominant right singular vector, combined along the left one
         cfg, pb = case
         ens = ensemble_for(cfg)
-        rates, energies = metric_samples_grid(cfg, ("rate-struct2", "energy-struct2"),
-                                              [pb], ens)[:, 0]
+        rates, energies = grid_of(cfg, ("rate-struct2", "energy-struct2"), [pb])[:, 0]
         psi = cfg.psi[0]
         for t in range(cfg.trials):
             left, sigma, _ = np.linalg.svd(ens.h[t])
@@ -176,10 +178,12 @@ class TestKernelOracles:
     def test_rows_do_not_depend_on_their_batch(self, case):
         # a trial computed alone carries the same bits as inside its slice
         cfg, pb = case
-        whole = metric_samples_grid(cfg, METRICS, [pb, 2 * pb], ensemble_for(cfg))
+        whole = grid_of(cfg, METRICS, [pb, 2 * pb])
+        with pytest.MonkeyPatch.context() as patch:  # slices of one trial each
+            patch.setattr(montecarlo, "TRIAL_CHUNK", 1)
+            alone = grid_of(cfg, METRICS, [pb, 2 * pb])
         for t in range(cfg.trials):
-            alone = metric_samples_grid(cfg, METRICS, [pb, 2 * pb], ensemble_for(cfg, t, t + 1))
-            assert alone[..., 0].tobytes() == whole[..., t].tobytes()
+            assert alone[..., t].tobytes() == whole[..., t].tobytes()
 
 
 def scalar_trial_metrics(cfg, pb_budget, trial):
@@ -252,7 +256,7 @@ class TestWhitenedStructure1:
         cfg = replace(reference_scenario(0.3, trials=64, seed=seed), **link)
         budgets = [0.0, 1e-3, 1.0, 5.0, 70.0, 1e3]
         ens = ensemble_for(cfg)
-        grid = metric_samples_grid(cfg, ("rate-struct1", "energy-struct1"), budgets, ens)
+        grid = grid_of(cfg, ("rate-struct1", "energy-struct1"), budgets)
         for r, pb in enumerate(budgets):
             rate, energy = solved_structure1(cfg, ens, pb)
             assert grid[0, r] == pytest.approx(rate, rel=1e-12, abs=0.0)
@@ -362,7 +366,7 @@ class TestEnsembleDraw:
             patch.setattr(montecarlo, "TRIAL_CHUNK", cfg.trials)
             whole = ensemble_for(cfg)
         part = ensemble_for(cfg, start, stop)
-        assert (part.seed, part.trials) == (42, range(start, stop))
+        assert part.trials == range(start, stop)
         for name in ("h", "h_bs", "user_dirs"):
             assert getattr(part, name).tobytes() == getattr(whole, name)[start:stop].tobytes()
 
@@ -371,17 +375,12 @@ class TestEnsembleDraw:
         with pytest.raises(InvalidInputError, match="trial range"):
             ensemble_for(reference_scenario(0.3, trials=6), start, stop)
 
-    def test_longer_than_a_slice_rejected(self, monkeypatch):
+    def test_longer_than_a_slice_rejected(self):
         # whole-T work goes through sample_grids, one slice at a time
         cfg = reference_scenario(0.3, trials=TRIAL_CHUNK + 1)
         for start, stop in ((0, None), (0, TRIAL_CHUNK + 1)):
             with pytest.raises(InvalidInputError, match="trial range"):
                 ensemble_for(cfg, start, stop)
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "TRIAL_CHUNK", cfg.trials)
-            ens = ensemble_for(cfg)
-        with pytest.raises(InvalidInputError, match="ensemble"):
-            metric_samples_grid(cfg, ("rate-struct1",), [1.0], ens)
 
 
 class TestSeedStates:
@@ -401,46 +400,29 @@ class TestMetricSamplesGrid:
     @pytest.mark.parametrize("metric", METRICS)
     def test_rows_equal_single_budget_samples(self, metric, trials):
         cfg = reference_scenario(0.6, trials=trials, seed=13)
-        grid = metric_samples_grid(cfg, (metric,), self.BUDGETS, ensemble_for(cfg))[0]
+        grid = grid_of(cfg, (metric,), self.BUDGETS)[0]
         assert grid.shape == (len(self.BUDGETS), trials)
         for row, pb in zip(grid, self.BUDGETS):
             assert row.tobytes() == metric_samples(cfg, metric, pb).tobytes()
 
     def test_empty_budget_list(self):
         cfg = reference_scenario(0.3, trials=4)
-        assert metric_samples_grid(cfg, ("rate-struct1",), [], ensemble_for(cfg))[0].shape \
-            == (0, 4)
+        assert grid_of(cfg, ("rate-struct1",), [])[0].shape == (0, 4)
 
     # above rates.MAX_BUDGET an energy's standard error overflows; the saddle refuses too
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, 1e101, 1e300])
     def test_negative_or_non_finite_budget_rejected(self, bad):
         cfg = reference_scenario(0.3, trials=4)
         with pytest.raises(InvalidInputError):
-            metric_samples_grid(cfg, ("energy-swipt",), [1.0, bad], ensemble_for(cfg))
+            grid_of(cfg, ("energy-swipt",), [1.0, bad])
         with pytest.raises(InvalidInputError):
             metric_samples(cfg, "rate-struct2", bad)
 
     def test_rows_are_not_cached(self):
         cfg = reference_scenario(0.3, trials=4)
-        ens = ensemble_for(cfg)
-        first = metric_samples_grid(cfg, ("rate-struct2",), [1.0], ens)
+        first = grid_of(cfg, ("rate-struct2",), [1.0])
         assert first.flags.writeable
-        assert not np.shares_memory(
-            metric_samples_grid(cfg, ("rate-struct2",), [1.0], ens), first)
-
-    @pytest.mark.parametrize("other", [
-        reference_scenario(0.3, trials=5),
-        ScenarioConfig(K=2, M=3, N=5, sigma_p2p=(0.9, 0.8), sigma_bs=(0.8, 0.7),
-                       psi=(0.3, 0.3), trials=4),
-        ScenarioConfig(K=3, M=4, N=5, psi=(0.3,) * 3, trials=4),
-        ScenarioConfig(K=3, M=3, N=4, psi=(0.3,) * 3, trials=4),
-        reference_scenario(0.3, trials=4, seed=7),
-    ])
-    @pytest.mark.parametrize("metric", ["rate-struct1", "energy-swipt"])
-    def test_mismatched_ensemble_rejected(self, other, metric):
-        cfg = reference_scenario(0.3, trials=4)
-        with pytest.raises(InvalidInputError, match="ensemble"):
-            metric_samples_grid(cfg, (metric,), [1.0], ensemble_for(other))
+        assert not np.shares_memory(grid_of(cfg, ("rate-struct2",), [1.0]), first)
 
     def test_module_holds_no_lru_cache(self):
         # every result is a pure function of its arguments, and nothing may
@@ -467,11 +449,9 @@ class TestMetricSets:
         reference_scenario(1.0, trials=6, seed=13),
     ], ids=["T1", "T6", "psi0", "psi1"])
     def test_rows_do_not_depend_on_the_metric_set(self, cfg):
-        ens = ensemble_for(cfg)
-        single = {metric: metric_samples_grid(cfg, (metric,), self.BUDGETS, ens)[0]
-                  for metric in METRICS}
+        single = {metric: grid_of(cfg, (metric,), self.BUDGETS)[0] for metric in METRICS}
         for request in metric_requests():
-            grid = metric_samples_grid(cfg, request, self.BUDGETS, ens)
+            grid = grid_of(cfg, request, self.BUDGETS)
             assert grid.shape == (len(request), len(self.BUDGETS), cfg.trials)
             for metric, rows in zip(request, grid):
                 assert rows.tobytes() == single[metric].tobytes(), (request, metric)
@@ -480,17 +460,15 @@ class TestMetricSets:
         # structure 1 and joint transfer take any split; a request with a
         # structure-2 metric is refused before any solve or eigh runs
         cfg = ScenarioConfig(K=3, M=3, N=5, psi=(0.2, 0.5, 0.8), trials=4, seed=3)
-        ens = ensemble_for(cfg)
         supported = [metric for metric in METRICS if metric not in FAMILIES[1]]
-        single = {metric: metric_samples_grid(cfg, (metric,), self.BUDGETS, ens)[0]
-                  for metric in supported}
+        single = {metric: grid_of(cfg, (metric,), self.BUDGETS)[0] for metric in supported}
 
         def no_work(*args, **kwargs):
             raise AssertionError("linear algebra ran before the split was checked")
 
         for request in metric_requests():
             if set(request) <= set(supported):
-                grid = metric_samples_grid(cfg, request, self.BUDGETS, ens)
+                grid = grid_of(cfg, request, self.BUDGETS)
                 for metric, rows in zip(request, grid):
                     assert rows.tobytes() == single[metric].tobytes(), (request, metric)
                 continue
@@ -498,7 +476,7 @@ class TestMetricSets:
                 patch.setattr(np.linalg, "eigh", no_work)
                 patch.setattr(np.linalg, "solve", no_work)
                 with pytest.raises(UnsupportedConfigError):
-                    metric_samples_grid(cfg, request, self.BUDGETS, ens)
+                    grid_of(cfg, request, self.BUDGETS)
 
     @pytest.mark.parametrize("metrics", [
         ("rate-struct1", "rate-struct1"),
@@ -508,11 +486,11 @@ class TestMetricSets:
     def test_duplicate_or_unknown_names_rejected(self, metrics):
         cfg = reference_scenario(0.3, trials=2)
         with pytest.raises(InvalidInputError):
-            metric_samples_grid(cfg, metrics, [1.0], ensemble_for(cfg))
+            grid_of(cfg, metrics, [1.0])
 
     def test_empty_request(self):
         cfg = reference_scenario(0.3, trials=2)
-        assert metric_samples_grid(cfg, (), [1.0, 2.0], ensemble_for(cfg)).shape == (0, 2, 2)
+        assert grid_of(cfg, (), [1.0, 2.0]).shape == (0, 2, 2)
 
     def test_families_partition_the_metrics(self):
         flat = [metric for family in FAMILIES for metric in family]
@@ -561,19 +539,19 @@ class TestEigenSolves:
         cfg = ScenarioConfig(psi=psi, trials=2 * TRIAL_CHUNK)
         metrics = ("energy-struct1", "rate-struct2", "energy-swipt")  # every eigenvector read
         budgets = [ratio * cfg.P for ratio in range(15)]
-        eigh, kernel, lapack, shares = np.linalg.eigh, montecarlo.metric_samples_grid, [], []
+        eigh, kernel, lapack, shares = np.linalg.eigh, montecarlo._slice_rows, [], []
         rows = self.count_eigh(monkeypatch)
 
-        def per_slice(cfg, names, pbs, ens, out=None):
+        def per_slice(cfg, names, pbs, ens, out):
             rows.clear()
             lapack.clear()
-            kernel(cfg, names, pbs, ens, out=out)
+            kernel(cfg, names, pbs, ens, out)
             assert sum(rows) == (len(pbs) + 4) * len(ens.trials)  # per budget, and 4 once
             shares.append(sum(lapack) / sum(rows))
 
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: lapack.append(self.matrices(a)) or eigh(a))
-        monkeypatch.setattr(montecarlo, "metric_samples_grid", per_slice)
+        monkeypatch.setattr(montecarlo, "_slice_rows", per_slice)
         sample_grids([(cfg, metrics, budgets)])
         assert len(shares) == 2 and max(shares) < 0.05
 
@@ -598,16 +576,16 @@ class TestEigenSolves:
         cfg = ScenarioConfig(psi=psi, trials=2 * TRIAL_CHUNK)
         metrics = ("rate-struct1", "energy-struct1", "energy-swipt")  # one read per budget each
         budgets = [ratio * cfg.P for ratio in range(15)]
-        eigvalsh, kernel, rows, shares = np.linalg.eigvalsh, montecarlo.metric_samples_grid, [], []
+        eigvalsh, kernel, rows, shares = np.linalg.eigvalsh, montecarlo._slice_rows, [], []
 
-        def per_slice(cfg, names, pbs, ens, out=None):
+        def per_slice(cfg, names, pbs, ens, out):
             rows.clear()
-            kernel(cfg, names, pbs, ens, out=out)
+            kernel(cfg, names, pbs, ens, out)
             shares.append(sum(rows) / (len(names) * len(pbs) * len(ens.trials)))
 
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: rows.append(self.matrices(a)) or eigvalsh(a))
-        monkeypatch.setattr(montecarlo, "metric_samples_grid", per_slice)
+        monkeypatch.setattr(montecarlo, "_slice_rows", per_slice)
         sample_grids([(cfg, metrics, budgets)])
         assert len(shares) == 2 and max(shares) < 0.05
 
@@ -632,7 +610,7 @@ class TestTrialChunks:
         # structure 2 needs a uniform split, so the per-antenna case runs the rest
         metrics = METRICS if len(set(cfg.psi)) == 1 else \
             tuple(metric for metric in METRICS if metric not in FAMILIES[1])
-        whole = metric_samples_grid(cfg, metrics, self.BUDGETS, ensemble_for(cfg))
+        whole = grid_of(cfg, metrics, self.BUDGETS)
         monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", chunk)
         grid, = sample_grids([(cfg, metrics, self.BUDGETS)])
         assert grid.tobytes() == whole.tobytes()
@@ -646,21 +624,26 @@ class TestTrialChunks:
         finally:
             tracemalloc.stop()
 
-    def test_transient_memory_does_not_grow_with_trials(self):
+    def test_transient_memory_does_not_grow_with_trials(self, monkeypatch):
         # the draw and the kernel take one slice at most (whole-T work goes through
         # sample_grids, below); beyond the slice the draw returns, and the slice and
-        # output the kernel reads and writes, their working memory does not depend
+        # rows the kernel reads and writes, their working memory does not depend
         # on how many trials come before the slice
-        warm = reference_scenario(0.3, trials=64, seed=42)  # first-call allocations
-        metric_samples_grid(warm, METRICS, self.BUDGETS, ensemble_for(warm))
+        kernel, kernel_peaks = montecarlo._slice_rows, []
+
+        def last_slice(cfg, names, budgets, ens, out):
+            if ens.trials.stop == cfg.trials:  # the slices before it are not measured
+                kernel_peaks.append(self.traced(kernel, cfg, names, budgets, ens, out)[1])
+
+        monkeypatch.setattr(montecarlo, "_slice_rows", last_slice)
+        grid_of(reference_scenario(0.3, trials=64, seed=42), METRICS, self.BUDGETS)  # warm-up
         extra = []
         for trials in (2048, 8192):
             cfg = reference_scenario(0.3, trials=trials, seed=42)
             ens, draw_peak = self.traced(ensemble_for, cfg, trials - TRIAL_CHUNK, trials)
-            out, kernel_peak = self.traced(metric_samples_grid, cfg, METRICS,
-                                           self.BUDGETS, ens)
+            grid_of(cfg, METRICS, self.BUDGETS)
             ens_bytes = sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs))
-            extra.append(np.array([draw_peak - ens_bytes, kernel_peak - out.nbytes]))
+            extra.append(np.array([draw_peak - ens_bytes, kernel_peaks[-1]]))
         assert np.all(extra[1] - extra[0] < 0.5 * 2 ** 20), extra
 
     @pytest.mark.parametrize("change", [
@@ -675,6 +658,26 @@ class TestTrialChunks:
         with pytest.raises(InvalidInputError, match="share"):
             sample_grids([(cfg, ("rate-struct1",), [1.0]),
                           (replace(cfg, **change), ("energy-swipt",), [1.0])])
+
+    @pytest.mark.parametrize("psi, metrics, budgets, error", [
+        (0.3, ("rate-struct1", "bogus"), [1.0], InvalidInputError),
+        (0.3, ("energy-swipt",), [1.0, -1.0], InvalidInputError),
+        ((0.2, 0.5, 0.8), ("rate-struct2",), [1.0], UnsupportedConfigError),
+    ], ids=["unknown-metric", "negative-budget", "per-antenna-structure2"])
+    def test_bad_request_fails_before_any_draw(self, psi, metrics, budgets, error, monkeypatch):
+        # every request is checked before the first slice is drawn, a later one too
+        draws, draw = [], montecarlo.ensemble_for
+
+        def recording(cfg, start=0, stop=None):
+            draws.append(range(start, stop))
+            return draw(cfg, start, stop)
+
+        monkeypatch.setattr(montecarlo, "ensemble_for", recording)
+        good = reference_scenario(0.3, trials=TRIAL_CHUNK + 1, seed=42)
+        with pytest.raises(error):
+            sample_grids([(good, ("rate-struct1",), [1.0]),
+                          (replace(good, psi=psi), metrics, budgets)])
+        assert draws == []
 
     def test_requests_may_differ_in_split(self):
         cfg = reference_scenario(0.3, trials=self.TRIALS, seed=42)
@@ -718,7 +721,7 @@ class TestTrialChunks:
 
 
 class TestBudgetBlocks:
-    """metric_samples_grid takes BUDGET_BLOCK budgets per kernel call; every row runs
+    """Each slice takes BUDGET_BLOCK budgets per kernel call; every row runs
     the same elementwise operations, so the blocking changes no bit."""
 
     BUDGETS = (12.5, 0.0, 1.0, 35.0, 1e6, 5.0, 1e20)
@@ -736,25 +739,23 @@ class TestBudgetBlocks:
     def test_samples_do_not_depend_on_the_block(self, cfg, block, monkeypatch):
         metrics = METRICS if len(set(cfg.psi)) == 1 else \
             tuple(metric for metric in METRICS if metric not in FAMILIES[1])
-        ens = ensemble_for(cfg)
         monkeypatch.setattr(montecarlo, "BUDGET_BLOCK", 1)
-        single = metric_samples_grid(cfg, metrics, self.BUDGETS, ens)
+        single = grid_of(cfg, metrics, self.BUDGETS)
         monkeypatch.setattr(montecarlo, "BUDGET_BLOCK", block)
-        grid = metric_samples_grid(cfg, metrics, self.BUDGETS, ens)
+        grid = grid_of(cfg, metrics, self.BUDGETS)
         assert grid.tobytes() == single.tobytes()
 
-    def test_transient_memory_does_not_grow_with_budgets(self):
+    def test_transient_memory_does_not_grow_with_budgets(self, monkeypatch):
         # beyond its output rows, the kernel holds one block of budgets' working
         # memory at a time, however many budgets a slice is asked for
         cfg = reference_scenario(0.3, trials=TRIAL_CHUNK, seed=42)
-        ens = ensemble_for(cfg)
-        metric_samples_grid(cfg, METRICS, (1.0, 5.0), ens)  # first-call allocations
-        extra = []
+        kernel, extra = montecarlo._slice_rows, []
+        monkeypatch.setattr(montecarlo, "_slice_rows",
+                            lambda *args: extra.append(TestTrialChunks.traced(kernel, *args)[1]))
+        grid_of(cfg, METRICS, (1.0, 5.0))  # first-call allocations
         for count in (4, 60):
-            budgets = np.linspace(0.0, 70.0, count)
-            out, peak = TestTrialChunks.traced(metric_samples_grid, cfg, METRICS, budgets, ens)
-            extra.append(peak - out.nbytes)
-        assert extra[1] - extra[0] < 0.5 * 2 ** 20, extra
+            grid_of(cfg, METRICS, np.linspace(0.0, 70.0, count))
+        assert extra[2] - extra[1] < 0.5 * 2 ** 20, extra
 
 
 class TestMcResult:

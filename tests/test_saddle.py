@@ -48,6 +48,15 @@ class TestP2pBestResponse:
             p2p_best_response(np.stack([LAM2, LAM2]), LAM2_BS, np.zeros(3), unit_beta(), power)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("field", [0, 1], ids=["lambda2", "lambda2_bs"])
+    def test_non_finite_or_negative_gain_rejected(self, field, value):
+        args = [np.array([0.5, 0.5, 0.4]), np.full(3, 0.3), np.zeros(3), 1.0, 5.0]
+        args[field][0] = value
+        with pytest.raises(InvalidInputError, match="gains"):
+            p2p_best_response(*args)
+
+
 class TestBsBestResponse:
     def test_single_mode_takes_all(self):
         pb, _ = bs_best_response([0.7], [1.3], [0.2], 5.0)
@@ -76,6 +85,19 @@ class TestBsBestResponse:
                                       [0.2, 0.1], 5.0)
         assert list(solved) == [True, False]
         assert np.all(np.isfinite(pb[0])) and not np.all(np.isfinite(pb[1]))
+
+    @pytest.mark.parametrize("value", [np.nan, -0.1], ids=["nan", "negative"])
+    def test_bad_alpha_row_is_not_solved(self, value):
+        # alpha may be a solver's iterate: a bad row is flagged, not raised, so that
+        # its saddle row fails its certificate (exit 3) and the other rows stand
+        alpha = np.array([[0.7, 0.3], [value, 0.3]])
+        pb, solved = bs_best_response(alpha, np.full((2, 2), 1.3), [0.2, 0.1], 5.0)
+        assert list(solved) == [True, False]
+        assert np.array_equal(pb[0], bs_best_response(alpha[0], np.full(2, 1.3),
+                                                      [0.2, 0.1], 5.0)[0])
+        gap = saddle.duality_gap(np.full((2, 2), 0.5), np.full((2, 2), 0.3), np.full((2, 2), 1.3),
+                                 5.0, 5.0, alpha / 0.5, np.full((2, 2), 2.5))
+        assert np.isfinite(gap[0]) and gap[1] == np.inf
 
     def test_matches_projected_gradient_minimizer(self):
         alpha = np.array([0.78, 0.34])

@@ -6,7 +6,7 @@ import pytest
 
 from swiptmimo.errors import UnsupportedConfigError
 from swiptmimo.harvesting import delivered, harvested_power, to_db
-from swiptmimo.montecarlo import ensemble_for, metric_samples_grid
+from swiptmimo.montecarlo import ensemble_for, sample_grids
 from swiptmimo.rates import transmit_covariance, waterfill, waterfilled_modes
 from swiptmimo.scenario import ScenarioConfig, equivalent_channel, reference_scenario
 from swiptmimo.transfer import (combined_energy, combined_interference, combined_rate,
@@ -139,7 +139,7 @@ class TestStructure2:
         # one analog chain has one splitter: per-antenna splits are refused
         cfg = ScenarioConfig(psi=(0.3, 0.3, 0.4), trials=2)
         with pytest.raises(UnsupportedConfigError):
-            metric_samples_grid(cfg, ("rate-struct2",), [5.0], ensemble_for(cfg))
+            sample_grids([(cfg, ("rate-struct2",), [5.0])])
 
     def test_interference_lowers_rate_raises_energy(self):
         _, h, h_bs, _, _, _ = setup_link(0.3, seed=7)
