@@ -211,50 +211,56 @@ def _grid_search_objective(inv_gains, total_power):
 
 
 def _project_simplex(v, total):
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    """Each row of v projected onto x >= 0, sum x = total (Duchi et al., ICML 2008)."""
+    u = np.sort(v)[:, ::-1]
+    css = u.cumsum(1) - total[:, None]
+    hit = u - css / np.arange(1, v.shape[1] + 1) > 0
+    rho = v.shape[1] - 1 - hit[:, ::-1].argmax(1)  # the last hit of each row
+    tau = css[np.arange(len(v)), rho] / (rho + 1.0)
+    return np.maximum(v - tau[:, None], 0.0)
 
 
-def projected_gradient_worst_allocation(alpha, beta, lam2_bs, pb_budget,
-                                        iters=20000):
-    """Independent convex minimizer of the interferer objective on the simplex.
+def projected_gradient_worst_allocation(alpha, beta, lam2_bs, pb_budget, iters=20000):
+    """Independent convex minimizer of the interferer objective on the simplex, per row
+    of (rows, modes) arrays; a mode with alpha 0 starts with no power, so a shorter row
+    is padded with modes (alpha 0, beta 1, lam2_bs 1).
 
-    Projected gradient descent with Armijo backtracking; terminates when the
-    gradient mapping is at float resolution.
+    Projected gradient descent with Armijo backtracking; a row stops when its gradient
+    mapping is at float resolution or after `iters` steps of its own. The rows run in
+    lockstep, one trial projection per live row per pass: a row that passes its Armijo
+    test takes its next step, doubled, in the next pass, one that fails halves its step,
+    and a stopped row leaves the batch. A row runs the operations it runs alone.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    lam2_bs = np.asarray(lam2_bs, dtype=float)
+    alpha, beta, lam2_bs = (np.asarray(a, dtype=float) for a in (alpha, beta, lam2_bs))
+    total = np.broadcast_to(np.asarray(pb_budget, dtype=float), alpha.shape[:1])
+    on = alpha > 0
+    x = np.where(on, total[:, None] / np.maximum(on.sum(1, keepdims=True), 1), 0.0)
+    out, rows = x.copy(), np.arange(len(x))
+    step, taken = np.ones(len(x)), np.zeros(len(x), dtype=int)
+    a, b, g, ag = alpha, beta, lam2_bs, alpha * lam2_bs
 
     def f(x):
-        return float(np.sum(np.log2(1.0 + alpha / (lam2_bs * x + beta))))
+        return np.log2(1.0 + a / (g * x + b)).sum(1)
 
-    def grad(x):
-        den = lam2_bs * x + beta
-        return -(alpha * lam2_bs) / (LN2 * den * (den + alpha))
-
-    x = np.full(len(alpha), pb_budget / len(alpha))
     fx = f(x)
-    step = 1.0
-    for _ in range(iters):
-        g = grad(x)
-        while step > 1e-18:
-            xn = _project_simplex(x - step * g, pb_budget)
-            move = xn - x
-            fn = f(xn)
-            if fn <= fx - 1e-4 / step * float(move @ move):
-                break
-            step *= 0.5
-        if np.max(np.abs(xn - x)) < 1e-14 * max(1.0, pb_budget):
-            x, fx = xn, fn
-            break
-        x, fx = xn, fn
-        step = min(step * 2.0, 1e9)
-    return x
+    while rows.size:
+        den = g * x + b
+        xn = _project_simplex(x - step[:, None] * (-ag / (LN2 * den * (den + a))), total)
+        move = xn - x
+        fn = f(xn)
+        ok = fn <= fx - 1e-4 / step * (move[:, None, :] @ move[:, :, None])[:, 0, 0]
+        step = np.where(ok, step, step * 0.5)
+        ok |= step <= 1e-18  # backtracking gave up: its last trial stands
+        x, fx, taken = np.where(ok[:, None], xn, x), np.where(ok, fn, fx), taken + ok
+        done = ok & (np.abs(move).max(1) < 1e-14 * np.maximum(1.0, total))
+        step = np.where(ok & ~done, np.minimum(step * 2.0, 1e9), step)
+        done |= taken >= iters
+        if done.any():
+            out[rows[done]] = x[done]
+            keep = ~done
+            rows, x, fx, step, taken, total, a, b, g, ag = (
+                v[keep] for v in (rows, x, fx, step, taken, total, a, b, g, ag))
+    return out
 
 
 def waterfill_instances(rng, count=50):
@@ -276,20 +282,23 @@ def criterion_9(shared):
     ok &= wf_ok
     lines.append(f"waterfill vs grid search: max gap {worst_gap:.2e}")
 
-    # (alpha, beta, lambda2_bs, pb) of 2 or 3 modes: one response batch per mode count
-    instances = []
-    for _ in range(50):
-        k = int(rng.integers(2, 4))
-        instances.append((rng.uniform(0.1, 2.0, size=k), rng.uniform(0.5, 2.0, size=k),
-                          rng.uniform(0.05, 1.0, size=k), float(rng.uniform(0.5, 8.0))))
+    # (alpha, beta, lambda2_bs, pb) of 2 or 3 modes, a two-mode row padded with a zero-gain
+    # mode: one response batch per mode count, one minimizer batch over all 50
+    modes, pb = np.zeros(50, dtype=int), np.zeros(50)
+    alpha, beta, lam2_bs = np.zeros((50, 3)), np.ones((50, 3)), np.ones((50, 3))
+    for i in range(50):
+        k = modes[i] = rng.integers(2, 4)
+        alpha[i, :k], beta[i, :k], lam2_bs[i, :k] = (
+            rng.uniform(lo, hi, size=k) for lo, hi in ((0.1, 2.0), (0.5, 2.0), (0.05, 1.0)))
+        pb[i] = rng.uniform(0.5, 8.0)
+    numeric = projected_gradient_worst_allocation(alpha, beta, lam2_bs, pb)
     worst_dev = 0.0
     for k in (2, 3):
-        batch = [x for x in instances if len(x[0]) == k]
-        closed, solved = saddle.bs_best_response(*(np.array(x) for x in zip(*batch)))
-        for x, row, row_solved in zip(batch, closed, solved):
-            numeric = projected_gradient_worst_allocation(*x)
-            worst_dev = max(worst_dev, float(np.max(np.abs(row - numeric)))
-                            if row_solved else np.inf)
+        rows = modes == k
+        closed, solved = saddle.bs_best_response(alpha[rows, :k], beta[rows, :k],
+                                                 lam2_bs[rows, :k], pb[rows])
+        dev = np.max(np.abs(closed - numeric[rows, :k]), axis=1)
+        worst_dev = max(worst_dev, float(np.max(np.where(solved, dev, np.inf))))
     bs_ok = worst_dev <= 1e-6
     ok &= bs_ok
     lines.append(f"closed-form vs projected-gradient minimizer: "
@@ -306,12 +315,15 @@ def criterion_9(shared):
     _, g, p = rates.waterfilled_modes(t_mat, cfg.P)
     q_star = rates.transmit_covariance(g, p)
     best = rates.tin_rate_global(hhat, hhat_bs, q_star, q_bs, cfg.beta)
-    z = rng.standard_normal((1000, 2, cfg.M, cfg.M))  # real then imaginary part, per deviation
-    a = z[:, 0] + 1j * z[:, 1]
-    q_alt = a @ a.conj().swapaxes(-2, -1)
-    q_alt *= cfg.P / np.real(np.trace(q_alt, axis1=-2, axis2=-1))[:, None, None]
-    alt = rates.tin_rate_global(hhat, hhat_bs, q_alt, q_bs, cfg.beta)
-    margin = float(np.min(best - alt))
+    margins = []
+    for _ in range(10):  # 100 deviations at a time, in the order of one (1000, ...) draw
+        z = rng.standard_normal((100, 2, cfg.M, cfg.M))  # real then imaginary part
+        a = z[:, 0] + 1j * z[:, 1]
+        q_alt = a @ a.conj().swapaxes(-2, -1)
+        q_alt *= cfg.P / np.real(np.trace(q_alt, axis1=-2, axis2=-1))[:, None, None]
+        alt = rates.tin_rate_global(hhat, hhat_bs, q_alt, q_bs, cfg.beta)
+        margins.append(np.min(best - alt))
+    margin = float(np.min(margins))
     opt_ok = margin >= -1e-9
     ok &= opt_ok
     lines.append(f"optimal covariance vs 1000 random deviations: "

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptmimo import acceptance, cli, montecarlo, saddle
 from swiptmimo.rates import waterfill
@@ -292,7 +294,8 @@ def test_criterion_9_search_gap_not_worse_than_dense_grid(seed):
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_criterion_9_peak_memory(seed):
-    # the search's windows are 41 x 41, so criterion 9 holds no large grid
+    # the search's windows are 41 x 41 and the deviations come 100 at a time, so
+    # criterion 9 holds no large grid or stack
     acceptance.criterion_9(alone(seed))  # warm-up: first-call allocations
     tracemalloc.start()
     try:
@@ -301,3 +304,87 @@ def test_criterion_9_peak_memory(seed):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+    # measured 0.103 MiB at both seeds; one (1000, 2, 3, 3) draw of the deviations read 0.845
+    assert peak <= 0.15 * 2**20
+
+
+minimizer = acceptance.projected_gradient_worst_allocation
+
+
+def minimizer_batch(seed):
+    """The arguments of criterion 9's one minimizer call at this seed."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return minimizer(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "projected_gradient_worst_allocation", recording)
+        acceptance.criterion_9(alone(seed))
+    assert len(calls) == 1
+    return calls[0]
+
+
+def row_alone(args, i, **kwargs):
+    return minimizer(*(x[[i]] for x in args), **kwargs)[0]
+
+
+def projections(args, **kwargs):
+    """How many times the minimizer projects while it solves this batch."""
+    count, project = [0], acceptance._project_simplex
+
+    def counting(v, total):
+        count[0] += 1
+        return project(v, total)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "_project_simplex", counting)
+        minimizer(*args, **kwargs)
+    return count[0]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_minimizer_rows_do_not_depend_on_their_batch(seed):
+    args = minimizer_batch(seed)
+    padded = args[0] == 0.0
+    assert 0 < np.count_nonzero(padded) < 50  # two- and three-mode rows
+    batch = minimizer(*args)
+    assert np.all(batch[padded] == 0.0)
+    for i, row in enumerate(batch):
+        assert row.tobytes() == row_alone(args, i).tobytes()
+
+
+ROWS = st.lists(st.tuples(
+    st.booleans(), *(st.lists(st.floats(lo, hi), min_size=3, max_size=3)
+                     for lo, hi in ((0.1, 2.0), (0.5, 2.0), (0.05, 1.0))),
+    st.floats(0.5, 8.0)), min_size=1, max_size=4)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(ROWS)
+def test_minimizer_rows_of_random_batches_match_alone(rows):
+    two, alpha, beta, lam2_bs, pb = (np.array(x) for x in zip(*rows))
+    alpha[two, 2], beta[two, 2], lam2_bs[two, 2] = 0.0, 1.0, 1.0  # a padded third mode
+    args = alpha, beta, lam2_bs, pb
+    for i, row in enumerate(minimizer(*args)):
+        assert row.tobytes() == row_alone(args, i).tobytes()
+
+
+@pytest.mark.parametrize("seed, slowest", [(42, 1658), (7, 428)])
+def test_minimizer_projects_as_often_as_its_slowest_row(seed, slowest):
+    # one trial projection per live row per pass, so the batch runs as many passes
+    # as its slowest row runs projections alone, not one per backtracking of any row
+    args = minimizer_batch(seed)
+    assert max(projections([x[[i]] for x in args]) for i in range(50)) == slowest
+    assert projections(args) == slowest
+
+
+def test_minimizer_caps_each_row_at_its_own_steps():
+    args = minimizer_batch(42)
+    capped = minimizer(*args, iters=20)
+    stopped = np.any(capped != minimizer(*args), axis=1)
+    assert 0 < np.count_nonzero(stopped) < 50  # some rows finish within 20 steps
+    assert projections(args, iters=20) > 20  # rows that backtrack go on past 20 passes
+    for i, row in enumerate(capped):
+        assert row.tobytes() == row_alone(args, i, iters=20).tobytes()

@@ -104,7 +104,7 @@ class TestBsBestResponse:
         beta = np.array([1.3, 1.3])
         lam2_bs = np.array([0.192, 0.147])
         closed, _ = bs_best_response(alpha, beta, lam2_bs, 5.0)
-        numeric = projected_gradient_worst_allocation(alpha, beta, lam2_bs, 5.0)
+        numeric = projected_gradient_worst_allocation([alpha], [beta], [lam2_bs], 5.0)[0]
         assert np.max(np.abs(closed - numeric)) <= 1e-6
 
     def test_budget_binds(self):
