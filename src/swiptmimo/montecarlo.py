@@ -10,14 +10,14 @@ refuses longer slices) and runs every request's kernel on it, into the request's
 (metrics, budgets, trials) rows, the only arrays that grow with the trial count.
 Every operation acts trial by trial: slicing changes no bit.
 The kernel runs one receiver structure at a time and forms each product linear in the BS
-budget once per slice (structure 1 its whitened interference and delivered BS term, structure
-2 its interference past the combiner, joint transfer its beam's delivered term lambda u u^H),
-then scales it by BUDGET_BLOCK budgets at a time on a leading axis, structure 1 sharing each
-block's products between rate and energy; a row's bits do not depend on its block. The formulas
-are kernels in `scenario` (the split channel), `rates`, `harvesting` and `transfer`. Eigenvalue
-reads (the structure-1 rate, every harvested power) go through `linalg.hermitian_eigvals`,
-eigenvector reads (the whitening among them) through `linalg.hermitian_eigh`: both solve
-3 x 3 rows in closed form.
+budget once per slice (structure 1 its whitened interference, receive-side Gram and delivered
+BS term, structure 2 its interference past the combiner, joint transfer its beam's delivered
+term lambda u u^H), then scales it by BUDGET_BLOCK budgets at a time on a leading axis; the
+structure-1 rate rescales its K x K Gram elementwise, with no matrix product per budget, and a
+row's bits do not depend on its block. The formulas are kernels in `scenario` (the split
+channel), `rates`, `harvesting` and `transfer`. Eigenvalue reads (the structure-1 rate, every
+harvested power) go through `linalg.hermitian_eigvals`, eigenvector reads (the whitening
+among them) through `linalg.hermitian_eigh`: both solve 3 x 3 rows in closed form.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -204,10 +204,11 @@ def _structure1(cfg, ens, budgets, rows):
     """Split per antenna, treating interference as noise: T = Hhat^H ((pb/N) R + B)^-1 Hhat
     with R the received interference and B = diag(beta). The pencil (R, B) is diagonalised
     once (Golub & Van Loan, Matrix Computations, 8.7): B^-1/2 R B^-1/2 = V D V^H, D clipped
-    at 0, gives T = G^H diag(1 / (1 + (pb/N) D)) G with G = V^H B^-1/2 Hhat, one scaled
-    product per budget and no solve (a singular (pb/N) R + B is no error). Each budget's T
-    feeds both metrics; the rate reads `hermitian_eigvals`, so its bits do not depend on the
-    energy's `hermitian_eigh`."""
+    at 0, gives T = Gs^H Gs with Gs = diag(1/s) V^H B^-1/2 Hhat and s = sqrt(1 + (pb/N) D),
+    and no solve (a singular (pb/N) R + B is no error). T's non-zero modes are those of the
+    K x K Gs Gs^H = A / (s s^T), A = W W^H formed once per slice from W = V^H B^-1/2 Hhat:
+    the rate reads them elementwise, with no product per budget. Only `energy-struct1`
+    forms T, for its transmit eigenvectors; a rate row's bits do not depend on it."""
     root = 1.0 / np.sqrt(cfg.beta)[:, None]  # B^-1/2 as a column
     hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
     gram = ens.user_dirs @ ch(ens.user_dirs)
@@ -217,22 +218,23 @@ def _structure1(cfg, ens, budgets, rows):
     # is 0. Rounding-level ratios were seen up to 2.2e-15, genuine ones down to 1.9e-3
     d = np.where(d > 64 * cfg.K * np.finfo(float).eps * d[..., -1:], d, 0.0)
     white = ch(v) @ (root * equivalent_channel(cfg.psi_vector, ens.h))
+    receive = white @ ch(white)  # (T, K, K), K <= M: T's M - K other modes are 0
     scales = d[..., None] / cfg.N  # each budget scales the budget-free products
     if "energy-struct1" in rows:
         c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
 
     for r, pb in _budget_blocks(budgets):
-        scaled = white / np.sqrt(1.0 + pb * scales)
-        t_mats = ch(scaled) @ scaled
+        s = np.sqrt(1.0 + pb * scales)
         if "rate-struct1" in rows:
-            modes = hermitian_eigvals(t_mats)[..., ::-1]
+            modes = hermitian_eigvals(receive / (s * s.swapaxes(-2, -1)))[..., ::-1]
             rows["rate-struct1"][r] = np.sum(
                 np.log2(1.0 + np.maximum(modes, 0.0) * mode_powers(modes, cfg.P)), axis=-1)
         if "energy-struct1" in rows:
-            q = transmit_covariance(*waterfilled_modes(t_mats, cfg.P)[1:])
+            scaled = white / s
+            q = transmit_covariance(*waterfilled_modes(ch(scaled) @ scaled, cfg.P)[1:])
             rows["energy-struct1"][r] = _harvested(
                 cfg, harvesting.delivered(1.0 - cfg.psi_vector, ens.h, q), (pb / cfg.N) * c_gram)
-            del q  # before the next block's eigen-solve
+            del q, scaled  # before the next block's eigen-solve
 
 
 def _structure2(cfg, ens, budgets, rows):

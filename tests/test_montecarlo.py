@@ -249,9 +249,12 @@ def solved_structure1(cfg, ens, pb):
 class TestWhitenedStructure1:
     """Structure 1 whitens the interference once per slice; each budget only rescales."""
 
+    K_BELOW_M = {"K": 2, "M": 4, "sigma_p2p": (0.9, 0.8), "sigma_bs": (0.8, 0.7), "psi": 0.3}
+
     @pytest.mark.parametrize("seed", [42, 7])
-    @pytest.mark.parametrize("link", [{}, {"psi": (0.2, 0.5, 0.9)}, {"sigma_bs": (0.8, 0.5, 0.0)}],
-                             ids=["default", "per-antenna-split", "rank-deficient-bs"])
+    @pytest.mark.parametrize("link", [{}, {"psi": (0.2, 0.5, 0.9)}, {"sigma_bs": (0.8, 0.5, 0.0)},
+                                      K_BELOW_M],
+                             ids=["default", "per-antenna-split", "rank-deficient-bs", "K<M"])
     def test_samples_match_a_per_trial_solve(self, link, seed):
         cfg = replace(reference_scenario(0.3, trials=64, seed=seed), **link)
         budgets = [0.0, 1e-3, 1.0, 5.0, 70.0, 1e3]
@@ -261,6 +264,16 @@ class TestWhitenedStructure1:
             rate, energy = solved_structure1(cfg, ens, pb)
             assert grid[0, r] == pytest.approx(rate, rel=1e-12, abs=0.0)
             assert grid[1, r] == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+    def test_rate_solves_k_by_k_rows(self, monkeypatch):
+        # T is M x M, but its non-zero modes are those of the K x K receive-side Gram,
+        # which each block rescales elementwise: no M x M row reaches the rate
+        cfg = replace(reference_scenario(0.3, trials=8, seed=42), **self.K_BELOW_M)
+        eigvals, shapes = montecarlo.hermitian_eigvals, []
+        monkeypatch.setattr(montecarlo, "hermitian_eigvals",
+                            lambda a: shapes.append(np.shape(a)) or eigvals(a))
+        sample_grids([(cfg, ("rate-struct1",), (0.0, 5.0, 70.0, 1e3))])
+        assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), shapes
 
     def test_no_linear_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
