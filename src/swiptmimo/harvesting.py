@@ -34,7 +34,9 @@ def delivered(theta2, h, q):
 
 def harvested_power(c_sig, c_bs, w):
     """Top eigenvalue of C + C_bs + W, clipped at zero: what the best steering collects."""
-    return np.maximum(hermitian_eigvals(c_sig + c_bs + w)[..., -1], 0.0)
+    total = c_sig + c_bs
+    total += w  # in place: one temporary the size of the stack
+    return np.maximum(hermitian_eigvals(total)[..., -1], 0.0)
 
 
 def steering(c_sig, c_bs, w):
