@@ -12,12 +12,11 @@ Every operation acts trial by trial: slicing changes no bit.
 The kernel runs one receiver structure at a time and forms each product linear in the BS
 budget once per slice (structure 1 its whitened interference, receive-side Gram and delivered
 BS term, structure 2 its interference past the combiner, joint transfer its beam's delivered
-term lambda u u^H), then scales it by BUDGET_BLOCK budgets at a time on a leading axis; the
-structure-1 rate rescales its K x K Gram elementwise, with no matrix product per budget, and a
-row's bits do not depend on its block. The formulas are kernels in `scenario` (the split
-channel), `rates`, `harvesting` and `transfer`. Eigenvalue reads (the structure-1 rate, every
-harvested power) go through `linalg.hermitian_eigvals`, eigenvector reads (the whitening
-among them) through `linalg.hermitian_eigh`: both solve 3 x 3 rows in closed form.
+term lambda u u^H), then scales it by BUDGET_BLOCK budgets at a time on a leading axis; a
+row's bits do not depend on its block. Per block, structure 1 solves only its K x K Gram. The
+formulas are kernels in `scenario`, `rates`, `harvesting` and `transfer`. Eigenvalue reads (the
+structure-1 modes, every harvested power) go through `linalg.hermitian_eigvals`, eigenvector
+reads through `linalg.hermitian_eigh`: both solve 3 x 3 rows in closed form.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -204,11 +203,12 @@ def _structure1(cfg, ens, budgets, rows):
     """Split per antenna, treating interference as noise: T = Hhat^H ((pb/N) R + B)^-1 Hhat
     with R the received interference and B = diag(beta). The pencil (R, B) is diagonalised
     once (Golub & Van Loan, Matrix Computations, 8.7): B^-1/2 R B^-1/2 = V D V^H, D clipped
-    at 0, gives T = Gs^H Gs with Gs = diag(1/s) V^H B^-1/2 Hhat and s = sqrt(1 + (pb/N) D),
-    and no solve (a singular (pb/N) R + B is no error). T's non-zero modes are those of the
-    K x K Gs Gs^H = A / (s s^T), A = W W^H formed once per slice from W = V^H B^-1/2 Hhat:
-    the rate rescales A elementwise, with no product per budget. Only `energy-struct1`
-    forms T, for its transmit eigenvectors; a rate row's bits do not depend on it."""
+    at 0, gives T = Gs^H Gs with Gs = diag(1/s) W, W = V^H B^-1/2 Hhat, s = sqrt(1 + (pb/N) D),
+    and no solve (a singular (pb/N) R + B is no error). T's non-zero modes lambda are those of
+    the K x K x = Gs Gs^H = A / (s s^T), A = W W^H formed once per slice, and its eigenvectors
+    g = Gs^H u / sqrt(lambda) of x's u (8.6): the link delivers Y diag(p / lambda) Y^H with
+    Y = (F / s^T) u, F = Theta Hhat W^H formed once, weight 0 where p = 0. Both metrics
+    water-fill x's `hermitian_eigvals` modes, so a row's bits do not depend on the other."""
     root = 1.0 / np.sqrt(cfg.beta)[:, None]  # B^-1/2 as a column
     hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
     gram = ens.user_dirs @ ch(ens.user_dirs)
@@ -222,22 +222,22 @@ def _structure1(cfg, ens, budgets, rows):
     scales = d[..., None] / cfg.N  # each budget scales the budget-free products
     if "energy-struct1" in rows:
         c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
-        th = equivalent_channel(1.0 - cfg.psi_vector, ens.h)
+        f = equivalent_channel(1.0 - cfg.psi_vector, ens.h) @ ch(white)
 
     for r, pb in _budget_blocks(budgets):
         s = np.sqrt(1.0 + pb * scales)
+        x = receive / (s * s.swapaxes(-2, -1))
+        modes = hermitian_eigvals(x)[..., ::-1]
+        powers = mode_powers(modes, cfg.P)
         if "rate-struct1" in rows:
-            modes = hermitian_eigvals(receive / (s * s.swapaxes(-2, -1)))[..., ::-1]
-            rows["rate-struct1"][r] = np.sum(
-                np.log2(1.0 + np.maximum(modes, 0.0) * mode_powers(modes, cfg.P)), axis=-1)
+            rows["rate-struct1"][r] = np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * powers), -1)
         if "energy-struct1" in rows:
-            scaled = white / s
-            g, powers = waterfilled_modes(ch(scaled) @ scaled, cfg.P)[1:]
-            del scaled  # before the delivered term (Theta Hhat g) diag(p) (Theta Hhat g)^H
-            rows["energy-struct1"][r] = _harvested(
-                cfg, transmit_covariance(th @ g, powers), (pb / cfg.N) * c_gram)
-            # g and powers live into the next block's eigen-solve: freeing them here raised
-            # --verify's peak RSS by 0.65 MB (heap layout: the traced peak fell 0.25 MiB)
+            ftu = (f / s.swapaxes(-2, -1)) @ hermitian_eigh(x)[1][..., ::-1]
+            del x  # each temporary dies after its last read: a lower --verify peak RSS (README)
+            c_sig = transmit_covariance(ftu, powers / np.where(powers > 0, modes, 1.0))
+            del ftu
+            rows["energy-struct1"][r] = _harvested(cfg, c_sig, (pb / cfg.N) * c_gram)
+            del c_sig
 
 
 def _structure2(cfg, ens, budgets, rows):

@@ -275,6 +275,22 @@ class TestWhitenedStructure1:
         sample_grids([(cfg, ("rate-struct1",), (0.0, 5.0, 70.0, 1e3))])
         assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), shapes
 
+    def test_energy_solves_k_by_k_rows(self, monkeypatch):
+        # the energy path reads T's eigenvectors from the same K x K Gram as the rate:
+        # no eigen-solve of either metric sees an M x M row (the once-per-slice whitening
+        # and every harvested power are K x K too)
+        cfg = replace(reference_scenario(0.3, trials=8, seed=42), **self.K_BELOW_M)
+        shapes = {"hermitian_eigh": [], "hermitian_eigvals": []}
+        for name, calls in shapes.items():
+            solve = getattr(linalg, name)
+            for module in (linalg, harvesting, rates, transfer, montecarlo):
+                if getattr(module, name, None) is solve:
+                    monkeypatch.setattr(module, name, lambda a, solve=solve, calls=calls:
+                                        calls.append(np.shape(a)) or solve(a))
+        sample_grids([(cfg, ("rate-struct1", "energy-struct1"), (0.0, 5.0, 70.0, 1e3))])
+        assert all(calls and all(shape[-2:] == (2, 2) for shape in calls)
+                   for calls in shapes.values()), shapes
+
     def test_no_linear_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.solve called")
@@ -455,17 +471,22 @@ def metric_requests():
 class TestMetricSets:
     BUDGETS = (12.5, 0.0, 35.0)
 
-    @pytest.mark.parametrize("cfg", [
-        reference_scenario(0.6, trials=1, seed=13),
-        reference_scenario(0.6, trials=6, seed=13),
-        reference_scenario(0.0, trials=6, seed=13),
-        reference_scenario(1.0, trials=6, seed=13),
-    ], ids=["T1", "T6", "psi0", "psi1"])
-    def test_rows_do_not_depend_on_the_metric_set(self, cfg):
-        single = {metric: grid_of(cfg, (metric,), self.BUDGETS)[0] for metric in METRICS}
+    @pytest.mark.parametrize("cfg, budgets", [
+        (reference_scenario(0.6, trials=1, seed=13), BUDGETS),
+        (reference_scenario(0.6, trials=6, seed=13), BUDGETS),
+        (reference_scenario(0.0, trials=6, seed=13), BUDGETS),
+        (reference_scenario(1.0, trials=6, seed=13), BUDGETS),
+        # rows that go to LAPACK, where eigh and eigvalsh round differently: the
+        # near-degenerate rows of a rank-deficient interferer, and every 2 x 2 row
+        (ScenarioConfig(sigma_bs=(0.8, 0.5, 0.0), trials=64, seed=13), BUDGETS + (1e6,)),
+        (replace(reference_scenario(0.3, trials=64, seed=13), **TestWhitenedStructure1.K_BELOW_M),
+         BUDGETS + (1e6,)),
+    ], ids=["T1", "T6", "psi0", "psi1", "rank-deficient-bs", "K<M"])
+    def test_rows_do_not_depend_on_the_metric_set(self, cfg, budgets):
+        single = {metric: grid_of(cfg, (metric,), budgets)[0] for metric in METRICS}
         for request in metric_requests():
-            grid = grid_of(cfg, request, self.BUDGETS)
-            assert grid.shape == (len(request), len(self.BUDGETS), cfg.trials)
+            grid = grid_of(cfg, request, budgets)
+            assert grid.shape == (len(request), len(budgets), cfg.trials)
             for metric, rows in zip(request, grid):
                 assert rows.tobytes() == single[metric].tobytes(), (request, metric)
 

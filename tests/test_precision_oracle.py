@@ -12,39 +12,66 @@ def mp_matrix(a):
     return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in a])
 
 
-def mp_rate_struct1(cfg, ens, t, pb):
-    """Trial t's structure-1 rate at BS budget pb, in the working precision of mpmath:
-    T = Hhat^H ((pb/N) Hhat_bs U U^H Hhat_bs^H + B)^-1 Hhat by an explicit inverse, its
-    eigenvalues water-filled with the kernel's rule (gains within 1e-14 of the top get
-    none), with no numpy arithmetic on the way."""
+def mp_structure1(cfg, ens, t, pb):
+    """Trial t's structure-1 (rate, energy) at BS budget pb, in the working precision of
+    mpmath: T = Hhat^H ((pb/N) Hhat_bs U U^H Hhat_bs^H + B)^-1 Hhat by an explicit inverse,
+    its eigenpairs water-filled with the kernel's rule (gains within 1e-14 of the top get
+    none), and the energy the top eigenvalue of Theta H G diag(p) G^H H^H Theta + C_bs + W,
+    with no numpy arithmetic on the way."""
     psi = [mpmath.mpf(x) for x in cfg.psi]
     root = mpmath.diag([mpmath.sqrt(x) for x in psi])
-    hhat, hhat_bs, users = root * mp_matrix(ens.h[t]), root * mp_matrix(ens.h_bs[t]), \
-        mp_matrix(ens.user_dirs[t])
+    theta = mpmath.diag([mpmath.sqrt(1 - x) for x in psi])
+    h, h_bs, users = mp_matrix(ens.h[t]), mp_matrix(ens.h_bs[t]), mp_matrix(ens.user_dirs[t])
+    hhat, hhat_bs = root * h, root * h_bs
     noise = mpmath.diag([x * mpmath.mpf(cfg.sigma2_w) + mpmath.mpf(cfg.sigma2_n) for x in psi])
-    s = (mpmath.mpf(pb) / cfg.N) * hhat_bs * users * users.H * hhat_bs.H + noise
-    gains = sorted((mpmath.re(x) for x in
-                    mpmath.eighe(hhat.H * mpmath.inverse(s) * hhat, eigvals_only=True)),
-                   reverse=True)
+    q_bs = (mpmath.mpf(pb) / cfg.N) * users * users.H
+    s = hhat_bs * q_bs * hhat_bs.H + noise
+    gains, vectors = mpmath.eighe(hhat.H * mpmath.inverse(s) * hhat)
+    order = sorted(range(len(gains)), key=lambda i: mpmath.re(gains[i]), reverse=True)
+    gains = [mpmath.re(gains[i]) for i in order]
     gains = [g for g in gains if g > gains[0] * mpmath.mpf("1e-14")]
     for active in range(len(gains), 0, -1):
         level = (mpmath.mpf(cfg.P) + sum(1 / g for g in gains[:active])) / active
         if level > 1 / gains[active - 1]:
             break
-    return sum(mpmath.log(1 + g * (level - 1 / g), 2) for g in gains[:active])
+    powers = [level - 1 / g for g in gains[:active]]
+    rate = sum(mpmath.log(1 + g * p, 2) for g, p in zip(gains, powers))
+    q = mpmath.zeros(cfg.M, cfg.M)
+    for i, p in zip(order, powers):
+        g = vectors[:, i]
+        q += p * g * g.H
+    w = mpmath.diag([mpmath.mpf(cfg.sigma2_w) * (1 - x) for x in psi])
+    cov = theta * (h * q * h.H + h_bs * q_bs * h_bs.H) * theta + w
+    return rate, max(mpmath.re(x) for x in mpmath.eighe(cov, eigvals_only=True))
 
 
-def test_rate_struct1_on_an_ill_conditioned_link():
-    # a link gain spread of 1e6 at P = 1e20: the weak mode's gain carries the float
-    # rounding of the strong one's, about 1e6 eps relative. Measured worst relative error
-    # 2.67e-12 over the 32 rows, for the K x K Gram form and the M x M product T = Gs^H Gs
-    # alike; at psi = 1 the two float forms differ by up to 1.2e-11, the conditioning limit
-    cfg = ScenarioConfig(K=2, M=2, N=6, sigma_p2p=(1.0, 1e-3), sigma_bs=(1.0, 1.0),
-                         psi=0.3, P=1e20, trials=16, seed=3)
-    budgets = (0.0, 1e6)
-    ens = ensemble_for(cfg)
-    grid, = sample_grids([(cfg, ("rate-struct1",), budgets)])
+# a link gain spread of 1e6 at P = 1e20: the weak mode's gain carries the float rounding of
+# the strong one's, about 1e6 eps relative
+ILL_CONDITIONED = ScenarioConfig(K=2, M=2, N=6, sigma_p2p=(1.0, 1e-3), sigma_bs=(1.0, 1.0),
+                                 psi=0.3, P=1e20, trials=16, seed=3)
+BUDGETS = (0.0, 1e6)
+
+
+@pytest.fixture(scope="module")
+def exact():
+    """The 32 (budget, trial) rows of the ill-conditioned link, (rate, energy) in mpmath."""
+    ens = ensemble_for(ILL_CONDITIONED)
     with mpmath.workdps(50):
-        exact = np.array([[float(mp_rate_struct1(cfg, ens, t, pb)) for t in range(cfg.trials)]
-                          for pb in budgets])
-    assert grid[0] == pytest.approx(exact, rel=1e-11, abs=0.0)
+        return np.array([[[float(x) for x in mp_structure1(ILL_CONDITIONED, ens, t, pb)]
+                          for t in range(ILL_CONDITIONED.trials)] for pb in BUDGETS])
+
+
+def test_rate_struct1_on_an_ill_conditioned_link(exact):
+    # measured worst relative error 2.67e-12 over the 32 rows, for the K x K Gram form and
+    # the M x M product T = Gs^H Gs alike; at psi = 1 the two float forms differ by up to
+    # 1.2e-11, the conditioning limit
+    grid, = sample_grids([(ILL_CONDITIONED, ("rate-struct1",), BUDGETS)])
+    assert grid[0] == pytest.approx(exact[..., 0], rel=1e-11, abs=0.0)
+
+
+def test_energy_struct1_on_an_ill_conditioned_link(exact):
+    # the energy reads T's eigenvectors, which the 1e6 gap between its two modes keeps well
+    # conditioned: measured worst relative error 8.19e-16 over the 32 rows, so the bound
+    # is 4e-15
+    grid, = sample_grids([(ILL_CONDITIONED, ("energy-struct1",), BUDGETS)])
+    assert grid[0] == pytest.approx(exact[..., 1], rel=4e-15, abs=0.0)
