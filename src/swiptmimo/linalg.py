@@ -77,10 +77,12 @@ def hermitian_eigh(a):
     matrices, as `np.linalg.eigh(hermitize(a))` up to phase: a 3 x 3 row takes the column
     of adj(B / p - mu I) with the largest diagonal entry for each root mu of `_smith`
     (Kopp, IJMPC 2008), a zero row takes the identity, and other rows and sizes go to
-    LAPACK as in `hermitian_eigvals`."""
+    LAPACK as in `hermitian_eigvals`, whose `eigvalsh` eigenvalues they keep beside `eigh`'s
+    vectors: the eigenvalues are `hermitian_eigvals(a)` bit for bit on every input."""
     a = np.asarray(a)
     if a.shape[-2:] != (3, 3):
-        return np.linalg.eigh(hermitize(check_finite(a)))
+        a = hermitize(check_finite(a))
+        return np.linalg.eigvalsh(a), np.linalg.eigh(a)[1]
     with np.errstate(divide="ignore", invalid="ignore"):  # such rows go to LAPACK
         w, near, zero, mu, p, x = _smith(a)
         m0, m1, m2 = x[:3, None] / p - mu  # B / p - mu I, whose roots lie apart on an O(1) scale
@@ -105,7 +107,8 @@ def hermitian_eigh(a):
         v = np.moveaxis(v / np.sqrt(np.sum((v * v.conj()).real, axis=0)), (0, 1), (-2, -1))
         v[zero] = np.eye(3)
     if near.any():
-        w[near], v[near] = np.linalg.eigh(hermitize(check_finite(a[near])))
+        lapack = hermitize(check_finite(a[near]))
+        w[near], v[near] = np.linalg.eigvalsh(lapack), np.linalg.eigh(lapack)[1]
     return w, v
 
 

@@ -6,17 +6,17 @@ results however the work is scheduled; `seed_states` computes those seeds for a
 slice in one uint32 array pass, set trial by trial on one reused PCG64. Nothing is
 cached. `sample_grids` is the one entry into the grid kernel: it checks every
 request, then draws each slice of TRIAL_CHUNK trials once with `ensemble_for` (which
-refuses longer slices) and runs every request's kernel on it, into the request's
-(metrics, budgets, trials) rows, the only arrays that grow with the trial count.
-Every operation acts trial by trial: slicing changes no bit.
-The kernel runs one receiver structure at a time and forms each product linear in the BS
-budget once per slice (structure 1 its whitened interference, receive-side Gram and delivered
-BS term, structure 2 its interference past the combiner, joint transfer its beam's delivered
-term lambda u u^H), then scales it by BUDGET_BLOCK budgets at a time on a leading axis; a
-row's bits do not depend on its block. Per block, structure 1 solves only its K x K Gram. The
-formulas are kernels in `scenario`, `rates`, `harvesting` and `transfer`. Eigenvalue reads (the
-structure-1 modes, every harvested power) go through `linalg.hermitian_eigvals`, eigenvector
-reads through `linalg.hermitian_eigh`: both solve 3 x 3 rows in closed form.
+refuses longer slices) and runs each receiver structure's kernel once on it for every
+request that asks for one of its metrics, into the requests' (metrics, budgets, trials) rows,
+the only arrays that grow with the trial count. Every operation acts trial by trial: slicing
+changes no bit. A kernel forms its split-free products once per slice (U U^H; structure 2
+also its combiner and the interference past it), then per request each product linear in the
+BS budget (structure 1 its whitened interference, receive-side Gram and delivered BS term,
+joint transfer its beam's delivered term lambda u u^H), which it scales by BUDGET_BLOCK budgets
+at a time on a leading axis; a row's bits do not depend on its block or on the other requests.
+Per block, structure 1 solves only its K x K Gram. The formulas are kernels in `scenario`,
+`rates`, `harvesting` and `transfer`. Eigen-solves go through `linalg.hermitian_eigvals` and
+`linalg.hermitian_eigh` (the same eigenvalue bits), both closed form on 3 x 3 rows.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -170,8 +170,12 @@ def sample_grids(requests):
     grids = [np.empty((len(names), len(pbs), trials)) for _, names, pbs in checked]
     for t0 in range(0, trials, TRIAL_CHUNK):
         ens = ensemble_for(requests[0][0], t0, min(t0 + TRIAL_CHUNK, trials))
-        for (cfg, names, pbs), grid in zip(checked, grids):
-            _slice_rows(cfg, names, pbs, ens, grid[..., t0:t0 + TRIAL_CHUNK])
+        for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
+            jobs = [(cfg, pbs, {metric: out[names.index(metric), :, t0:t0 + TRIAL_CHUNK]
+                                for metric in family if metric in names})
+                    for (cfg, names, pbs), out in zip(checked, grids) if set(family) & set(names)]
+            if jobs:
+                run(ens, jobs)
     return grids
 
 
@@ -181,25 +185,13 @@ def metric_samples(cfg, metric, pb_budget):
     return sample_grids([(cfg, (metric,), (pb_budget,))])[0][0, 0]
 
 
-def _slice_rows(cfg, names, budgets, ens, out):
-    """Write each metric's rows at each BS budget on the slice `ens` into `out`, shape
-    (len(names), len(budgets), len(ens.trials)). The metrics run one family (FAMILIES)
-    after another; a family does its budget-free work once, then each block of
-    BUDGET_BLOCK budgets in one call per kernel for all its metrics, and every row runs
-    exactly the operations of a single-metric, single-budget call."""
-    for family, run in zip(FAMILIES, (_structure1, _structure2, _swipt)):
-        rows = {metric: out[names.index(metric)] for metric in family if metric in names}
-        if rows:
-            run(cfg, ens, budgets, rows)
-
-
 def _budget_blocks(budgets):
     """(row slice, (block, 1, 1, 1) budgets) of each block of BUDGET_BLOCK budgets or fewer."""
     return ((slice(b, b + BUDGET_BLOCK), np.reshape(budgets[b:b + BUDGET_BLOCK], (-1, 1, 1, 1)))
             for b in range(0, len(budgets), BUDGET_BLOCK))
 
 
-def _structure1(cfg, ens, budgets, rows):
+def _structure1(ens, jobs):
     """Split per antenna, treating interference as noise: T = Hhat^H ((pb/N) R + B)^-1 Hhat
     with R the received interference and B = diag(beta). The pencil (R, B) is diagonalised
     once (Golub & Van Loan, Matrix Computations, 8.7): B^-1/2 R B^-1/2 = V D V^H, D clipped
@@ -208,74 +200,74 @@ def _structure1(cfg, ens, budgets, rows):
     the K x K x = Gs Gs^H = A / (s s^T), A = W W^H formed once per slice, and its eigenvectors
     g = Gs^H u / sqrt(lambda) of x's u (8.6): the link delivers Y diag(p / lambda) Y^H with
     Y = (F / s^T) u, F = Theta Hhat W^H formed once, weight 0 where p = 0. Both metrics
-    water-fill x's `hermitian_eigvals` modes, so a row's bits do not depend on the other."""
-    root = 1.0 / np.sqrt(cfg.beta)[:, None]  # B^-1/2 as a column
-    hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
+    water-fill x's modes: `hermitian_eigh`'s if the energy is asked for, else the same bits from
+    `hermitian_eigvals`. Every (cfg, budgets, rows) job on the slice shares its U U^H."""
     gram = ens.user_dirs @ ch(ens.user_dirs)
-    d, v = hermitian_eigh(root * (hhat_bs @ gram @ ch(hhat_bs)) * root.T)
-    # a null direction of R whitens to a rounding-level d, which a huge budget would scale
-    # into a jam of a free mode: d at most 64 K eps (4.3e-14 at K = 3) of its row's largest
-    # is 0. Rounding-level ratios were seen up to 2.2e-15, genuine ones down to 1.9e-3
-    d = np.where(d > 64 * cfg.K * np.finfo(float).eps * d[..., -1:], d, 0.0)
-    white = ch(v) @ (root * equivalent_channel(cfg.psi_vector, ens.h))
-    receive = white @ ch(white)  # (T, K, K), K <= M: T's M - K other modes are 0
-    scales = d[..., None] / cfg.N  # each budget scales the budget-free products
-    if "energy-struct1" in rows:
-        c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
-        f = equivalent_channel(1.0 - cfg.psi_vector, ens.h) @ ch(white)
-
-    for r, pb in _budget_blocks(budgets):
-        s = np.sqrt(1.0 + pb * scales)
-        x = receive / (s * s.swapaxes(-2, -1))
-        modes = hermitian_eigvals(x)[..., ::-1]
-        powers = mode_powers(modes, cfg.P)
-        if "rate-struct1" in rows:
-            rows["rate-struct1"][r] = np.sum(np.log2(1.0 + np.maximum(modes, 0.0) * powers), -1)
-        if "energy-struct1" in rows:
-            ftu = (f / s.swapaxes(-2, -1)) @ hermitian_eigh(x)[1][..., ::-1]
+    for cfg, budgets, rows in jobs:
+        root = 1.0 / np.sqrt(cfg.beta)[:, None]  # B^-1/2 as a column
+        hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
+        d, v = hermitian_eigh(root * (hhat_bs @ gram @ ch(hhat_bs)) * root.T)
+        # a null direction of R whitens to a rounding-level d, which a huge budget would scale
+        # into a jam of a free mode: d at most 64 K eps (4.3e-14 at K = 3) of its row's
+        # largest is 0. Rounding-level ratios were seen up to 2.2e-15, genuine ones to 1.9e-3
+        d = np.where(d > 64 * cfg.K * np.finfo(float).eps * d[..., -1:], d, 0.0)
+        white = ch(v) @ (root * equivalent_channel(cfg.psi_vector, ens.h))
+        receive = white @ ch(white)  # (T, K, K), K <= M: T's M - K other modes are 0
+        scales = d[..., None] / cfg.N  # each budget scales the budget-free products
+        energy = "energy-struct1" in rows
+        if energy:
+            c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
+            f = equivalent_channel(1.0 - cfg.psi_vector, ens.h) @ ch(white)
+            noise = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
+        for r, pb in _budget_blocks(budgets):
+            s = np.sqrt(1.0 + pb * scales)
+            x = receive / (s * s.swapaxes(-2, -1))
+            w, u = hermitian_eigh(x) if energy else (hermitian_eigvals(x), None)
             del x  # each temporary dies after its last read: a lower --verify peak RSS (README)
-            c_sig = transmit_covariance(ftu, powers / np.where(powers > 0, modes, 1.0))
-            del ftu
-            rows["energy-struct1"][r] = _harvested(cfg, c_sig, (pb / cfg.N) * c_gram)
-            del c_sig
+            modes = w[..., ::-1]
+            powers = mode_powers(modes, cfg.P)
+            if "rate-struct1" in rows:
+                rows["rate-struct1"][r] = np.log2(1.0 + np.maximum(modes, 0.0) * powers).sum(-1)
+            if energy:
+                ftu = (f / s.swapaxes(-2, -1)) @ u[..., ::-1]
+                c_sig = transmit_covariance(ftu, powers / np.where(powers > 0, modes, 1.0))
+                del ftu
+                rows["energy-struct1"][r] = harvesting.harvested_power(
+                    c_sig, (pb / cfg.N) * c_gram, noise)
+                del c_sig
 
 
-def _structure2(cfg, ens, budgets, rows):
-    """Combine, then split: one combiner and one interference term per grid, which
-    each budget scales."""
-    psi = cfg.psi[0]
+def _structure2(ens, jobs):
+    """Combine, then split: the combiner and the interference past it are split-free, formed
+    once per slice; each (cfg, budgets, rows) job's budgets scale the interference."""
     gram = ens.user_dirs @ ch(ens.user_dirs)
     lam1sq, u1 = transfer.combiner(ens.h)
     unit = transfer.combined_interference(u1, ens.h_bs @ gram @ ch(ens.h_bs))
-    for r, pb in _budget_blocks(budgets):
-        interference = (pb[..., 0, 0] / cfg.N) * unit
-        if "rate-struct2" in rows:
-            rows["rate-struct2"][r] = transfer.combined_rate(
-                lam1sq, interference, psi, cfg.sigma2_w, cfg.sigma2_n, cfg.P)
-        if "energy-struct2" in rows:
-            rows["energy-struct2"][r] = transfer.combined_energy(
-                lam1sq, interference, psi, cfg.sigma2_w, cfg.P)
+    for cfg, budgets, rows in jobs:
+        for r, pb in _budget_blocks(budgets):
+            interference = (pb[..., 0, 0] / cfg.N) * unit
+            if "rate-struct2" in rows:
+                rows["rate-struct2"][r] = transfer.combined_rate(
+                    lam1sq, interference, cfg.psi[0], cfg.sigma2_w, cfg.sigma2_n, cfg.P)
+            if "energy-struct2" in rows:
+                rows["energy-struct2"][r] = transfer.combined_energy(
+                    lam1sq, interference, cfg.psi[0], cfg.sigma2_w, cfg.P)
 
 
-def _swipt(cfg, ens, budgets, rows):
-    """Joint transfer: the link ignores the cancelled BS symbols, so it water-fills
-    against noise alone and its delivered term is formed once; the BS puts each
-    budget on one rank-one energy beam, which delivers lambda u u^H (`energy_mode`)."""
-    psi = cfg.psi_vector
-    lam, u = transfer.energy_mode(ens.h_bs, 1.0 - psi)
-    hhat = equivalent_channel(psi, ens.h)
-    _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
-    c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
-    c_beam = lam[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
-    for r, pb in _budget_blocks(budgets):
-        rows["energy-swipt"][r] = _harvested(cfg, c_sig, pb * c_beam)
-
-
-def _harvested(cfg, c_sig, c_bs):
-    """Power the best energy beam collects from link term c_sig, BS term c_bs and
-    the split antenna noise."""
-    theta2 = 1.0 - cfg.psi_vector
-    return harvesting.harvested_power(c_sig, c_bs, np.diag(cfg.sigma2_w * theta2))
+def _swipt(ens, jobs):
+    """Joint transfer: the link ignores the cancelled BS symbols, so it water-fills against
+    noise alone; per (cfg, budgets, rows) job its delivered term is formed once, and the BS
+    puts each budget on one rank-one energy beam, which delivers lambda u u^H (`energy_mode`)."""
+    for cfg, budgets, rows in jobs:
+        psi = cfg.psi_vector
+        lam, u = transfer.energy_mode(ens.h_bs, 1.0 - psi)
+        hhat = equivalent_channel(psi, ens.h)
+        _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
+        c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
+        c_beam = lam[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
+        noise = np.diag(cfg.sigma2_w * (1.0 - psi))
+        for r, pb in _budget_blocks(budgets):
+            rows["energy-swipt"][r] = harvesting.harvested_power(c_sig, pb * c_beam, noise)
 
 
 def average_metric(cfg, metric, pb_budget):

@@ -44,8 +44,6 @@ def _descending_nonneg(values, name):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise InvalidInputError(f"{name} must be a non-empty 1-D profile", (name,))
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} must be finite and nonnegative", (name,))
     if np.any(np.diff(arr) > 1e-12):
         raise InvalidInputError(f"{name} must be sorted descending", (name,))
     return arr
@@ -55,11 +53,11 @@ def _descending_nonneg(values, name):
 class ScenarioConfig:
     """Static description of one link setup, the one validated link schema.
 
-    K receive antennas, M transmit antennas at the point-to-point node,
-    N antennas at the interfering base station. `psi` holds the per-antenna
-    power-split ratios toward the information branch; one number splits every
-    antenna alike. Every value is checked against BOUNDS and the cross-field
-    rules; an InvalidInputError names the config keys its check read.
+    K receive antennas, M transmit antennas at the point-to-point node, N antennas at the
+    interfering base station. `psi` holds the per-antenna power-split ratios toward the
+    information branch; one number splits every antenna alike. Each other field is one number
+    and each profile a flat sequence of numbers; every value is checked against BOUNDS and the
+    cross-field rules, and an InvalidInputError names the config keys its check read.
     """
 
     K: int = 3
@@ -76,8 +74,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for key, attr, in_bound, message in BOUNDS:
-            values = getattr(self, attr)
-            for value in values if isinstance(values, (tuple, list, np.ndarray)) else (values,):
+            values, flat = getattr(self, attr), attr in ("sigma_p2p", "sigma_bs", "psi")
+            values = values.tolist() if flat and isinstance(values, np.ndarray) else values
+            values = values if flat and isinstance(values, (tuple, list)) else (values,)
+            if not all(isinstance(value, numbers.Real) for value in values):
+                shape = "a flat sequence of numbers" if flat else "one number"
+                raise InvalidInputError(f"{key} must be {shape}", (key,))
+            for value in values:
                 if not in_bound(value):
                     raise InvalidInputError(message.format(value), (key,))
         for key, dim, size in (("sigma_p2p", "m", self.M), ("sigma_bs", "n", self.N)):

@@ -152,20 +152,23 @@ def test_run_all_draws_the_monte_carlo_ensemble_once(monkeypatch):
 
 @pytest.fixture(scope="module")
 def recorded_run():
-    """run_all(100, SEED), with the grid calls and saddle batches it makes."""
-    grids, grid = [], montecarlo._slice_rows
-    batches, batch = [], saddle.solve_saddle_batch
+    """run_all(100, SEED), with the kernel calls and saddle batches it makes."""
+    grids, batches, batch = [], [], saddle.solve_saddle_batch
 
-    def recording_grid(cfg, metrics, budgets, ens, out):
-        grids.append((cfg.psi[0], metrics, len(budgets)))
-        return grid(cfg, metrics, budgets, ens, out)
+    def recording_grid(name, kernel):
+        def run(ens, jobs):
+            grids.append((name, [(cfg.psi[0], tuple(rows), len(budgets))
+                                 for cfg, budgets, rows in jobs]))
+            return kernel(ens, jobs)
+        return run
 
     def recording_batch(lambda2, *args, **kwargs):
         batches.append(len(lambda2))
         return batch(lambda2, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(acceptance.montecarlo, "_slice_rows", recording_grid)
+        for name in ("_structure1", "_structure2", "_swipt"):
+            patch.setattr(montecarlo, name, recording_grid(name, getattr(montecarlo, name)))
         patch.setattr(acceptance.saddle, "solve_saddle_batch", recording_batch)
         results = acceptance.run_all(100, SEED)
     return results, grids, batches
@@ -173,14 +176,19 @@ def recorded_run():
 
 def test_run_all_builds_one_sweep_result(recorded_run):
     _, grids, batches = recorded_run
-    # criteria 3-8: one call per psi over the whole ratio grid, holding all five
-    # metrics at psi 0.3 and 0.6 and both rates at 0.9; then criterion 10's two T = 50
-    # sweeps, one call each for all their metrics
-    every = ("rate-struct1", "energy-struct1", "energy-struct2", "rate-struct2",
-             "energy-swipt")
-    assert grids[:3] == [(0.3, every, 15), (0.6, every, 15),
-                         (0.9, ("rate-struct1", "rate-struct2"), 15)]
-    assert grids[3:] == [(0.3, ("rate-struct1", "rate-struct2", "energy-swipt"), 3)] * 2
+    # criteria 3-8: one call per receiver-structure kernel over the whole ratio grid (one
+    # slice at T = 100), holding all five metrics at psi 0.3 and 0.6 and both rates at
+    # 0.9; then criterion 10's two T = 50 sweeps, one call per kernel for all their metrics
+    structure1, structure2 = ("rate-struct1", "energy-struct1"), ("rate-struct2", "energy-struct2")
+    assert grids[:3] == [
+        ("_structure1", [(0.3, structure1, 15), (0.6, structure1, 15),
+                         (0.9, ("rate-struct1",), 15)]),
+        ("_structure2", [(0.3, structure2, 15), (0.6, structure2, 15),
+                         (0.9, ("rate-struct2",), 15)]),
+        ("_swipt", [(0.3, ("energy-swipt",), 15), (0.6, ("energy-swipt",), 15)])]
+    assert grids[3:] == [("_structure1", [(0.3, ("rate-struct1",), 3)]),
+                         ("_structure2", [(0.3, ("rate-struct2",), 3)]),
+                         ("_swipt", [(0.3, ("energy-swipt",), 3)])] * 2
     # criteria 1, 2 and 8: one 45-point batch; then criterion 10's worst-case rows
     assert batches == [45, 3, 3]
 

@@ -222,34 +222,38 @@ class TestRunSweep:
         expected = (REFERENCE / f"default-sweep-seed{seed}.csv").read_text(encoding="utf-8")
         assert cli.run_sweep(cli.SweepConfig(ScenarioConfig(seed=seed))) == expected
 
-    def test_one_grid_call_per_psi_per_slice(self, monkeypatch):
-        # in each slice of trials, one kernel call per psi holding every metric (the
-        # kernel runs the structure families in turn); no Monte-Carlo tag, no draw
-        calls, kernel = [], montecarlo._slice_rows
-        draws, sampler = [], montecarlo.ensemble_for
+    def test_one_kernel_call_per_family_per_slice(self, monkeypatch):
+        # in each slice of trials, one call per receiver-structure kernel holding every psi
+        # that asks for one of its metrics; no Monte-Carlo tag, no draw
+        calls, draws, sampler = [], [], montecarlo.ensemble_for
 
-        def recording(cfg, metrics, budgets, ens, out):
-            calls.append((ens.trials, cfg.psi[0], metrics, tuple(budgets)))
-            return kernel(cfg, metrics, budgets, ens, out)
+        def recording(name, kernel):
+            def run(ens, jobs):
+                calls.append((ens.trials, name, [(cfg.psi[0], tuple(rows), tuple(budgets))
+                                                 for cfg, budgets, rows in jobs]))
+                return kernel(ens, jobs)
+            return run
 
         def drawing(cfg, *args):
             draws.append(args)
             return sampler(cfg, *args)
 
-        monkeypatch.setattr(cli.montecarlo, "_slice_rows", recording)
+        for name in ("_structure1", "_structure2", "_swipt"):
+            monkeypatch.setattr(montecarlo, name, recording(name, getattr(montecarlo, name)))
         monkeypatch.setattr(montecarlo, "ensemble_for", drawing)
         monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 2)
         cfg = self.small_config(scenarios=cli.SCENARIOS, psis=(0.6, 0.3), trials=5)
         cli.run_sweep(cfg)
-        metrics = ("rate-struct1", "energy-struct1", "energy-struct2", "rate-struct2",
-                   "energy-swipt")
-        assert calls == [(trials, psi, metrics, (0.0, 5.0))
+        families = {"_structure1": ("rate-struct1", "energy-struct1"),
+                    "_structure2": ("rate-struct2", "energy-struct2"),
+                    "_swipt": ("energy-swipt",)}
+        assert calls == [(trials, name, [(psi, metrics, (0.0, 5.0)) for psi in (0.3, 0.6)])
                          for trials in (range(0, 2), range(2, 4), range(4, 5))
-                         for psi in (0.3, 0.6)]
+                         for name, metrics in families.items()]
         assert len(draws) == 3
         draws.clear()
         cli.run_sweep(self.small_config(scenarios=("worst-case",), psis=(0.6, 0.3), trials=5))
-        assert draws == [] and len(calls) == 6
+        assert draws == [] and len(calls) == 9
 
     def test_sweep_refuses_a_psi_in_two_configs(self):
         # a (psi, metric) or (psi, ratio) key names one point of one config

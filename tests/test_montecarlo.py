@@ -25,6 +25,15 @@ def grid_of(cfg, metrics, budgets):
     return sample_grids([(cfg, metrics, budgets)])[0]
 
 
+def per_slice_kernels(monkeypatch, wrap):
+    """Patch each receiver-structure kernel, the unit that sample_grids runs once per slice
+    for every request, to run as wrap(kernel, ens, jobs)."""
+    for name in ("_structure1", "_structure2", "_swipt"):
+        kernel = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name,
+                            lambda ens, jobs, kernel=kernel: wrap(kernel, ens, jobs))
+
+
 def bs_covariances(ens, pb_budget):
     """Each trial's BS covariance Q_bs = (Pb / N) U U^H from its unit user beams U."""
     users = ens.user_dirs
@@ -573,21 +582,24 @@ class TestEigenSolves:
         cfg = ScenarioConfig(psi=psi, trials=2 * TRIAL_CHUNK)
         metrics = ("energy-struct1", "rate-struct2", "energy-swipt")  # every eigenvector read
         budgets = [ratio * cfg.P for ratio in range(15)]
-        eigh, kernel, lapack, shares = np.linalg.eigh, montecarlo._slice_rows, [], []
+        eigh, lapack, slices = np.linalg.eigh, [], {}
         rows = self.count_eigh(monkeypatch)
 
-        def per_slice(cfg, names, pbs, ens, out):
+        def per_slice(kernel, ens, jobs):
             rows.clear()
             lapack.clear()
-            kernel(cfg, names, pbs, ens, out)
-            assert sum(rows) == (len(pbs) + 4) * len(ens.trials)  # per budget, and 4 once
-            shares.append(sum(lapack) / sum(rows))
+            kernel(ens, jobs)
+            counts = slices.setdefault(ens.trials, [0, 0])
+            counts[0], counts[1] = counts[0] + sum(rows), counts[1] + sum(lapack)
 
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: lapack.append(self.matrices(a)) or eigh(a))
-        monkeypatch.setattr(montecarlo, "_slice_rows", per_slice)
+        per_slice_kernels(monkeypatch, per_slice)
         sample_grids([(cfg, metrics, budgets)])
-        assert len(shares) == 2 and max(shares) < 0.05
+        assert len(slices) == 2
+        for trials, (solved, sent) in slices.items():
+            assert solved == (len(budgets) + 4) * len(trials)  # per budget, and 4 once
+            assert sent / solved < 0.05
 
     def test_zero_rows_at_psi_zero_reach_no_lapack(self, monkeypatch):
         # at psi = 0 the information branch sees nothing: every whitened interference
@@ -610,17 +622,19 @@ class TestEigenSolves:
         cfg = ScenarioConfig(psi=psi, trials=2 * TRIAL_CHUNK)
         metrics = ("rate-struct1", "energy-struct1", "energy-swipt")  # one read per budget each
         budgets = [ratio * cfg.P for ratio in range(15)]
-        eigvalsh, kernel, rows, shares = np.linalg.eigvalsh, montecarlo._slice_rows, [], []
+        eigvalsh, rows, sent = np.linalg.eigvalsh, [], {}
 
-        def per_slice(cfg, names, pbs, ens, out):
+        def per_slice(kernel, ens, jobs):
             rows.clear()
-            kernel(cfg, names, pbs, ens, out)
-            shares.append(sum(rows) / (len(names) * len(pbs) * len(ens.trials)))
+            kernel(ens, jobs)
+            sent[ens.trials] = sent.get(ens.trials, 0) + sum(rows)
 
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: rows.append(self.matrices(a)) or eigvalsh(a))
-        monkeypatch.setattr(montecarlo, "_slice_rows", per_slice)
+        per_slice_kernels(monkeypatch, per_slice)
         sample_grids([(cfg, metrics, budgets)])
+        shares = [count / (len(metrics) * len(budgets) * len(trials))
+                  for trials, count in sent.items()]
         assert len(shares) == 2 and max(shares) < 0.05
 
 
@@ -663,13 +677,13 @@ class TestTrialChunks:
         # sample_grids, below); beyond the slice the draw returns, and the slice and
         # rows the kernel reads and writes, their working memory does not depend
         # on how many trials come before the slice
-        kernel, kernel_peaks = montecarlo._slice_rows, []
+        kernel_peaks = []
 
-        def last_slice(cfg, names, budgets, ens, out):
-            if ens.trials.stop == cfg.trials:  # the slices before it are not measured
-                kernel_peaks.append(self.traced(kernel, cfg, names, budgets, ens, out)[1])
+        def last_slice(kernel, ens, jobs):
+            if ens.trials.stop == jobs[0][0].trials:  # the slices before it are not measured
+                kernel_peaks.append(self.traced(kernel, ens, jobs)[1])
 
-        monkeypatch.setattr(montecarlo, "_slice_rows", last_slice)
+        per_slice_kernels(monkeypatch, last_slice)
         grid_of(reference_scenario(0.3, trials=64, seed=42), METRICS, self.BUDGETS)  # warm-up
         extra = []
         for trials in (2048, 8192):
@@ -677,7 +691,8 @@ class TestTrialChunks:
             ens, draw_peak = self.traced(ensemble_for, cfg, trials - TRIAL_CHUNK, trials)
             grid_of(cfg, METRICS, self.BUDGETS)
             ens_bytes = sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs))
-            extra.append(np.array([draw_peak - ens_bytes, kernel_peaks[-1]]))
+            # the three receiver-structure kernels, each once on the last slice
+            extra.append(np.array([draw_peak - ens_bytes, *kernel_peaks[-3:]]))
         assert np.all(extra[1] - extra[0] < 0.5 * 2 ** 20), extra
 
     @pytest.mark.parametrize("change", [
@@ -754,6 +769,36 @@ class TestTrialChunks:
         assert [t for drawn in draws for t in drawn] == list(range(trials))
 
 
+class TestSharedSlices:
+    """Each receiver-structure kernel runs once per slice for every request that asks for
+    one of its metrics, and forms its split-free products once for all of them."""
+
+    def test_three_psi_sweep_solves_one_combiner_per_slice(self, monkeypatch):
+        calls, combiner = [], transfer.combiner
+        monkeypatch.setattr(transfer, "combiner", lambda h: calls.append(len(h)) or combiner(h))
+        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 4)  # slices of 4, 4 and 2 trials
+        cli.run_sweep(cli.SweepConfig(ScenarioConfig(trials=10, seed=5),
+                                      scenarios=("structure2", "energy-struct2"),
+                                      psis=(0.3, 0.6, 0.9), ratio_grid=(0.0, 5.0)))
+        assert calls == [4, 4, 2]
+
+    def test_rows_do_not_depend_on_the_requests_sharing_the_slice(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "TRIAL_CHUNK", 4)
+        cfg = reference_scenario(0.3, trials=10, seed=11)
+        requests = [
+            (cfg, METRICS, (0.0, 5.0, 35.0, 1e6)),
+            (replace(cfg, psi=0.6), ("energy-struct2", "rate-struct1", "energy-swipt"), (12.5,)),
+            # a per-antenna split asks for no structure-2 metric
+            (replace(cfg, psi=(0.2, 0.5, 0.8)), ("energy-struct1", "energy-swipt",
+                                                 "rate-struct1"), (5.0, 0.0, 70.0)),
+            (replace(cfg, psi=0.9), ("rate-struct2",), (70.0, 0.0)),
+            (replace(cfg, psi=0.6, P=2.0), ("rate-struct1", "rate-struct2"), (5.0,)),
+        ]
+        for request, shared in zip(requests, sample_grids(requests)):
+            alone, = sample_grids([request])
+            assert shared.tobytes() == alone.tobytes(), request[1]
+
+
 class TestBudgetBlocks:
     """Each slice takes BUDGET_BLOCK budgets per kernel call; every row runs
     the same elementwise operations, so the blocking changes no bit."""
@@ -783,13 +828,14 @@ class TestBudgetBlocks:
         # beyond its output rows, the kernel holds one block of budgets' working
         # memory at a time, however many budgets a slice is asked for
         cfg = reference_scenario(0.3, trials=TRIAL_CHUNK, seed=42)
-        kernel, extra = montecarlo._slice_rows, []
-        monkeypatch.setattr(montecarlo, "_slice_rows",
-                            lambda *args: extra.append(TestTrialChunks.traced(kernel, *args)[1]))
+        extra = []
+        per_slice_kernels(monkeypatch, lambda kernel, *args: extra.append(
+            TestTrialChunks.traced(kernel, *args)[1]))
         grid_of(cfg, METRICS, (1.0, 5.0))  # first-call allocations
         for count in (4, 60):
             grid_of(cfg, METRICS, np.linspace(0.0, 70.0, count))
-        assert extra[2] - extra[1] < 0.5 * 2 ** 20, extra
+        peaks = np.reshape(extra, (3, 3))  # (call, kernel): one slice, three kernels each
+        assert np.all(peaks[2] - peaks[1] < 0.5 * 2 ** 20), extra
 
 
 class TestMcResult:

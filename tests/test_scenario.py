@@ -52,6 +52,34 @@ class TestScenarioConfig:
 
 
     @pytest.mark.parametrize("fields, key", [
+        (dict(sigma_p2p=((0.9,), (0.8,), (0.7,))), "sigma_p2p"),
+        (dict(sigma_bs=((0.8, 0.7), 0.5)), "sigma_bs"),
+        (dict(psi=np.array([[0.3] * 3])), "psi"),
+        (dict(psi=((0.3,), 0.3, 0.3)), "psi"),
+        (dict(sigma_p2p=np.array([[0.9, 0.8, 0.7]])), "sigma_p2p"),
+        (dict(trials=[4]), "trials"),
+        (dict(P=[5.0]), "p"),
+        (dict(seed=[42]), "seed"),
+        (dict(K=(3,)), "k"),
+        (dict(sigma2_w=np.array([1.0])), "sigma2_w"),
+        (dict(sigma2_n=np.array(1.0)), "sigma2_n"),
+        (dict(P="5"), "p"),
+    ], ids=["nested-profile", "ragged-profile", "2d-psi", "nested-psi", "2d-profile",
+            "trials-list", "p-list", "seed-list", "k-tuple", "noise-array", "noise-0d",
+            "p-string"])
+    def test_wrong_shapes_are_refused_naming_the_field(self, fields, key):
+        # each scalar field is one number, each profile and psi flat: a wrong shape is an
+        # InvalidInputError naming its key, never a raw numpy or Python error
+        with pytest.raises(InvalidInputError) as err:
+            ScenarioConfig(**fields)
+        assert err.value.keys == (key,)
+
+    def test_flat_arrays_and_one_number_psi_are_accepted(self):
+        cfg = ScenarioConfig(sigma_p2p=np.array([0.9, 0.8, 0.7]), psi=np.array(0.4))
+        assert cfg.sigma_p2p == (0.9, 0.8, 0.7) and cfg.psi == (0.4, 0.4, 0.4)
+        assert ScenarioConfig(psi=np.array([0.2, 0.5, 0.8])).psi == (0.2, 0.5, 0.8)
+
+    @pytest.mark.parametrize("fields, key", [
         (dict(P=1e200), "p"),
         (dict(sigma2_w=1e-300, sigma2_n=1e-300), "sigma2_w"),
         (dict(sigma_p2p=(1e200, 1, 1)), "sigma_p2p"),
