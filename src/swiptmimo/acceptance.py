@@ -225,41 +225,50 @@ def projected_gradient_worst_allocation(alpha, beta, lam2_bs, pb_budget, iters=2
     of (rows, modes) arrays; a mode with alpha 0 starts with no power, so a shorter row
     is padded with modes (alpha 0, beta 1, lam2_bs 1).
 
-    Projected gradient descent with Armijo backtracking; a row stops when its gradient
-    mapping is at float resolution or after `iters` steps of its own. The rows run in
-    lockstep, one trial projection per live row per pass: a row that passes its Armijo
-    test takes its next step, doubled, in the next pass, one that fails halves its step,
-    and a stopped row leaves the batch. A row runs the operations it runs alone.
+    Spectral projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000):
+    a row steps along d = P(x - t grad) - x, t its Barzilai-Borwein step s's / s'y clipped
+    to [1e-10, 1e10] (1e10 when s'y <= 0), halving along d until a nonmonotone Armijo test
+    against the largest of its last 10 values holds (Grippo et al., SIAM J. Numer. Anal.
+    23(4), 1986). It stops when its unit-step projected gradient P(x - grad) - x is below
+    1e-14 max(1, P) or after `iters` steps. The rows run in lockstep, one step and one
+    projection call per pass, and a stopped row leaves the batch. A row runs the
+    operations it runs alone.
     """
-    alpha, beta, lam2_bs = (np.asarray(a, dtype=float) for a in (alpha, beta, lam2_bs))
-    total = np.broadcast_to(np.asarray(pb_budget, dtype=float), alpha.shape[:1])
-    on = alpha > 0
+    a, b, g = (np.asarray(v, dtype=float) for v in (alpha, beta, lam2_bs))
+    total = np.broadcast_to(np.asarray(pb_budget, dtype=float), a.shape[:1])
+    on = a > 0
     x = np.where(on, total[:, None] / np.maximum(on.sum(1, keepdims=True), 1), 0.0)
-    out, rows = x.copy(), np.arange(len(x))
-    step, taken = np.ones(len(x)), np.zeros(len(x), dtype=int)
-    a, b, g, ag = alpha, beta, lam2_bs, alpha * lam2_bs
+    out, rows, n = x.copy(), np.arange(len(x)), len(x)
+    t, taken, last = np.ones(n), np.zeros(n, dtype=int), np.full((n, 10), -np.inf)
 
-    def f(x):
-        return np.log2(1.0 + a / (g * x + b)).sum(1)
+    def f(x, k=slice(None)):
+        return np.log2(1.0 + a[k] / (g[k] * x + b[k])).sum(1)
 
-    fx = f(x)
-    while rows.size:
+    def grad(x):
         den = g * x + b
-        xn = _project_simplex(x - step[:, None] * (-ag / (LN2 * den * (den + a))), total)
-        move = xn - x
-        fn = f(xn)
-        ok = fn <= fx - 1e-4 / step * (move[:, None, :] @ move[:, :, None])[:, 0, 0]
-        step = np.where(ok, step, step * 0.5)
-        ok |= step <= 1e-18  # backtracking gave up: its last trial stands
-        x, fx, taken = np.where(ok[:, None], xn, x), np.where(ok, fn, fx), taken + ok
-        done = ok & (np.abs(move).max(1) < 1e-14 * np.maximum(1.0, total))
-        step = np.where(ok & ~done, np.minimum(step * 2.0, 1e9), step)
-        done |= taken >= iters
+        return -a * g / (LN2 * den * (den + a))
+
+    last[:, 0], dx = f(x), grad(x)
+    while rows.size:
+        unit, proj = np.split(_project_simplex(np.concatenate((x - dx, x - t[:, None] * dx)),
+                                               np.concatenate((total, total))), 2)
+        done = (np.abs(unit - x).max(1) < 1e-14 * np.maximum(1.0, total)) | (taken >= iters)
         if done.any():
             out[rows[done]] = x[done]
-            keep = ~done
-            rows, x, fx, step, taken, total, a, b, g, ag = (
-                v[keep] for v in (rows, x, fx, step, taken, total, a, b, g, ag))
+            rows, x, dx, proj, t, taken, last, total, a, b, g = (
+                v[~done] for v in (rows, x, dx, proj, t, taken, last, total, a, b, g))
+        d, lam, back = proj - x, np.ones(len(rows)), np.ones(len(rows), dtype=bool)
+        xn, fn, slope, fmax = x.copy(), np.empty(len(rows)), (dx * d).sum(1), last.max(1)
+        while back.any():
+            xn[back] = x[back] + lam[back, None] * d[back]
+            fn[back] = f(xn[back], back)
+            back = fn > fmax + 1e-4 * lam * slope
+            lam[back] *= 0.5
+        s, gn, taken = xn - x, grad(xn), taken + 1
+        sy = (s * (gn - dx)).sum(1)
+        t = np.clip(np.where(sy > 0, (s * s).sum(1), 1e10) / np.where(sy > 0, sy, 1.0),
+                    1e-10, 1e10)
+        x, dx, last[np.arange(len(rows)), taken % 10] = xn, gn, fn
     return out
 
 

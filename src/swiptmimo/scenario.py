@@ -56,8 +56,8 @@ class ScenarioConfig:
     K receive antennas, M transmit antennas at the point-to-point node, N antennas at the
     interfering base station. `psi` holds the per-antenna power-split ratios toward the
     information branch; one number splits every antenna alike. Each other field is one number
-    and each profile a flat sequence of numbers; every value is checked against BOUNDS and the
-    cross-field rules, and an InvalidInputError names the config keys its check read.
+    and each profile a flat sequence of numbers, and a bool is no number; every value is checked
+    against BOUNDS and the cross-field rules, and an InvalidInputError names the keys it read.
     """
 
     K: int = 3
@@ -77,7 +77,7 @@ class ScenarioConfig:
             values, flat = getattr(self, attr), attr in ("sigma_p2p", "sigma_bs", "psi")
             values = values.tolist() if flat and isinstance(values, np.ndarray) else values
             values = values if flat and isinstance(values, (tuple, list)) else (values,)
-            if not all(isinstance(value, numbers.Real) for value in values):
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
                 shape = "a flat sequence of numbers" if flat else "one number"
                 raise InvalidInputError(f"{key} must be {shape}", (key,))
             for value in values:

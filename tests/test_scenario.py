@@ -64,9 +64,19 @@ class TestScenarioConfig:
         (dict(sigma2_w=np.array([1.0])), "sigma2_w"),
         (dict(sigma2_n=np.array(1.0)), "sigma2_n"),
         (dict(P="5"), "p"),
+        (dict(trials=True, seed=False, P=True), "trials"),
+        (dict(K=True), "k"), (dict(M=True), "m"), (dict(N=True), "n"),
+        (dict(trials=True), "trials"), (dict(seed=False), "seed"), (dict(P=True), "p"),
+        (dict(sigma2_w=True), "sigma2_w"), (dict(sigma2_n=True), "sigma2_n"),
+        (dict(psi=False), "psi"), (dict(psi=(0.3, True, 0.3)), "psi"),
+        (dict(psi=np.array([True, False, False])), "psi"),
+        (dict(sigma_p2p=(True, 0.8, 0.7)), "sigma_p2p"),
+        (dict(sigma_bs=(0.8, 0.7, False)), "sigma_bs"),
     ], ids=["nested-profile", "ragged-profile", "2d-psi", "nested-psi", "2d-profile",
             "trials-list", "p-list", "seed-list", "k-tuple", "noise-array", "noise-0d",
-            "p-string"])
+            "p-string", "bool-trials-seed-p", "bool-k", "bool-m", "bool-n", "bool-trials",
+            "bool-seed", "bool-p", "bool-sigma2-w", "bool-sigma2-n", "bool-psi",
+            "bool-in-psi", "bool-psi-array", "bool-in-sigma-p2p", "bool-in-sigma-bs"])
     def test_wrong_shapes_are_refused_naming_the_field(self, fields, key):
         # each scalar field is one number, each profile and psi flat: a wrong shape is an
         # InvalidInputError naming its key, never a raw numpy or Python error
