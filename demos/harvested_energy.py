@@ -18,9 +18,8 @@ from swiptmimo import (delivered, ensemble_for, equivalent_channel, harvested_po
 def main():
     psi = 0.3
     cfg = reference_scenario(psi, trials=1, seed=7)
-    ens = ensemble_for(cfg)  # one random channel pair and BS user beams
-    h, h_bs, users = ens.h[0], ens.h_bs[0], ens.user_dirs[0]
-    gram = users @ users.conj().T  # Q_bs = (Pb / N) * gram
+    ens = ensemble_for(cfg)  # one random channel pair and BS user-beam Gram
+    h, h_bs, gram = ens.h[0], ens.h_bs[0], ens.gram[0]  # Q_bs = (Pb / N) * gram
     hhat = equivalent_channel(cfg.psi_vector, h)
     _, g, p = waterfilled_modes(hhat.conj().T @ (hhat / cfg.beta[:, None]), cfg.P)
     print(f"link water-filling at psi={psi}: powers {np.round(p, 4)}")

@@ -317,8 +317,7 @@ def criterion_9(shared):
     ens = montecarlo.ensemble_for(cfg)
     hhat = equivalent_channel(cfg.psi_vector, ens.h[0])
     hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs[0])
-    users = ens.user_dirs[0]
-    q_bs = (cfg.P / cfg.N) * (users @ users.conj().T)
+    q_bs = (cfg.P / cfg.N) * ens.gram[0]
     s = hhat_bs @ q_bs @ hhat_bs.conj().T + np.diag(cfg.beta)
     t_mat = hhat.conj().T @ np.linalg.solve(s, hhat)
     _, g, p = rates.waterfilled_modes(t_mat, cfg.P)

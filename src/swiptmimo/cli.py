@@ -35,7 +35,6 @@ SCENARIO_METRICS = {
 }
 SCENARIOS = ("worst-case",) + tuple(SCENARIO_METRICS)
 DEFAULT_SCENARIOS = ("worst-case", "average", "swipt", "structure2")
-ENERGY_SCENARIOS = ("swipt", "energy-struct1", "energy-struct2")
 
 CSV_HEADER = "ratio,scenario,psi,value,stderr"
 
@@ -230,9 +229,10 @@ def run_sweep(cfg):
             if tag == "worst-case":
                 values = [(result.solutions[psi, ratio].rate, None) for ratio in ratios]
             else:
-                values = [res.db() if tag in ENERGY_SCENARIOS else (res.mean, res.stderr)
+                metric = SCENARIO_METRICS[tag]
+                values = [res.db() if metric.startswith("energy-") else (res.mean, res.stderr)
                           for res in map(montecarlo.McResult.from_samples,
-                                         result.samples[psi, SCENARIO_METRICS[tag]])]
+                                         result.samples[psi, metric])]
             for ratio, (value, stderr) in zip(ratios, values):
                 stderr_text = "" if stderr is None else _fmt(stderr)
                 rows.append(f"{_fmt(ratio)},{tag},{_fmt(psi)},{_fmt(value)},{stderr_text}")

@@ -4,18 +4,18 @@ Trial t draws from np.random.default_rng(SeedSequence((seed, t))), so trials are
 independent and order-free, and identical (seed, trials) reproduce bit-identical
 results however the work is scheduled; `seed_states` computes those seeds for a
 slice in one uint32 array pass, set trial by trial on one reused PCG64. Nothing is
-cached. `sample_grids` is the one entry into the grid kernel: it checks every
-request, then draws each slice of TRIAL_CHUNK trials once with `ensemble_for` (which
-refuses longer slices) and runs each receiver structure's kernel once on it for every
-request that asks for one of its metrics, into the requests' (metrics, budgets, trials) rows,
-the only arrays that grow with the trial count. Every operation acts trial by trial: slicing
-changes no bit. A kernel forms its split-free products once per slice (U U^H; structure 2
-also its combiner and the interference past it), then per request each product linear in the
-BS budget (structure 1 its whitened interference, receive-side Gram and delivered BS term,
-joint transfer its beam's delivered term lambda u u^H), which it scales by BUDGET_BLOCK budgets
-at a time on a leading axis; a row's bits do not depend on its block or on the other requests.
-Per block, structure 1 solves only its K x K Gram. The formulas are kernels in `scenario`,
-`rates`, `harvesting` and `transfer`. Eigen-solves go through `linalg.hermitian_eigvals` and
+cached. `sample_grids` is the one entry into the grid kernel: it checks every request, then draws
+each slice of TRIAL_CHUNK trials once with `ensemble_for` (which refuses longer slices, and forms
+the users' Gram U U^H: the BS covariance is (Pb/N) U U^H) and runs each receiver structure's
+kernel once on it for every request that asks for one of its metrics, into the requests' (metrics,
+budgets, trials) rows, the only arrays that grow with the trial count. Every operation acts trial
+by trial: slicing changes no bit. A kernel forms its split-free products once per slice (structure
+2 its combiner and the interference past it), then per request each product linear in the BS
+budget (structure 1 its whitened interference, receive-side Gram and delivered BS term, joint
+transfer its beam's delivered term lambda u u^H), which it scales by BUDGET_BLOCK budgets at a
+time on a leading axis; a row's bits do not depend on its block or on the other requests. Per
+block, structure 1 solves only its K x K Gram. The formulas are kernels in `scenario`, `rates`,
+`harvesting` and `transfer`. Eigen-solves go through `linalg.hermitian_eigvals` and
 `linalg.hermitian_eigh` (the same eigenvalue bits), both closed form on 3 x 3 rows.
 
 Energy metrics are reported in linear power units here; the presentation
@@ -98,12 +98,12 @@ def seed_states(seed, trials):
 
 @dataclass(frozen=True)
 class TrialEnsemble:
-    """Stacked channels and BS user beam directions of some trials of a seed."""
+    """Stacked channels and BS user-beam Gram U U^H (unit beams U) of some trials of a seed."""
 
     trials: range        # the trial indices drawn, T of them
     h: np.ndarray        # (T, K, M)
     h_bs: np.ndarray     # (T, K, N)
-    user_dirs: np.ndarray  # (T, N, N), unit columns
+    gram: np.ndarray     # (T, N, N), U U^H
 
 
 def ensemble_for(cfg, start=0, stop=None):
@@ -113,8 +113,8 @@ def ensemble_for(cfg, start=0, stop=None):
     Trial t reads 2(2k^2 + m^2 + 2n^2) standard normals from its own generator
     default_rng(SeedSequence((seed, t))) as five complex Gaussians, each laid out as
     `linalg.complex_gaussian` draws it: the link's k x k and m x m Haar factors, the BS
-    channel's k x k and n x n ones, and the n x n user beams (unit columns). So a trial's
-    draw depends on (seed, t) alone, whatever slice holds it.
+    channel's k x k and n x n ones, and the n x n user beams U (unit columns), kept as their
+    Gram U U^H. So a trial's draw depends on (seed, t) alone, whatever slice holds it.
     """
     stop = cfg.trials if stop is None else stop
     if not 0 <= start < stop <= min(cfg.trials, start + TRIAL_CHUNK):
@@ -136,6 +136,7 @@ def ensemble_for(cfg, start=0, stop=None):
     z_left, z_right, z_bs_left, z_bs_right, z_users = (
         (re + 1j * im).reshape(-1, d, d) / np.sqrt(2.0)
         for re, im, d in zip(blocks[::2], blocks[1::2], dims))
+    users = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
     # only the first K columns of a right factor meet the K x K diagonal: a reduced QR
     ens = TrialEnsemble(
         range(start, stop),
@@ -143,8 +144,8 @@ def ensemble_for(cfg, start=0, stop=None):
         @ ch(haar_from_gaussian(z_right[..., :k])),
         haar_from_gaussian(z_bs_left) @ np.diag(cfg.sigma_bs)
         @ ch(haar_from_gaussian(z_bs_right[..., :k])),
-        z_users / np.linalg.norm(z_users, axis=1, keepdims=True))
-    for arr in (ens.h, ens.h_bs, ens.user_dirs):
+        users @ ch(users))
+    for arr in (ens.h, ens.h_bs, ens.gram):
         arr.flags.writeable = False
     return ens
 
@@ -201,12 +202,11 @@ def _structure1(ens, jobs):
     g = Gs^H u / sqrt(lambda) of x's u (8.6): the link delivers Y diag(p / lambda) Y^H with
     Y = (F / s^T) u, F = Theta Hhat W^H formed once, weight 0 where p = 0. Both metrics
     water-fill x's modes: `hermitian_eigh`'s if the energy is asked for, else the same bits from
-    `hermitian_eigvals`. Every (cfg, budgets, rows) job on the slice shares its U U^H."""
-    gram = ens.user_dirs @ ch(ens.user_dirs)
+    `hermitian_eigvals`."""
     for cfg, budgets, rows in jobs:
         root = 1.0 / np.sqrt(cfg.beta)[:, None]  # B^-1/2 as a column
-        hhat_bs = equivalent_channel(cfg.psi_vector, ens.h_bs)
-        d, v = hermitian_eigh(root * (hhat_bs @ gram @ ch(hhat_bs)) * root.T)
+        d, v = hermitian_eigh(root * harvesting.delivered(cfg.psi_vector, ens.h_bs, ens.gram)
+                              * root.T)
         # a null direction of R whitens to a rounding-level d, which a huge budget would scale
         # into a jam of a free mode: d at most 64 K eps (4.3e-14 at K = 3) of its row's
         # largest is 0. Rounding-level ratios were seen up to 2.2e-15, genuine ones to 1.9e-3
@@ -216,7 +216,7 @@ def _structure1(ens, jobs):
         scales = d[..., None] / cfg.N  # each budget scales the budget-free products
         energy = "energy-struct1" in rows
         if energy:
-            c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, gram)
+            c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, ens.gram)
             f = equivalent_channel(1.0 - cfg.psi_vector, ens.h) @ ch(white)
             noise = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
         for r, pb in _budget_blocks(budgets):
@@ -240,9 +240,8 @@ def _structure1(ens, jobs):
 def _structure2(ens, jobs):
     """Combine, then split: the combiner and the interference past it are split-free, formed
     once per slice; each (cfg, budgets, rows) job's budgets scale the interference."""
-    gram = ens.user_dirs @ ch(ens.user_dirs)
     lam1sq, u1 = transfer.combiner(ens.h)
-    unit = transfer.combined_interference(u1, ens.h_bs @ gram @ ch(ens.h_bs))
+    unit = transfer.combined_interference(u1, ens.h_bs @ ens.gram @ ch(ens.h_bs))
     for cfg, budgets, rows in jobs:
         for r, pb in _budget_blocks(budgets):
             interference = (pb[..., 0, 0] / cfg.N) * unit

@@ -42,8 +42,6 @@ BOUNDS = [(key, attr, lambda v, low=low: isinstance(v, numbers.Integral) and v >
 
 def _descending_nonneg(values, name):
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise InvalidInputError(f"{name} must be a non-empty 1-D profile", (name,))
     if np.any(np.diff(arr) > 1e-12):
         raise InvalidInputError(f"{name} must be sorted descending", (name,))
     return arr
@@ -76,8 +74,10 @@ class ScenarioConfig:
         for key, attr, in_bound, message in BOUNDS:
             values, flat = getattr(self, attr), attr in ("sigma_p2p", "sigma_bs", "psi")
             values = values.tolist() if flat and isinstance(values, np.ndarray) else values
-            values = values if flat and isinstance(values, (tuple, list)) else (values,)
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+            listed = isinstance(values, (tuple, list))  # only psi may be one number
+            values = values if flat and listed else (values,)
+            if (flat and not listed and attr != "psi") or not all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
                 shape = "a flat sequence of numbers" if flat else "one number"
                 raise InvalidInputError(f"{key} must be {shape}", (key,))
             for value in values:

@@ -35,13 +35,13 @@ def per_slice_kernels(monkeypatch, wrap):
 
 
 def bs_covariances(ens, pb_budget):
-    """Each trial's BS covariance Q_bs = (Pb / N) U U^H from its unit user beams U."""
-    users = ens.user_dirs
-    return (pb_budget / users.shape[-1]) * (users @ linalg.ch(users))
+    """Each trial's BS covariance Q_bs = (Pb / N) U U^H from the Gram of its unit user
+    beams U."""
+    return (pb_budget / ens.gram.shape[-1]) * ens.gram
 
 
 class TestRandomBsCovariance:
-    """The random BS covariance that ensemble_for's user beams give."""
+    """The random BS covariance that ensemble_for's user-beam Gram gives."""
 
     def test_zero_budget(self):
         q = bs_covariances(ensemble_for(reference_scenario(trials=4, seed=0)), 0.0)
@@ -55,7 +55,10 @@ class TestRandomBsCovariance:
 
     def test_trace_binds(self):
         ens = ensemble_for(reference_scenario(trials=16, seed=2))
-        assert np.linalg.norm(ens.user_dirs, axis=-2) == pytest.approx(np.ones((16, 5)), abs=1e-12)
+        # unit beams: the Gram U U^H is Hermitian with trace N
+        assert np.real(np.trace(ens.gram, axis1=-2, axis2=-1)) == pytest.approx([5.0] * 16,
+                                                                               abs=1e-12)
+        assert np.abs(ens.gram - linalg.ch(ens.gram)).max() <= 1e-15
         trace = np.real(np.trace(bs_covariances(ens, 7.0), axis1=-2, axis2=-1))
         assert trace == pytest.approx([7.0] * 16, abs=1e-12)
 
@@ -102,7 +105,7 @@ def trial_terms(cfg, ens, t, pb):
     """Trial t's split channels, BS covariance and noise, as the oracles take them."""
     root_psi = np.sqrt(cfg.psi_vector)[:, None]
     hhat, hhat_bs = root_psi * ens.h[t], root_psi * ens.h_bs[t]
-    q_bs = (pb / cfg.N) * ens.user_dirs[t] @ ens.user_dirs[t].conj().T
+    q_bs = (pb / cfg.N) * ens.gram[t]
     return hhat, hhat_bs, q_bs, cfg.beta
 
 
@@ -387,12 +390,12 @@ class TestEnsembleDraw:
             @ ch(haar_from_gaussian(z_right))
         h_bs = haar_from_gaussian(z_bs_left) @ (np.eye(k, n) * np.array(cfg.sigma_bs)[:, None]) \
             @ ch(haar_from_gaussian(z_bs_right))
-        user_dirs = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
+        users = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
 
         # drawn in slices of `chunk` trials, as sample_grids draws them
         parts = [montecarlo.ensemble_for(cfg, t0, min(t0 + chunk, cfg.trials))
                  for t0 in range(0, cfg.trials, chunk)]
-        for name, want in (("h", h), ("h_bs", h_bs), ("user_dirs", user_dirs)):
+        for name, want in (("h", h), ("h_bs", h_bs), ("gram", users @ ch(users))):
             got = np.concatenate([getattr(part, name) for part in parts])
             assert got.tobytes() == want.tobytes()
 
@@ -405,7 +408,7 @@ class TestEnsembleDraw:
             whole = ensemble_for(cfg)
         part = ensemble_for(cfg, start, stop)
         assert part.trials == range(start, stop)
-        for name in ("h", "h_bs", "user_dirs"):
+        for name in ("h", "h_bs", "gram"):
             assert getattr(part, name).tobytes() == getattr(whole, name)[start:stop].tobytes()
 
     @pytest.mark.parametrize("start, stop", [(3, 3), (4, 2), (-1, 2), (0, 7)])
@@ -690,7 +693,7 @@ class TestTrialChunks:
             cfg = reference_scenario(0.3, trials=trials, seed=42)
             ens, draw_peak = self.traced(ensemble_for, cfg, trials - TRIAL_CHUNK, trials)
             grid_of(cfg, METRICS, self.BUDGETS)
-            ens_bytes = sum(a.nbytes for a in (ens.h, ens.h_bs, ens.user_dirs))
+            ens_bytes = sum(a.nbytes for a in (ens.h, ens.h_bs, ens.gram))
             # the three receiver-structure kernels, each once on the last slice
             extra.append(np.array([draw_peak - ens_bytes, *kernel_peaks[-3:]]))
         assert np.all(extra[1] - extra[0] < 0.5 * 2 ** 20), extra

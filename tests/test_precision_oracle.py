@@ -47,10 +47,10 @@ def mp_rows(cfg, ens, t, pb):
     psi = [mpmath.mpf(x) for x in cfg.psi]
     root = mpmath.diag([mpmath.sqrt(x) for x in psi])
     theta = mpmath.diag([mpmath.sqrt(1 - x) for x in psi])
-    h, h_bs, users = mp_matrix(ens.h[t]), mp_matrix(ens.h_bs[t]), mp_matrix(ens.user_dirs[t])
+    h, h_bs, gram = mp_matrix(ens.h[t]), mp_matrix(ens.h_bs[t]), mp_matrix(ens.gram[t])
     hhat, hhat_bs = root * h, root * h_bs
     noise = mpmath.diag([x * mpmath.mpf(cfg.sigma2_w) + mpmath.mpf(cfg.sigma2_n) for x in psi])
-    q_bs = (mpmath.mpf(pb) / cfg.N) * users * users.H
+    q_bs = (mpmath.mpf(pb) / cfg.N) * gram  # the drawn U U^H, taken as exact
     rate1, q = mp_waterfilled(hhat.H * mpmath.inverse(hhat_bs * q_bs * hhat_bs.H + noise) * hhat,
                               cfg.P)
     w = mpmath.diag([mpmath.mpf(cfg.sigma2_w) * (1 - x) for x in psi])

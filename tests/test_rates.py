@@ -144,10 +144,8 @@ def random_link(seed, pb_budget, n=5):
     after the split and the BS covariance (Pb / n) U U^H of its unit user beams U."""
     cfg = ScenarioConfig(N=n, psi=0.3, trials=1, seed=seed)
     ens = ensemble_for(cfg)
-    users = ens.user_dirs[0]
     return (equivalent_channel(cfg.psi_vector, ens.h[0]),
-            equivalent_channel(cfg.psi_vector, ens.h_bs[0]),
-            (pb_budget / n) * (users @ users.conj().T))
+            equivalent_channel(cfg.psi_vector, ens.h_bs[0]), (pb_budget / n) * ens.gram[0])
 
 
 class TestTinRateGlobal:

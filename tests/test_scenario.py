@@ -72,11 +72,13 @@ class TestScenarioConfig:
         (dict(psi=np.array([True, False, False])), "psi"),
         (dict(sigma_p2p=(True, 0.8, 0.7)), "sigma_p2p"),
         (dict(sigma_bs=(0.8, 0.7, False)), "sigma_bs"),
+        (dict(sigma_p2p=0.9), "sigma_p2p"), (dict(sigma_bs=np.array(0.8)), "sigma_bs"),
     ], ids=["nested-profile", "ragged-profile", "2d-psi", "nested-psi", "2d-profile",
             "trials-list", "p-list", "seed-list", "k-tuple", "noise-array", "noise-0d",
             "p-string", "bool-trials-seed-p", "bool-k", "bool-m", "bool-n", "bool-trials",
             "bool-seed", "bool-p", "bool-sigma2-w", "bool-sigma2-n", "bool-psi",
-            "bool-in-psi", "bool-psi-array", "bool-in-sigma-p2p", "bool-in-sigma-bs"])
+            "bool-in-psi", "bool-psi-array", "bool-in-sigma-p2p", "bool-in-sigma-bs",
+            "scalar-profile", "0d-profile"])
     def test_wrong_shapes_are_refused_naming_the_field(self, fields, key):
         # each scalar field is one number, each profile and psi flat: a wrong shape is an
         # InvalidInputError naming its key, never a raw numpy or Python error
@@ -156,7 +158,7 @@ class TestSynthesizeChannel:
         cfg = ScenarioConfig(K=2, M=2, N=4, sigma_p2p=(1.0, 0.5), sigma_bs=(1.0, 0.5),
                              trials=2, seed=21)
         first, second = ensemble_for(cfg), ensemble_for(cfg)
-        for name in ("h", "h_bs", "user_dirs"):
+        for name in ("h", "h_bs", "gram"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_profile_too_long(self):

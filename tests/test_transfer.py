@@ -24,8 +24,8 @@ def setup_link(psi, seed=0):
 
 def bs_covariance(pb_budget, seed):
     """(Pb / N) U U^H of trial 0's unit user beams U at `seed`."""
-    users = ensemble_for(reference_scenario(trials=1, seed=seed)).user_dirs[0]
-    return (pb_budget / len(users)) * (users @ users.conj().T)
+    gram = ensemble_for(reference_scenario(trials=1, seed=seed)).gram[0]
+    return (pb_budget / len(gram)) * gram
 
 
 def noise_only_covariance(hhat, beta, total_power):
