@@ -53,10 +53,14 @@ class McResult:
 
     @classmethod
     def from_samples(cls, values):
-        """Mean and standard error of per-trial samples, reduced in trial order."""
-        trials = len(values)
-        stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-        return cls(float(values.mean()), stderr, trials)
+        """Mean and standard error of per-trial samples, reduced in trial order. Samples that
+        all lie within 1,024 ulps of their mean differ by rounding alone, so their standard
+        error is exactly 0: a trial-independent row (Pb = 0 and a uniform split) spans at most
+        28 ulps, a random row at least 8e8 (README, Output)."""
+        trials, mean = len(values), values.mean()
+        if trials < 2 or np.all(np.abs(values - mean) <= 1024 * np.spacing(abs(mean))):
+            return cls(float(mean), 0.0, trials)
+        return cls(float(mean), float(values.std(ddof=1) / np.sqrt(trials)), trials)
 
     def db(self):
         """The mean in dB with its delta-method standard error

@@ -853,6 +853,19 @@ class TestMcResult:
         assert value == to_db(4.0)
         assert stderr == pytest.approx(10.0 / np.log(10.0) * 0.05, rel=1e-15)
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_trial_independent_rows_have_exactly_zero_stderr(self, seed):
+        # at Pb = 0 a uniform split's rates and energies depend on the singular values alone:
+        # the samples differ by rounding (at most 28 ulps of the mean over seeds 0-3, 7 and 42
+        # and seven links), a per-antenna split's by its random right singular vectors
+        for psi in (0.3, 0.9):
+            grid = grid_of(reference_scenario(psi, trials=300, seed=seed), METRICS, [0.0])
+            assert np.ptp(grid[:, 0], axis=-1).max() > 0  # rounding spread, not equal bits
+            assert all(McResult.from_samples(row).stderr == 0.0 for row in grid[:, 0])
+        split = replace(reference_scenario(trials=300, seed=seed), psi=(0.2, 0.5, 0.8))
+        grid = grid_of(split, ("rate-struct1", "energy-struct1", "energy-swipt"), [0.0])
+        assert all(McResult.from_samples(row).stderr > 1e-6 for row in grid[:, 0])
+
     @pytest.mark.parametrize("mean", [0.0, -1.0, np.nan])
     def test_db_of_non_positive_mean(self, mean):
         assert McResult(mean, 0.1, 10).db() == (-np.inf, np.inf)
