@@ -4,12 +4,13 @@ The energy branch sees C + C_bs + W, where C carries the desired signal, C_bs
 the interference, and W = sigma2_w * Theta^2 the split-scaled antenna noise.
 The optimal unit-norm steering vector is the top eigenvector of that sum, and
 the harvested power its eigenvalue. Every kernel broadcasts over leading
-batch axes; the power reads `linalg.hermitian_eigvals`, the eigenpair `hermitian_eigh`.
+batch axes; products go through `linalg.matmul`, the power reads `hermitian_eigvals`, the
+eigenpair `hermitian_eigh`.
 """
 
 import numpy as np
 
-from .linalg import ch, hermitian_eigh, hermitian_eigvals
+from .linalg import ch, hermitian_eigh, hermitian_eigvals, matmul
 from .scenario import equivalent_channel
 
 
@@ -29,7 +30,7 @@ def delivered(theta2, h, q):
     """(Theta h) q (Theta h)^H: what transmit covariance q delivers through channel h
     to the energy branches, whose squared split gains are theta2 = 1 - psi."""
     th = equivalent_channel(theta2, h)
-    return th @ q @ ch(th)
+    return matmul(matmul(th, q), ch(th))
 
 
 def harvested_power(c_sig, c_bs, w):

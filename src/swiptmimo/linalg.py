@@ -1,6 +1,7 @@
 """Complex dense-matrix primitives: batched conjugate transpose and Hermitian part,
-Haar sampling, and the package's only eigen-solves: `hermitian_eigvals` (eigenvalues)
-and `hermitian_eigh` (eigenvectors), closed form on 3 x 3 rows and LAPACK elsewhere.
+the stacked small-matrix product `matmul`, Haar sampling, and the package's only
+eigen-solves: `hermitian_eigvals` (eigenvalues) and `hermitian_eigh` (eigenvectors),
+closed form on 3 x 3 rows and LAPACK elsewhere.
 """
 
 import numpy as np
@@ -21,6 +22,19 @@ def check_finite(a, name="matrix"):
 def ch(a):
     """Batched conjugate transpose."""
     return a.conj().swapaxes(-2, -1)
+
+
+def matmul(a, b):
+    """a @ b over broadcast leading axes, as an unrolled sum over the inner index j of
+    a[..., :, j, None] * b[..., None, j, :], into one output and one reused temporary: numpy's
+    `@` makes one BLAS call per matrix, twice as slow on 3 x 3 stacks. Elementwise, so a row's
+    bits do not depend on its batch; the rounding is the inner-product bound (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 3.5), the same order as zgemm's."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    tmp = np.empty_like(out)
+    for j in range(1, a.shape[-1]):
+        out += np.multiply(a[..., :, j, None], b[..., None, j, :], out=tmp)
+    return out
 
 
 def hermitize(a):

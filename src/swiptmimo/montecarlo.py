@@ -15,8 +15,9 @@ budget (structure 1 its whitened interference, receive-side Gram and delivered B
 transfer its beam's delivered term lambda u u^H), which it scales by BUDGET_BLOCK budgets at a
 time on a leading axis; a row's bits do not depend on its block or on the other requests. Per
 block, structure 1 solves only its K x K Gram. The formulas are kernels in `scenario`, `rates`,
-`harvesting` and `transfer`. Eigen-solves go through `linalg.hermitian_eigvals` and
-`linalg.hermitian_eigh` (the same eigenvalue bits), both closed form on 3 x 3 rows.
+`harvesting` and `transfer`. Every product goes through `linalg.matmul`, and eigen-solves through
+`linalg.hermitian_eigvals` and `hermitian_eigh` (the same eigenvalue bits), both closed form on
+3 x 3 rows.
 
 Energy metrics are reported in linear power units here; the presentation
 layer (CSV / acceptance report) converts a result with `McResult.db`.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import harvesting, transfer
 from .errors import InvalidInputError, UnsupportedConfigError
-from .linalg import ch, haar_from_gaussian, hermitian_eigh, hermitian_eigvals
+from .linalg import ch, haar_from_gaussian, hermitian_eigh, hermitian_eigvals, matmul
 from .rates import MAX_BUDGET, mode_powers, transmit_covariance, waterfilled_modes
 from .scenario import equivalent_channel
 
@@ -118,7 +119,8 @@ def ensemble_for(cfg, start=0, stop=None):
     default_rng(SeedSequence((seed, t))) as five complex Gaussians, each laid out as
     `linalg.complex_gaussian` draws it: the link's k x k and m x m Haar factors, the BS
     channel's k x k and n x n ones, and the n x n user beams U (unit columns), kept as their
-    Gram U U^H. So a trial's draw depends on (seed, t) alone, whatever slice holds it.
+    Gram U U^H. So a trial's draw depends on (seed, t) alone, whatever slice holds it. Each
+    complex block is built in place, and the normals are freed before the QR factorisations.
     """
     stop = cfg.trials if stop is None else stop
     if not 0 <= start < stop <= min(cfg.trials, start + TRIAL_CHUNK):
@@ -136,19 +138,22 @@ def ensemble_for(cfg, start=0, stop=None):
         gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": state, "inc": inc}}
         gen.standard_normal(out=row)
-    blocks = np.split(buf, stops[:-1], axis=1)
-    z_left, z_right, z_bs_left, z_bs_right, z_users = (
-        (re + 1j * im).reshape(-1, d, d) / np.sqrt(2.0)
-        for re, im, d in zip(blocks[::2], blocks[1::2], dims))
-    users = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
+    blocks, zs = np.split(buf, stops[:-1], axis=1), [np.empty((len(buf), d, d), complex)
+                                                     for d in dims]
+    for z, re, im in zip(zs, blocks[::2], blocks[1::2]):  # in place: no complex temporaries
+        z.real, z.imag = re.reshape(z.shape), im.reshape(z.shape)
+        z /= np.sqrt(2.0)
+    del buf, blocks, row, re, im  # the normals die before the QRs: a lower peak RSS
+    z_left, z_right, z_bs_left, z_bs_right, users = zs
+    users /= np.linalg.norm(users, axis=1, keepdims=True)
     # only the first K columns of a right factor meet the K x K diagonal: a reduced QR
     ens = TrialEnsemble(
         range(start, stop),
-        haar_from_gaussian(z_left) @ np.diag(cfg.sigma_p2p)
-        @ ch(haar_from_gaussian(z_right[..., :k])),
-        haar_from_gaussian(z_bs_left) @ np.diag(cfg.sigma_bs)
-        @ ch(haar_from_gaussian(z_bs_right[..., :k])),
-        users @ ch(users))
+        matmul(haar_from_gaussian(z_left) * np.array(cfg.sigma_p2p),
+               ch(haar_from_gaussian(z_right[..., :k]))),
+        matmul(haar_from_gaussian(z_bs_left) * np.array(cfg.sigma_bs),
+               ch(haar_from_gaussian(z_bs_right[..., :k]))),
+        matmul(users, ch(users)))
     for arr in (ens.h, ens.h_bs, ens.gram):
         arr.flags.writeable = False
     return ens
@@ -181,6 +186,7 @@ def sample_grids(requests):
                     for (cfg, names, pbs), out in zip(checked, grids) if set(family) & set(names)]
             if jobs:
                 run(ens, jobs)
+        del ens  # before the next slice's draw
     return grids
 
 
@@ -215,13 +221,13 @@ def _structure1(ens, jobs):
         # into a jam of a free mode: d at most 64 K eps (4.3e-14 at K = 3) of its row's
         # largest is 0. Rounding-level ratios were seen up to 2.2e-15, genuine ones to 1.9e-3
         d = np.where(d > 64 * cfg.K * np.finfo(float).eps * d[..., -1:], d, 0.0)
-        white = ch(v) @ (root * equivalent_channel(cfg.psi_vector, ens.h))
-        receive = white @ ch(white)  # (T, K, K), K <= M: T's M - K other modes are 0
+        white = matmul(ch(v), root * equivalent_channel(cfg.psi_vector, ens.h))
+        receive = matmul(white, ch(white))  # (T, K, K), K <= M: T's M - K other modes are 0
         scales = d[..., None] / cfg.N  # each budget scales the budget-free products
         energy = "energy-struct1" in rows
         if energy:
             c_gram = harvesting.delivered(1.0 - cfg.psi_vector, ens.h_bs, ens.gram)
-            f = equivalent_channel(1.0 - cfg.psi_vector, ens.h) @ ch(white)
+            f = matmul(equivalent_channel(1.0 - cfg.psi_vector, ens.h), ch(white))
             noise = np.diag(cfg.sigma2_w * (1.0 - cfg.psi_vector))
         for r, pb in _budget_blocks(budgets):
             s = np.sqrt(1.0 + pb * scales)
@@ -233,7 +239,7 @@ def _structure1(ens, jobs):
             if "rate-struct1" in rows:
                 rows["rate-struct1"][r] = np.log2(1.0 + np.maximum(modes, 0.0) * powers).sum(-1)
             if energy:
-                ftu = (f / s.swapaxes(-2, -1)) @ u[..., ::-1]
+                ftu = matmul(f / s.swapaxes(-2, -1), u[..., ::-1])
                 c_sig = transmit_covariance(ftu, powers / np.where(powers > 0, modes, 1.0))
                 del ftu
                 rows["energy-struct1"][r] = harvesting.harvested_power(
@@ -245,7 +251,7 @@ def _structure2(ens, jobs):
     """Combine, then split: the combiner and the interference past it are split-free, formed
     once per slice; each (cfg, budgets, rows) job's budgets scale the interference."""
     lam1sq, u1 = transfer.combiner(ens.h)
-    unit = transfer.combined_interference(u1, ens.h_bs @ ens.gram @ ch(ens.h_bs))
+    unit = transfer.combined_interference(u1, matmul(matmul(ens.h_bs, ens.gram), ch(ens.h_bs)))
     for cfg, budgets, rows in jobs:
         for r, pb in _budget_blocks(budgets):
             interference = (pb[..., 0, 0] / cfg.N) * unit
@@ -265,7 +271,7 @@ def _swipt(ens, jobs):
         psi = cfg.psi_vector
         lam, u = transfer.energy_mode(ens.h_bs, 1.0 - psi)
         hhat = equivalent_channel(psi, ens.h)
-        _, g, powers = waterfilled_modes(ch(hhat) @ (hhat / cfg.beta[:, None]), cfg.P)
+        _, g, powers = waterfilled_modes(matmul(ch(hhat), hhat / cfg.beta[:, None]), cfg.P)
         c_sig = harvesting.delivered(1.0 - psi, ens.h, transmit_covariance(g, powers))
         c_beam = lam[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
         noise = np.diag(cfg.sigma2_w * (1.0 - psi))

@@ -7,7 +7,7 @@ effective noise is beta_k = psi_k * sigma2_w + sigma2_n (`ScenarioConfig.beta`).
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import ch, check_finite, hermitian_eigh, hermitize
+from .linalg import ch, check_finite, hermitian_eigh, hermitize, matmul
 
 LN2 = np.log(2.0)
 # Largest power budget (link or interferer) a sweep or a saddle solve accepts.
@@ -116,7 +116,7 @@ def waterfilled_modes(t_mats, total_power):
 
 def transmit_covariance(vectors, powers):
     """Batched transmit covariance G diag(p) G^H."""
-    return (vectors * powers[..., None, :]) @ ch(vectors)
+    return matmul(vectors * powers[..., None, :], ch(vectors))
 
 
 def worst_case_rate(lambda2, lambda2_bs, p, p_bs, beta):

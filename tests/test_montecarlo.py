@@ -385,17 +385,19 @@ class TestEnsembleDraw:
             for z in zs:
                 z[t] = complex_gaussian(z.shape[1:], rng)
         z_left, z_right, z_bs_left, z_bs_right, z_users = zs
-        ch = linalg.ch
-        h = haar_from_gaussian(z_left) @ (np.eye(k, m) * np.array(cfg.sigma_p2p)[:, None]) \
-            @ ch(haar_from_gaussian(z_right))
-        h_bs = haar_from_gaussian(z_bs_left) @ (np.eye(k, n) * np.array(cfg.sigma_bs)[:, None]) \
-            @ ch(haar_from_gaussian(z_bs_right))
+        ch, matmul = linalg.ch, linalg.matmul  # the draw's products are linalg.matmul's
+        h = matmul(matmul(haar_from_gaussian(z_left),
+                          np.eye(k, m) * np.array(cfg.sigma_p2p)[:, None]),
+                   ch(haar_from_gaussian(z_right)))
+        h_bs = matmul(matmul(haar_from_gaussian(z_bs_left),
+                             np.eye(k, n) * np.array(cfg.sigma_bs)[:, None]),
+                      ch(haar_from_gaussian(z_bs_right)))
         users = z_users / np.linalg.norm(z_users, axis=1, keepdims=True)
 
         # drawn in slices of `chunk` trials, as sample_grids draws them
         parts = [montecarlo.ensemble_for(cfg, t0, min(t0 + chunk, cfg.trials))
                  for t0 in range(0, cfg.trials, chunk)]
-        for name, want in (("h", h), ("h_bs", h_bs), ("gram", users @ ch(users))):
+        for name, want in (("h", h), ("h_bs", h_bs), ("gram", matmul(users, ch(users)))):
             got = np.concatenate([getattr(part, name) for part in parts])
             assert got.tobytes() == want.tobytes()
 

@@ -1,11 +1,15 @@
 """Monte-Carlo rows against a 50-digit mpmath recomputation from the same channels."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
 
 from swiptmimo.montecarlo import ensemble_for, sample_grids
-from swiptmimo.scenario import ScenarioConfig
+from swiptmimo.scenario import ScenarioConfig, reference_scenario
+
+MP_ORDER = ("rate-struct1", "energy-struct1", "rate-struct2", "energy-struct2", "energy-swipt")
 
 
 def mp_matrix(a):
@@ -36,8 +40,8 @@ def top_eigenvalue(a):
 
 
 def mp_rows(cfg, ens, t, pb):
-    """Trial t's (rate-struct1, energy-struct1, rate-struct2, energy-struct2, energy-swipt)
-    at BS budget pb, in the working precision of mpmath with no numpy arithmetic on the way.
+    """Trial t's metrics in MP_ORDER at BS budget pb, in the working precision of mpmath
+    with no numpy arithmetic on the way.
     Structure 1: T = Hhat^H ((pb/N) Hhat_bs U U^H Hhat_bs^H + B)^-1 Hhat by an explicit
     inverse, water-filled, and the energy the top eigenvalue of
     Theta H Q H^H Theta + Theta H_bs Q_bs H_bs^H Theta + W. Structure 2: the top eigenpair
@@ -123,3 +127,39 @@ def test_energy_swipt_on_an_ill_conditioned_link(exact):
     # beam's: measured worst relative error 9.60e-15 over the 32 rows, so the bound is 4e-14
     grid, = sample_grids([(ILL_CONDITIONED, ("energy-swipt",), BUDGETS)])
     assert grid[0] == pytest.approx(exact[..., 4], rel=4e-14, abs=0.0)
+
+
+# the reference link (K = M = 3, N = 5, P = 5) at seeds 42 and 7, with one split for every
+# antenna and one per antenna (which structure 2 does not support)
+SPLITS = {"uniform": 0.3, "per-antenna": (0.2, 0.5, 0.8)}
+REFERENCE_BUDGETS = (0.0, 5.0, 1e6, 1e20)
+
+
+@pytest.fixture(scope="module", params=[(seed, split) for seed in (42, 7) for split in SPLITS],
+                ids=lambda param: f"seed{param[0]}-{param[1]}")
+def reference_rows(request):
+    """(metrics, float rows, mpmath rows) of 4 trials of the reference link at
+    REFERENCE_BUDGETS: (metrics, budgets, trials) samples against (budgets, trials, MP_ORDER)."""
+    seed, split = request.param
+    cfg = replace(reference_scenario(trials=4, seed=seed), psi=SPLITS[split])
+    metrics = [m for m in MP_ORDER if split == "uniform" or not m.endswith("struct2")]
+    ens = ensemble_for(cfg)
+    with mpmath.workdps(50):
+        exact = np.array([[[float(x) for x in mp_rows(cfg, ens, t, pb)]
+                           for t in range(cfg.trials)] for pb in REFERENCE_BUDGETS])
+    grid, = sample_grids([(cfg, metrics, REFERENCE_BUDGETS)])
+    return metrics, grid, exact
+
+
+def test_every_metric_on_the_reference_link(reference_rows):
+    # measured worst relative errors over the 4 cases' 16 (budget, trial) rows: energy-struct1
+    # 5.3e-16, energy-struct2 1.13e-15, energy-swipt 5.5e-16, and each rate 7.4e-16 on rows
+    # above 1e-3 bits, so the relative bound is 4e-15. A rate sums log2(1 + x) over K = 3
+    # modes, and each float 1 + x rounds by up to eps / 2, an absolute limit: at Pb = 1e20
+    # the exact rates of 1e-19 to 1e-17 bits read 0 (relative error 1). So a rate row also
+    # has an absolute bound of 2 K eps / ln 2 bits; its worst absolute error was 0.35 of it
+    metrics, grid, exact = reference_rows
+    for row, metric in zip(grid, metrics):
+        want = exact[..., MP_ORDER.index(metric)]
+        limit = 2 * 3 * np.finfo(float).eps / np.log(2) if metric.startswith("rate") else 0.0
+        assert np.all(np.abs(row - want) <= 4e-15 * np.abs(want) + limit), metric

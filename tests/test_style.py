@@ -2,7 +2,8 @@
 99 columns and ends without whitespace, so a shorter line count cannot come from packing
 code more densely. The pinned outputs under tests/reference are data and keep their bytes.
 Every name a package or demo module imports is read in it (the package's `__init__`
-re-exports are exempt), so no import outlives the code that used it."""
+re-exports are exempt), so no import outlives the code that used it. The Monte-Carlo modules
+form every product with `linalg.matmul`, never with `@`."""
 
 import ast
 import pathlib
@@ -37,3 +38,12 @@ def test_every_imported_name_is_read(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert imported <= read, f"{path.relative_to(ROOT)} never reads {sorted(imported - read)}"
+
+
+@pytest.mark.parametrize("module", ["montecarlo", "harvesting", "transfer"])
+def test_monte_carlo_products_go_through_the_one_kernel(module):
+    # every small product on the Monte-Carlo path is `linalg.matmul`, none numpy's `@`
+    tree = ast.parse((ROOT / "src" / "swiptmimo" / f"{module}.py").read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert not lines, f"{module}.py multiplies with @ on lines {lines}"
