@@ -119,8 +119,7 @@ def ensemble_for(cfg, start=0, stop=None):
     default_rng(SeedSequence((seed, t))) as five complex Gaussians, each laid out as
     `linalg.complex_gaussian` draws it: the link's k x k and m x m Haar factors, the BS
     channel's k x k and n x n ones, and the n x n user beams U (unit columns), kept as their
-    Gram U U^H. So a trial's draw depends on (seed, t) alone, whatever slice holds it. Each
-    complex block is built in place, and the normals are freed before the QR factorisations.
+    Gram U U^H. So a trial's draw depends on (seed, t) alone, whatever slice holds it.
     """
     stop = cfg.trials if stop is None else stop
     if not 0 <= start < stop <= min(cfg.trials, start + TRIAL_CHUNK):
